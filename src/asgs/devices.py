@@ -54,9 +54,9 @@ class RandSource:
     """Deterministic vector stream, seeded or replayed from a fixture.
 
     Seeded mode draws from MT19937 (``random.Random``) initialised with
-    the given integer: binary vectors come from ``getrandbits(bits)``
-    unpacked MSB first, other moduli draw one ``randrange(k)`` per
-    component, left to right. This generator choice is frozen; repeat
+    the given integer: a binary vector is ``getrandbits(bits)`` taken as
+    its packed value (component 1 is the top bit), other moduli draw one
+    ``randrange(k)`` per component, left to right. This generator choice is frozen; repeat
     runs with equal seeds reproduce identical streams. Fixture mode
     replays the prepared vectors in order and refuses to wrap around.
     """

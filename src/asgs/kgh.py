@@ -4,13 +4,17 @@ Secrets, shares, masks, and one-time keys are all the same kind of value:
 a fixed-dimension vector of residues mod k. A secret is recovered by
 adding the shares of an authorized set component-wise. With modulus 2
 every operation collapses to XOR on l-bit strings, which is the form the
-automatic protocols in :mod:`asgs.protocol` work in.
+automatic protocols in :mod:`asgs.protocol` work in. A binary vector is
+therefore stored as one packed unsigned int, component 1 in the most
+significant bit, and adding two of them is a single ``^``; its
+``components`` tuple is a derived view. Other moduli keep a tuple of
+residues and add component-wise.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -57,29 +61,44 @@ class SchemeParams:
         return self.dimension
 
 
-@dataclass(frozen=True)
 class ShareVector:
-    """One element of Z_k^dimension, the unit every protocol value is made of."""
+    """One element of Z_k^dimension, the unit every protocol value is made of.
 
-    params: SchemeParams
-    components: tuple[int, ...]
+    A binary vector (modulus 2) is stored as one unsigned int of
+    ``dimension`` bits with component 1 in the most significant bit, so
+    ``+`` and ``-`` are a single XOR. Other moduli keep a tuple of
+    residues. ``components`` is a derived, read-only view either way.
+    Inputs are validated where they enter (the constructor and
+    :meth:`from_int`); results of arithmetic on valid vectors are valid
+    by construction and are not checked again. Vectors are immutable,
+    hashable, and equal exactly when their params and components are.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.components) != self.params.dimension:
+    __slots__ = ("params", "_data")
+
+    def __init__(self, params: SchemeParams, components: Sequence[int]) -> None:
+        components = tuple(components)
+        if len(components) != params.dimension:
             raise ValueError(
-                f"expected {self.params.dimension} components, got {len(self.components)}"
+                f"expected {params.dimension} components, got {len(components)}"
             )
-        k = self.params.modulus
-        if any(c < 0 or c >= k for c in self.components):
+        k = params.modulus
+        if any(c < 0 or c >= k for c in components):
             raise ValueError(f"components must lie in [0, {k})")
+        if k == 2:
+            data = int("".join("1" if c else "0" for c in components), 2)
+        else:
+            data = components
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "_data", data)
 
     @classmethod
     def zero(cls, params: SchemeParams) -> ShareVector:
-        return cls(params, (0,) * params.dimension)
+        return _vector(params, 0 if params.modulus == 2 else (0,) * params.dimension)
 
     @classmethod
     def from_int(cls, params: SchemeParams, value: int) -> ShareVector:
-        """Unpack an unsigned integer into a binary vector, MSB first.
+        """Wrap an unsigned integer as a binary vector, MSB first.
 
         Component 1 is the most significant bit of ``value`` at the
         declared width.
@@ -89,22 +108,28 @@ class ShareVector:
         width = params.dimension
         if value < 0 or value >> width:
             raise ValueError(f"value {value:#x} does not fit in {width} bits")
-        return cls(params, tuple((value >> (width - 1 - i)) & 1 for i in range(width)))
+        return _vector(params, value)
 
     def to_int(self) -> int:
-        """Pack a binary vector into an unsigned integer, component 1 first."""
+        """The packed unsigned integer of a binary vector, component 1 first."""
         if self.params.modulus != 2:
             raise ValueError("integer packing is defined for modulus 2 only")
-        value = 0
-        for bit in self.components:
-            value = (value << 1) | bit
-        return value
+        return self._data
+
+    @property
+    def components(self) -> tuple[int, ...]:
+        """The residues, component 1 first (unpacked MSB first when binary)."""
+        if self.params.modulus != 2:
+            return self._data
+        return tuple(map(int, format(self._data, f"0{self.params.dimension}b")))
 
     def is_zero(self) -> bool:
-        return not any(self.components)
+        if self.params.modulus == 2:
+            return not self._data
+        return not any(self._data)
 
     def _require_same_params(self, other: ShareVector) -> None:
-        if self.params != other.params:
+        if other.params is not self.params and other.params != self.params:
             raise MixedParams(
                 f"cannot mix vectors under {self.params} and {other.params}"
             )
@@ -114,9 +139,10 @@ class ShareVector:
             return NotImplemented
         self._require_same_params(other)
         k = self.params.modulus
-        return ShareVector(
-            self.params,
-            tuple((a + b) % k for a, b in zip(self.components, other.components)),
+        if k == 2:
+            return _vector(self.params, self._data ^ other._data)
+        return _vector(
+            self.params, tuple((a + b) % k for a, b in zip(self._data, other._data))
         )
 
     def __sub__(self, other: ShareVector) -> ShareVector:
@@ -124,10 +150,39 @@ class ShareVector:
             return NotImplemented
         self._require_same_params(other)
         k = self.params.modulus
-        return ShareVector(
-            self.params,
-            tuple((a - b) % k for a, b in zip(self.components, other.components)),
+        if k == 2:
+            return _vector(self.params, self._data ^ other._data)
+        return _vector(
+            self.params, tuple((a - b) % k for a, b in zip(self._data, other._data))
         )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ShareVector):
+            return NotImplemented
+        return self._data == other._data and self.params == other.params
+
+    def __hash__(self) -> int:
+        return hash((self.params, self._data))
+
+    def __repr__(self) -> str:
+        return f"ShareVector(params={self.params!r}, components={self.components!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ShareVector, (self.params, self.components)
+
+
+def _vector(params: SchemeParams, data: int | tuple[int, ...]) -> ShareVector:
+    """Build a vector from already-valid packed data, skipping validation."""
+    vector = object.__new__(ShareVector)
+    object.__setattr__(vector, "params", params)
+    object.__setattr__(vector, "_data", data)
+    return vector
 
 
 class SetRole(enum.Enum):
@@ -208,19 +263,21 @@ def combine(
         if params is None:
             raise ValueError("combining nothing needs explicit params")
         return ShareVector.zero(params)
-    total = shares[0]
-    if params is not None and total.params != params:
-        raise MixedParams(f"shares carry {total.params}, expected {params}")
-    k = total.params.modulus
-    acc = list(total.components)
-    for share in shares[1:]:
-        if share.params != total.params:
-            raise MixedParams(
-                f"cannot mix vectors under {total.params} and {share.params}"
-            )
-        for i, c in enumerate(share.components):
-            acc[i] = (acc[i] + c) % k
-    return ShareVector(total.params, tuple(acc))
+    first = shares[0].params
+    if params is not None and first != params:
+        raise MixedParams(f"shares carry {first}, expected {params}")
+    for share in shares:
+        if share.params is not first and share.params != first:
+            raise MixedParams(f"cannot mix vectors under {first} and {share.params}")
+    k = first.modulus
+    if k == 2:
+        acc = 0
+        for share in shares:
+            acc ^= share._data
+        return _vector(first, acc)
+    return _vector(
+        first, tuple(sum(column) % k for column in zip(*(s._data for s in shares)))
+    )
 
 
 def kgh_split(

@@ -204,7 +204,6 @@ class TamperRule:
 CLASS_SECRET = "secret"
 CLASS_OWNER_SHARE = "owner_share"
 CLASS_PROTECTED_SHARE = "protected_share"
-CLASS_ACTIVATED_SHARE = "activated_share"  # never sent; reserved for audits
 CLASS_DERIVED_SHARE = "derived_share"
 CLASS_KEY = "key"
 CLASS_SEALED_MASK = "sealed_mask"

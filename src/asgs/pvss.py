@@ -99,8 +99,6 @@ def distribute_shares_and_keys(
         "distribute_shares_and_keys", h=len(set1.shares), g=len(set2.shares)
     )
     source = env.source(ROLE_DEALER)
-    register = Accumulator(env.params)
-    register.reset()  # the distribution pseudocode clears the register although nothing accumulates here
     entries: dict[str, list[ShareVector]] = {"1": [], "2": []}
     keys: dict[tuple[str, int], ShareVector] = {}
     for tag, shares in (("1", set1.shares), ("2", set2.shares)):

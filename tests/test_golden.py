@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import shutil
-import sys
 import tempfile
 from pathlib import Path
 
@@ -107,14 +106,10 @@ def run_scenario_in(name: str, workdir: Path) -> dict[str, bytes]:
             assert code == expected_exit, f"{name} step {k}: exit {code}"
     finally:
         os.chdir(previous)
-    return {
-        path.relative_to(workdir).as_posix(): path.read_bytes()
-        for path in sorted(workdir.glob("step*/*"))
-    }
+    return step_files(workdir)
 
 
-def golden_files(name: str) -> dict[str, bytes]:
-    root = GOLDEN_DIR / name
+def step_files(root: Path) -> dict[str, bytes]:
     return {
         path.relative_to(root).as_posix(): path.read_bytes()
         for path in sorted(root.glob("step*/*"))
@@ -124,7 +119,7 @@ def golden_files(name: str) -> dict[str, bytes]:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_artifacts_match_golden_bytes(name, tmp_path):
     fresh = run_scenario_in(name, tmp_path / name)
-    golden = golden_files(name)
+    golden = step_files(GOLDEN_DIR / name)
     assert golden, f"no golden files for {name}"
     assert sorted(fresh) == sorted(golden)
     for relative, content in golden.items():
@@ -146,4 +141,3 @@ def regenerate() -> None:
 
 if __name__ == "__main__":
     regenerate()
-    sys.exit(0)

@@ -1,6 +1,10 @@
 """Share algebra: vectors, splitting, mask sets, partitions."""
 
+import copy
 import itertools
+import operator
+import pickle
+import random
 
 import pytest
 from hypothesis import given
@@ -44,15 +48,85 @@ class TestSchemeParams:
             SchemeParams(modulus, dimension)
 
 
+WIDTHS = [1, 8, 12, 128, 4096]
+
+
+def msb_first(value: int, bits: int) -> tuple[int, ...]:
+    return tuple((value >> (bits - 1 - i)) & 1 for i in range(bits))
+
+
 class TestShareVector:
     def test_int_round_trip_msb_first(self):
-        vector = bv(0x5A)
-        assert vector.components == (0, 1, 0, 1, 1, 0, 1, 0)
-        assert vector.to_int() == 0x5A
+        cases = [
+            (8, 0x5A, (0, 1, 0, 1, 1, 0, 1, 0)),
+            (1, 0x1, (1,)),
+            (12, 0x9E3, (1, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 1)),
+            (128, 0xC << 124 | 0x5, (1, 1, 0, 0, 0)),
+            (4096, 0x3 << 4094 | 0x1, (1, 1, 0)),
+        ]
+        for bits, value, leading in cases:
+            params = SchemeParams.binary(bits)
+            vector = ShareVector.from_int(params, value)
+            assert vector.components[: len(leading)] == leading
+            assert vector.components == msb_first(value, bits)
+            assert vector.to_int() == value
+            rebuilt = ShareVector(params, vector.components)
+            assert rebuilt == vector
+            assert rebuilt.to_int() == value
 
     def test_from_int_rejects_overflow(self):
-        with pytest.raises(ValueError):
-            ShareVector.from_int(P8, 0x100)
+        for bits in WIDTHS:
+            params = SchemeParams.binary(bits)
+            for value in (-1, -(1 << bits), 1 << bits, (1 << bits) + 1, 1 << (bits + 1)):
+                with pytest.raises(ValueError):
+                    ShareVector.from_int(params, value)
+            assert ShareVector.from_int(params, (1 << bits) - 1).to_int() == (1 << bits) - 1
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    def test_equal_exactly_when_bits_equal(self, bits):
+        """Vectors built by the constructor, from_int, combine, + and -
+        are equal exactly when their bits are, and equal ones hash equal."""
+        params = SchemeParams.binary(bits)
+        rng = random.Random(bits)
+        sample = rng.getrandbits(bits)
+        values = {0, 1, (1 << bits) - 1, 1 << (bits - 1), sample}
+        values |= {sample ^ (1 << rng.randrange(bits)) for _ in range(2)}
+        pad = rng.getrandbits(bits)
+
+        def padded(v):
+            return ShareVector.from_int(params, v ^ pad), ShareVector.from_int(params, pad)
+
+        routes = [
+            lambda v: ShareVector(params, msb_first(v, bits)),
+            lambda v: ShareVector.from_int(params, v),
+            lambda v: combine(padded(v)),
+            lambda v: operator.add(*padded(v)),
+            lambda v: operator.sub(*padded(v)),
+        ]
+        built = [(v, route(v)) for v in sorted(values) for route in routes]
+        for x, left in built:
+            assert left.to_int() == x
+            for y, right in built:
+                assert (left == right) is (x == y)
+                if x == y:
+                    assert hash(left) == hash(right)
+
+    @pytest.mark.parametrize(
+        "vector",
+        [
+            bv(0x5A),
+            ShareVector.from_int(SchemeParams.binary(4096), 1 << 4095),
+            ShareVector(SchemeParams(5, 3), (4, 0, 2)),
+        ],
+    )
+    def test_frozen(self, vector):
+        for name in ("params", "components", "_data", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(vector, name, None)
+        with pytest.raises(AttributeError):
+            del vector.params
+        assert copy.deepcopy(vector) == vector
+        assert pickle.loads(pickle.dumps(vector)) == vector
 
     def test_int_packing_is_binary_only(self):
         params = SchemeParams(3, 2)
@@ -78,12 +152,16 @@ class TestShareVector:
         assert (a - b).components == (3, 3)
 
     def test_mixed_params_rejected(self):
-        with pytest.raises(MixedParams):
-            bv(0x01) + bv(0x0001, SchemeParams.binary(16))
+        for op in (operator.add, operator.sub):
+            with pytest.raises(MixedParams):
+                op(bv(0x01), bv(0x0001, SchemeParams.binary(16)))
+        assert bv(0x01) != bv(0x0001, SchemeParams.binary(16))
 
     def test_foreign_operand_is_not_implemented(self):
-        with pytest.raises(TypeError):
-            bv(0x01) + 3
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(bv(0x01), 3)
+        assert bv(0x01) != 0x01
 
     def test_zero_and_is_zero(self):
         assert ShareVector.zero(P8).is_zero()
