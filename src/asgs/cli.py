@@ -5,6 +5,16 @@ Every subcommand builds a :class:`ScenarioSpec`, hands it to
 code: 0 for success or a POSITIVE verdict, 2 for a NEGATIVE verdict,
 3 for a visibility violation found under --audit, 1 for usage or input
 errors.
+
+:data:`COMMANDS` maps each command name to a small handler. A handler
+builds at most one :class:`ProtocolEnv`, runs the protocol steps, and
+returns its documents by artifact name with its summary lines and exit
+code; it writes nothing. ``simulate`` chains the same step functions
+the single commands use. :func:`run_scenario` is the only writer: once
+the handler has succeeded and every ``--tamper`` rule has fired, it
+writes the documents, then ``transcript.json``, then runs the optional
+audit. A failed run, or one whose tamper rule matched no message, exits
+1 and leaves no artifacts.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from asgs.formats import (
@@ -39,6 +49,7 @@ from asgs.kgh import (
     AuthorizedShareSet,
     SchemeParams,
     SetRole,
+    ShareVector,
     generate_mask_set,
 )
 from asgs.protocol import (
@@ -47,7 +58,9 @@ from asgs.protocol import (
     ROLE_ACCUMULATOR,
     ROLE_DEALER,
     ROLE_OWNER,
+    SafeSharesState,
     TamperRule,
+    Violation,
     activate_shares,
     check_visibility,
     equal_set_replicate,
@@ -59,6 +72,8 @@ from asgs.protocol import (
     set_replicate_to_smaller,
 )
 from asgs.pvss import (
+    BulletinBoard,
+    KeyAssignment,
     Verdict,
     distribute_shares_and_keys,
     recover_xored_keys,
@@ -141,6 +156,20 @@ class RunResult:
     summary: list[str]
 
 
+@dataclass
+class _Output:
+    """What one command produced; nothing of it is on disk yet."""
+
+    spec: ScenarioSpec
+    env: ProtocolEnv | None = None
+    documents: dict[str, dict] = field(default_factory=dict)
+    summary: list[str] = field(default_factory=list)
+    exit_code: int = 0
+
+    def path(self, name: str) -> Path:
+        return Path(self.spec.out_dir) / name
+
+
 def _build_env(spec: ScenarioSpec, bits: int) -> ProtocolEnv:
     params = SchemeParams.binary(bits)
     rules = tuple(parse_tamper_rule(t) for t in spec.tamper)
@@ -150,17 +179,14 @@ def _build_env(spec: ScenarioSpec, bits: int) -> ProtocolEnv:
         # Runs stay reproducible when neither flag is given: seed 0.
         return ProtocolEnv.seeded(spec.seed if spec.seed is not None else 0, bits,
                                   tamper_rules=rules)
-    vectors = {}
-    for role, path in spec.fixtures.items():
-        vectors[role] = read_fixture_file(path, params)
-    summary = {"fixture_paths": dict(sorted(spec.fixtures.items()))} if spec.fixtures else None
+    vectors = {role: read_fixture_file(path, params) for role, path in spec.fixtures.items()}
     return ProtocolEnv.with_fixtures(
         params,
         dealer=vectors.get(ROLE_DEALER),
         owner=vectors.get(ROLE_OWNER),
         accumulator=vectors.get(ROLE_ACCUMULATOR),
         tamper_rules=rules,
-        config=summary,
+        config={"fixture_paths": dict(sorted(spec.fixtures.items()))},
     )
 
 
@@ -185,177 +211,173 @@ def _require(value, flag: str):
     return value
 
 
-def _write(artifacts: dict[str, Path], out_dir: Path, name: str, document: dict) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = dump_document(document, out_dir / name)
-    artifacts[name] = path
-    return path
+def _violation_lines(violations: list[Violation]) -> list[str]:
+    return [
+        f"violation: seq={v.seq} recipient={v.recipient} "
+        f"class={v.value_class} kind={v.kind}"
+        for v in violations
+    ]
 
 
-def _finish(
-    spec: ScenarioSpec,
-    env: ProtocolEnv | None,
-    artifacts: dict[str, Path],
-    summary: list[str],
-    base_exit: int = 0,
-) -> RunResult:
-    """Write the transcript, run the optional audit, settle the exit code."""
-    exit_code = base_exit
-    if env is not None:
-        _write(artifacts, Path(spec.out_dir), "transcript.json", transcript_to_doc(env.transcript))
-        summary.append(f"transcript -> {artifacts['transcript.json']}")
-        if spec.audit:
-            violations = check_visibility(env.transcript)
-            for v in violations:
-                summary.append(
-                    f"violation: seq={v.seq} recipient={v.recipient} "
-                    f"class={v.value_class} kind={v.kind}"
-                )
-            if violations:
-                exit_code = 3
-            else:
-                summary.append("audit: no visibility violations")
-    return RunResult(exit_code, artifacts, summary)
+# ---------------------------------------------------------------------------
+# Protocol steps, shared by the single commands and by simulate, and the
+# command handlers, which return documents, summary and exit code
+# ---------------------------------------------------------------------------
 
 
-def run_scenario(spec: ScenarioSpec) -> RunResult:
-    artifacts: dict[str, Path] = {}
-    summary: list[str] = []
-    out_dir = Path(spec.out_dir)
+def _set_generate_step(
+    spec: ScenarioSpec, out: _Output
+) -> tuple[AuthorizedShareSet, AuthorizedShareSet]:
+    template_count = _require(spec.d, "--d")
+    master_count = _require(spec.n, "--n")
+    template, master = set_generate_m(template_count, master_count, out.env)
+    out.documents["u1.json"] = share_set_to_doc(template)
+    out.documents["u2.json"] = share_set_to_doc(master)
+    return template, master
 
-    if spec.command == "audit":
-        path = _require(spec.transcript_path, "transcript path")
-        transcript = transcript_from_doc(load_document(path, "transcript"))
-        violations = check_visibility(transcript)
-        for v in violations:
-            summary.append(
-                f"violation: seq={v.seq} recipient={v.recipient} "
-                f"class={v.value_class} kind={v.kind}"
-            )
-        if not violations:
-            summary.append("no visibility violations")
-        return RunResult(3 if violations else 0, artifacts, summary)
 
-    if spec.command == "gen-m":
-        count = _require(spec.n, "--n")
-        bits = _resolve_bits(spec)
-        env = _build_env(spec, bits)
-        env.note_operation("generate_mask_set", n=count)
-        masks = generate_mask_set(count, env.source(ROLE_ACCUMULATOR), env.params)
-        _write(artifacts, out_dir, "masks.json", mask_set_to_doc(masks))
-        summary.append(f"mask set of {count} vectors ({bits} bits) -> {artifacts['masks.json']}")
-        return _finish(spec, env, artifacts, summary)
+def _safeshares_step(spec: ScenarioSpec, out: _Output) -> tuple[SafeSharesState, ShareVector]:
+    count = _require(spec.n, "--n")
+    secret = decode_vector(_require(spec.secret_hex, "--secret"), out.env.params)
+    state = safe_shares(secret, count, out.env)
+    out.documents["state.json"] = safe_state_to_doc(state)
+    out.documents["protected.json"] = share_set_to_doc(state.protected_set())
+    return state, secret
 
-    if spec.command == "set-generate":
-        template_count = _require(spec.d, "--d")
-        master_count = _require(spec.n, "--n")
-        bits = _resolve_bits(spec)
-        env = _build_env(spec, bits)
-        template, master = set_generate_m(template_count, master_count, env)
-        _write(artifacts, out_dir, "u1.json", share_set_to_doc(template))
-        _write(artifacts, out_dir, "u2.json", share_set_to_doc(master))
-        summary.append(f"template set ({template_count} shares) -> {artifacts['u1.json']}")
-        summary.append(f"master set ({master_count} shares) -> {artifacts['u2.json']}")
-        return _finish(spec, env, artifacts, summary)
 
-    if spec.command == "replicate":
-        mode = _require(spec.mode, "--mode")
-        source_path = _require(spec.in_path, "--in")
-        source_set = share_set_from_doc(load_document(source_path, "share_set"))
-        bits = _resolve_bits(spec, source_set.params.dimension)
-        env = _build_env(spec, bits)
-        if mode == "equal":
-            derived = equal_set_replicate(source_set, env)
-        elif mode == "bigger":
-            derived = set_replicate_to_bigger(source_set, _require(spec.d, "--d"), env)
-        elif mode == "smaller":
-            derived = set_replicate_to_smaller(source_set, _require(spec.d, "--d"), env)
-        else:
-            raise ParseError(f"unknown replication mode {mode!r}")
-        _write(artifacts, out_dir, "derived.json", share_set_to_doc(derived))
-        summary.append(f"derived set ({len(derived.shares)} shares) -> {artifacts['derived.json']}")
-        return _finish(spec, env, artifacts, summary)
+def _activate_step(state: SafeSharesState, out: _Output) -> AuthorizedShareSet:
+    activated = activate_shares(state, out.env)
+    out.documents["activated.json"] = share_set_to_doc(activated)
+    return activated
 
-    if spec.command == "fastshare":
-        count = _require(spec.n, "--n")
-        secret_hex = _require(spec.secret_hex, "--secret")
-        bits = _resolve_bits(spec)
-        env = _build_env(spec, bits)
-        secret = decode_vector(secret_hex, env.params)
-        shares = fast_share(secret, count, env)
-        _write(artifacts, out_dir, "shares.json", share_set_to_doc(shares))
-        summary.append(f"owner set ({count} shares) -> {artifacts['shares.json']}")
-        return _finish(spec, env, artifacts, summary)
 
-    if spec.command == "safeshares":
-        count = _require(spec.n, "--n")
-        secret_hex = _require(spec.secret_hex, "--secret")
-        bits = _resolve_bits(spec)
-        env = _build_env(spec, bits)
-        secret = decode_vector(secret_hex, env.params)
-        state = safe_shares(secret, count, env)
-        _write(artifacts, out_dir, "state.json", safe_state_to_doc(state))
-        _write(artifacts, out_dir, "protected.json", share_set_to_doc(state.protected_set()))
-        summary.append(f"protected set ({count} shares) -> {artifacts['protected.json']}")
-        summary.append(f"full pre-positioning state -> {artifacts['state.json']}")
-        return _finish(spec, env, artifacts, summary)
+def _replicate_step(
+    source: AuthorizedShareSet, mode: str, target: int | None, out: _Output
+) -> AuthorizedShareSet:
+    if mode == "equal":
+        derived = equal_set_replicate(source, out.env)
+    elif mode == "bigger":
+        derived = set_replicate_to_bigger(source, _require(target, "--d"), out.env)
+    elif mode == "smaller":
+        derived = set_replicate_to_smaller(source, _require(target, "--d"), out.env)
+    else:
+        raise ParseError(f"unknown replication mode {mode!r}")
+    out.documents["derived.json"] = share_set_to_doc(derived)
+    return derived
 
-    if spec.command == "activate":
-        state_path = _require(spec.state_path, "--state")
-        state = safe_state_from_doc(load_document(state_path, "safe_state"))
-        bits = _resolve_bits(spec, state.params.dimension)
-        env = _build_env(spec, bits)
-        activated = activate_shares(state, env)
-        _write(artifacts, out_dir, "activated.json", share_set_to_doc(activated))
-        summary.append(
-            f"activated set ({len(activated.shares)} shares) -> {artifacts['activated.json']}"
-        )
-        return _finish(spec, env, artifacts, summary)
 
-    if spec.command == "pvss-distribute":
-        set1 = share_set_from_doc(load_document(_require(spec.set1_path, "--set1"), "share_set"))
-        set2 = share_set_from_doc(load_document(_require(spec.set2_path, "--set2"), "share_set"))
-        bits = _resolve_bits(spec, set1.params.dimension, set2.params.dimension)
-        env = _build_env(spec, bits)
-        bulletin, assignment = distribute_shares_and_keys(set1, set2, env)
-        _write(artifacts, out_dir, "bulletin.json", bulletin_to_doc(bulletin))
-        _write(artifacts, out_dir, "keys.json", key_assignment_to_doc(assignment, bits))
-        summary.append(
-            f"bulletin ({len(set1.shares)}+{len(set2.shares)} entries) -> "
-            f"{artifacts['bulletin.json']}"
-        )
-        summary.append(f"key assignment -> {artifacts['keys.json']}")
-        return _finish(spec, env, artifacts, summary)
+def _distribute_step(
+    set1: AuthorizedShareSet, set2: AuthorizedShareSet, out: _Output
+) -> tuple[BulletinBoard, KeyAssignment]:
+    bulletin, assignment = distribute_shares_and_keys(set1, set2, out.env)
+    out.documents["bulletin.json"] = bulletin_to_doc(bulletin)
+    out.documents["keys.json"] = key_assignment_to_doc(assignment, out.env.params.dimension)
+    return bulletin, assignment
 
-    if spec.command == "pvss-recover-keys":
-        keys_doc = load_document(_require(spec.keys_path, "--keys"), "key_assignment")
-        assignment = key_assignment_from_doc(keys_doc)
-        bits = _resolve_bits(spec, keys_doc["bits"])
-        env = _build_env(spec, bits)
-        result = recover_xored_keys(
-            assignment, assignment.count_for("1"), assignment.count_for("2"), env
-        )
-        summary.append(f"xored_keys={encode_vector(result)}")
-        return _finish(spec, env, artifacts, summary)
 
-    if spec.command == "pvss-verify":
-        bulletin_doc = load_document(_require(spec.bulletin_path, "--bulletin"), "bulletin")
-        keys_doc = load_document(_require(spec.keys_path, "--keys"), "key_assignment")
-        bulletin = bulletin_from_doc(bulletin_doc)
-        assignment = key_assignment_from_doc(keys_doc)
-        bits = _resolve_bits(spec, bulletin_doc["bits"], keys_doc["bits"])
-        env = _build_env(spec, bits)
-        result = verify(bulletin, assignment, env)
-        summary.append(f"xored_encrypted_shares={encode_vector(result.xored_encrypted_shares)}")
-        summary.append(f"xored_keys={encode_vector(result.xored_keys)}")
-        summary.append(f"verdict={result.verdict.value}")
-        base_exit = 0 if result.verdict is Verdict.POSITIVE else 2
-        return _finish(spec, env, artifacts, summary, base_exit)
+def _gen_m(spec: ScenarioSpec) -> _Output:
+    count = _require(spec.n, "--n")
+    bits = _resolve_bits(spec)
+    out = _Output(spec, _build_env(spec, bits))
+    out.env.note_operation("generate_mask_set", n=count)
+    masks = generate_mask_set(count, out.env.source(ROLE_ACCUMULATOR), out.env.params)
+    out.documents["masks.json"] = mask_set_to_doc(masks)
+    out.summary.append(f"mask set of {count} vectors ({bits} bits) -> {out.path('masks.json')}")
+    return out
 
-    if spec.command == "simulate":
-        return _run_simulation(spec, artifacts, summary)
 
-    raise ParseError(f"unknown command {spec.command!r}")
+def _set_generate(spec: ScenarioSpec) -> _Output:
+    out = _Output(spec, _build_env(spec, _resolve_bits(spec)))
+    template, master = _set_generate_step(spec, out)
+    out.summary.append(f"template set ({len(template)} shares) -> {out.path('u1.json')}")
+    out.summary.append(f"master set ({len(master)} shares) -> {out.path('u2.json')}")
+    return out
+
+
+def _replicate(spec: ScenarioSpec) -> _Output:
+    mode = _require(spec.mode, "--mode")
+    source = share_set_from_doc(load_document(_require(spec.in_path, "--in"), "share_set"))
+    out = _Output(spec, _build_env(spec, _resolve_bits(spec, source.params.dimension)))
+    derived = _replicate_step(source, mode, spec.d, out)
+    out.summary.append(f"derived set ({len(derived)} shares) -> {out.path('derived.json')}")
+    return out
+
+
+def _fastshare(spec: ScenarioSpec) -> _Output:
+    count = _require(spec.n, "--n")
+    secret_hex = _require(spec.secret_hex, "--secret")
+    out = _Output(spec, _build_env(spec, _resolve_bits(spec)))
+    shares = fast_share(decode_vector(secret_hex, out.env.params), count, out.env)
+    out.documents["shares.json"] = share_set_to_doc(shares)
+    out.summary.append(f"owner set ({count} shares) -> {out.path('shares.json')}")
+    return out
+
+
+def _safeshares(spec: ScenarioSpec) -> _Output:
+    out = _Output(spec, _build_env(spec, _resolve_bits(spec)))
+    state, _ = _safeshares_step(spec, out)
+    out.summary.append(
+        f"protected set ({len(state.protected)} shares) -> {out.path('protected.json')}"
+    )
+    out.summary.append(f"full pre-positioning state -> {out.path('state.json')}")
+    return out
+
+
+def _activate(spec: ScenarioSpec) -> _Output:
+    state = safe_state_from_doc(load_document(_require(spec.state_path, "--state"), "safe_state"))
+    out = _Output(spec, _build_env(spec, _resolve_bits(spec, state.params.dimension)))
+    activated = _activate_step(state, out)
+    out.summary.append(f"activated set ({len(activated)} shares) -> {out.path('activated.json')}")
+    return out
+
+
+def _pvss_distribute(spec: ScenarioSpec) -> _Output:
+    set1 = share_set_from_doc(load_document(_require(spec.set1_path, "--set1"), "share_set"))
+    set2 = share_set_from_doc(load_document(_require(spec.set2_path, "--set2"), "share_set"))
+    bits = _resolve_bits(spec, set1.params.dimension, set2.params.dimension)
+    out = _Output(spec, _build_env(spec, bits))
+    _distribute_step(set1, set2, out)
+    out.summary.append(
+        f"bulletin ({len(set1)}+{len(set2)} entries) -> {out.path('bulletin.json')}"
+    )
+    out.summary.append(f"key assignment -> {out.path('keys.json')}")
+    return out
+
+
+def _pvss_recover_keys(spec: ScenarioSpec) -> _Output:
+    keys_doc = load_document(_require(spec.keys_path, "--keys"), "key_assignment")
+    assignment = key_assignment_from_doc(keys_doc)
+    out = _Output(spec, _build_env(spec, _resolve_bits(spec, keys_doc["bits"])))
+    result = recover_xored_keys(
+        assignment, assignment.count_for("1"), assignment.count_for("2"), out.env
+    )
+    out.summary.append(f"xored_keys={encode_vector(result)}")
+    return out
+
+
+def _pvss_verify(spec: ScenarioSpec) -> _Output:
+    bulletin_doc = load_document(_require(spec.bulletin_path, "--bulletin"), "bulletin")
+    keys_doc = load_document(_require(spec.keys_path, "--keys"), "key_assignment")
+    bulletin = bulletin_from_doc(bulletin_doc)
+    assignment = key_assignment_from_doc(keys_doc)
+    bits = _resolve_bits(spec, bulletin_doc["bits"], keys_doc["bits"])
+    out = _Output(spec, _build_env(spec, bits))
+    result = verify(bulletin, assignment, out.env)
+    out.summary.append(f"xored_encrypted_shares={encode_vector(result.xored_encrypted_shares)}")
+    out.summary.append(f"xored_keys={encode_vector(result.xored_keys)}")
+    out.summary.append(f"verdict={result.verdict.value}")
+    out.exit_code = 0 if result.verdict is Verdict.POSITIVE else 2
+    return out
+
+
+def _audit(spec: ScenarioSpec) -> _Output:
+    path = _require(spec.transcript_path, "transcript path")
+    violations = check_visibility(transcript_from_doc(load_document(path, "transcript")))
+    return _Output(
+        spec,
+        summary=_violation_lines(violations) or ["no visibility violations"],
+        exit_code=3 if violations else 0,
+    )
 
 
 def _parse_then_step(token: str) -> tuple[str, tuple[str, int | None] | None]:
@@ -378,72 +400,93 @@ def _parse_then_step(token: str) -> tuple[str, tuple[str, int | None] | None]:
     )
 
 
-def _run_simulation(
-    spec: ScenarioSpec, artifacts: dict[str, Path], summary: list[str]
-) -> RunResult:
+def _simulate(spec: ScenarioSpec) -> _Output:
     """Run a chained scenario in one environment and one transcript."""
     start = _require(spec.start, "a starting algorithm")
     steps = [_parse_then_step(t) for t in spec.then]
-    bits = _resolve_bits(spec)
-    env = _build_env(spec, bits)
-    out_dir = Path(spec.out_dir)
-    verdicts: list[Verdict] = []
-
-    reference: AuthorizedShareSet | None = None  # what pvss compares against
-    current: AuthorizedShareSet | None = None
-
+    out = _Output(spec, _build_env(spec, _resolve_bits(spec)))
     if start == "safeshares":
-        count = _require(spec.n, "--n")
-        secret = decode_vector(_require(spec.secret_hex, "--secret"), env.params)
-        state = safe_shares(secret, count, env)
-        _write(artifacts, out_dir, "state.json", safe_state_to_doc(state))
-        _write(artifacts, out_dir, "protected.json", share_set_to_doc(state.protected_set()))
-        summary.append(f"safeshares: protected set of {count} shares")
+        state, secret = _safeshares_step(spec, out)
+        out.summary.append(f"safeshares: protected set of {len(state.protected)} shares")
+        # what pvss compares against
         reference = AuthorizedShareSet.from_shares(SetRole.TEMPLATE, [secret])
         current = state.protected_set()
     elif start == "set-generate":
-        template_count = _require(spec.d, "--d")
-        master_count = _require(spec.n, "--n")
-        template, master = set_generate_m(template_count, master_count, env)
-        _write(artifacts, out_dir, "u1.json", share_set_to_doc(template))
-        _write(artifacts, out_dir, "u2.json", share_set_to_doc(master))
-        summary.append(
-            f"set-generate: template of {template_count}, master of {master_count}"
+        reference, current = _set_generate_step(spec, out)
+        out.summary.append(
+            f"set-generate: template of {len(reference)}, master of {len(current)}"
         )
-        reference = template
-        current = master
     else:
         raise ParseError(
             f"unknown starting algorithm {start!r}; expected safeshares or set-generate"
         )
-
     for step, arg in steps:
         if step == "activate":
             if start != "safeshares":
                 raise ParseError("activate only follows safeshares")
-            current = activate_shares(state, env)
-            _write(artifacts, out_dir, "activated.json", share_set_to_doc(current))
-            summary.append(f"activate: {len(current.shares)} shares activated")
+            current = _activate_step(state, out)
+            out.summary.append(f"activate: {len(current)} shares activated")
         elif step == "replicate":
-            assert arg is not None
             mode, target = arg
-            if mode == "equal":
-                current = equal_set_replicate(current, env)
-            elif mode == "bigger":
-                current = set_replicate_to_bigger(current, target, env)
-            else:
-                current = set_replicate_to_smaller(current, target, env)
-            _write(artifacts, out_dir, "derived.json", share_set_to_doc(current))
-            summary.append(f"replicate-{mode}: derived set of {len(current.shares)} shares")
-        elif step == "pvss":
-            bulletin, assignment = distribute_shares_and_keys(reference, current, env)
-            _write(artifacts, out_dir, "bulletin.json", bulletin_to_doc(bulletin))
-            _write(artifacts, out_dir, "keys.json", key_assignment_to_doc(assignment, bits))
-            result = verify(bulletin, assignment, env)
-            verdicts.append(result.verdict)
-            summary.append(f"pvss: verdict={result.verdict.value}")
-    base_exit = 2 if Verdict.NEGATIVE in verdicts else 0
-    return _finish(spec, env, artifacts, summary, base_exit)
+            current = _replicate_step(current, mode, target, out)
+            out.summary.append(f"replicate-{mode}: derived set of {len(current)} shares")
+        else:
+            result = verify(*_distribute_step(reference, current, out), out.env)
+            if result.verdict is Verdict.NEGATIVE:
+                out.exit_code = 2
+            out.summary.append(f"pvss: verdict={result.verdict.value}")
+    return out
+
+
+# Command name -> handler. Handlers look up protocol operations by their
+# module-global names when they run, so wrappers installed on those
+# names see every call.
+COMMANDS = {
+    "gen-m": _gen_m,
+    "set-generate": _set_generate,
+    "replicate": _replicate,
+    "fastshare": _fastshare,
+    "safeshares": _safeshares,
+    "activate": _activate,
+    "pvss-distribute": _pvss_distribute,
+    "pvss-recover-keys": _pvss_recover_keys,
+    "pvss-verify": _pvss_verify,
+    "simulate": _simulate,
+    "audit": _audit,
+}
+
+
+def run_scenario(spec: ScenarioSpec) -> RunResult:
+    """Run one command, then write everything it produced.
+
+    Nothing reaches ``spec.out_dir`` unless the command succeeds and
+    every tamper rule flipped a message: first the command's documents,
+    then ``transcript.json``, then the optional audit of that transcript.
+    """
+    try:
+        handler = COMMANDS[spec.command]
+    except KeyError:
+        raise ParseError(f"unknown command {spec.command!r}") from None
+    out = handler(spec)
+    env = out.env
+    if env is None:
+        return RunResult(out.exit_code, {}, out.summary)
+    fired = {rule for rule, _ in env.tamper_fired}
+    for rule in env.tamper_rules:
+        if rule not in fired:
+            raise ParseError(f"tamper rule {rule.spec()} matched no message")
+    out.documents["transcript.json"] = transcript_to_doc(env.transcript)
+    out_dir = Path(spec.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    artifacts = {name: dump_document(doc, out_dir / name) for name, doc in out.documents.items()}
+    summary = [*out.summary, f"transcript -> {artifacts['transcript.json']}"]
+    exit_code = out.exit_code
+    if spec.audit:
+        violations = check_visibility(env.transcript)
+        summary += _violation_lines(violations) or ["audit: no visibility violations"]
+        if violations:
+            exit_code = 3
+    return RunResult(exit_code, artifacts, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +512,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="64-bit run seed")
     parser.add_argument(
         "--fixture",
+        dest="fixtures",
         action="append",
         default=[],
         metavar="PARTY:PATH",
         help="fixture vector file for one party (dealer, owner, accumulator); repeatable",
     )
-    parser.add_argument("--out", default=".", metavar="DIR", help="output directory")
+    parser.add_argument("--out", dest="out_dir", default=".", metavar="DIR",
+                        help="output directory")
     parser.add_argument(
         "--audit", action="store_true", help="audit the transcript for visibility violations"
     )
@@ -488,7 +533,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="asgs", description=__doc__)
+    # --help shows the user-facing first two paragraphs of the docstring.
+    parser = _Parser(prog="asgs", description="\n\n".join(__doc__.split("\n\n")[:2]))
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("gen-m", help="generate a zero-sum mask set")
@@ -511,14 +557,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("fastshare", help="split an owner secret into shares")
     _add_common(sub)
-    sub.add_argument("--secret", required=True, metavar="HEX", help="secret vector in hex")
+    sub.add_argument("--secret", dest="secret_hex", required=True, metavar="HEX",
+                     help="secret vector in hex")
     sub.add_argument("--n", type=int, required=True, help="share count")
 
     sub = commands.add_parser(
         "safeshares", help="pre-position protected shares that need later activation"
     )
     _add_common(sub)
-    sub.add_argument("--secret", required=True, metavar="HEX", help="secret vector in hex")
+    sub.add_argument("--secret", dest="secret_hex", required=True, metavar="HEX",
+                     help="secret vector in hex")
     sub.add_argument("--n", type=int, required=True, help="share count")
 
     sub = commands.add_parser("activate", help="release keys and activate protected shares")
@@ -530,15 +578,18 @@ def build_parser() -> argparse.ArgumentParser:
     pvss_commands = pvss_parser.add_subparsers(dest="pvss_command", required=True)
 
     sub = pvss_commands.add_parser("distribute", help="publish encrypted shares and deal keys")
+    sub.set_defaults(command="pvss-distribute")
     _add_common(sub)
     sub.add_argument("--set1", dest="set1_path", required=True, metavar="PATH")
     sub.add_argument("--set2", dest="set2_path", required=True, metavar="PATH")
 
     sub = pvss_commands.add_parser("recover-keys", help="recover the XOR of all dealt keys")
+    sub.set_defaults(command="pvss-recover-keys")
     _add_common(sub)
     sub.add_argument("--keys", dest="keys_path", required=True, metavar="PATH")
 
     sub = pvss_commands.add_parser("verify", help="compare bulletin XOR against key XOR")
+    sub.set_defaults(command="pvss-verify")
     _add_common(sub)
     sub.add_argument("--bulletin", dest="bulletin_path", required=True, metavar="PATH")
     sub.add_argument("--keys", dest="keys_path", required=True, metavar="PATH")
@@ -547,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.add_argument("start", choices=("safeshares", "set-generate"),
                      help="first algorithm of the chain")
-    sub.add_argument("--secret", default=None, metavar="HEX")
+    sub.add_argument("--secret", dest="secret_hex", default=None, metavar="HEX")
     sub.add_argument("--n", type=int, default=None)
     sub.add_argument("--d", type=int, default=None)
     sub.add_argument(
@@ -560,45 +611,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub = commands.add_parser("audit", help="audit a transcript document")
-    sub.add_argument("transcript", metavar="PATH", help="transcript document to audit")
+    sub.add_argument("transcript_path", metavar="PATH", help="transcript document to audit")
 
     return parser
 
 
 def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
+    """The argparse destinations are named after the ScenarioSpec fields."""
+    values = vars(args)
     fixtures = {}
-    for item in getattr(args, "fixture", []):
+    for item in values.get("fixtures", ()):
         party, sep, path = item.partition(":")
         if not sep or party not in SOURCE_ROLES:
             raise ParseError(
                 f"--fixture wants PARTY:PATH with party in {'/'.join(SOURCE_ROLES)}, got {item!r}"
             )
         fixtures[party] = path
-    command = args.command
-    if command == "pvss":
-        command = f"pvss-{args.pvss_command}"
-    return ScenarioSpec(
-        command=command,
-        bits=getattr(args, "bits", None),
-        seed=getattr(args, "seed", None),
-        fixtures=fixtures,
-        out_dir=getattr(args, "out", "."),
-        audit=getattr(args, "audit", False),
-        tamper=tuple(getattr(args, "tamper", [])),
-        n=getattr(args, "n", None),
-        d=getattr(args, "d", None),
-        secret_hex=getattr(args, "secret", None),
-        mode=getattr(args, "mode", None),
-        in_path=getattr(args, "in_path", None),
-        state_path=getattr(args, "state_path", None),
-        set1_path=getattr(args, "set1_path", None),
-        set2_path=getattr(args, "set2_path", None),
-        bulletin_path=getattr(args, "bulletin_path", None),
-        keys_path=getattr(args, "keys_path", None),
-        transcript_path=getattr(args, "transcript", None),
-        start=getattr(args, "start", None),
-        then=tuple(getattr(args, "then", [])),
-    )
+    values["fixtures"] = fixtures
+    for name in ("tamper", "then"):
+        values[name] = tuple(values.get(name, ()))
+    return ScenarioSpec(**{f.name: values[f.name] for f in fields(ScenarioSpec)
+                           if f.name in values})
 
 
 def main(argv=None) -> int:

@@ -83,10 +83,22 @@ def decode_vector(text: str, params: SchemeParams) -> ShareVector:
     return ShareVector.from_int(params, value >> padding)
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer; ``true``/``false`` decode to bool, which is not one."""
+    return type(value) is int
+
+
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def read_fixture_file(path: str | Path, params: SchemeParams) -> list[ShareVector]:
     """Read one hex vector per line; '#' starts a comment, blanks are skipped."""
     vectors = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -110,12 +122,12 @@ def dump_document(document: Mapping, path: str | Path) -> Path:
 
 def load_document(path: str | Path, expected_kind: str | None = None) -> dict:
     try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
+        document = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ParseError(f"{path}: expected a JSON object")
-    if document.get("version") != FORMAT_VERSION:
+    if not _is_int(document.get("version")) or document["version"] != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported document version {document.get('version')!r}")
     if expected_kind is not None and document.get("kind") != expected_kind:
         raise ParseError(
@@ -126,7 +138,7 @@ def load_document(path: str | Path, expected_kind: str | None = None) -> dict:
 
 def _document_params(document: Mapping, context: str) -> SchemeParams:
     bits = document.get("bits")
-    if not isinstance(bits, int) or bits < 1:
+    if not _is_int(bits) or bits < 1:
         raise ParseError(f"{context}: missing or invalid 'bits'")
     return SchemeParams.binary(bits)
 
@@ -262,9 +274,7 @@ def safe_state_to_doc(state: SafeSharesState) -> dict:
 def safe_state_from_doc(document: Mapping) -> SafeSharesState:
     params = _document_params(document, "safe_state")
     assignment = document.get("assignment")
-    if not isinstance(assignment, list) or not all(
-        isinstance(i, int) for i in assignment
-    ):
+    if not isinstance(assignment, list) or not all(_is_int(i) for i in assignment):
         raise ParseError("safe_state.assignment: expected a list of integers")
     try:
         return SafeSharesState(
@@ -323,7 +333,7 @@ def transcript_from_doc(document: Mapping) -> Transcript:
     if not isinstance(config, dict):
         raise ParseError("transcript: missing 'config' object")
     bits = config.get("bits")
-    params = SchemeParams.binary(bits) if isinstance(bits, int) and bits >= 1 else None
+    params = SchemeParams.binary(bits) if _is_int(bits) and bits >= 1 else None
     steps_doc = document.get("steps")
     if not isinstance(steps_doc, list):
         raise ParseError("transcript: missing 'steps' list")
@@ -358,10 +368,10 @@ def transcript_from_doc(document: Mapping) -> Transcript:
         except ValueError as exc:
             raise ParseError(f"{context}: {exc}") from exc
         seq = step.get("seq")
-        if not isinstance(seq, int):
+        if not _is_int(seq):
             raise ParseError(f"{context}: missing integer seq")
         element_index = step.get("element_index")
-        if element_index is not None and not isinstance(element_index, int):
+        if element_index is not None and not _is_int(element_index):
             raise ParseError(f"{context}: element_index must be an integer")
         steps.append(Message(seq, sender, recipient, kind, payload, element_index))
     transcript = Transcript(config)

@@ -305,7 +305,9 @@ def generate_mask_set(
     Mirrors the accumulator register protocol: reset, store count - 1
     random draws, and read the balancing element off the register. Only
     defined for the binary algebra, where store is XOR and the final
-    read cancels everything stored so far.
+    read cancels everything stored so far. This is the one mask
+    generator: every protocol operation in :mod:`asgs.protocol` draws
+    its masks through it.
     """
     if params.modulus != 2:
         raise ValueError("mask generation is defined for modulus 2 only")

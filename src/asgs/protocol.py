@@ -30,6 +30,7 @@ from asgs.kgh import (
     SetRole,
     ShareVector,
     combine,
+    generate_mask_set,
 )
 
 KEY_RETRY_LIMIT = 64
@@ -348,6 +349,9 @@ class ProtocolEnv:
         self._sources = dict(sources)
         self.tamper_rules = tuple(tamper_rules)
         self._tamper_counts: dict[tuple[str, str], int] = {}
+        # (rule, seq of the message it flipped), in delivery order. Kept
+        # out of the transcript so its bytes do not depend on it.
+        self.tamper_fired: list[tuple[TamperRule, int]] = []
         self._fixed_assignment = tuple(assignment) if assignment is not None else None
         self._assignment_rng = assignment_rng
         self.identify = identify
@@ -475,6 +479,7 @@ class ProtocolEnv:
                 and rule.occurrence == occurrence
             ):
                 payload = self._flip_bit(payload, rule.bit)
+                self.tamper_fired.append((rule, self._seq + 1))
         return payload
 
     def _flip_bit(self, payload: ShareVector | bool, bit: int) -> ShareVector | bool:
@@ -554,21 +559,6 @@ def _check_params(env: ProtocolEnv, *sets: AuthorizedShareSet | MaskSet) -> None
             )
 
 
-def _run_generate_m(env: ProtocolEnv, source_role: str, count: int) -> list[ShareVector]:
-    """Zero-sum mask generation on a fresh register: reset, store each of
-    count - 1 draws, read the balancing element."""
-    source = env.source(source_role)
-    register = Accumulator(env.params)
-    register.reset()
-    vectors = []
-    for _ in range(count - 1):
-        draw = source.next_vector(env.params)
-        register.store(draw)
-        vectors.append(draw)
-    vectors.append(register.read())
-    return vectors
-
-
 def set_generate_m(
     template_count: int, master_count: int, env: ProtocolEnv
 ) -> tuple[AuthorizedShareSet, AuthorizedShareSet]:
@@ -583,53 +573,56 @@ def set_generate_m(
     if template_count < 1 or master_count < 1:
         raise ValueError("both set cardinalities must be >= 1")
     env.note_operation("set_generate_m", d=template_count, n=master_count)
-    masks = _run_generate_m(env, ROLE_ACCUMULATOR, template_count + master_count)
-    template = []
-    for i in range(template_count):
-        delivered = env.deliver(
-            ACCUMULATOR,
-            participant(SetRole.TEMPLATE.value, i + 1),
-            KIND_MASK_ELEMENT,
-            masks[i],
-            element_index=i + 1,
-        )
-        template.append(delivered)
-    master = []
-    for j in range(master_count):
-        delivered = env.deliver(
-            ACCUMULATOR,
-            participant(SetRole.MASTER.value, j + 1),
-            KIND_MASK_ELEMENT,
-            masks[template_count + j],
-            element_index=j + 1,
-        )
-        master.append(delivered)
-    return (
-        AuthorizedShareSet.from_shares(SetRole.TEMPLATE, template),
-        AuthorizedShareSet.from_shares(SetRole.MASTER, master),
-    )
+    masks = generate_mask_set(
+        template_count + master_count, env.source(ROLE_ACCUMULATOR), env.params
+    ).vectors
+    halves = []
+    for role, offset, count in (
+        (SetRole.TEMPLATE, 0, template_count),
+        (SetRole.MASTER, template_count, master_count),
+    ):
+        shares = [
+            env.deliver(
+                ACCUMULATOR,
+                participant(role.value, i + 1),
+                KIND_MASK_ELEMENT,
+                masks[offset + i],
+                element_index=i + 1,
+            )
+            for i in range(count)
+        ]
+        halves.append(AuthorizedShareSet.from_shares(role, shares))
+    return halves[0], halves[1]
 
 
 def _replicate_rounds(
-    mask_vectors: Sequence[ShareVector],
+    masks: MaskSet,
     shares: Sequence[ShareVector],
     env: ProtocolEnv,
-) -> list[ShareVector]:
-    """The two message rounds of replication over the first 2n mask
-    elements: blind each source share with its own mask, then strip the
-    blinding with the paired element on the way to the new holder."""
+    keep: int | None = None,
+) -> tuple[list[ShareVector], list[ShareVector]]:
+    """The two message rounds of replication: each of the n source
+    holders blinds its share with its own mask element and hands it to
+    the accumulator, which strips the first ``keep`` (default n) with
+    element n + i on the way to the new holders.
+
+    Returns the re-dealt shares and the blinded shares the accumulator
+    received but did not re-deal.
+    """
     n = len(shares)
+    keep = n if keep is None else keep
     blinded = []
     for i in range(n):
         delivered = env.deliver(
             ACCUMULATOR,
             participant(SetRole.MASTER.value, i + 1),
             KIND_MASK_ELEMENT,
-            mask_vectors[i],
+            masks.vectors[i],
             element_index=i + 1,
         )
         blinded.append(shares[i] + delivered)
     derived = []
+    rest = []
     for i in range(n):
         received = env.deliver(
             participant(SetRole.MASTER.value, i + 1),
@@ -637,16 +630,18 @@ def _replicate_rounds(
             KIND_MASKED_SHARE,
             blinded[i],
         )
-        share = received + mask_vectors[n + i]
+        if i >= keep:
+            rest.append(received)
+            continue
         delivered = env.deliver(
             ACCUMULATOR,
             participant(SetRole.DERIVED.value, i + 1),
             KIND_DERIVED_SHARE,
-            share,
+            received + masks.vectors[n + i],
             element_index=i + 1,
         )
         derived.append(delivered)
-    return derived
+    return derived, rest
 
 
 def set_replicate(
@@ -662,9 +657,8 @@ def set_replicate(
             f"got {len(masks.vectors)}"
         )
     env.note_operation("set_replicate", n=n)
-    return AuthorizedShareSet.from_shares(
-        SetRole.DERIVED, _replicate_rounds(masks.vectors, master.shares, env)
-    )
+    derived, _ = _replicate_rounds(masks, master.shares, env)
+    return AuthorizedShareSet.from_shares(SetRole.DERIVED, derived)
 
 
 def equal_set_replicate(
@@ -674,10 +668,9 @@ def equal_set_replicate(
     _check_params(env, master)
     n = len(master.shares)
     env.note_operation("equal_set_replicate", n=n)
-    mask_vectors = _run_generate_m(env, ROLE_ACCUMULATOR, 2 * n)
-    return AuthorizedShareSet.from_shares(
-        SetRole.DERIVED, _replicate_rounds(mask_vectors, master.shares, env)
-    )
+    masks = generate_mask_set(2 * n, env.source(ROLE_ACCUMULATOR), env.params)
+    derived, _ = _replicate_rounds(masks, master.shares, env)
+    return AuthorizedShareSet.from_shares(SetRole.DERIVED, derived)
 
 
 def set_replicate_to_bigger(
@@ -697,14 +690,14 @@ def set_replicate_to_bigger(
             f"target cardinality {target_count} must exceed source cardinality {n}"
         )
     env.note_operation("set_replicate_to_bigger", n=n, d=target_count)
-    mask_vectors = _run_generate_m(env, ROLE_ACCUMULATOR, target_count + n)
-    derived = _replicate_rounds(mask_vectors, master.shares, env)
+    masks = generate_mask_set(target_count + n, env.source(ROLE_ACCUMULATOR), env.params)
+    derived, _ = _replicate_rounds(masks, master.shares, env)
     for i in range(n, target_count):
         delivered = env.deliver(
             ACCUMULATOR,
             participant(SetRole.DERIVED.value, i + 1),
             KIND_DERIVED_SHARE,
-            mask_vectors[i + n],
+            masks.vectors[i + n],
             element_index=i + 1,
         )
         derived.append(delivered)
@@ -717,8 +710,8 @@ def set_replicate_to_smaller(
     """Replicate a share set into a strictly smaller (nonempty) one.
 
     The first target_count - 1 derived shares are produced as usual;
-    the blinded remainder of the source set is folded through the
-    register into the single last share.
+    the accumulator combines the blinded remainder of the source set
+    into the single last share.
     """
     _check_params(env, master)
     n = len(master.shares)
@@ -727,49 +720,13 @@ def set_replicate_to_smaller(
             f"target cardinality {target_count} must lie in 1..{n - 1}"
         )
     env.note_operation("set_replicate_to_smaller", n=n, d=target_count)
-    mask_vectors = _run_generate_m(env, ROLE_ACCUMULATOR, n + target_count - 1)
-    blinded = []
-    for i in range(n):
-        delivered = env.deliver(
-            ACCUMULATOR,
-            participant(SetRole.MASTER.value, i + 1),
-            KIND_MASK_ELEMENT,
-            mask_vectors[i],
-            element_index=i + 1,
-        )
-        blinded.append(master.shares[i] + delivered)
-    derived = []
-    for i in range(target_count - 1):
-        received = env.deliver(
-            participant(SetRole.MASTER.value, i + 1),
-            ACCUMULATOR,
-            KIND_MASKED_SHARE,
-            blinded[i],
-        )
-        share = received + mask_vectors[n + i]
-        delivered = env.deliver(
-            ACCUMULATOR,
-            participant(SetRole.DERIVED.value, i + 1),
-            KIND_DERIVED_SHARE,
-            share,
-            element_index=i + 1,
-        )
-        derived.append(delivered)
-    register = Accumulator(env.params)
-    register.reset()
-    for i in range(target_count - 1, n):
-        received = env.deliver(
-            participant(SetRole.MASTER.value, i + 1),
-            ACCUMULATOR,
-            KIND_MASKED_SHARE,
-            blinded[i],
-        )
-        register.store(received)
+    masks = generate_mask_set(n + target_count - 1, env.source(ROLE_ACCUMULATOR), env.params)
+    derived, rest = _replicate_rounds(masks, master.shares, env, keep=target_count - 1)
     delivered = env.deliver(
         ACCUMULATOR,
         participant(SetRole.DERIVED.value, target_count),
         KIND_DERIVED_SHARE,
-        register.read(),
+        combine(rest, env.params),
         element_index=target_count,
     )
     derived.append(delivered)
@@ -779,9 +736,14 @@ def set_replicate_to_smaller(
 def _fast_share_rounds(
     secret: ShareVector, count: int, env: ProtocolEnv
 ) -> list[ShareVector]:
+    """The owner's split as messages to the accumulator.
+
+    Unlike :func:`asgs.kgh.kgh_split`, the last share is read off the
+    register from the *delivered* values, which tamper rules may have
+    changed; ``kgh_split`` sends nothing, so it has nothing to tamper.
+    """
     source = env.source(ROLE_OWNER)
     register = Accumulator(env.params)
-    register.reset()
     shares = []
     for i in range(1, count):
         share = source.next_vector(env.params)
@@ -836,11 +798,10 @@ def safe_shares(
         raise MixedParams(f"secret carries {secret.params}, run uses {env.params}")
     env.note_operation("safe_shares", n=count)
     dealer_source = env.source(ROLE_DEALER)
-    masks = _run_generate_m(env, ROLE_DEALER, count)
-    register = Accumulator(env.params)
-    register.reset()
+    masks = generate_mask_set(count, dealer_source, env.params)
     owner_shares = _fast_share_rounds(secret, count, env)
     assignment = env.draw_assignment(count)
+    register = Accumulator(env.params)
     keys: list[ShareVector] = []
     protected_by_participant: dict[int, ShareVector] = {}
     for i in range(count):
@@ -858,7 +819,7 @@ def safe_shares(
                 continue
             break
         keys.append(key)
-        sealed_mask = masks[i] + key
+        sealed_mask = masks.vectors[i] + key
         delivered_mask = env.deliver(DEALER, OWNER, KIND_MASKED_SHARE, sealed_mask)
         assert isinstance(delivered_mask, ShareVector)
         protected = delivered_mask + owner_shares[i]
@@ -876,7 +837,7 @@ def safe_shares(
         params=env.params,
         protected=tuple(protected_by_participant[j] for j in range(1, count + 1)),
         keys=tuple(keys),
-        masks=MaskSet(tuple(masks), env.params),
+        masks=masks,
         owner_shares=tuple(owner_shares),
         assignment=assignment,
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from asgs.devices import Accumulator
 from asgs.kgh import (
@@ -169,22 +169,3 @@ def verify(
     )
     verdict = Verdict.POSITIVE if encrypted == keys else Verdict.NEGATIVE
     return VerificationResult(verdict, keys, encrypted)
-
-
-def verify_many(
-    share_sets: Sequence[AuthorizedShareSet], env: ProtocolEnv
-) -> list[VerificationResult]:
-    """Pairwise consistency of several authorized sets against the first.
-
-    Experimental: each comparison draws fresh keys and runs an
-    independent distribute/verify round between set 1 and one other set,
-    so the rounds share nothing but the dealer's stream.
-    """
-    if len(share_sets) < 2:
-        raise ValueError("need at least two share sets to compare")
-    first = share_sets[0]
-    results = []
-    for other in share_sets[1:]:
-        bulletin, assignment = distribute_shares_and_keys(first, other, env)
-        results.append(verify(bulletin, assignment, env))
-    return results

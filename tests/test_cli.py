@@ -255,6 +255,16 @@ class TestSimulate:
         assert len(derived["shares"]) == 4
         assert "verdict=POSITIVE" in capsys.readouterr().out
 
+    def test_failed_chain_leaves_no_artifacts(self, tmp_path, capsys):
+        start = ["simulate", "set-generate", "--bits", "8", "--d", "2", "--n", "3"]
+        for k, then in enumerate(
+            (["--then", "pvss", "--then", "replicate-smaller=9"], ["--then", "activate"])
+        ):
+            out = tmp_path / f"out{k}"
+            assert main([*start, *then, "--out", str(out)]) == 1
+            assert "error:" in capsys.readouterr().err
+            assert not out.exists() or not any(out.iterdir())
+
     def test_unknown_step_is_usage_error(self, tmp_path, capsys):
         code = run(tmp_path, "simulate", "safeshares", "--bits", "8",
                    "--secret", "5a", "--n", "2", "--then", "teleport")
@@ -324,6 +334,20 @@ class TestUsageErrors:
         ])
         assert code == 1
         capsys.readouterr()
+
+    def test_tamper_rule_that_matches_nothing(self, tmp_path, capsys):
+        fastshare = ["fastshare", "--bits", "8", "--secret", "5a", "--n", "3"]
+        cases = (
+            (fastshare + ["--tamper", "dealer:key:1:bit:0"], "dealer:key:1:bit:0"),
+            # The first rule fires, the second never does.
+            (TestSimulate.CHAIN + ["--tamper", "dealer:key:2:bit:0",
+                                   "--tamper", "dealer:key:9:bit:0"], "dealer:key:9:bit:0"),
+        )
+        for k, (argv, idle) in enumerate(cases):
+            out = tmp_path / f"out{k}"
+            assert main([*argv, "--out", str(out)]) == 1
+            assert f"error: tamper rule {idle} matched no message" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_bad_secret_hex(self, tmp_path, capsys):
         code = run(tmp_path, "fastshare", "--bits", "8", "--secret", "S!",

@@ -112,6 +112,12 @@ class TestFixtureFiles:
         assert "draws.txt" in message
         assert "2" in message
 
+    def test_non_utf8_file_reports_path(self, tmp_path):
+        path = tmp_path / "draws.txt"
+        path.write_bytes(b"0f\n\xff\xfe\n")
+        with pytest.raises(ParseError, match="draws.txt"):
+            read_fixture_file(path, P8)
+
     def test_empty_file_is_empty_fixture(self, tmp_path):
         path = tmp_path / "draws.txt"
         path.write_text("# nothing yet\n")
@@ -141,9 +147,53 @@ class TestDocumentEnvelope:
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "doc.json"
-        path.write_text(json.dumps({"version": 99, "kind": "share_set"}))
-        with pytest.raises(ParseError):
-            load_document(path, "share_set")
+        for version in (99, True):
+            path.write_text(json.dumps({"version": version, "kind": "share_set"}))
+            with pytest.raises(ParseError):
+                load_document(path, "share_set")
+
+    def test_non_utf8_file_reports_path(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b'{"version": 1, "kind": "\xff"}')
+        with pytest.raises(ParseError, match="doc.json"):
+            load_document(path)
+
+
+class TestBooleansAreNotIntegers:
+    """JSON true/false decode to Python bool, a subclass of int; every
+    decoder that expects an integer must still reject them."""
+
+    def safe_state_doc(self):
+        env = ProtocolEnv.with_fixtures(P8, dealer=bvs([0x0F, 0x21, 0x43]), owner=bvs([0x55]))
+        return safe_state_to_doc(safe_shares(bv(0x03), 2, env))
+
+    def test_bits(self):
+        from asgs.pvss import BulletinBoard, KeyAssignment
+
+        share_set = AuthorizedShareSet.from_shares(SetRole.MASTER, bvs([0x80]))
+        for decode, doc in (
+            (share_set_from_doc, share_set_to_doc(share_set)),
+            (mask_set_from_doc, mask_set_to_doc(MaskSet.from_vectors(bvs([0x80, 0x80])))),
+            (bulletin_from_doc, bulletin_to_doc(BulletinBoard(bvs([0x80]), (), P8))),
+            (key_assignment_from_doc,
+             key_assignment_to_doc(KeyAssignment({("1", 1): bv(0x80)}), 8)),
+            (safe_state_from_doc, self.safe_state_doc()),
+        ):
+            with pytest.raises(ParseError, match="bits"):
+                decode({**doc, "bits": True})
+
+    def test_safe_state_assignment(self):
+        with pytest.raises(ParseError, match="assignment"):
+            safe_state_from_doc({**self.safe_state_doc(), "assignment": [True, 2]})
+
+    def test_transcript_seq_and_element_index(self):
+        transcript = Transcript({"bits": 8})
+        transcript.append(Message(1, DEALER, DEALER, KIND_SECRET, bv(0x01), element_index=1))
+        for field in ("seq", "element_index"):
+            doc = transcript_to_doc(transcript)
+            doc["steps"][0][field] = True
+            with pytest.raises(ParseError, match=field):
+                transcript_from_doc(doc)
 
 
 class TestShareSetDocs:

@@ -552,6 +552,17 @@ class TestTamper:
             activate_shares(state, env)
         assert excinfo.value.pending == (1,)
 
+    def test_fired_rules_are_recorded_with_their_seq(self):
+        fired = TamperRule("owner", KIND_ENVELOPE_SHARE, 2, 7)
+        idle = TamperRule("dealer", KIND_KEY, 1, 0)
+        env = fixture_env(
+            dealer=[0x0F, 0x21, 0x43], owner=[0x55], tamper_rules=(fired, idle)
+        )
+        safe_shares(bv(0x03), 2, env)
+        envelopes = [m for m in env.transcript if m.kind == KIND_ENVELOPE_SHARE]
+        assert env.tamper_fired == [(fired, envelopes[1].seq)]
+        assert "tamper_fired" not in env.transcript.config
+
     def test_rule_spec_round_trip(self):
         rule = TamperRule("dealer", KIND_KEY, 2, 0)
         assert rule.spec() == "dealer:key:2:bit:0"

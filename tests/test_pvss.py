@@ -24,7 +24,6 @@ from asgs.pvss import (
     distribute_shares_and_keys,
     recover_xored_keys,
     verify,
-    verify_many,
 )
 from helpers import P8, bv, bvs, ints
 
@@ -185,32 +184,6 @@ class TestVerify:
         other = ProtocolEnv.seeded(1, 16)
         with pytest.raises(MixedParams):
             verify(bulletin, assignment, other)
-
-
-class TestVerifyMany:
-    def test_consistent_trio_all_positive(self):
-        env = ProtocolEnv.seeded(21, 8)
-        sets = [
-            share_set([0x01, 0x02], SetRole.TEMPLATE),
-            share_set([0x04, 0x08, 0x0F]),
-            share_set([0x03]),
-        ]
-        results = verify_many(sets, env)
-        assert [r.verdict for r in results] == [Verdict.POSITIVE, Verdict.POSITIVE]
-
-    def test_odd_set_out_is_flagged(self):
-        env = ProtocolEnv.seeded(22, 8)
-        sets = [
-            share_set([0x01, 0x02], SetRole.TEMPLATE),
-            share_set([0x04, 0x06]),
-            share_set([0x03]),
-        ]
-        results = verify_many(sets, env)
-        assert [r.verdict for r in results] == [Verdict.NEGATIVE, Verdict.POSITIVE]
-
-    def test_needs_at_least_two_sets(self):
-        with pytest.raises(ValueError):
-            verify_many([share_set([0x01])], ProtocolEnv.seeded(1, 8))
 
 
 @pytest.mark.filterwarnings("ignore:zero one-time key")
