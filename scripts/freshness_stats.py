@@ -69,7 +69,7 @@ def main():
     print(f"{'bits':>5} {'comparisons':>12} {'collisions':>11} "
           f"{'rate':>10} {'expected':>10} {'drift':>6}")
     for bits in args.widths:
-        rng = random.Random((args.seed, bits))
+        rng = random.Random(f"{args.seed}:{bits}")
         comparisons = collisions = drift = 0
         expectation = 0.0
         for chain in range(args.chains):

@@ -13,8 +13,8 @@ code; it writes nothing. ``simulate`` chains the same step functions
 the single commands use. :func:`run_scenario` is the only writer: once
 the handler has succeeded and every ``--tamper`` rule has fired, it
 writes the documents, then ``transcript.json``, then runs the optional
-audit. A failed run, or one whose tamper rule matched no message, exits
-1 and leaves no artifacts.
+audit. A failed run, one whose tamper rule matched no message, or one
+whose write fails, exits 1 and leaves no artifacts.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ from asgs.protocol import (
     MESSAGE_KINDS,
     ProtocolEnv,
     ROLE_ACCUMULATOR,
-    ROLE_DEALER,
-    ROLE_OWNER,
+    SOURCE_ROLES,
     SafeSharesState,
     TamperRule,
     Violation,
@@ -79,9 +78,6 @@ from asgs.pvss import (
     recover_xored_keys,
     verify,
 )
-
-SOURCE_ROLES = (ROLE_DEALER, ROLE_OWNER, ROLE_ACCUMULATOR)
-
 
 def default_bits() -> int:
     """CLI default bit width; ASGS_DEFAULT_BITS overrides the built-in 128."""
@@ -182,9 +178,7 @@ def _build_env(spec: ScenarioSpec, bits: int) -> ProtocolEnv:
     vectors = {role: read_fixture_file(path, params) for role, path in spec.fixtures.items()}
     return ProtocolEnv.with_fixtures(
         params,
-        dealer=vectors.get(ROLE_DEALER),
-        owner=vectors.get(ROLE_OWNER),
-        accumulator=vectors.get(ROLE_ACCUMULATOR),
+        **vectors,
         tamper_rules=rules,
         config={"fixture_paths": dict(sorted(spec.fixtures.items()))},
     )
@@ -462,6 +456,7 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
     Nothing reaches ``spec.out_dir`` unless the command succeeds and
     every tamper rule flipped a message: first the command's documents,
     then ``transcript.json``, then the optional audit of that transcript.
+    If a write fails, the files this run wrote are removed again.
     """
     try:
         handler = COMMANDS[spec.command]
@@ -478,7 +473,17 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
     out.documents["transcript.json"] = transcript_to_doc(env.transcript)
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = {name: dump_document(doc, out_dir / name) for name, doc in out.documents.items()}
+    artifacts = {}
+    try:
+        for name, doc in out.documents.items():
+            artifacts[name] = out_dir / name
+            dump_document(doc, artifacts[name])
+    except OSError:
+        # Take back what this run wrote, a half-written file included.
+        for path in artifacts.values():
+            if path.is_file():
+                path.unlink()
+        raise
     summary = [*out.summary, f"transcript -> {artifacts['transcript.json']}"]
     exit_code = out.exit_code
     if spec.audit:

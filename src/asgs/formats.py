@@ -10,6 +10,7 @@ rendered canonically, so equal inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Mapping
 
@@ -32,6 +33,8 @@ from asgs.protocol import (
 from asgs.pvss import BulletinBoard, KeyAssignment
 
 FORMAT_VERSION = 1
+
+_HEX_DIGITS = re.compile("[0-9a-f]*")
 
 
 class BadHex(AsgsError):
@@ -60,7 +63,8 @@ def encode_vector(vector: ShareVector) -> str:
 def decode_vector(text: str, params: SchemeParams) -> ShareVector:
     """Parse lowercase hex into a binary vector under ``params``.
 
-    Rejects wrong-length text, non-hex or uppercase characters, and
+    Rejects wrong-length text, any character outside ``[0-9a-f]`` (so
+    uppercase, signs, whitespace, ``_`` and non-ASCII digits), and
     nonzero bits in the padding tail.
     """
     if params.modulus != 2:
@@ -71,12 +75,9 @@ def decode_vector(text: str, params: SchemeParams) -> ShareVector:
         raise LengthMismatch(
             f"expected {expected} hex characters for {bits} bits, got {len(text)}"
         )
-    if text != text.lower():
-        raise BadHex(f"hex text must be lowercase: {text!r}")
-    try:
-        value = int(text, 16)
-    except ValueError:
-        raise BadHex(f"not hexadecimal: {text!r}") from None
+    if not _HEX_DIGITS.fullmatch(text):
+        raise BadHex(f"not lowercase hexadecimal [0-9a-f]: {text!r}")
+    value = int(text, 16)
     padding = expected * 4 - bits
     if value & ((1 << padding) - 1):
         raise BadHex(f"nonzero padding bits in {text!r} at width {bits}")
@@ -337,13 +338,13 @@ def transcript_from_doc(document: Mapping) -> Transcript:
     steps_doc = document.get("steps")
     if not isinstance(steps_doc, list):
         raise ParseError("transcript: missing 'steps' list")
-    steps = []
+    transcript = Transcript(config)
     for i, step in enumerate(steps_doc):
         context = f"transcript.steps[{i}]"
         if not isinstance(step, dict):
             raise ParseError(f"{context}: expected an object")
         kind = step.get("kind")
-        if kind not in MESSAGE_KINDS:
+        if not isinstance(kind, str) or kind not in MESSAGE_KINDS:
             raise ParseError(f"{context}: unknown message kind {kind!r}")
         payload_hex = step.get("payload_hex")
         if not isinstance(payload_hex, str):
@@ -368,13 +369,15 @@ def transcript_from_doc(document: Mapping) -> Transcript:
         except ValueError as exc:
             raise ParseError(f"{context}: {exc}") from exc
         seq = step.get("seq")
-        if not _is_int(seq):
-            raise ParseError(f"{context}: missing integer seq")
+        if not _is_int(seq) or seq < 1:
+            raise ParseError(f"{context}: seq must be an integer >= 1, got {seq!r}")
         element_index = step.get("element_index")
-        if element_index is not None and not _is_int(element_index):
-            raise ParseError(f"{context}: element_index must be an integer")
-        steps.append(Message(seq, sender, recipient, kind, payload, element_index))
-    transcript = Transcript(config)
-    for message in steps:
-        transcript.append(message)
+        if element_index is not None and (not _is_int(element_index) or element_index < 1):
+            raise ParseError(
+                f"{context}: element_index must be an integer >= 1, got {element_index!r}"
+            )
+        try:
+            transcript.append(Message(seq, sender, recipient, kind, payload, element_index))
+        except ValueError as exc:
+            raise ParseError(f"{context}: {exc}") from exc
     return transcript

@@ -69,6 +69,9 @@ MESSAGE_KINDS = frozenset(
 # Boolean-payload kinds; everything else carries a vector.
 CONTROL_KINDS = frozenset({KIND_KEY_REQUEST, KIND_IDENTIFICATION, KIND_ACK})
 
+# The roles that own a randomness source, in stream-derivation order.
+SOURCE_ROLES = (ROLE_DEALER, ROLE_OWNER, ROLE_ACCUMULATOR)
+
 
 class CardinalityMismatch(AsgsError):
     """A mask set or share set has the wrong cardinality for the operation."""
@@ -330,12 +333,19 @@ class ProtocolEnv:
     randomness-owning role, the tamper rules, the identification
     predicate for activation, the envelope-assignment control, and the
     transcript under construction.
+
+    The transcript ``config`` summarises the run and is built here, once:
+    ``bits`` from ``params``, ``randomness`` as given (``{"mode":
+    "seeded", "seed": ...}`` or ``{"mode": "fixture", "parties":
+    [...]}``), ``tamper`` as the spec of each rule, and then the entries
+    of ``config``, which are merged last.
     """
 
     def __init__(
         self,
         params: SchemeParams,
         sources: Mapping[str, RandSource],
+        randomness: Mapping,
         *,
         tamper_rules: Iterable[TamperRule] = (),
         assignment: Sequence[int] | None = None,
@@ -355,41 +365,29 @@ class ProtocolEnv:
         self._fixed_assignment = tuple(assignment) if assignment is not None else None
         self._assignment_rng = assignment_rng
         self.identify = identify
-        self.transcript = Transcript(config)
-        self._seq = 0
+        self.transcript = Transcript(
+            {
+                "bits": params.dimension,
+                "randomness": randomness,
+                "tamper": [rule.spec() for rule in self.tamper_rules],
+                **(config or {}),
+            }
+        )
 
     @classmethod
     def seeded(
-        cls,
-        seed: int,
-        bits: int = 128,
-        *,
-        tamper_rules: Iterable[TamperRule] = (),
-        identify: Callable[[int], bool] | None = None,
-        config: Mapping | None = None,
+        cls, seed: int, bits: int = 128, *, tamper_rules: Iterable[TamperRule] = ()
     ) -> ProtocolEnv:
         """Derive every party's stream from one 64-bit run seed."""
-        tamper_rules = tuple(tamper_rules)
-        params = SchemeParams.binary(bits)
         sources = {
-            role: RandSource.seeded(derive_stream_seed(seed, role))
-            for role in (ROLE_DEALER, ROLE_OWNER, ROLE_ACCUMULATOR)
+            role: RandSource.seeded(derive_stream_seed(seed, role)) for role in SOURCE_ROLES
         }
-        rng = random.Random(derive_stream_seed(seed, "assignment"))
-        summary = {
-            "bits": bits,
-            "randomness": {"mode": "seeded", "seed": seed},
-            "tamper": [rule.spec() for rule in tamper_rules],
-        }
-        if config:
-            summary.update(config)
         return cls(
-            params,
+            SchemeParams.binary(bits),
             sources,
+            {"mode": "seeded", "seed": seed},
             tamper_rules=tamper_rules,
-            assignment_rng=rng,
-            identify=identify,
-            config=summary,
+            assignment_rng=random.Random(derive_stream_seed(seed, "assignment")),
         )
 
     @classmethod
@@ -407,29 +405,20 @@ class ProtocolEnv:
     ) -> ProtocolEnv:
         """Replay prepared vectors; the envelope assignment defaults to
         identity so fixture runs stay fully explicit."""
-        tamper_rules = tuple(tamper_rules)
-        sources = {}
-        for role, values in (
-            (ROLE_DEALER, dealer),
-            (ROLE_OWNER, owner),
-            (ROLE_ACCUMULATOR, accumulator),
-        ):
-            if values is not None:
-                sources[role] = RandSource.fixture(values)
-        summary = {
-            "bits": params.dimension,
-            "randomness": {"mode": "fixture", "parties": sorted(sources)},
-            "tamper": [rule.spec() for rule in tamper_rules],
+        streams = {ROLE_DEALER: dealer, ROLE_OWNER: owner, ROLE_ACCUMULATOR: accumulator}
+        sources = {
+            role: RandSource.fixture(values)
+            for role, values in streams.items()
+            if values is not None
         }
-        if config:
-            summary.update(config)
         return cls(
             params,
             sources,
+            {"mode": "fixture", "parties": sorted(sources)},
             tamper_rules=tamper_rules,
             assignment=assignment,
             identify=identify,
-            config=summary,
+            config=config,
         )
 
     def source(self, role: str) -> RandSource:
@@ -451,15 +440,14 @@ class ProtocolEnv:
         assignment stream; fixture environments use the explicit
         permutation, or identity when none was given.
         """
-        if self._fixed_assignment is not None:
-            assignment = self._fixed_assignment
-            if sorted(assignment) != list(range(1, count + 1)):
+        if self._assignment_rng is None:
+            identity = tuple(range(1, count + 1))
+            assignment = identity if self._fixed_assignment is None else self._fixed_assignment
+            if sorted(assignment) != list(identity):
                 raise ValueError(
                     f"assignment {assignment} is not a permutation of 1..{count}"
                 )
             return assignment
-        if self._assignment_rng is None:
-            return tuple(range(1, count + 1))
         remaining = list(range(1, count + 1))
         chosen = []
         for _ in range(count):
@@ -479,7 +467,7 @@ class ProtocolEnv:
                 and rule.occurrence == occurrence
             ):
                 payload = self._flip_bit(payload, rule.bit)
-                self.tamper_fired.append((rule, self._seq + 1))
+                self.tamper_fired.append((rule, len(self.transcript.steps) + 1))
         return payload
 
     def _flip_bit(self, payload: ShareVector | bool, bit: int) -> ShareVector | bool:
@@ -507,10 +495,9 @@ class ProtocolEnv:
         compute with the returned value, never the original.
         """
         payload = self._apply_tamper(sender, kind, payload)
-        self._seq += 1
-        self.transcript.append(
-            Message(self._seq, sender, recipient, kind, payload, element_index)
-        )
+        steps = self.transcript.steps
+        # The seq is the message's 1-based position, so it always increases.
+        steps.append(Message(len(steps) + 1, sender, recipient, kind, payload, element_index))
         return payload
 
 
@@ -551,8 +538,10 @@ class SafeSharesState:
 # ---------------------------------------------------------------------------
 
 
-def _check_params(env: ProtocolEnv, *sets: AuthorizedShareSet | MaskSet) -> None:
-    for item in sets:
+def _check_params(env: ProtocolEnv, *items) -> None:
+    """Every item is anything with ``.params``: a vector, share or mask
+    set, safe-shares state or bulletin."""
+    for item in items:
         if item.params != env.params:
             raise MixedParams(
                 f"operation runs under {env.params}, got input under {item.params}"
@@ -771,8 +760,7 @@ def fast_share(
     """
     if count < 1:
         raise ValueError(f"share count must be >= 1, got {count}")
-    if secret.params != env.params:
-        raise MixedParams(f"secret carries {secret.params}, run uses {env.params}")
+    _check_params(env, secret)
     env.note_operation("fast_share", n=count)
     return AuthorizedShareSet.from_shares(
         SetRole.OWNER, _fast_share_rounds(secret, count, env)
@@ -794,8 +782,7 @@ def safe_shares(
     """
     if count < 1:
         raise ValueError(f"share count must be >= 1, got {count}")
-    if secret.params != env.params:
-        raise MixedParams(f"secret carries {secret.params}, run uses {env.params}")
+    _check_params(env, secret)
     env.note_operation("safe_shares", n=count)
     dealer_source = env.source(ROLE_DEALER)
     masks = generate_mask_set(count, dealer_source, env.params)
@@ -853,8 +840,7 @@ def activate_shares(state: SafeSharesState, env: ProtocolEnv) -> AuthorizedShare
     because the keys embedded at pre-positioning and the keys released
     here cancel pairwise.
     """
-    if state.params != env.params:
-        raise MixedParams(f"state carries {state.params}, run uses {env.params}")
+    _check_params(env, state)
     count = len(state.protected)
     env.note_operation("activate_shares", n=count)
     identify = env.identify or (lambda index: True)

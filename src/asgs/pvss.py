@@ -19,7 +19,6 @@ from asgs.devices import Accumulator
 from asgs.kgh import (
     AsgsError,
     AuthorizedShareSet,
-    MixedParams,
     SchemeParams,
     ShareVector,
     combine,
@@ -30,6 +29,7 @@ from asgs.protocol import (
     KIND_KEY,
     ProtocolEnv,
     ROLE_DEALER,
+    _check_params,
     participant,
 )
 
@@ -90,11 +90,7 @@ def distribute_shares_and_keys(
     key for each position of both sets. A zero key would publish its
     share in clear, which is legal but worth flagging.
     """
-    for share_set in (set1, set2):
-        if share_set.params != env.params:
-            raise MixedParams(
-                f"share set carries {share_set.params}, run uses {env.params}"
-            )
+    _check_params(env, set1, set2)
     env.note_operation(
         "distribute_shares_and_keys", h=len(set1.shares), g=len(set2.shares)
     )
@@ -135,7 +131,6 @@ def recover_xored_keys(
     """
     env.note_operation("recover_xored_keys", h=set1_count, g=set2_count)
     register = Accumulator(env.params)
-    register.reset()
     zero = ShareVector.zero(env.params)
     rounds = max(set1_count, set2_count)
     for i in range(1, rounds + 1):
@@ -158,8 +153,7 @@ def verify(
     of all keys, i.e. when the two published sets combine to the same
     secret.
     """
-    if bulletin.params != env.params:
-        raise MixedParams(f"bulletin carries {bulletin.params}, run uses {env.params}")
+    _check_params(env, bulletin)
     env.note_operation(
         "verify", h=len(bulletin.set1_entries), g=len(bulletin.set2_entries)
     )

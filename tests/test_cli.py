@@ -57,6 +57,15 @@ class TestFastshare:
         assert doc["config"]["bits"] == 8
         assert doc["steps"]
 
+    def test_failed_write_leaves_no_artifacts(self, tmp_path, capsys):
+        # shares.json is written first, then transcript.json fails.
+        (tmp_path / "out" / "transcript.json").mkdir(parents=True)
+        code = run(tmp_path, "fastshare", "--bits", "8", "--secret", "5a", "--n", "3")
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["transcript.json"]
+        assert (tmp_path / "out" / "transcript.json").is_dir()
+
 
 class TestGenM:
     def test_masks_sum_to_zero(self, tmp_path):

@@ -1,6 +1,8 @@
 """Hex encoding, fixture files, and JSON document round trips."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -70,8 +72,19 @@ class TestHexCodec:
             decode_vector("5A", P8)
 
     def test_non_hex_rejected(self):
-        with pytest.raises(BadHex):
-            decode_vector("zz", P8)
+        # int(text, 16) would accept all but "zz", or fail with a bare
+        # ValueError on "-5"; "\u0665" is ARABIC-INDIC DIGIT FIVE.
+        for text, params in (
+            ("zz", P8),
+            ("+5", P8),
+            ("-5", P8),
+            (" 5", P8),
+            ("5 ", P8),
+            ("\u06655", P8),
+            ("a_bc", SchemeParams.binary(16)),
+        ):
+            with pytest.raises(BadHex):
+                decode_vector(text, params)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(LengthMismatch):
@@ -311,7 +324,104 @@ class TestTranscriptDocs:
     def test_unknown_kind_rejected(self):
         transcript = Transcript({"bits": 8})
         transcript.append(Message(1, DEALER, DEALER, KIND_SECRET, bv(0x01)))
-        doc = transcript_to_doc(transcript)
-        doc["steps"][0]["kind"] = "telegram"
-        with pytest.raises(ParseError):
-            transcript_from_doc(doc)
+        for kind in ("telegram", []):
+            doc = transcript_to_doc(transcript)
+            doc["steps"][0]["kind"] = kind
+            with pytest.raises(ParseError):
+                transcript_from_doc(doc)
+
+    def test_seq_order_and_element_index_rejected(self):
+        transcript = Transcript({"bits": 8})
+        transcript.append(Message(1, DEALER, DEALER, KIND_SECRET, bv(0x01), element_index=1))
+        transcript.append(Message(2, DEALER, DEALER, KIND_SECRET, bv(0x02), element_index=2))
+        # (step changed, field, value, step the error names)
+        for index, field, value, named in (
+            (0, "seq", 0, 0),
+            (0, "seq", -3, 0),
+            (1, "seq", 1, 1),
+            (0, "seq", 5, 1),
+            (0, "element_index", 0, 0),
+            (1, "element_index", -1, 1),
+        ):
+            doc = transcript_to_doc(transcript)
+            doc["steps"][index][field] = value
+            with pytest.raises(ParseError, match=rf"steps\[{named}\]"):
+                transcript_from_doc(doc)
+
+
+def _valid_documents() -> dict:
+    """One valid document of each kind, all from a single fixture run."""
+    from asgs.protocol import activate_shares
+    from asgs.pvss import distribute_shares_and_keys
+
+    env = ProtocolEnv.with_fixtures(
+        P8, dealer=bvs([0x0F, 0x21, 0x43, 0x10, 0x20, 0x40, 0x80]), owner=bvs([0x55])
+    )
+    state = safe_shares(bv(0x03), 2, env)
+    activated = activate_shares(state, env)
+    bulletin, keys = distribute_shares_and_keys(state.protected_set(), activated, env)
+    return {
+        share_set_from_doc: share_set_to_doc(activated),
+        mask_set_from_doc: mask_set_to_doc(state.masks),
+        bulletin_from_doc: bulletin_to_doc(bulletin),
+        key_assignment_from_doc: key_assignment_to_doc(keys, 8),
+        safe_state_from_doc: safe_state_to_doc(state),
+        transcript_from_doc: transcript_to_doc(env.transcript),
+    }
+
+
+def _slots(value, path=()):
+    """Paths to every field and list item below ``value``."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _slots(child, path + (key,))
+
+
+def _replaced(document, path, new):
+    copy = json.loads(json.dumps(document))
+    target = copy
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = new
+    return copy
+
+
+# Hex-like text reaches decode_vector past the type checks.
+_FUZZ_TEXT = st.text(alphabet="0123456789abcdefAF+-_ \t\n#p٥", max_size=6) | st.text(max_size=6)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _FUZZ_TEXT,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(_FUZZ_TEXT, children, max_size=3),
+    max_leaves=8,
+)
+VALID_DOCUMENTS = _valid_documents()
+
+
+class TestDecoderFuzz:
+    """Malformed input reaches callers as ParseError, never as another
+    exception."""
+
+    @pytest.mark.parametrize(
+        "decode", list(VALID_DOCUMENTS), ids=lambda decode: decode.__name__
+    )
+    @given(data=st.data(), new=_JSON_VALUES)
+    def test_one_replaced_field_or_item(self, decode, data, new):
+        document = VALID_DOCUMENTS[decode]
+        path = data.draw(st.sampled_from(sorted(_slots(document), key=repr)))
+        try:
+            decode(_replaced(document, path, new))
+        except ParseError:
+            pass
+
+    @given(content=st.binary(max_size=64) | _FUZZ_TEXT.map(lambda t: t.encode("utf-8")))
+    def test_fixture_file_bytes(self, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "draws.txt"
+            path.write_bytes(content)
+            for params in (P8, SchemeParams.binary(12)):
+                try:
+                    read_fixture_file(path, params)
+                except ParseError:
+                    pass

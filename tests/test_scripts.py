@@ -1,0 +1,38 @@
+"""The scripts under scripts/ run to completion with small arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, args, code",
+    [
+        pytest.param("demo_end_to_end.py", (), 0, id="demo"),
+        pytest.param("demo_end_to_end.py", ("--tamper-bit", "0"), 2, id="demo-tampered"),
+        pytest.param("freshness_stats.py",
+                     ("--chains", "3", "--steps", "2", "--widths", "8", "16"), 0,
+                     id="freshness"),
+        pytest.param("pvss_sweep.py", ("--max-size", "2", "--trials", "4"), 0,
+                     id="pvss-sweep"),
+    ],
+)
+def test_exit_code(name, args, code):
+    result = run_script(name, *args)
+    assert result.returncode == code, result.stderr
