@@ -4,8 +4,10 @@ Each scenario is a short chain of CLI invocations run in a fresh working
 directory; step k writes its artifacts to ``step<k>/`` and later steps
 read earlier ones by relative path, so no absolute path reaches an
 artifact. Every file a scenario writes, ``transcript.json`` included, is
-compared byte for byte with its copy under ``tests/golden/<scenario>/``.
-Widths 8, 12 (not a byte multiple) and 128 are covered.
+compared byte for byte with its copy under ``tests/golden/<scenario>/``,
+and each step's command line, exit code and stdout with
+``tests/golden/<scenario>/stdout.txt``. Widths 8, 12 (not a byte
+multiple) and 128 are covered.
 
 A change that is meant to alter artifact bytes regenerates the golden
 files by running this module as a script from the repository root::
@@ -17,6 +19,8 @@ and commits the result together with the change that explains it.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import shutil
 import tempfile
@@ -27,6 +31,7 @@ import pytest
 from asgs.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+STDOUT_FILE = "stdout.txt"
 
 SECRET_128 = "0123456789abcdeffedcba9876543210"
 
@@ -92,21 +97,27 @@ SCENARIOS = {
 }
 
 
-def run_scenario_in(name: str, workdir: Path) -> dict[str, bytes]:
+def run_scenario_in(name: str, workdir: Path) -> tuple[dict[str, bytes], str]:
     """Run one scenario inside ``workdir``; return its artifacts by
-    relative path. Fails if a step exits with an unexpected code."""
+    relative path and its stdout log (each step's command line, exit
+    code and stdout). Fails if a step exits with an unexpected code."""
     workdir.mkdir(parents=True, exist_ok=True)
     for fixture, text in FIXTURES.items():
         (workdir / fixture).write_text(text, encoding="utf-8")
     previous = os.getcwd()
     os.chdir(workdir)
+    log = []
     try:
         for k, (argv, expected_exit) in enumerate(SCENARIOS[name], start=1):
-            code = main([*argv, "--out", f"step{k}"])
+            step_argv = [*argv, "--out", f"step{k}"]
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(step_argv)
             assert code == expected_exit, f"{name} step {k}: exit {code}"
+            log.append(f"$ asgs {' '.join(step_argv)}\nexit {code}\n{stdout.getvalue()}")
     finally:
         os.chdir(previous)
-    return step_files(workdir)
+    return step_files(workdir), "".join(log)
 
 
 def step_files(root: Path) -> dict[str, bytes]:
@@ -118,7 +129,7 @@ def step_files(root: Path) -> dict[str, bytes]:
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_artifacts_match_golden_bytes(name, tmp_path):
-    fresh = run_scenario_in(name, tmp_path / name)
+    fresh, _ = run_scenario_in(name, tmp_path / name)
     golden = step_files(GOLDEN_DIR / name)
     assert golden, f"no golden files for {name}"
     assert sorted(fresh) == sorted(golden)
@@ -126,16 +137,24 @@ def test_artifacts_match_golden_bytes(name, tmp_path):
         assert fresh[relative] == content, f"{name}/{relative} differs from golden"
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_stdout_matches_golden(name, tmp_path):
+    _, log = run_scenario_in(name, tmp_path / name)
+    golden = (GOLDEN_DIR / name / STDOUT_FILE).read_text(encoding="utf-8")
+    assert log == golden
+
+
 def regenerate() -> None:
     with tempfile.TemporaryDirectory() as scratch:
         for name in sorted(SCENARIOS):
-            fresh = run_scenario_in(name, Path(scratch) / name)
+            fresh, log = run_scenario_in(name, Path(scratch) / name)
             target = GOLDEN_DIR / name
             shutil.rmtree(target, ignore_errors=True)
             for relative, content in fresh.items():
                 path = target / relative
                 path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_bytes(content)
+            (target / STDOUT_FILE).write_text(log, encoding="utf-8")
             print(f"{name}: {len(fresh)} files")
 
 
