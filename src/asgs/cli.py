@@ -6,15 +6,18 @@ code: 0 for success or a POSITIVE verdict, 2 for a NEGATIVE verdict,
 3 for a visibility violation found under --audit, 1 for usage or input
 errors.
 
-:data:`COMMANDS` maps each command name to a small handler. A handler
-builds at most one :class:`ProtocolEnv`, runs the protocol steps, and
-returns its documents by artifact name with its summary lines and exit
-code; it writes nothing. ``simulate`` chains the same step functions
-the single commands use. :func:`run_scenario` is the only writer: once
-the handler has succeeded and every ``--tamper`` rule has fired, it
-writes the documents, then ``transcript.json``, then runs the optional
-audit. A failed run, one whose tamper rule matched no message, or one
-whose write fails, exits 1 and leaves no artifacts.
+:data:`COMMANDS` maps each command name to a small handler and the
+input documents it reads. :func:`run_scenario` is the one run path: it
+loads and decodes those documents, takes the width from them (or from
+``--bits``), builds the one :class:`ProtocolEnv` (``audit`` builds
+none), and calls the handler, which runs the protocol steps and fills
+in its documents by artifact name, summary lines and exit code; it
+writes nothing. ``simulate`` chains the same step functions the single
+commands use. :func:`run_scenario` is also the only writer: once the
+handler has succeeded and every ``--tamper`` rule has fired, it writes
+the documents, then ``transcript.json``, then runs the optional audit.
+A failed run, one whose tamper rule matched no message, or one whose
+write fails, exits 1 and leaves no artifacts.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from asgs.protocol import (
     SOURCE_ROLES,
     SafeSharesState,
     TamperRule,
+    Transcript,
     Violation,
     activate_shares,
     check_visibility,
@@ -147,20 +151,16 @@ class ScenarioSpec:
 
 @dataclass
 class RunResult:
-    exit_code: int
-    artifacts: dict[str, Path]
-    summary: list[str]
-
-
-@dataclass
-class _Output:
-    """What one command produced; nothing of it is on disk yet."""
+    """What one command produced. A handler fills in ``documents``,
+    ``summary`` and ``exit_code``; :func:`run_scenario` writes the
+    documents and records where in ``artifacts``."""
 
     spec: ScenarioSpec
     env: ProtocolEnv | None = None
     documents: dict[str, dict] = field(default_factory=dict)
     summary: list[str] = field(default_factory=list)
     exit_code: int = 0
+    artifacts: dict[str, Path] = field(default_factory=dict)
 
     def path(self, name: str) -> Path:
         return Path(self.spec.out_dir) / name
@@ -220,7 +220,7 @@ def _violation_lines(violations: list[Violation]) -> list[str]:
 
 
 def _set_generate_step(
-    spec: ScenarioSpec, out: _Output
+    spec: ScenarioSpec, out: RunResult
 ) -> tuple[AuthorizedShareSet, AuthorizedShareSet]:
     template_count = _require(spec.d, "--d")
     master_count = _require(spec.n, "--n")
@@ -230,7 +230,7 @@ def _set_generate_step(
     return template, master
 
 
-def _safeshares_step(spec: ScenarioSpec, out: _Output) -> tuple[SafeSharesState, ShareVector]:
+def _safeshares_step(spec: ScenarioSpec, out: RunResult) -> tuple[SafeSharesState, ShareVector]:
     count = _require(spec.n, "--n")
     secret = decode_vector(_require(spec.secret_hex, "--secret"), out.env.params)
     state = safe_shares(secret, count, out.env)
@@ -239,16 +239,18 @@ def _safeshares_step(spec: ScenarioSpec, out: _Output) -> tuple[SafeSharesState,
     return state, secret
 
 
-def _activate_step(state: SafeSharesState, out: _Output) -> AuthorizedShareSet:
+def _activate_step(state: SafeSharesState, out: RunResult) -> AuthorizedShareSet:
     activated = activate_shares(state, out.env)
     out.documents["activated.json"] = share_set_to_doc(activated)
     return activated
 
 
 def _replicate_step(
-    source: AuthorizedShareSet, mode: str, target: int | None, out: _Output
+    source: AuthorizedShareSet, mode: str, target: int | None, out: RunResult
 ) -> AuthorizedShareSet:
     if mode == "equal":
+        if target is not None:
+            raise ParseError(f"--d {target} applies only to --mode bigger or smaller")
         derived = equal_set_replicate(source, out.env)
     elif mode == "bigger":
         derived = set_replicate_to_bigger(source, _require(target, "--d"), out.env)
@@ -261,7 +263,7 @@ def _replicate_step(
 
 
 def _distribute_step(
-    set1: AuthorizedShareSet, set2: AuthorizedShareSet, out: _Output
+    set1: AuthorizedShareSet, set2: AuthorizedShareSet, out: RunResult
 ) -> tuple[BulletinBoard, KeyAssignment]:
     bulletin, assignment = distribute_shares_and_keys(set1, set2, out.env)
     out.documents["bulletin.json"] = bulletin_to_doc(bulletin)
@@ -269,109 +271,80 @@ def _distribute_step(
     return bulletin, assignment
 
 
-def _gen_m(spec: ScenarioSpec) -> _Output:
+def _gen_m(spec: ScenarioSpec, out: RunResult) -> None:
     count = _require(spec.n, "--n")
-    bits = _resolve_bits(spec)
-    out = _Output(spec, _build_env(spec, bits))
+    params = out.env.params
     out.env.note_operation("generate_mask_set", n=count)
-    masks = generate_mask_set(count, out.env.source(ROLE_ACCUMULATOR), out.env.params)
+    masks = generate_mask_set(count, out.env.source(ROLE_ACCUMULATOR), params)
     out.documents["masks.json"] = mask_set_to_doc(masks)
-    out.summary.append(f"mask set of {count} vectors ({bits} bits) -> {out.path('masks.json')}")
-    return out
+    out.summary.append(
+        f"mask set of {count} vectors ({params.dimension} bits) -> {out.path('masks.json')}"
+    )
 
 
-def _set_generate(spec: ScenarioSpec) -> _Output:
-    out = _Output(spec, _build_env(spec, _resolve_bits(spec)))
+def _set_generate(spec: ScenarioSpec, out: RunResult) -> None:
     template, master = _set_generate_step(spec, out)
     out.summary.append(f"template set ({len(template)} shares) -> {out.path('u1.json')}")
     out.summary.append(f"master set ({len(master)} shares) -> {out.path('u2.json')}")
-    return out
 
 
-def _replicate(spec: ScenarioSpec) -> _Output:
-    mode = _require(spec.mode, "--mode")
-    source = share_set_from_doc(load_document(_require(spec.in_path, "--in"), "share_set"))
-    out = _Output(spec, _build_env(spec, _resolve_bits(spec, source.params.dimension)))
-    derived = _replicate_step(source, mode, spec.d, out)
+def _replicate(spec: ScenarioSpec, out: RunResult, source: AuthorizedShareSet) -> None:
+    derived = _replicate_step(source, _require(spec.mode, "--mode"), spec.d, out)
     out.summary.append(f"derived set ({len(derived)} shares) -> {out.path('derived.json')}")
-    return out
 
 
-def _fastshare(spec: ScenarioSpec) -> _Output:
+def _fastshare(spec: ScenarioSpec, out: RunResult) -> None:
     count = _require(spec.n, "--n")
-    secret_hex = _require(spec.secret_hex, "--secret")
-    out = _Output(spec, _build_env(spec, _resolve_bits(spec)))
-    shares = fast_share(decode_vector(secret_hex, out.env.params), count, out.env)
+    secret = decode_vector(_require(spec.secret_hex, "--secret"), out.env.params)
+    shares = fast_share(secret, count, out.env)
     out.documents["shares.json"] = share_set_to_doc(shares)
     out.summary.append(f"owner set ({count} shares) -> {out.path('shares.json')}")
-    return out
 
 
-def _safeshares(spec: ScenarioSpec) -> _Output:
-    out = _Output(spec, _build_env(spec, _resolve_bits(spec)))
+def _safeshares(spec: ScenarioSpec, out: RunResult) -> None:
     state, _ = _safeshares_step(spec, out)
     out.summary.append(
         f"protected set ({len(state.protected)} shares) -> {out.path('protected.json')}"
     )
     out.summary.append(f"full pre-positioning state -> {out.path('state.json')}")
-    return out
 
 
-def _activate(spec: ScenarioSpec) -> _Output:
-    state = safe_state_from_doc(load_document(_require(spec.state_path, "--state"), "safe_state"))
-    out = _Output(spec, _build_env(spec, _resolve_bits(spec, state.params.dimension)))
+def _activate(spec: ScenarioSpec, out: RunResult, state: SafeSharesState) -> None:
     activated = _activate_step(state, out)
     out.summary.append(f"activated set ({len(activated)} shares) -> {out.path('activated.json')}")
-    return out
 
 
-def _pvss_distribute(spec: ScenarioSpec) -> _Output:
-    set1 = share_set_from_doc(load_document(_require(spec.set1_path, "--set1"), "share_set"))
-    set2 = share_set_from_doc(load_document(_require(spec.set2_path, "--set2"), "share_set"))
-    bits = _resolve_bits(spec, set1.params.dimension, set2.params.dimension)
-    out = _Output(spec, _build_env(spec, bits))
+def _pvss_distribute(
+    spec: ScenarioSpec, out: RunResult, set1: AuthorizedShareSet, set2: AuthorizedShareSet
+) -> None:
     _distribute_step(set1, set2, out)
     out.summary.append(
         f"bulletin ({len(set1)}+{len(set2)} entries) -> {out.path('bulletin.json')}"
     )
     out.summary.append(f"key assignment -> {out.path('keys.json')}")
-    return out
 
 
-def _pvss_recover_keys(spec: ScenarioSpec) -> _Output:
-    keys_doc = load_document(_require(spec.keys_path, "--keys"), "key_assignment")
-    assignment = key_assignment_from_doc(keys_doc)
-    out = _Output(spec, _build_env(spec, _resolve_bits(spec, keys_doc["bits"])))
+def _pvss_recover_keys(spec: ScenarioSpec, out: RunResult, assignment: KeyAssignment) -> None:
     result = recover_xored_keys(
         assignment, assignment.count_for("1"), assignment.count_for("2"), out.env
     )
     out.summary.append(f"xored_keys={encode_vector(result)}")
-    return out
 
 
-def _pvss_verify(spec: ScenarioSpec) -> _Output:
-    bulletin_doc = load_document(_require(spec.bulletin_path, "--bulletin"), "bulletin")
-    keys_doc = load_document(_require(spec.keys_path, "--keys"), "key_assignment")
-    bulletin = bulletin_from_doc(bulletin_doc)
-    assignment = key_assignment_from_doc(keys_doc)
-    bits = _resolve_bits(spec, bulletin_doc["bits"], keys_doc["bits"])
-    out = _Output(spec, _build_env(spec, bits))
+def _pvss_verify(
+    spec: ScenarioSpec, out: RunResult, bulletin: BulletinBoard, assignment: KeyAssignment
+) -> None:
     result = verify(bulletin, assignment, out.env)
     out.summary.append(f"xored_encrypted_shares={encode_vector(result.xored_encrypted_shares)}")
     out.summary.append(f"xored_keys={encode_vector(result.xored_keys)}")
     out.summary.append(f"verdict={result.verdict.value}")
     out.exit_code = 0 if result.verdict is Verdict.POSITIVE else 2
-    return out
 
 
-def _audit(spec: ScenarioSpec) -> _Output:
-    path = _require(spec.transcript_path, "transcript path")
-    violations = check_visibility(transcript_from_doc(load_document(path, "transcript")))
-    return _Output(
-        spec,
-        summary=_violation_lines(violations) or ["no visibility violations"],
-        exit_code=3 if violations else 0,
-    )
+def _audit(spec: ScenarioSpec, out: RunResult, transcript: Transcript) -> None:
+    violations = check_visibility(transcript)
+    out.summary += _violation_lines(violations) or ["no visibility violations"]
+    out.exit_code = 3 if violations else 0
 
 
 def _parse_then_step(token: str) -> tuple[str, tuple[str, int | None] | None]:
@@ -394,11 +367,10 @@ def _parse_then_step(token: str) -> tuple[str, tuple[str, int | None] | None]:
     )
 
 
-def _simulate(spec: ScenarioSpec) -> _Output:
+def _simulate(spec: ScenarioSpec, out: RunResult) -> None:
     """Run a chained scenario in one environment and one transcript."""
     start = _require(spec.start, "a starting algorithm")
     steps = [_parse_then_step(t) for t in spec.then]
-    out = _Output(spec, _build_env(spec, _resolve_bits(spec)))
     if start == "safeshares":
         state, secret = _safeshares_step(spec, out)
         out.summary.append(f"safeshares: protected set of {len(state.protected)} shares")
@@ -429,53 +401,65 @@ def _simulate(spec: ScenarioSpec) -> _Output:
             if result.verdict is Verdict.NEGATIVE:
                 out.exit_code = 2
             out.summary.append(f"pvss: verdict={result.verdict.value}")
-    return out
 
 
-# Command name -> handler. Handlers look up protocol operations by their
-# module-global names when they run, so wrappers installed on those
-# names see every call.
+# Command name -> (handler, input documents). Each input is a
+# (ScenarioSpec field, flag, document kind) triple; run_scenario loads
+# it and decodes it with ``<kind>_from_doc``. Handlers and run_scenario
+# look up protocol operations and decoders by their module-global names
+# when they run, so wrappers installed on those names see every call.
 COMMANDS = {
-    "gen-m": _gen_m,
-    "set-generate": _set_generate,
-    "replicate": _replicate,
-    "fastshare": _fastshare,
-    "safeshares": _safeshares,
-    "activate": _activate,
-    "pvss-distribute": _pvss_distribute,
-    "pvss-recover-keys": _pvss_recover_keys,
-    "pvss-verify": _pvss_verify,
-    "simulate": _simulate,
-    "audit": _audit,
+    "gen-m": (_gen_m, ()),
+    "set-generate": (_set_generate, ()),
+    "replicate": (_replicate, (("in_path", "--in", "share_set"),)),
+    "fastshare": (_fastshare, ()),
+    "safeshares": (_safeshares, ()),
+    "activate": (_activate, (("state_path", "--state", "safe_state"),)),
+    "pvss-distribute": (_pvss_distribute, (("set1_path", "--set1", "share_set"),
+                                           ("set2_path", "--set2", "share_set"))),
+    "pvss-recover-keys": (_pvss_recover_keys, (("keys_path", "--keys", "key_assignment"),)),
+    "pvss-verify": (_pvss_verify, (("bulletin_path", "--bulletin", "bulletin"),
+                                   ("keys_path", "--keys", "key_assignment"))),
+    "simulate": (_simulate, ()),
+    "audit": (_audit, (("transcript_path", "transcript path", "transcript"),)),
 }
 
 
 def run_scenario(spec: ScenarioSpec) -> RunResult:
     """Run one command, then write everything it produced.
 
-    Nothing reaches ``spec.out_dir`` unless the command succeeds and
-    every tamper rule flipped a message: first the command's documents,
-    then ``transcript.json``, then the optional audit of that transcript.
-    If a write fails, the files this run wrote are removed again.
+    The command's input documents are loaded and decoded first, and the
+    width comes from them (see :func:`_resolve_bits`). Nothing reaches
+    ``spec.out_dir`` unless the command succeeds and every tamper rule
+    flipped a message: first the command's documents, then
+    ``transcript.json``, then the optional audit of that transcript. If
+    a write fails, the files this run wrote are removed again.
     """
     try:
-        handler = COMMANDS[spec.command]
+        handler, inputs = COMMANDS[spec.command]
     except KeyError:
         raise ParseError(f"unknown command {spec.command!r}") from None
-    out = handler(spec)
-    env = out.env
-    if env is None:
-        return RunResult(out.exit_code, {}, out.summary)
+    decoded, widths = [], []
+    for name, flag, kind in inputs:
+        document = load_document(_require(getattr(spec, name), flag), kind)
+        decoded.append(globals()[f"{kind}_from_doc"](document))
+        widths.append(document["bits"])
+    result = RunResult(spec)
+    if spec.command == "audit":
+        handler(spec, result, *decoded)
+        return result
+    env = result.env = _build_env(spec, _resolve_bits(spec, *widths))
+    handler(spec, result, *decoded)
     fired = {rule for rule, _ in env.tamper_fired}
     for rule in env.tamper_rules:
         if rule not in fired:
             raise ParseError(f"tamper rule {rule.spec()} matched no message")
-    out.documents["transcript.json"] = transcript_to_doc(env.transcript)
+    result.documents["transcript.json"] = transcript_to_doc(env.transcript)
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = {}
+    artifacts = result.artifacts
     try:
-        for name, doc in out.documents.items():
+        for name, doc in result.documents.items():
             artifacts[name] = out_dir / name
             dump_document(doc, artifacts[name])
     except OSError:
@@ -484,14 +468,13 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
             if path.is_file():
                 path.unlink()
         raise
-    summary = [*out.summary, f"transcript -> {artifacts['transcript.json']}"]
-    exit_code = out.exit_code
+    result.summary.append(f"transcript -> {artifacts['transcript.json']}")
     if spec.audit:
         violations = check_visibility(env.transcript)
-        summary += _violation_lines(violations) or ["audit: no visibility violations"]
+        result.summary += _violation_lines(violations) or ["audit: no visibility violations"]
         if violations:
-            exit_code = 3
-    return RunResult(exit_code, artifacts, summary)
+            result.exit_code = 3
+    return result
 
 
 # ---------------------------------------------------------------------------
