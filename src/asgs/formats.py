@@ -137,11 +137,18 @@ def load_document(path: str | Path, expected_kind: str | None = None) -> dict:
     return document
 
 
+def _binary_params(bits: int, context: str) -> SchemeParams:
+    try:
+        return SchemeParams.binary(bits)
+    except ValueError as exc:
+        raise ParseError(f"{context}: {exc}") from exc
+
+
 def _document_params(document: Mapping, context: str) -> SchemeParams:
     bits = document.get("bits")
     if not _is_int(bits) or bits < 1:
         raise ParseError(f"{context}: missing or invalid 'bits'")
-    return SchemeParams.binary(bits)
+    return _binary_params(bits, context)
 
 
 def _decode_list(items: object, params: SchemeParams, context: str) -> tuple[ShareVector, ...]:
@@ -334,7 +341,7 @@ def transcript_from_doc(document: Mapping) -> Transcript:
     if not isinstance(config, dict):
         raise ParseError("transcript: missing 'config' object")
     bits = config.get("bits")
-    params = SchemeParams.binary(bits) if _is_int(bits) and bits >= 1 else None
+    params = _binary_params(bits, "transcript.config") if _is_int(bits) and bits >= 1 else None
     steps_doc = document.get("steps")
     if not isinstance(steps_doc, list):
         raise ParseError("transcript: missing 'steps' list")

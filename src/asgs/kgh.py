@@ -33,12 +33,18 @@ class IndexOutOfRange(AsgsError):
     """A 1-based element index fell outside the addressed collection."""
 
 
+# Widest vector dimension (bit width) any scheme accepts: far above the
+# widths in use (at most 4096), far below what would exhaust memory.
+MAX_DIMENSION = 1 << 16
+
+
 @dataclass(frozen=True)
 class SchemeParams:
     """Algebra parameters: residue modulus and vector dimension.
 
     In the binary case (modulus 2) the dimension is a bit width and
-    vectors behave like l-bit strings under XOR.
+    vectors behave like l-bit strings under XOR. The dimension lies in
+    ``1..MAX_DIMENSION``.
     """
 
     modulus: int
@@ -49,6 +55,8 @@ class SchemeParams:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+        if self.dimension > MAX_DIMENSION:
+            raise ValueError(f"dimension must be <= {MAX_DIMENSION}, got {self.dimension}")
 
     @classmethod
     def binary(cls, bits: int = 128) -> SchemeParams:

@@ -141,13 +141,16 @@ def participant(set_tag: str, index: int) -> Party:
 
 
 def parse_party(label: str) -> Party:
-    """Inverse of :meth:`Party.label`."""
+    """Inverse of :meth:`Party.label`: accepts exactly the labels it
+    prints, so ``p1-03`` and non-ASCII digits are rejected."""
     if label in (ROLE_DEALER, ROLE_OWNER, ROLE_ACCUMULATOR):
         return Party(label)
     if label.startswith("p") and "-" in label:
         tag, _, index_text = label[1:].partition("-")
         if tag and index_text.isdigit():
-            return participant(tag, int(index_text))
+            party = participant(tag, int(index_text))
+            if party.label() == label:
+                return party
     raise ValueError(f"unrecognized party label {label!r}")
 
 

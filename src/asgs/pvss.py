@@ -27,6 +27,7 @@ from asgs.protocol import (
     ACCUMULATOR,
     DEALER,
     KIND_KEY,
+    CardinalityMismatch,
     ProtocolEnv,
     ROLE_DEALER,
     _check_params,
@@ -151,9 +152,16 @@ def verify(
 
     POSITIVE exactly when the XOR of all bulletin entries equals the XOR
     of all keys, i.e. when the two published sets combine to the same
-    secret.
+    secret. The assignment must hold one key per bulletin entry of each
+    set; a key with no entry would otherwise be ignored.
     """
     _check_params(env, bulletin)
+    for tag, entries in (("1", bulletin.set1_entries), ("2", bulletin.set2_entries)):
+        if assignment.count_for(tag) != len(entries):
+            raise CardinalityMismatch(
+                f"set {tag}: bulletin has {len(entries)} entries, "
+                f"key assignment has {assignment.count_for(tag)} keys"
+            )
     env.note_operation(
         "verify", h=len(bulletin.set1_entries), g=len(bulletin.set2_entries)
     )

@@ -11,6 +11,7 @@ from asgs.formats import (
     load_document,
     transcript_to_doc,
 )
+from asgs.kgh import MAX_DIMENSION
 from asgs.protocol import (
     DEALER,
     KIND_SECRET,
@@ -129,6 +130,18 @@ class TestReplicate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_target_with_equal_mode_is_an_error(self, tmp_path, capsys):
+        assert run(tmp_path, "set-generate", "--bits", "8", "--d", "1",
+                   "--n", "2", "--seed", "5") == 0
+        code = main([
+            "replicate", "--mode", "equal", "--d", "99",
+            "--in", str(tmp_path / "out" / "u2.json"),
+            "--out", str(tmp_path / "out2"),
+        ])
+        assert code == 1
+        assert "error: --d 99 applies only to --mode bigger or smaller" in capsys.readouterr().err
+        assert not (tmp_path / "out2").exists()
+
 
 class TestSafeSharesAndActivate:
     def run_safeshares(self, tmp_path):
@@ -223,6 +236,24 @@ class TestPvssCommands:
         ])
         assert code == 2
         assert "verdict=NEGATIVE" in capsys.readouterr().out
+
+    def test_verify_rejects_a_key_without_bulletin_entry(self, tmp_path, capsys):
+        assert self.distribute(tmp_path) == 0
+        out = tmp_path / "out"
+        doc = load_document(out / "keys.json", "key_assignment")
+        doc["set2"].append(doc["set2"][0])
+        dump_document(doc, out / "keys.json")
+        code = main([
+            "pvss", "verify",
+            "--bulletin", str(out / "bulletin.json"),
+            "--keys", str(out / "keys.json"),
+            "--seed", "0", "--out", str(tmp_path / "out2"),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error: set 2: bulletin has 3 entries, key assignment has 4 keys" in captured.err
+        assert "verdict" not in captured.out
+        assert not (tmp_path / "out2").exists()
 
 
 class TestSimulate:
@@ -358,6 +389,13 @@ class TestUsageErrors:
             assert f"error: tamper rule {idle} matched no message" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_width_above_bound(self, tmp_path, capsys):
+        for bits in ("3000000000", str(MAX_DIMENSION + 1)):
+            code = run(tmp_path, "gen-m", "--bits", bits, "--n", "2")
+            assert code == 1
+            assert "error: dimension must be <=" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
     def test_bad_secret_hex(self, tmp_path, capsys):
         code = run(tmp_path, "fastshare", "--bits", "8", "--secret", "S!",
                    "--n", "3", "--seed", "1")
@@ -380,6 +418,7 @@ class TestTamperRuleParsing:
             "dealer:key:0:bit:0",
             "dealer:key:1:bit:-1",
             "dealer:key:one:bit:0",
+            "p2-01:masked_share:1:bit:0",
         ],
     )
     def test_malformed_rules_rejected(self, text):

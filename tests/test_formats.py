@@ -33,6 +33,7 @@ from asgs.formats import (
     transcript_to_doc,
 )
 from asgs.kgh import (
+    MAX_DIMENSION,
     AuthorizedShareSet,
     MaskSet,
     SchemeParams,
@@ -216,6 +217,14 @@ class TestShareSetDocs:
         )
         assert share_set_from_doc(share_set_to_doc(share_set)) == share_set
 
+    def test_width_above_bound_rejected(self):
+        doc = share_set_to_doc(AuthorizedShareSet.from_shares(SetRole.MASTER, bvs([0x80])))
+        with pytest.raises(ParseError, match="share_set: dimension must be <="):
+            share_set_from_doc({**doc, "bits": MAX_DIMENSION + 1})
+        transcript = transcript_to_doc(Transcript({"bits": MAX_DIMENSION + 1}))
+        with pytest.raises(ParseError, match="transcript.config: dimension must be <="):
+            transcript_from_doc(transcript)
+
     def test_doc_shape(self):
         doc = share_set_to_doc(
             AuthorizedShareSet.from_shares(SetRole.TEMPLATE, bvs([0x01, 0x02]))
@@ -329,6 +338,15 @@ class TestTranscriptDocs:
             doc["steps"][0]["kind"] = kind
             with pytest.raises(ParseError):
                 transcript_from_doc(doc)
+
+    def test_non_canonical_party_label_rejected(self):
+        transcript = Transcript({"bits": 8})
+        transcript.append(Message(1, participant("1", 3), DEALER, KIND_SECRET, bv(0x01)))
+        doc = transcript_to_doc(transcript)
+        assert doc["steps"][0]["from"] == "p1-3"
+        doc["steps"][0]["from"] = "p1-03"
+        with pytest.raises(ParseError, match="p1-03"):
+            transcript_from_doc(doc)
 
     def test_seq_order_and_element_index_rejected(self):
         transcript = Transcript({"bits": 8})

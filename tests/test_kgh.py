@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from asgs.kgh import (
+    MAX_DIMENSION,
     AuthorizedShareSet,
     IndexOutOfRange,
     MaskSet,
@@ -42,7 +43,10 @@ class TestSchemeParams:
     def test_default_width_is_128(self):
         assert SchemeParams.binary().dimension == 128
 
-    @pytest.mark.parametrize("modulus,dimension", [(1, 4), (0, 4), (2, 0), (3, -1)])
+    @pytest.mark.parametrize(
+        "modulus,dimension",
+        [(1, 4), (0, 4), (2, 0), (3, -1), (2, MAX_DIMENSION + 1)],
+    )
     def test_rejects_degenerate_parameters(self, modulus, dimension):
         with pytest.raises(ValueError):
             SchemeParams(modulus, dimension)

@@ -83,8 +83,11 @@ class TestParties:
             assert parse_party(party.label()) == party
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError):
-            parse_party("banker")
+        # Only the exact text Party.label prints is accepted: no leading
+        # zeros, no non-ASCII digits.
+        for label in ("banker", "p1-03", "p1-\u0663"):
+            with pytest.raises(ValueError):
+                parse_party(label)
 
     def test_participant_needs_index(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from asgs.kgh import (
     ShareVector,
     combine,
 )
-from asgs.protocol import KIND_KEY, ProtocolEnv, TamperRule
+from asgs.protocol import KIND_KEY, CardinalityMismatch, ProtocolEnv, TamperRule
 from asgs.pvss import (
     BulletinBoard,
     KeyAssignment,
@@ -178,6 +178,17 @@ class TestVerify:
         env, bulletin, assignment = worked_distribution(tamper_rules=(rule,))
         result = verify(bulletin, assignment, env)
         assert result.verdict is Verdict.NEGATIVE
+
+    def test_key_count_must_match_bulletin(self):
+        env, bulletin, assignment = worked_distribution()
+        extra = KeyAssignment({**assignment.entries, ("2", 4): bv(0x01)})
+        fewer = KeyAssignment(
+            {slot: key for slot, key in assignment.entries.items() if slot != ("1", 2)}
+        )
+        for keys, message in ((extra, "set 2: bulletin has 3 entries, key assignment has 4"),
+                              (fewer, "set 1: bulletin has 2 entries, key assignment has 1")):
+            with pytest.raises(CardinalityMismatch, match=message):
+                verify(bulletin, keys, env)
 
     def test_bulletin_params_must_match_env(self):
         _, bulletin, assignment = worked_distribution()
