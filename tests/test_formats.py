@@ -172,6 +172,14 @@ class TestDocumentEnvelope:
         with pytest.raises(ParseError, match="doc.json"):
             load_document(path)
 
+    def test_width_above_bound_rejected(self):
+        doc = share_set_to_doc(AuthorizedShareSet.from_shares(SetRole.MASTER, bvs([0x80])))
+        with pytest.raises(ParseError, match="share_set: dimension must be <="):
+            share_set_from_doc({**doc, "bits": MAX_DIMENSION + 1})
+        transcript = transcript_to_doc(Transcript({"bits": MAX_DIMENSION + 1}))
+        with pytest.raises(ParseError, match="transcript.config: dimension must be <="):
+            transcript_from_doc(transcript)
+
 
 class TestBooleansAreNotIntegers:
     """JSON true/false decode to Python bool, a subclass of int; every
@@ -216,14 +224,6 @@ class TestShareSetDocs:
             SetRole.DERIVED, bvs([0x54, 0x78, 0x2F])
         )
         assert share_set_from_doc(share_set_to_doc(share_set)) == share_set
-
-    def test_width_above_bound_rejected(self):
-        doc = share_set_to_doc(AuthorizedShareSet.from_shares(SetRole.MASTER, bvs([0x80])))
-        with pytest.raises(ParseError, match="share_set: dimension must be <="):
-            share_set_from_doc({**doc, "bits": MAX_DIMENSION + 1})
-        transcript = transcript_to_doc(Transcript({"bits": MAX_DIMENSION + 1}))
-        with pytest.raises(ParseError, match="transcript.config: dimension must be <="):
-            transcript_from_doc(transcript)
 
     def test_doc_shape(self):
         doc = share_set_to_doc(
