@@ -6,27 +6,31 @@ code: 0 for success or a POSITIVE verdict, 2 for a NEGATIVE verdict,
 3 for a visibility violation found under --audit, 1 for usage or input
 errors.
 
-:data:`COMMANDS` maps each command name to a small handler and the
-input documents it reads. :func:`run_scenario` is the one run path: it
-loads and decodes those documents, takes the width from them (or from
-``--bits``), builds the one :class:`ProtocolEnv` (``audit`` builds
-none), and calls the handler, which runs the protocol steps and fills
-in its documents by artifact name, summary lines and exit code; it
-writes nothing. ``simulate`` chains the same step functions the single
-commands use. :func:`run_scenario` is also the only writer: once the
-handler has succeeded and every ``--tamper`` rule has fired, it writes
-the documents, then ``transcript.json``, then runs the optional audit.
-A failed run, one whose tamper rule matched no message, or one whose
+:data:`COMMANDS` declares each command once: its handler, help line and
+options, input documents included. :func:`build_parser` turns it into
+the argparse tree once per process, on first use. :func:`run_scenario`
+is the one run path: it loads and decodes the input documents, takes
+the width from them (or from ``--bits``), builds the one
+:class:`ProtocolEnv` (``audit`` builds none), and calls the handler,
+which runs the protocol steps and fills in its documents by artifact
+name, summary lines and exit code; it writes nothing. ``simulate``
+chains the same step functions the single commands use.
+:func:`run_scenario` is also the only writer: once the handler has
+succeeded and every ``--tamper`` rule has fired, it writes the
+documents, then ``transcript.json``, then runs the optional audit. A
+failed run, one whose tamper rule matched no message, or one whose
 write fails, exits 1 and leaves no artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from asgs.formats import (
     ParseError,
@@ -372,12 +376,16 @@ def _simulate(spec: ScenarioSpec, out: RunResult) -> None:
     start = _require(spec.start, "a starting algorithm")
     steps = [_parse_then_step(t) for t in spec.then]
     if start == "safeshares":
+        if spec.d is not None:
+            raise ParseError(f"--d {spec.d} applies only to simulate set-generate")
         state, secret = _safeshares_step(spec, out)
         out.summary.append(f"safeshares: protected set of {len(state.protected)} shares")
         # what pvss compares against
         reference = AuthorizedShareSet.from_shares(SetRole.TEMPLATE, [secret])
         current = state.protected_set()
     elif start == "set-generate":
+        if spec.secret_hex is not None:
+            raise ParseError("--secret applies only to simulate safeshares")
         reference, current = _set_generate_step(spec, out)
         out.summary.append(
             f"set-generate: template of {len(reference)}, master of {len(current)}"
@@ -386,10 +394,12 @@ def _simulate(spec: ScenarioSpec, out: RunResult) -> None:
         raise ParseError(
             f"unknown starting algorithm {start!r}; expected safeshares or set-generate"
         )
-    for step, arg in steps:
+    for k, (step, arg) in enumerate(steps):
         if step == "activate":
             if start != "safeshares":
                 raise ParseError("activate only follows safeshares")
+            if k:
+                raise ParseError("activate may only be the first --then step")
             current = _activate_step(state, out)
             out.summary.append(f"activate: {len(current)} shares activated")
         elif step == "replicate":
@@ -403,26 +413,101 @@ def _simulate(spec: ScenarioSpec, out: RunResult) -> None:
             out.summary.append(f"pvss: verdict={result.verdict.value}")
 
 
-# Command name -> (handler, input documents). Each input is a
-# (ScenarioSpec field, flag, document kind) triple; run_scenario loads
-# it and decodes it with ``<kind>_from_doc``. Handlers and run_scenario
-# look up protocol operations and decoders by their module-global names
-# when they run, so wrappers installed on those names see every call.
+class Option:
+    """One argument of a command, as the keywords of its ``add_argument``
+    call. An input document also names its ``kind``: :func:`run_scenario`
+    loads the path in the ScenarioSpec field ``dest`` and decodes it
+    with ``<kind>_from_doc``."""
+
+    def __init__(self, flag: str, *, kind: str | None = None, **kwargs) -> None:
+        self.flag, self.kind, self.kwargs = flag, kind, kwargs
+
+    @property
+    def dest(self) -> str:
+        return self.kwargs.get("dest", self.flag)
+
+    def replace(self, **kwargs) -> Option:
+        """The same option with some ``add_argument`` keywords replaced."""
+        return Option(self.flag, kind=self.kind, **{**self.kwargs, **kwargs})
+
+
+def _input(flag: str, dest: str, kind: str, help: str | None = None) -> Option:
+    return Option(flag, kind=kind, dest=dest, required=True, metavar="PATH", help=help)
+
+
+class Command(NamedTuple):
+    handler: Callable[..., None]
+    help: str
+    options: tuple[Option, ...]
+
+
+# Options shared by several commands. COMMON is taken by every command
+# that runs a protocol, that is, all but audit.
+COMMON = (
+    Option("--bits", type=int,
+           help="vector width in bits (default 128, or ASGS_DEFAULT_BITS)"),
+    Option("--seed", type=int, help="64-bit run seed"),
+    Option("--fixture", dest="fixtures", action="append", default=[], metavar="PARTY:PATH",
+           help="fixture vector file for one party (dealer, owner, accumulator); repeatable"),
+    Option("--out", dest="out_dir", default=".", metavar="DIR", help="output directory"),
+    Option("--audit", action="store_true",
+           help="audit the transcript for visibility violations"),
+    Option("--tamper", action="append", default=[], metavar="RULE",
+           help="bit-flip rule party:kind:occurrence:bit:index; repeatable"),
+)
+N = Option("--n", type=int)
+D = Option("--d", type=int)
+SECRET = Option("--secret", dest="secret_hex", metavar="HEX")
+SPLIT = (SECRET.replace(required=True, help="secret vector in hex"),
+         N.replace(required=True, help="share count"))
+KEYS = _input("--keys", "keys_path", "key_assignment")
+
+# Command name -> Command. The command "<group>-<sub>" of a group in
+# GROUPS is the subcommand <sub> of <group> on the command line. Handlers
+# and run_scenario look up protocol operations and decoders by their
+# module-global names when they run, so wrappers installed on those
+# names see every call.
 COMMANDS = {
-    "gen-m": (_gen_m, ()),
-    "set-generate": (_set_generate, ()),
-    "replicate": (_replicate, (("in_path", "--in", "share_set"),)),
-    "fastshare": (_fastshare, ()),
-    "safeshares": (_safeshares, ()),
-    "activate": (_activate, (("state_path", "--state", "safe_state"),)),
-    "pvss-distribute": (_pvss_distribute, (("set1_path", "--set1", "share_set"),
-                                           ("set2_path", "--set2", "share_set"))),
-    "pvss-recover-keys": (_pvss_recover_keys, (("keys_path", "--keys", "key_assignment"),)),
-    "pvss-verify": (_pvss_verify, (("bulletin_path", "--bulletin", "bulletin"),
-                                   ("keys_path", "--keys", "key_assignment"))),
-    "simulate": (_simulate, ()),
-    "audit": (_audit, (("transcript_path", "transcript path", "transcript"),)),
+    "gen-m": Command(_gen_m, "generate a zero-sum mask set", (
+        *COMMON, N.replace(required=True, help="mask set cardinality"))),
+    "set-generate": Command(_set_generate, "create two share sets of a fresh unseen secret", (
+        *COMMON,
+        D.replace(required=True, help="template set cardinality"),
+        N.replace(required=True, help="master set cardinality"))),
+    "replicate": Command(_replicate, "derive a fresh share set from an existing one", (
+        *COMMON,
+        Option("--mode", choices=("equal", "bigger", "smaller"), required=True),
+        D.replace(help="target cardinality (bigger/smaller)"),
+        _input("--in", "in_path", "share_set", "share_set document to replicate"))),
+    "fastshare": Command(_fastshare, "split an owner secret into shares", (*COMMON, *SPLIT)),
+    "safeshares": Command(
+        _safeshares, "pre-position protected shares that need later activation",
+        (*COMMON, *SPLIT)),
+    "activate": Command(_activate, "release keys and activate protected shares", (
+        *COMMON,
+        _input("--state", "state_path", "safe_state",
+               "safe_state document from a safeshares run"))),
+    "pvss-distribute": Command(_pvss_distribute, "publish encrypted shares and deal keys", (
+        *COMMON,
+        _input("--set1", "set1_path", "share_set"),
+        _input("--set2", "set2_path", "share_set"))),
+    "pvss-recover-keys": Command(
+        _pvss_recover_keys, "recover the XOR of all dealt keys", (*COMMON, KEYS)),
+    "pvss-verify": Command(_pvss_verify, "compare bulletin XOR against key XOR", (
+        *COMMON, _input("--bulletin", "bulletin_path", "bulletin"), KEYS)),
+    "simulate": Command(_simulate, "run a chained scenario in one transcript", (
+        *COMMON,
+        Option("start", choices=("safeshares", "set-generate"),
+               help="first algorithm of the chain"),
+        SECRET, N, D,
+        Option("--then", action="append", default=[], metavar="STEP",
+               help="next pipeline step: activate, pvss, replicate-equal, "
+               "replicate-bigger=N, replicate-smaller=N; repeatable"))),
+    "audit": Command(_audit, "audit a transcript document", (
+        Option("transcript_path", kind="transcript", metavar="PATH",
+               help="transcript document to audit"),)),
 }
+GROUPS = {"pvss": "publicly verifiable consistency checks"}
 
 
 def run_scenario(spec: ScenarioSpec) -> RunResult:
@@ -436,14 +521,16 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
     a write fails, the files this run wrote are removed again.
     """
     try:
-        handler, inputs = COMMANDS[spec.command]
+        handler, _, options = COMMANDS[spec.command]
     except KeyError:
         raise ParseError(f"unknown command {spec.command!r}") from None
     decoded, widths = [], []
-    for name, flag, kind in inputs:
-        document = load_document(_require(getattr(spec, name), flag), kind)
-        decoded.append(globals()[f"{kind}_from_doc"](document))
-        widths.append(document["bits"])
+    for option in options:
+        if option.kind:
+            path = _require(getattr(spec, option.dest), option.flag)
+            document = load_document(path, option.kind)
+            decoded.append(globals()[f"{option.kind}_from_doc"](document))
+            widths.append(document["bits"])
     result = RunResult(spec)
     if spec.command == "audit":
         handler(spec, result, *decoded)
@@ -490,117 +577,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--bits",
-        type=int,
-        default=None,
-        help="vector width in bits (default 128, or ASGS_DEFAULT_BITS)",
-    )
-    parser.add_argument("--seed", type=int, default=None, help="64-bit run seed")
-    parser.add_argument(
-        "--fixture",
-        dest="fixtures",
-        action="append",
-        default=[],
-        metavar="PARTY:PATH",
-        help="fixture vector file for one party (dealer, owner, accumulator); repeatable",
-    )
-    parser.add_argument("--out", dest="out_dir", default=".", metavar="DIR",
-                        help="output directory")
-    parser.add_argument(
-        "--audit", action="store_true", help="audit the transcript for visibility violations"
-    )
-    parser.add_argument(
-        "--tamper",
-        action="append",
-        default=[],
-        metavar="RULE",
-        help="bit-flip rule party:kind:occurrence:bit:index; repeatable",
-    )
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of :data:`COMMANDS`, built on first use and then
+    reused for the rest of the process."""
     # --help shows the user-facing first two paragraphs of the docstring.
     parser = _Parser(prog="asgs", description="\n\n".join(__doc__.split("\n\n")[:2]))
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("gen-m", help="generate a zero-sum mask set")
-    _add_common(sub)
-    sub.add_argument("--n", type=int, required=True, help="mask set cardinality")
-
-    sub = commands.add_parser(
-        "set-generate", help="create two share sets of a fresh unseen secret"
-    )
-    _add_common(sub)
-    sub.add_argument("--d", type=int, required=True, help="template set cardinality")
-    sub.add_argument("--n", type=int, required=True, help="master set cardinality")
-
-    sub = commands.add_parser("replicate", help="derive a fresh share set from an existing one")
-    _add_common(sub)
-    sub.add_argument("--mode", choices=("equal", "bigger", "smaller"), required=True)
-    sub.add_argument("--d", type=int, default=None, help="target cardinality (bigger/smaller)")
-    sub.add_argument("--in", dest="in_path", required=True, metavar="PATH",
-                     help="share_set document to replicate")
-
-    sub = commands.add_parser("fastshare", help="split an owner secret into shares")
-    _add_common(sub)
-    sub.add_argument("--secret", dest="secret_hex", required=True, metavar="HEX",
-                     help="secret vector in hex")
-    sub.add_argument("--n", type=int, required=True, help="share count")
-
-    sub = commands.add_parser(
-        "safeshares", help="pre-position protected shares that need later activation"
-    )
-    _add_common(sub)
-    sub.add_argument("--secret", dest="secret_hex", required=True, metavar="HEX",
-                     help="secret vector in hex")
-    sub.add_argument("--n", type=int, required=True, help="share count")
-
-    sub = commands.add_parser("activate", help="release keys and activate protected shares")
-    _add_common(sub)
-    sub.add_argument("--state", dest="state_path", required=True, metavar="PATH",
-                     help="safe_state document from a safeshares run")
-
-    pvss_parser = commands.add_parser("pvss", help="publicly verifiable consistency checks")
-    pvss_commands = pvss_parser.add_subparsers(dest="pvss_command", required=True)
-
-    sub = pvss_commands.add_parser("distribute", help="publish encrypted shares and deal keys")
-    sub.set_defaults(command="pvss-distribute")
-    _add_common(sub)
-    sub.add_argument("--set1", dest="set1_path", required=True, metavar="PATH")
-    sub.add_argument("--set2", dest="set2_path", required=True, metavar="PATH")
-
-    sub = pvss_commands.add_parser("recover-keys", help="recover the XOR of all dealt keys")
-    sub.set_defaults(command="pvss-recover-keys")
-    _add_common(sub)
-    sub.add_argument("--keys", dest="keys_path", required=True, metavar="PATH")
-
-    sub = pvss_commands.add_parser("verify", help="compare bulletin XOR against key XOR")
-    sub.set_defaults(command="pvss-verify")
-    _add_common(sub)
-    sub.add_argument("--bulletin", dest="bulletin_path", required=True, metavar="PATH")
-    sub.add_argument("--keys", dest="keys_path", required=True, metavar="PATH")
-
-    sub = commands.add_parser("simulate", help="run a chained scenario in one transcript")
-    _add_common(sub)
-    sub.add_argument("start", choices=("safeshares", "set-generate"),
-                     help="first algorithm of the chain")
-    sub.add_argument("--secret", dest="secret_hex", default=None, metavar="HEX")
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--d", type=int, default=None)
-    sub.add_argument(
-        "--then",
-        action="append",
-        default=[],
-        metavar="STEP",
-        help="next pipeline step: activate, pvss, replicate-equal, "
-        "replicate-bigger=N, replicate-smaller=N; repeatable",
-    )
-
-    sub = commands.add_parser("audit", help="audit a transcript document")
-    sub.add_argument("transcript_path", metavar="PATH", help="transcript document to audit")
-
+    groups = {}
+    for name, command in COMMANDS.items():
+        group, _, sub_name = name.partition("-")
+        if group in GROUPS:
+            if group not in groups:
+                group_parser = commands.add_parser(group, help=GROUPS[group])
+                groups[group] = group_parser.add_subparsers(dest=f"{group}_command",
+                                                            required=True)
+            sub = groups[group].add_parser(sub_name, help=command.help)
+            sub.set_defaults(command=name)
+        else:
+            sub = commands.add_parser(name, help=command.help)
+        for option in command.options:
+            sub.add_argument(option.flag, **option.kwargs)
     return parser
 
 

@@ -1,6 +1,10 @@
 """Command line driver: exit codes, artifacts, and reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -310,6 +314,62 @@ class TestSimulate:
                    "--secret", "5a", "--n", "2", "--then", "teleport")
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_options_and_steps_it_would_ignore_are_errors(self, tmp_path, capsys):
+        """--secret is for a safeshares start, --d for a set-generate
+        start, and activate works on the protected set only, so it must
+        be the first step; anything else would be dropped silently."""
+        cases = (
+            (["simulate", "set-generate", "--d", "1", "--n", "2", "--secret", "zz"],
+             "--secret applies only to simulate safeshares"),
+            ([*self.CHAIN, "--d", "7"], "--d 7 applies only to simulate set-generate"),
+            ([*self.CHAIN[:-4], "--then", "replicate-equal", *self.CHAIN[-4:]],
+             "activate may only be the first --then step"),
+            ([*self.CHAIN, "--then", "activate"], "activate may only be the first --then step"),
+        )
+        for k, (argv, message) in enumerate(cases):
+            out = tmp_path / f"out{k}"
+            assert main([*argv, "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message}\n"
+            assert captured.out == ""
+            assert not out.exists()
+
+
+class TestOneProcess:
+    """main parses every call with one parser, built on first use."""
+
+    def test_nothing_leaks_into_the_next_call(self, tmp_path, capsys):
+        fixtures = []
+        for role, values in (("dealer", [0x3C, 0xC3, 0x5A, 0xA5, 0x11, 0x22]),
+                             ("owner", [0x11, 0x22, 0x33, 0x44]),
+                             ("accumulator", [1 << k for k in range(8)])):
+            fixtures += ["--fixture", f"{role}:{write_fixture(tmp_path, f'{role}.txt', values)}"]
+        first = [*TestSimulate.CHAIN, "--tamper", "dealer:key:2:bit:0", *fixtures]
+        assert main([*first, "--out", str(tmp_path / "first")]) == 2
+        assert "verdict=NEGATIVE" in capsys.readouterr().out
+        assert main([*TestSimulate.CHAIN, "--out", str(tmp_path / "second")]) == 0
+        assert "verdict=POSITIVE" in capsys.readouterr().out
+        config = load_document(tmp_path / "second" / "transcript.json", "transcript")["config"]
+        assert config["tamper"] == []
+        assert config["randomness"] == {"mode": "seeded", "seed": 0}
+        assert "fixture_paths" not in config
+
+    def test_parser_is_built_once_and_not_at_import(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = (
+            "import asgs.cli as cli\n"
+            "assert cli.build_parser.cache_info().currsize == 0\n"
+            "assert cli.main(['gen-m', '--bits', '8', '--n', '2', '--out', 'a']) == 0\n"
+            "assert cli.main(['audit', 'a/transcript.json']) == 0\n"
+            "info = cli.build_parser.cache_info()\n"
+            "assert (info.misses, info.hits) == (1, 1), info\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
 
 
 class TestAudit:
