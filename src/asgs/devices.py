@@ -12,11 +12,11 @@ import hashlib
 import random
 from typing import Iterable, Sequence
 
-from asgs.kgh import AsgsError, SchemeParams, ShareVector
+from asgs.kgh import AsgsError, MixedParams, SchemeParams, ShareVector
 
-
-class ParamMismatch(AsgsError):
-    """A device was handed a vector under the wrong params."""
+# A device handed a vector under the wrong params raises the same error
+# as any other mix of params; the old name stays for existing callers.
+ParamMismatch = MixedParams
 
 
 class FixtureExhausted(AsgsError):
