@@ -1,0 +1,205 @@
+#!/usr/bin/env python3
+"""Time each protocol operation against its int oracle as n and width grow.
+
+For every operation, share count n and width, the script draws one set
+of random ints, replays them into the engine as fixture streams and into
+the matching straight-line function of ``tests/oracles.py``, and times
+both. It prints the median engine and oracle times over the repeats and
+their ratio, and exits 1 if any engine output differs from the oracle's.
+
+    PYTHONPATH=src python3 scripts/scaling_sweep.py
+    PYTHONPATH=src python3 scripts/scaling_sweep.py --sizes 10 1000 --widths 128
+"""
+
+import argparse
+import platform
+import random
+import statistics
+import sys
+import time
+import warnings
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+import oracles  # noqa: E402
+from asgs.kgh import AuthorizedShareSet, SchemeParams, SetRole, ShareVector  # noqa: E402
+from asgs.protocol import (  # noqa: E402
+    KEY_RETRY_LIMIT,
+    ProtocolEnv,
+    activate_shares,
+    equal_set_replicate,
+    safe_shares,
+    set_generate_m,
+    set_replicate_to_bigger,
+    set_replicate_to_smaller,
+)
+from asgs.pvss import Verdict, distribute_shares_and_keys, verify  # noqa: E402
+
+
+# Each case takes (n, params, draw) and returns the fixture streams, an
+# engine call on a fresh environment, and the oracle call. Both calls
+# return the same list of outputs: vectors (ints for the oracle) and
+# verdicts.
+
+
+def case_set_generate(n, params, draw):
+    masks = draw(2 * n - 1)
+
+    def engine(env):
+        template, master = set_generate_m(n, n, env)
+        return [*template.shares, *master.shares]
+
+    def oracle():
+        template, master = oracles.set_generate(iter(masks), n, n)
+        return template + master
+
+    return {"accumulator": masks}, engine, oracle
+
+
+def replication_case(operation, oracle_operation, target, mask_draws):
+    """A replication to ``target(n)`` shares (None: equal size), whose
+    mask set takes ``mask_draws(n, target)`` draws."""
+
+    def case(n, params, draw):
+        d = target(n)
+        shares = draw(n)
+        masks = draw(mask_draws(n, d))
+        master = share_set(SetRole.MASTER, shares, params)
+        args = () if d is None else (d,)
+
+        def engine(env):
+            return list(operation(master, *args, env).shares)
+
+        def oracle():
+            return oracle_operation(iter(masks), shares, *args)
+
+        return {"accumulator": masks}, engine, oracle
+
+    return case
+
+
+def case_safe_shares(n, params, draw):
+    # Enough dealer draws for the masks, the keys and every guard retry.
+    dealer = draw(2 * n + KEY_RETRY_LIMIT)
+    owner = draw(n - 1)
+    secret = draw(1)[0]
+    secret_vector = ShareVector.from_int(params, secret)
+
+    def engine(env):
+        state = safe_shares(secret_vector, n, env)
+        return [*state.protected, *activate_shares(state, env).shares]
+
+    def oracle():
+        state = oracles.safe_shares(iter(dealer), iter(owner), secret, n)
+        return state["protected"] + oracles.activate(state["protected"], state["keys"])
+
+    return {"dealer": dealer, "owner": owner}, engine, oracle
+
+
+def case_pvss(n, params, draw):
+    set1 = draw(n)
+    head = draw(n - 1)
+    set2 = head + [oracles.xor_all(set1) ^ oracles.xor_all(head)]
+    keys = draw(2 * n)
+    first = share_set(SetRole.TEMPLATE, set1, params)
+    second = share_set(SetRole.MASTER, set2, params)
+
+    def engine(env):
+        bulletin, assignment = distribute_shares_and_keys(first, second, env)
+        result = verify(bulletin, assignment, env)
+        return [*bulletin.set1_entries, *bulletin.set2_entries, result.xored_keys,
+                result.verdict is Verdict.POSITIVE]
+
+    def oracle():
+        b1, b2, k1, k2 = oracles.distribute(iter(keys), set1, set2)
+        return [*b1, *b2, oracles.recover_keys(k1, k2), oracles.verify(b1, b2, k1, k2)]
+
+    return {"dealer": keys}, engine, oracle
+
+
+CASES = {
+    "set_generate_m": case_set_generate,
+    "equal_set_replicate": replication_case(
+        equal_set_replicate, oracles.equal_replicate,
+        target=lambda n: None, mask_draws=lambda n, d: 2 * n - 1),
+    "set_replicate_to_bigger": replication_case(
+        set_replicate_to_bigger, oracles.replicate_bigger,
+        target=lambda n: 2 * n, mask_draws=lambda n, d: n + d - 1),
+    "set_replicate_to_smaller": replication_case(
+        set_replicate_to_smaller, oracles.replicate_smaller,
+        target=lambda n: max(1, n // 2), mask_draws=lambda n, d: n + d - 2),
+    "safe_shares+activate_shares": case_safe_shares,
+    "distribute_shares_and_keys+verify": case_pvss,
+}
+
+
+def share_set(role, values, params):
+    return AuthorizedShareSet.from_shares(
+        role, [ShareVector.from_int(params, v) for v in values]
+    )
+
+
+def plain(outputs):
+    return [v.to_int() if isinstance(v, ShareVector) else v for v in outputs]
+
+
+def run_cell(case, n, bits, rng, repeat):
+    """Median engine and oracle ms over ``repeat`` runs, and whether the
+    outputs agree."""
+    params = SchemeParams.binary(bits)
+    streams, engine, oracle = case(
+        n, params, lambda count: [rng.getrandbits(bits) for _ in range(count)]
+    )
+    fixtures = {
+        role: tuple(ShareVector.from_int(params, v) for v in values)
+        for role, values in streams.items()
+    }
+    engine_ms, oracle_ms, match = [], [], True
+    for _ in range(repeat):
+        env = ProtocolEnv.with_fixtures(params, **fixtures)
+        start = time.perf_counter()
+        engine_out = engine(env)
+        middle = time.perf_counter()
+        oracle_out = oracle()
+        end = time.perf_counter()
+        engine_ms.append((middle - start) * 1000)
+        oracle_ms.append((end - middle) * 1000)
+        match = match and plain(engine_out) == oracle_out
+    return statistics.median(engine_ms), statistics.median(oracle_ms), match
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[10, 1000, 10000],
+                        help="share counts n (each >= 2)")
+    parser.add_argument("--widths", type=int, nargs="+", default=[128, 4096],
+                        help="vector widths in bits")
+    parser.add_argument("--repeat", type=int, default=3, help="timed runs per cell")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+    if min(args.sizes) < 2 or args.repeat < 1:
+        parser.error("every size must be >= 2 and --repeat >= 1")
+
+    print(f"python {platform.python_version()}, median of {args.repeat} runs per cell")
+    print(f"{'operation':<34} {'n':>6} {'bits':>5} {'engine_ms':>10} "
+          f"{'oracle_ms':>10} {'ratio':>7}  match")
+    mismatches = 0
+    with warnings.catch_warnings():
+        # Narrow widths can draw a zero one-time key; pvss warns about it.
+        warnings.simplefilter("ignore", UserWarning)
+        for name, case in CASES.items():
+            for bits in args.widths:
+                for n in args.sizes:
+                    rng = random.Random(f"{args.seed}:{name}:{n}:{bits}")
+                    engine_ms, oracle_ms, match = run_cell(case, n, bits, rng, args.repeat)
+                    mismatches += not match
+                    ratio = engine_ms / oracle_ms if oracle_ms else float("inf")
+                    print(f"{name:<34} {n:>6} {bits:>5} {engine_ms:>10.3f} "
+                          f"{oracle_ms:>10.3f} {ratio:>7.1f}  {'yes' if match else 'NO'}")
+    print(f"\nmismatches: {mismatches}")
+    raise SystemExit(1 if mismatches else 0)
+
+
+if __name__ == "__main__":
+    main()

@@ -407,6 +407,11 @@ def _simulate(spec: ScenarioSpec, out: RunResult) -> None:
             current = _replicate_step(current, mode, target, out)
             out.summary.append(f"replicate-{mode}: derived set of {len(current)} shares")
         else:
+            if start == "safeshares" and steps[0][0] != "activate":
+                raise ParseError(
+                    "pvss after safeshares needs --then activate first: "
+                    "the protected set does not share the secret"
+                )
             result = verify(*_distribute_step(reference, current, out), out.env)
             if result.verdict is Verdict.NEGATIVE:
                 out.exit_code = 2

@@ -43,7 +43,7 @@ class Accumulator:
         return self._register
 
     def store(self, vector: ShareVector) -> None:
-        if vector.params != self._params:
+        if vector.params is not self._params and vector.params != self._params:
             raise ParamMismatch(
                 f"register holds {self._params}, got a vector under {vector.params}"
             )

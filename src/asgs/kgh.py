@@ -97,8 +97,8 @@ class ShareVector:
             data = int("".join("1" if c else "0" for c in components), 2)
         else:
             data = components
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "_data", data)
+        _set_params(self, params)
+        _set_data(self, data)
 
     @classmethod
     def zero(cls, params: SchemeParams) -> ShareVector:
@@ -185,11 +185,17 @@ class ShareVector:
         return ShareVector, (self.params, self.components)
 
 
+# The slot descriptors' setters write the two fields past the frozen
+# ``__setattr__``; every vector is built through them.
+_set_params = ShareVector.params.__set__
+_set_data = ShareVector._data.__set__
+
+
 def _vector(params: SchemeParams, data: int | tuple[int, ...]) -> ShareVector:
     """Build a vector from already-valid packed data, skipping validation."""
     vector = object.__new__(ShareVector)
-    object.__setattr__(vector, "params", params)
-    object.__setattr__(vector, "_data", data)
+    _set_params(vector, params)
+    _set_data(vector, data)
     return vector
 
 
@@ -218,7 +224,8 @@ class AuthorizedShareSet:
     def __post_init__(self) -> None:
         if not self.shares:
             raise ValueError("an authorized set holds at least one share")
-        if any(s.params != self.params for s in self.shares):
+        params = self.params
+        if any(s.params is not params and s.params != params for s in self.shares):
             raise MixedParams("all shares of a set carry the same params")
 
     @classmethod
@@ -242,7 +249,8 @@ class MaskSet:
     params: SchemeParams
 
     def __post_init__(self) -> None:
-        if any(v.params != self.params for v in self.vectors):
+        params = self.params
+        if any(v.params is not params and v.params != params for v in self.vectors):
             raise MixedParams("all mask elements carry the same params")
         if not check_zero_sum(self.vectors, self.params):
             raise ValueError("mask set elements must combine to the zero vector")

@@ -16,6 +16,7 @@ the transcript bit for bit.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -136,15 +137,25 @@ OWNER = Party(ROLE_OWNER)
 ACCUMULATOR = Party(ROLE_ACCUMULATOR)
 
 
+_ROLE_PARTIES = {party.role: party for party in (DEALER, OWNER, ACCUMULATOR)}
+
+
+@functools.cache
 def participant(set_tag: str, index: int) -> Party:
+    """The participant ``index`` of set ``set_tag``, built once per process.
+
+    Every message to or from a participant names one, so equal arguments
+    return the same object. A rejected index raises on every call, since
+    the cache keeps only results.
+    """
     return Party(ROLE_PARTICIPANT, set_tag, index)
 
 
 def parse_party(label: str) -> Party:
     """Inverse of :meth:`Party.label`: accepts exactly the labels it
     prints, so ``p1-03`` and non-ASCII digits are rejected."""
-    if label in (ROLE_DEALER, ROLE_OWNER, ROLE_ACCUMULATOR):
-        return Party(label)
+    if label in _ROLE_PARTIES:
+        return _ROLE_PARTIES[label]
     if label.startswith("p") and "-" in label:
         tag, _, index_text = label[1:].partition("-")
         if tag and index_text.isdigit():
@@ -154,17 +165,49 @@ def parse_party(label: str) -> Party:
     raise ValueError(f"unrecognized party label {label!r}")
 
 
-@dataclass(frozen=True)
 class Message:
     """One delivered payload. ``element_index`` records, for mask and
-    share deliveries, which 1-based element the payload is."""
+    share deliveries, which 1-based element the payload is.
 
-    seq: int
-    sender: Party
-    recipient: Party
-    kind: str
-    payload: ShareVector | bool
-    element_index: int | None = None
+    A delivered message is never mutated: the transcript, its encoders
+    and the audit all read the fields as they were at delivery. Two
+    messages are equal when all their fields are; a message is never
+    equal to a tuple and cannot be indexed.
+    """
+
+    __slots__ = ("seq", "sender", "recipient", "kind", "payload", "element_index")
+
+    def __init__(
+        self,
+        seq: int,
+        sender: Party,
+        recipient: Party,
+        kind: str,
+        payload: ShareVector | bool,
+        element_index: int | None = None,
+    ) -> None:
+        self.seq = seq
+        self.sender = sender
+        self.recipient = recipient
+        self.kind = kind
+        self.payload = payload
+        self.element_index = element_index
+
+    def _astuple(self) -> tuple:
+        return (self.seq, self.sender, self.recipient, self.kind, self.payload,
+                self.element_index)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Message):
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"Message({fields})"
 
 
 class Transcript:
@@ -361,6 +404,8 @@ class ProtocolEnv:
         self.params = params
         self._sources = dict(sources)
         self.tamper_rules = tuple(tamper_rules)
+        # Messages per (sender label, kind), counted only while some rule
+        # could match: without rules nothing reads the counts.
         self._tamper_counts: dict[tuple[str, str], int] = {}
         # (rule, seq of the message it flipped), in delivery order. Kept
         # out of the transcript so its bytes do not depend on it.
@@ -497,7 +542,8 @@ class ProtocolEnv:
         Returns the payload as the recipient saw it; engine code must
         compute with the returned value, never the original.
         """
-        payload = self._apply_tamper(sender, kind, payload)
+        if self.tamper_rules:
+            payload = self._apply_tamper(sender, kind, payload)
         steps = self.transcript.steps
         # The seq is the message's 1-based position, so it always increases.
         steps.append(Message(len(steps) + 1, sender, recipient, kind, payload, element_index))
@@ -573,10 +619,11 @@ def set_generate_m(
         (SetRole.TEMPLATE, 0, template_count),
         (SetRole.MASTER, template_count, master_count),
     ):
+        tag = role.value
         shares = [
             env.deliver(
                 ACCUMULATOR,
-                participant(role.value, i + 1),
+                participant(tag, i + 1),
                 KIND_MASK_ELEMENT,
                 masks[offset + i],
                 element_index=i + 1,
@@ -603,11 +650,13 @@ def _replicate_rounds(
     """
     n = len(shares)
     keep = n if keep is None else keep
+    master_tag = SetRole.MASTER.value
+    derived_tag = SetRole.DERIVED.value
     blinded = []
     for i in range(n):
         delivered = env.deliver(
             ACCUMULATOR,
-            participant(SetRole.MASTER.value, i + 1),
+            participant(master_tag, i + 1),
             KIND_MASK_ELEMENT,
             masks.vectors[i],
             element_index=i + 1,
@@ -617,7 +666,7 @@ def _replicate_rounds(
     rest = []
     for i in range(n):
         received = env.deliver(
-            participant(SetRole.MASTER.value, i + 1),
+            participant(master_tag, i + 1),
             ACCUMULATOR,
             KIND_MASKED_SHARE,
             blinded[i],
@@ -627,7 +676,7 @@ def _replicate_rounds(
             continue
         delivered = env.deliver(
             ACCUMULATOR,
-            participant(SetRole.DERIVED.value, i + 1),
+            participant(derived_tag, i + 1),
             KIND_DERIVED_SHARE,
             received + masks.vectors[n + i],
             element_index=i + 1,
@@ -684,10 +733,11 @@ def set_replicate_to_bigger(
     env.note_operation("set_replicate_to_bigger", n=n, d=target_count)
     masks = generate_mask_set(target_count + n, env.source(ROLE_ACCUMULATOR), env.params)
     derived, _ = _replicate_rounds(masks, master.shares, env)
+    derived_tag = SetRole.DERIVED.value
     for i in range(n, target_count):
         delivered = env.deliver(
             ACCUMULATOR,
-            participant(SetRole.DERIVED.value, i + 1),
+            participant(derived_tag, i + 1),
             KIND_DERIVED_SHARE,
             masks.vectors[i + n],
             element_index=i + 1,
@@ -794,6 +844,7 @@ def safe_shares(
     register = Accumulator(env.params)
     keys: list[ShareVector] = []
     protected_by_participant: dict[int, ShareVector] = {}
+    protected_tag = SetRole.PROTECTED.value
     for i in range(count):
         attempts = 0
         while True:
@@ -816,7 +867,7 @@ def safe_shares(
         target = assignment[i]
         delivered = env.deliver(
             OWNER,
-            participant(SetRole.PROTECTED.value, target),
+            participant(protected_tag, target),
             KIND_ENVELOPE_SHARE,
             protected,
             element_index=target,
@@ -849,8 +900,9 @@ def activate_shares(state: SafeSharesState, env: ProtocolEnv) -> AuthorizedShare
     identify = env.identify or (lambda index: True)
     activated: dict[int, ShareVector] = {}
     pending: list[int] = []
+    protected_tag = SetRole.PROTECTED.value
     for i in range(1, count + 1):
-        holder = participant(SetRole.PROTECTED.value, i)
+        holder = participant(protected_tag, i)
         env.deliver(DEALER, holder, KIND_KEY_REQUEST, True)
         passed = env.deliver(holder, DEALER, KIND_IDENTIFICATION, bool(identify(i)))
         if not passed:

@@ -96,11 +96,12 @@ def distribute_shares_and_keys(
         "distribute_shares_and_keys", h=len(set1.shares), g=len(set2.shares)
     )
     source = env.source(ROLE_DEALER)
+    params = env.params
     entries: dict[str, list[ShareVector]] = {"1": [], "2": []}
     keys: dict[tuple[str, int], ShareVector] = {}
     for tag, shares in (("1", set1.shares), ("2", set2.shares)):
         for i, share in enumerate(shares, start=1):
-            key = source.next_vector(env.params)
+            key = source.next_vector(params)
             if key.is_zero():
                 warnings.warn(
                     f"zero one-time key for participant {i} of set {tag}; "
@@ -114,7 +115,7 @@ def distribute_shares_and_keys(
             keys[(tag, i)] = delivered
             entries[tag].append(share + key)
     return (
-        BulletinBoard(tuple(entries["1"]), tuple(entries["2"]), env.params),
+        BulletinBoard(tuple(entries["1"]), tuple(entries["2"]), params),
         KeyAssignment(keys),
     )
 

@@ -263,6 +263,8 @@ class TestPvssCommands:
 class TestSimulate:
     CHAIN = ["simulate", "safeshares", "--bits", "8", "--secret", "5a",
              "--n", "2", "--then", "activate", "--then", "pvss"]
+    PVSS_NEEDS_ACTIVATE = ("pvss after safeshares needs --then activate first: "
+                           "the protected set does not share the secret")
 
     def test_honest_chain_is_positive(self, tmp_path, capsys):
         code = run(tmp_path, *self.CHAIN)
@@ -318,7 +320,10 @@ class TestSimulate:
     def test_options_and_steps_it_would_ignore_are_errors(self, tmp_path, capsys):
         """--secret is for a safeshares start, --d for a set-generate
         start, and activate works on the protected set only, so it must
-        be the first step; anything else would be dropped silently."""
+        be the first step; anything else would be dropped silently. A
+        safeshares chain reaches pvss only through activate: the
+        protected set combines to the secret XOR the keys, so its
+        verdict would always be NEGATIVE."""
         cases = (
             (["simulate", "set-generate", "--d", "1", "--n", "2", "--secret", "zz"],
              "--secret applies only to simulate safeshares"),
@@ -326,6 +331,9 @@ class TestSimulate:
             ([*self.CHAIN[:-4], "--then", "replicate-equal", *self.CHAIN[-4:]],
              "activate may only be the first --then step"),
             ([*self.CHAIN, "--then", "activate"], "activate may only be the first --then step"),
+            ([*self.CHAIN[:-4], "--then", "pvss"], self.PVSS_NEEDS_ACTIVATE),
+            ([*self.CHAIN[:-4], "--then", "replicate-equal", "--then", "pvss"],
+             self.PVSS_NEEDS_ACTIVATE),
         )
         for k, (argv, message) in enumerate(cases):
             out = tmp_path / f"out{k}"

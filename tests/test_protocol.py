@@ -90,12 +90,37 @@ class TestParties:
                 parse_party(label)
 
     def test_participant_needs_index(self):
-        with pytest.raises(ValueError):
-            participant("2", 0)
+        # The interning cache keeps results only, so a bad index raises
+        # on every call, not just the first.
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                participant("2", 0)
+
+    def test_participants_are_interned(self):
+        assert participant("2", 5) is participant("2", 5)
+        assert parse_party("p2-5") is participant("2", 5)
+        assert parse_party("dealer") is DEALER
 
     def test_policy_key_refines_participants_by_set(self):
         assert participant("2", 3).key == "participant:2"
         assert DEALER.key == "dealer"
+
+
+class TestMessage:
+    FIELDS = (1, ACCUMULATOR, participant("2", 1), KIND_MASK_ELEMENT, bv(0x42), 1)
+
+    def test_equal_fields_make_equal_messages_with_equal_hashes(self):
+        first, second = Message(*self.FIELDS), Message(*self.FIELDS)
+        assert first == second
+        assert hash(first) == hash(second)
+        assert first != Message(*self.FIELDS[:-1], 2)
+
+    def test_a_message_is_not_a_tuple(self):
+        message = Message(*self.FIELDS)
+        assert message != self.FIELDS
+        assert self.FIELDS != message
+        with pytest.raises(TypeError):
+            message[0]
 
 
 class TestTranscript:

@@ -31,6 +31,9 @@ def run_script(name, *args):
                      id="freshness"),
         pytest.param("pvss_sweep.py", ("--max-size", "2", "--trials", "4"), 0,
                      id="pvss-sweep"),
+        pytest.param("scaling_sweep.py",
+                     ("--sizes", "2", "5", "--widths", "8", "--repeat", "1"), 0,
+                     id="scaling-sweep"),
     ],
 )
 def test_exit_code(name, args, code):
