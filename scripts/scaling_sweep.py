@@ -4,14 +4,18 @@
 For every operation, share count n and width, the script draws one set
 of random ints, replays them into the engine as fixture streams and into
 the matching straight-line function of ``tests/oracles.py``, and times
-both. It prints the median engine and oracle times over the repeats and
-their ratio, and exits 1 if any engine output differs from the oracle's.
+both. It then times serializing the operation's transcript:
+``transcript_to_doc`` and ``dumps_document``. It prints the median times
+over the repeats and the engine/oracle ratio, and exits 1 if any engine
+output differs from the oracle's or any transcript text differs from
+``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
 
     PYTHONPATH=src python3 scripts/scaling_sweep.py
     PYTHONPATH=src python3 scripts/scaling_sweep.py --sizes 10 1000 --widths 128
 """
 
 import argparse
+import json
 import platform
 import random
 import statistics
@@ -23,6 +27,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 import oracles  # noqa: E402
+from asgs.formats import dumps_document, transcript_to_doc  # noqa: E402
 from asgs.kgh import AuthorizedShareSet, SchemeParams, SetRole, ShareVector  # noqa: E402
 from asgs.protocol import (  # noqa: E402
     KEY_RETRY_LIMIT,
@@ -145,8 +150,9 @@ def plain(outputs):
 
 
 def run_cell(case, n, bits, rng, repeat):
-    """Median engine and oracle ms over ``repeat`` runs, and whether the
-    outputs agree."""
+    """Median engine, oracle, ``transcript_to_doc`` and ``dumps_document``
+    ms over ``repeat`` runs; whether the outputs agree with the oracle's,
+    and whether the transcript text is the canonical json.dumps text."""
     params = SchemeParams.binary(bits)
     streams, engine, oracle = case(
         n, params, lambda count: [rng.getrandbits(bits) for _ in range(count)]
@@ -155,18 +161,24 @@ def run_cell(case, n, bits, rng, repeat):
         role: tuple(ShareVector.from_int(params, v) for v in values)
         for role, values in streams.items()
     }
-    engine_ms, oracle_ms, match = [], [], True
+    times = {"engine": [], "oracle": [], "to_doc": [], "dumps": []}
+    match = True
     for _ in range(repeat):
         env = ProtocolEnv.with_fixtures(params, **fixtures)
-        start = time.perf_counter()
+        marks = [time.perf_counter()]
         engine_out = engine(env)
-        middle = time.perf_counter()
+        marks.append(time.perf_counter())
         oracle_out = oracle()
-        end = time.perf_counter()
-        engine_ms.append((middle - start) * 1000)
-        oracle_ms.append((end - middle) * 1000)
+        marks.append(time.perf_counter())
+        document = transcript_to_doc(env.transcript)
+        marks.append(time.perf_counter())
+        text = dumps_document(document)
+        marks.append(time.perf_counter())
+        for name, start, end in zip(times, marks, marks[1:]):
+            times[name].append((end - start) * 1000)
         match = match and plain(engine_out) == oracle_out
-    return statistics.median(engine_ms), statistics.median(oracle_ms), match
+    canonical = text == json.dumps(document, sort_keys=True, indent=2) + "\n"
+    return {name: statistics.median(ms) for name, ms in times.items()}, match, canonical
 
 
 def main():
@@ -183,7 +195,7 @@ def main():
 
     print(f"python {platform.python_version()}, median of {args.repeat} runs per cell")
     print(f"{'operation':<34} {'n':>6} {'bits':>5} {'engine_ms':>10} "
-          f"{'oracle_ms':>10} {'ratio':>7}  match")
+          f"{'oracle_ms':>10} {'ratio':>7} {'to_doc_ms':>10} {'dumps_ms':>9}  match  text")
     mismatches = 0
     with warnings.catch_warnings():
         # Narrow widths can draw a zero one-time key; pvss warns about it.
@@ -192,11 +204,14 @@ def main():
             for bits in args.widths:
                 for n in args.sizes:
                     rng = random.Random(f"{args.seed}:{name}:{n}:{bits}")
-                    engine_ms, oracle_ms, match = run_cell(case, n, bits, rng, args.repeat)
+                    ms, match, canonical = run_cell(case, n, bits, rng, args.repeat)
                     mismatches += not match
-                    ratio = engine_ms / oracle_ms if oracle_ms else float("inf")
-                    print(f"{name:<34} {n:>6} {bits:>5} {engine_ms:>10.3f} "
-                          f"{oracle_ms:>10.3f} {ratio:>7.1f}  {'yes' if match else 'NO'}")
+                    mismatches += not canonical
+                    ratio = ms["engine"] / ms["oracle"] if ms["oracle"] else float("inf")
+                    print(f"{name:<34} {n:>6} {bits:>5} {ms['engine']:>10.3f} "
+                          f"{ms['oracle']:>10.3f} {ratio:>7.1f} {ms['to_doc']:>10.3f} "
+                          f"{ms['dumps']:>9.3f}  {'yes' if match else 'NO':<5}  "
+                          f"{'yes' if canonical else 'NO'}")
     print(f"\nmismatches: {mismatches}")
     raise SystemExit(1 if mismatches else 0)
 

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import json
 import re
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _escape
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping
 
@@ -35,6 +38,7 @@ from asgs.pvss import BulletinBoard, KeyAssignment
 FORMAT_VERSION = 1
 
 _HEX_DIGITS = re.compile("[0-9a-f]*")
+_int_text = int.__repr__
 
 
 class BadHex(AsgsError):
@@ -56,8 +60,8 @@ def _hex_width(bits: int) -> int:
 def encode_vector(vector: ShareVector) -> str:
     """Render a binary vector as lowercase hex, component 1 first."""
     bits = vector.params.dimension
-    padding = _hex_width(bits) * 4 - bits
-    return format(vector.to_int() << padding, f"0{_hex_width(bits)}x")
+    padding = -bits % 8
+    return (vector.to_int() << padding).to_bytes((bits + padding) // 8, "big").hex()
 
 
 def decode_vector(text: str, params: SchemeParams) -> ShareVector:
@@ -111,8 +115,48 @@ def read_fixture_file(path: str | Path, params: SchemeParams) -> list[ShareVecto
 
 
 def dumps_document(document: Mapping) -> str:
-    """Canonical JSON rendering: sorted keys, two-space indent, newline."""
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON rendering: sorted keys, two-space indent, newline.
+
+    The text is byte for byte ``json.dumps(document, sort_keys=True,
+    indent=2) + "\\n"`` for any JSON value with string keys, without the
+    pure-Python encoder that ``indent`` selects in :mod:`json`.
+    """
+    return _encode(document, "") + "\n"
+
+
+@lru_cache(maxsize=256)
+def _object_form(keys: tuple, indent: str) -> tuple:
+    """How an object with ``keys`` renders at ``indent``: a getter of its
+    values in sorted key order, a %-template of their texts, and the
+    indent the values render at."""
+    order = sorted(keys)
+    inner = indent + "  "
+    body = (",\n" + inner).join(_escape(key).replace("%", "%%") + ": %s" for key in order)
+    getter = itemgetter(*order) if len(order) > 1 else lambda value: (value[order[0]],)
+    return getter, "{\n" + inner + body + "\n" + indent + "}", inner
+
+
+def _encode(value: object, indent: str) -> str:
+    # Exact str and int render inline in each loop; bool, None, float and
+    # subclasses go to json.dumps, which renders a scalar as indent=2 does.
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        getter, template, inner = _object_form(tuple(value), indent)
+        return template % tuple([
+            _escape(v) if type(v) is str else _int_text(v) if type(v) is int
+            else _encode(v, inner) for v in getter(value)
+        ])
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = (",\n" + inner).join([
+            _escape(v) if type(v) is str else _int_text(v) if type(v) is int
+            else _encode(v, inner) for v in value
+        ])
+        return f"[\n{inner}{items}\n{indent}]"
+    return json.dumps(value)
 
 
 def dump_document(document: Mapping, path: str | Path) -> Path:
@@ -124,7 +168,9 @@ def dump_document(document: Mapping, path: str | Path) -> Path:
 def load_document(path: str | Path, expected_kind: str | None = None) -> dict:
     try:
         document = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integer literals over the
+        # interpreter's digit limit; RecursionError, nesting too deep to parse.
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ParseError(f"{path}: expected a JSON object")
@@ -383,8 +429,7 @@ def transcript_from_doc(document: Mapping) -> Transcript:
             raise ParseError(
                 f"{context}: element_index must be an integer >= 1, got {element_index!r}"
             )
-        try:
-            transcript.append(Message(seq, sender, recipient, kind, payload, element_index))
-        except ValueError as exc:
-            raise ParseError(f"{context}: {exc}") from exc
+        if transcript.steps and seq <= transcript.steps[-1].seq:
+            raise ParseError(f"{context}: message sequence numbers must strictly increase")
+        transcript.append(Message(seq, sender, recipient, kind, payload, element_index))
     return transcript

@@ -219,8 +219,6 @@ class Transcript:
         self.steps: list[Message] = list(steps)
 
     def append(self, message: Message) -> None:
-        if self.steps and message.seq <= self.steps[-1].seq:
-            raise ValueError("message sequence numbers must strictly increase")
         self.steps.append(message)
 
     def __iter__(self) -> Iterator[Message]:

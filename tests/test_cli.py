@@ -397,6 +397,18 @@ class TestAudit:
         assert "dealer" in printed
         assert "secret" in printed
 
+    @pytest.mark.parametrize("value", [
+        pytest.param("[" * 100_000 + "]" * 100_000, id="deep"),
+        pytest.param("7" * 5000, id="huge-int", marks=pytest.mark.skipif(
+            not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+            reason="the interpreter accepts a 5000-digit int literal")),
+    ])
+    def test_unparseable_json_is_a_usage_error(self, tmp_path, capsys, value):
+        path = tmp_path / "bad.json"
+        path.write_text('{"version": 1, "kind": "transcript", "steps": ' + value + "}")
+        assert main(["audit", str(path)]) == 1
+        assert f"{path}: not valid JSON" in capsys.readouterr().err
+
     def test_audit_flag_on_a_tampered_run(self, tmp_path):
         """--audit on a scenario checks the transcript it just produced."""
         code = run(tmp_path, "fastshare", "--bits", "8", "--secret", "5a",

@@ -1,6 +1,7 @@
 """Hex encoding, fixture files, and JSON document round trips."""
 
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -52,6 +53,9 @@ from asgs.protocol import (
     safe_shares,
 )
 from helpers import P8, bv, bvs, ints
+
+# Longest int literal json.loads accepts (0: no limit; Python < 3.10.7 has none).
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 class TestHexCodec:
@@ -172,6 +176,19 @@ class TestDocumentEnvelope:
         with pytest.raises(ParseError, match="doc.json"):
             load_document(path)
 
+    def test_nesting_too_deep_to_parse_rejected(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"version": 1, "steps": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        with pytest.raises(ParseError, match="deep.json: not valid JSON"):
+            load_document(path)
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="the interpreter has no int digit limit")
+    def test_integer_over_the_digit_limit_rejected(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"version": 1, "bits": ' + "7" * (INT_DIGIT_LIMIT + 1) + "}")
+        with pytest.raises(ParseError, match="huge.json: not valid JSON"):
+            load_document(path)
+
     def test_width_above_bound_rejected(self):
         doc = share_set_to_doc(AuthorizedShareSet.from_shares(SetRole.MASTER, bvs([0x80])))
         with pytest.raises(ParseError, match="share_set: dimension must be <="):
@@ -179,6 +196,67 @@ class TestDocumentEnvelope:
         transcript = transcript_to_doc(Transcript({"bits": MAX_DIMENSION + 1}))
         with pytest.raises(ParseError, match="transcript.config: dimension must be <="):
             transcript_from_doc(transcript)
+
+
+def canonical(value) -> str:
+    """The reference rendering that dumps_document reproduces."""
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+# Keys and strings that exercise every escape: quotes, backslashes,
+# control characters, non-ASCII and astral characters, and '%'.
+_WRITER_TEXT = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\t\n\r\b\f", "é€", "\U0001f600", "%s", "%%", "%(k)s", ""]
+)
+_WRITER_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200).flatmap(lambda i: st.sampled_from([i, -i]))
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | _WRITER_TEXT
+)
+_WRITER_VALUES = st.recursive(
+    _WRITER_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_WRITER_TEXT, children, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestCanonicalWriter:
+    """dumps_document reproduces json.dumps(sort_keys=True, indent=2) byte
+    for byte."""
+
+    @given(value=_WRITER_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert dumps_document(value) == canonical(value)
+
+    def test_empty_containers_at_every_depth(self):
+        value = {"a": [], "b": {}, "c": [[], {}, [[{}]], {"d": {"e": []}}], "f": ()}
+        assert dumps_document(value) == canonical(value)
+
+    def test_every_document_kind_from_a_seeded_run(self):
+        from asgs.protocol import activate_shares, set_generate_m
+        from asgs.pvss import distribute_shares_and_keys
+
+        env = ProtocolEnv.seeded(11, 128)
+        template, master = set_generate_m(3, 4, env)
+        state = safe_shares(ShareVector.from_int(env.params, 0x5A5A), 3, env)
+        activated = activate_shares(state, env)
+        bulletin, keys = distribute_shares_and_keys(template, master, env)
+        documents = [
+            share_set_to_doc(activated),
+            mask_set_to_doc(state.masks),
+            bulletin_to_doc(bulletin),
+            key_assignment_to_doc(keys, 128),
+            safe_state_to_doc(state),
+            transcript_to_doc(env.transcript),
+        ]
+        assert len(env.transcript) > 20
+        for document in documents:
+            assert dumps_document(document) == canonical(document), document["kind"]
 
 
 class TestBooleansAreNotIntegers:
@@ -346,6 +424,18 @@ class TestTranscriptDocs:
         assert doc["steps"][0]["from"] == "p1-3"
         doc["steps"][0]["from"] = "p1-03"
         with pytest.raises(ParseError, match="p1-03"):
+            transcript_from_doc(doc)
+
+    def test_sequence_must_increase(self):
+        transcript = Transcript({"bits": 8})
+        transcript.append(Message(1, DEALER, DEALER, KIND_SECRET, bv(0x01)))
+        transcript.append(Message(2, DEALER, DEALER, KIND_SECRET, bv(0x02)))
+        doc = transcript_to_doc(transcript)
+        doc["steps"][1]["seq"] = 1
+        with pytest.raises(
+            ParseError,
+            match=r"steps\[1\]: message sequence numbers must strictly increase",
+        ):
             transcript_from_doc(doc)
 
     def test_seq_order_and_element_index_rejected(self):

@@ -124,12 +124,6 @@ class TestMessage:
 
 
 class TestTranscript:
-    def test_sequence_must_increase(self):
-        transcript = Transcript()
-        transcript.append(Message(1, DEALER, OWNER, KIND_ACK, True))
-        with pytest.raises(ValueError):
-            transcript.append(Message(1, DEALER, OWNER, KIND_ACK, True))
-
     def test_iteration_and_length(self):
         transcript = Transcript(steps=[Message(1, DEALER, OWNER, KIND_ACK, True)])
         assert len(transcript) == 1
