@@ -4,11 +4,13 @@
 For every operation, share count n and width, the script draws one set
 of random ints, replays them into the engine as fixture streams and into
 the matching straight-line function of ``tests/oracles.py``, and times
-both. It then times serializing the operation's transcript:
-``transcript_to_doc`` and ``dumps_document``. It prints the median times
-over the repeats and the engine/oracle ratio, and exits 1 if any engine
-output differs from the oracle's or any transcript text differs from
-``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
+both. It then times serializing the operation's transcript
+(``transcript_to_doc`` and ``dumps_document``) and auditing it
+(``check_visibility``). It prints the median times over the repeats and
+the engine/oracle ratio, and exits 1 if any engine output differs from
+the oracle's, any transcript text differs from ``json.dumps(doc,
+sort_keys=True, indent=2) + "\\n"``, or the audit flags any delivery of
+these honest runs.
 
     PYTHONPATH=src python3 scripts/scaling_sweep.py
     PYTHONPATH=src python3 scripts/scaling_sweep.py --sizes 10 1000 --widths 128
@@ -33,6 +35,7 @@ from asgs.protocol import (  # noqa: E402
     KEY_RETRY_LIMIT,
     ProtocolEnv,
     activate_shares,
+    check_visibility,
     equal_set_replicate,
     safe_shares,
     set_generate_m,
@@ -150,9 +153,10 @@ def plain(outputs):
 
 
 def run_cell(case, n, bits, rng, repeat):
-    """Median engine, oracle, ``transcript_to_doc`` and ``dumps_document``
-    ms over ``repeat`` runs; whether the outputs agree with the oracle's,
-    and whether the transcript text is the canonical json.dumps text."""
+    """Median engine, oracle, ``transcript_to_doc``, ``dumps_document``
+    and ``check_visibility`` ms over ``repeat`` runs; whether the outputs
+    agree with the oracle's and the audit found nothing, and whether the
+    transcript text is the canonical json.dumps text."""
     params = SchemeParams.binary(bits)
     streams, engine, oracle = case(
         n, params, lambda count: [rng.getrandbits(bits) for _ in range(count)]
@@ -161,7 +165,7 @@ def run_cell(case, n, bits, rng, repeat):
         role: tuple(ShareVector.from_int(params, v) for v in values)
         for role, values in streams.items()
     }
-    times = {"engine": [], "oracle": [], "to_doc": [], "dumps": []}
+    times = {"engine": [], "oracle": [], "to_doc": [], "dumps": [], "audit": []}
     match = True
     for _ in range(repeat):
         env = ProtocolEnv.with_fixtures(params, **fixtures)
@@ -174,9 +178,11 @@ def run_cell(case, n, bits, rng, repeat):
         marks.append(time.perf_counter())
         text = dumps_document(document)
         marks.append(time.perf_counter())
+        violations = check_visibility(env.transcript)
+        marks.append(time.perf_counter())
         for name, start, end in zip(times, marks, marks[1:]):
             times[name].append((end - start) * 1000)
-        match = match and plain(engine_out) == oracle_out
+        match = match and plain(engine_out) == oracle_out and not violations
     canonical = text == json.dumps(document, sort_keys=True, indent=2) + "\n"
     return {name: statistics.median(ms) for name, ms in times.items()}, match, canonical
 
@@ -195,7 +201,8 @@ def main():
 
     print(f"python {platform.python_version()}, median of {args.repeat} runs per cell")
     print(f"{'operation':<34} {'n':>6} {'bits':>5} {'engine_ms':>10} "
-          f"{'oracle_ms':>10} {'ratio':>7} {'to_doc_ms':>10} {'dumps_ms':>9}  match  text")
+          f"{'oracle_ms':>10} {'ratio':>7} {'to_doc_ms':>10} {'dumps_ms':>9} "
+          f"{'audit_ms':>9}  match  text")
     mismatches = 0
     with warnings.catch_warnings():
         # Narrow widths can draw a zero one-time key; pvss warns about it.
@@ -210,7 +217,8 @@ def main():
                     ratio = ms["engine"] / ms["oracle"] if ms["oracle"] else float("inf")
                     print(f"{name:<34} {n:>6} {bits:>5} {ms['engine']:>10.3f} "
                           f"{ms['oracle']:>10.3f} {ratio:>7.1f} {ms['to_doc']:>10.3f} "
-                          f"{ms['dumps']:>9.3f}  {'yes' if match else 'NO':<5}  "
+                          f"{ms['dumps']:>9.3f} {ms['audit']:>9.3f}  "
+                          f"{'yes' if match else 'NO':<5}  "
                           f"{'yes' if canonical else 'NO'}")
     print(f"\nmismatches: {mismatches}")
     raise SystemExit(1 if mismatches else 0)

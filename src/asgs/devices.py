@@ -4,6 +4,10 @@ An :class:`Accumulator` is an l-bit register that can only be reset,
 read, and written by XOR. A :class:`RandSource` hands out vectors either
 from a seeded deterministic generator or from an explicit fixture list.
 Every protocol run is a pure function of its devices' contents.
+
+The protocol engine draws with :meth:`RandSource.next_int` and keeps
+each register as a plain int XORed in place; :class:`Accumulator` is
+that register as a library device.
 """
 
 from __future__ import annotations
@@ -85,6 +89,16 @@ class RandSource:
         """How many vectors have been drawn so far."""
         return self._cursor
 
+    def next_int(self, params: SchemeParams) -> int:
+        """The one binary draw: a vector as its packed int."""
+        if params.modulus != 2:
+            raise ValueError("packed draws are defined for modulus 2 only")
+        if self._values is not None:
+            return self.next_vector(params).to_int()
+        assert self._rng is not None
+        self._cursor += 1
+        return self._rng.getrandbits(params.dimension)
+
     def next_vector(self, params: SchemeParams) -> ShareVector:
         if self._values is not None:
             if self._cursor >= len(self._values):
@@ -92,21 +106,20 @@ class RandSource:
                     f"fixture drained after {len(self._values)} vectors"
                 )
             value = self._values[self._cursor]
-            if value.params != params:
+            if value.params is not params and value.params != params:
                 raise ParamMismatch(
                     f"fixture vector {self._cursor + 1} carries {value.params}, "
                     f"requested {params}"
                 )
             self._cursor += 1
             return value
-        assert self._rng is not None
         if params.modulus == 2:
-            vector = ShareVector.from_int(params, self._rng.getrandbits(params.dimension))
-        else:
-            vector = ShareVector(
-                params,
-                tuple(self._rng.randrange(params.modulus) for _ in range(params.dimension)),
-            )
+            return ShareVector.from_int(params, self.next_int(params))
+        assert self._rng is not None
+        vector = ShareVector(
+            params,
+            tuple(self._rng.randrange(params.modulus) for _ in range(params.dimension)),
+        )
         self._cursor += 1
         return vector
 

@@ -59,9 +59,13 @@ def _hex_width(bits: int) -> int:
 
 def encode_vector(vector: ShareVector) -> str:
     """Render a binary vector as lowercase hex, component 1 first."""
-    bits = vector.params.dimension
+    return _int_hex(vector.to_int(), vector.params.dimension)
+
+
+def _int_hex(value: int, bits: int) -> str:
+    """The hex text of the packed int of a ``bits``-wide binary vector."""
     padding = -bits % 8
-    return (vector.to_int() << padding).to_bytes((bits + padding) // 8, "big").hex()
+    return (value << padding).to_bytes((bits + padding) // 8, "big").hex()
 
 
 def decode_vector(text: str, params: SchemeParams) -> ShareVector:
@@ -273,11 +277,15 @@ def bulletin_to_doc(bulletin: BulletinBoard) -> dict:
 
 def bulletin_from_doc(document: Mapping) -> BulletinBoard:
     params = _document_params(document, "bulletin")
-    return BulletinBoard(
-        _decode_list(document.get("set1"), params, "bulletin.set1"),
-        _decode_list(document.get("set2"), params, "bulletin.set2"),
-        params,
-    )
+    sets = []
+    for field in ("set1", "set2"):
+        entries = _decode_list(document.get(field), params, f"bulletin.{field}")
+        if not entries:
+            raise ParseError(
+                f"bulletin.{field}: empty, but an authorized set holds at least one share"
+            )
+        sets.append(entries)
+    return BulletinBoard(sets[0], sets[1], params)
 
 
 def key_assignment_to_doc(assignment: KeyAssignment, bits: int) -> dict:
@@ -352,24 +360,25 @@ def safe_state_from_doc(document: Mapping) -> SafeSharesState:
 # ---------------------------------------------------------------------------
 
 
-def _payload_to_hex(message: Message) -> str:
-    if isinstance(message.payload, bool):
-        return "01" if message.payload else "00"
-    return encode_vector(message.payload)
-
-
 def transcript_to_doc(transcript: Transcript) -> dict:
+    width = transcript.params.dimension if transcript.params is not None else 0
     steps = []
-    for message in transcript:
+    for seq, sender, recipient, kind, payload, element_index in zip(
+        transcript.seqs, transcript.senders, transcript.recipients, transcript.kinds,
+        transcript.payloads, transcript.element_indices,
+    ):
         step = {
-            "seq": message.seq,
-            "from": message.sender.label(),
-            "to": message.recipient.label(),
-            "kind": message.kind,
-            "payload_hex": _payload_to_hex(message),
+            "seq": seq,
+            "from": sender.label(),
+            "to": recipient.label(),
+            "kind": kind,
+            "payload_hex": (
+                ("01" if payload else "00") if type(payload) is bool
+                else _int_hex(payload, width)
+            ),
         }
-        if message.element_index is not None:
-            step["element_index"] = message.element_index
+        if element_index is not None:
+            step["element_index"] = element_index
         steps.append(step)
     config = dict(transcript.config)
     bits = config.get("bits")
@@ -391,7 +400,7 @@ def transcript_from_doc(document: Mapping) -> Transcript:
     steps_doc = document.get("steps")
     if not isinstance(steps_doc, list):
         raise ParseError("transcript: missing 'steps' list")
-    transcript = Transcript(config)
+    transcript = Transcript(config, params=params)
     for i, step in enumerate(steps_doc):
         context = f"transcript.steps[{i}]"
         if not isinstance(step, dict):
@@ -402,7 +411,6 @@ def transcript_from_doc(document: Mapping) -> Transcript:
         payload_hex = step.get("payload_hex")
         if not isinstance(payload_hex, str):
             raise ParseError(f"{context}: missing payload_hex")
-        payload: ShareVector | bool
         if kind in CONTROL_KINDS:
             if payload_hex not in ("00", "01"):
                 raise ParseError(
@@ -429,7 +437,7 @@ def transcript_from_doc(document: Mapping) -> Transcript:
             raise ParseError(
                 f"{context}: element_index must be an integer >= 1, got {element_index!r}"
             )
-        if transcript.steps and seq <= transcript.steps[-1].seq:
+        if transcript.seqs and seq <= transcript.seqs[-1]:
             raise ParseError(f"{context}: message sequence numbers must strictly increase")
         transcript.append(Message(seq, sender, recipient, kind, payload, element_index))
     return transcript

@@ -8,13 +8,16 @@ automatic protocols in :mod:`asgs.protocol` work in. A binary vector is
 therefore stored as one packed unsigned int, component 1 in the most
 significant bit, and adding two of them is a single ``^``; its
 ``components`` tuple is a derived view. Other moduli keep a tuple of
-residues and add component-wise.
+residues and add component-wise. The protocol engine computes on the
+packed ints themselves (:func:`to_ints`, :func:`from_ints`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import FrozenInstanceError, dataclass
+from functools import reduce
+from operator import xor
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -199,6 +202,16 @@ def _vector(params: SchemeParams, data: int | tuple[int, ...]) -> ShareVector:
     return vector
 
 
+def to_ints(vectors: Iterable[ShareVector]) -> list[int]:
+    """The packed ints of binary vectors whose params the caller checked."""
+    return [vector._data for vector in vectors]
+
+
+def from_ints(params: SchemeParams, values: Iterable[int]) -> tuple[ShareVector, ...]:
+    """Wrap packed ints that already fit the width, unchecked."""
+    return tuple([_vector(params, value) for value in values])
+
+
 class SetRole(enum.Enum):
     """Lifecycle tag of an authorized share set.
 
@@ -313,25 +326,30 @@ def kgh_split(
     return AuthorizedShareSet.from_shares(SetRole.OWNER, drawn + [last])
 
 
-def generate_mask_set(
-    count: int, rand: RandSource, params: SchemeParams
-) -> MaskSet:
-    """Generate a fresh zero-sum mask set of the given cardinality.
+def mask_ints(count: int, rand: RandSource, params: SchemeParams) -> list[int]:
+    """A fresh zero-sum mask set of the given cardinality, as packed ints.
 
     Mirrors the accumulator register protocol: reset, store count - 1
     random draws, and read the balancing element off the register. Only
     defined for the binary algebra, where store is XOR and the final
     read cancels everything stored so far. This is the one mask
-    generator: every protocol operation in :mod:`asgs.protocol` draws
-    its masks through it.
+    generator: every protocol operation draws its masks through it.
     """
     if params.modulus != 2:
         raise ValueError("mask generation is defined for modulus 2 only")
     if count < 1:
         raise ValueError(f"mask set cardinality must be >= 1, got {count}")
-    drawn = [rand.next_vector(params) for _ in range(count - 1)]
-    balance = combine(drawn, params)
-    return MaskSet(tuple(drawn + [balance]), params)
+    draw = rand.next_int
+    masks = [draw(params) for _ in range(count - 1)]
+    masks.append(reduce(xor, masks, 0))
+    return masks
+
+
+def generate_mask_set(
+    count: int, rand: RandSource, params: SchemeParams
+) -> MaskSet:
+    """:func:`mask_ints` as a :class:`MaskSet`."""
+    return MaskSet(from_ints(params, mask_ints(count, rand, params)), params)
 
 
 def check_zero_sum(

@@ -12,6 +12,9 @@ The engine plays all parties in program order, so a run is a pure
 function of the environment: parameters, per-party randomness, tamper
 rules, and the envelope assignment. Replaying an environment reproduces
 the transcript bit for bit.
+
+The engine computes on packed ints (see :class:`~asgs.kgh.ShareVector`)
+from draw to delivery and wraps only the results it returns.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from operator import xor
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from asgs.devices import Accumulator, RandSource, derive_stream_seed
+from asgs.devices import RandSource, derive_stream_seed
 from asgs.kgh import (
     AsgsError,
     AuthorizedShareSet,
@@ -31,7 +35,9 @@ from asgs.kgh import (
     SetRole,
     ShareVector,
     combine,
-    generate_mask_set,
+    from_ints,
+    mask_ints,
+    to_ints,
 )
 
 KEY_RETRY_LIMIT = 64
@@ -50,7 +56,6 @@ KIND_ENVELOPE_SHARE = "envelope_share"
 KIND_KEY = "key"
 KIND_KEY_REQUEST = "key_request"
 KIND_IDENTIFICATION = "identification"
-KIND_ACK = "ack"
 
 MESSAGE_KINDS = frozenset(
     {
@@ -63,12 +68,11 @@ MESSAGE_KINDS = frozenset(
         KIND_KEY,
         KIND_KEY_REQUEST,
         KIND_IDENTIFICATION,
-        KIND_ACK,
     }
 )
 
 # Boolean-payload kinds; everything else carries a vector.
-CONTROL_KINDS = frozenset({KIND_KEY_REQUEST, KIND_IDENTIFICATION, KIND_ACK})
+CONTROL_KINDS = frozenset({KIND_KEY_REQUEST, KIND_IDENTIFICATION})
 
 # The roles that own a randomness source, in stream-derivation order.
 SOURCE_ROLES = (ROLE_DEALER, ROLE_OWNER, ROLE_ACCUMULATOR)
@@ -169,8 +173,7 @@ class Message:
     """One delivered payload. ``element_index`` records, for mask and
     share deliveries, which 1-based element the payload is.
 
-    A delivered message is never mutated: the transcript, its encoders
-    and the audit all read the fields as they were at delivery. Two
+    It is the per-message view of a :class:`Transcript` row. Two
     messages are equal when all their fields are; a message is never
     equal to a tuple and cannot be indexed.
     """
@@ -212,20 +215,60 @@ class Message:
 
 class Transcript:
     """Ordered record of every delivered message plus the environment
-    summary that produced it."""
+    summary that produced it.
 
-    def __init__(self, config: Mapping | None = None, steps: Iterable[Message] = ()):
+    Columnar: one parallel list per :class:`Message` field, with vector
+    payloads as packed ints under ``params`` (set by the environment or
+    the first vector appended) and control payloads as bools. Iteration
+    and :meth:`append` use :class:`Message` values.
+    """
+
+    def __init__(
+        self,
+        config: Mapping | None = None,
+        steps: Iterable[Message] = (),
+        params: SchemeParams | None = None,
+    ):
         self.config: dict = dict(config or {})
-        self.steps: list[Message] = list(steps)
+        self.params = params
+        self.seqs: list[int] = []
+        self.senders: list[Party] = []
+        self.recipients: list[Party] = []
+        self.kinds: list[str] = []
+        self.payloads: list[int | bool] = []
+        self.element_indices: list[int | None] = []
+        for message in steps:
+            self.append(message)
 
     def append(self, message: Message) -> None:
-        self.steps.append(message)
+        payload = message.payload
+        if type(payload) is not bool:
+            params = payload.params
+            if self.params is not None and params is not self.params and params != self.params:
+                raise MixedParams(
+                    f"transcript holds payloads under {self.params}, got one under {params}"
+                )
+            payload = payload.to_int()
+            self.params = self.params or params
+        self.seqs.append(message.seq)
+        self.senders.append(message.sender)
+        self.recipients.append(message.recipient)
+        self.kinds.append(message.kind)
+        self.payloads.append(payload)
+        self.element_indices.append(message.element_index)
 
     def __iter__(self) -> Iterator[Message]:
-        return iter(self.steps)
+        params = self.params
+        for seq, sender, recipient, kind, payload, element_index in zip(
+            self.seqs, self.senders, self.recipients, self.kinds, self.payloads,
+            self.element_indices,
+        ):
+            if type(payload) is not bool:
+                payload = ShareVector.from_int(params, payload)
+            yield Message(seq, sender, recipient, kind, payload, element_index)
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.seqs)
 
 
 @dataclass(frozen=True)
@@ -261,6 +304,32 @@ CLASS_MASK_FOREIGN = "mask_foreign"
 CLASS_CONTROL = "control"
 
 
+_KIND_CLASSES = {
+    KIND_SECRET: CLASS_SECRET,
+    KIND_OWNER_SHARE: CLASS_OWNER_SHARE,
+    KIND_ENVELOPE_SHARE: CLASS_PROTECTED_SHARE,
+    KIND_DERIVED_SHARE: CLASS_DERIVED_SHARE,
+    KIND_KEY: CLASS_KEY,
+}
+
+
+def _value_class(
+    kind: str, sender: Party, recipient: Party, element_index: int | None
+) -> str:
+    """:func:`classify_message` on a transcript's column values."""
+    if kind == KIND_MASKED_SHARE:
+        return CLASS_SEALED_MASK if sender.role == ROLE_DEALER else CLASS_MASKED_SHARE
+    if kind == KIND_MASK_ELEMENT:
+        if (
+            recipient.role == ROLE_PARTICIPANT
+            and element_index is not None
+            and element_index == recipient.index
+        ):
+            return CLASS_MASK_OWN
+        return CLASS_MASK_FOREIGN
+    return _KIND_CLASSES.get(kind, CLASS_CONTROL)
+
+
 def classify_message(message: Message) -> str:
     """Map a delivered message to the value class its payload exposes.
 
@@ -270,31 +339,9 @@ def classify_message(message: Message) -> str:
     is a sealed mask (mask XOR key); from anyone else it is a share
     blinded by a mask.
     """
-    kind = message.kind
-    if kind == KIND_SECRET:
-        return CLASS_SECRET
-    if kind == KIND_OWNER_SHARE:
-        return CLASS_OWNER_SHARE
-    if kind == KIND_ENVELOPE_SHARE:
-        return CLASS_PROTECTED_SHARE
-    if kind == KIND_DERIVED_SHARE:
-        return CLASS_DERIVED_SHARE
-    if kind == KIND_KEY:
-        return CLASS_KEY
-    if kind == KIND_MASKED_SHARE:
-        if message.sender.role == ROLE_DEALER:
-            return CLASS_SEALED_MASK
-        return CLASS_MASKED_SHARE
-    if kind == KIND_MASK_ELEMENT:
-        recipient = message.recipient
-        if (
-            recipient.role == ROLE_PARTICIPANT
-            and message.element_index is not None
-            and message.element_index == recipient.index
-        ):
-            return CLASS_MASK_OWN
-        return CLASS_MASK_FOREIGN
-    return CLASS_CONTROL
+    return _value_class(
+        message.kind, message.sender, message.recipient, message.element_index
+    )
 
 
 @dataclass(frozen=True)
@@ -355,13 +402,15 @@ def check_visibility(
     to see the message's value class; an honest run yields none.
     """
     policy = policy or default_visibility_policy()
+    permits = policy.permits
     found = []
-    for message in transcript:
-        value_class = classify_message(message)
-        if not policy.permits(message.recipient.key, value_class):
-            found.append(
-                Violation(message.seq, message.recipient.label(), value_class, message.kind)
-            )
+    for seq, sender, recipient, kind, element_index in zip(
+        transcript.seqs, transcript.senders, transcript.recipients, transcript.kinds,
+        transcript.element_indices,
+    ):
+        value_class = _value_class(kind, sender, recipient, element_index)
+        if not permits(recipient.key, value_class):
+            found.append(Violation(seq, recipient.label(), value_class, kind))
     return found
 
 
@@ -417,7 +466,8 @@ class ProtocolEnv:
                 "randomness": randomness,
                 "tamper": [rule.spec() for rule in self.tamper_rules],
                 **(config or {}),
-            }
+            },
+            params=params,
         )
 
     @classmethod
@@ -500,9 +550,7 @@ class ProtocolEnv:
             chosen.append(remaining.pop(self._assignment_rng.randrange(len(remaining))))
         return tuple(chosen)
 
-    def _apply_tamper(
-        self, sender: Party, kind: str, payload: ShareVector | bool
-    ) -> ShareVector | bool:
+    def _apply_tamper(self, sender: Party, kind: str, payload: int | bool) -> int | bool:
         key = (sender.label(), kind)
         occurrence = self._tamper_counts.get(key, 0) + 1
         self._tamper_counts[key] = occurrence
@@ -513,11 +561,11 @@ class ProtocolEnv:
                 and rule.occurrence == occurrence
             ):
                 payload = self._flip_bit(payload, rule.bit)
-                self.tamper_fired.append((rule, len(self.transcript.steps) + 1))
+                self.tamper_fired.append((rule, len(self.transcript) + 1))
         return payload
 
-    def _flip_bit(self, payload: ShareVector | bool, bit: int) -> ShareVector | bool:
-        if isinstance(payload, bool):
+    def _flip_bit(self, payload: int | bool, bit: int) -> int | bool:
+        if type(payload) is bool:
             if bit != 0:
                 raise ValueError("boolean payloads only have bit 0")
             return not payload
@@ -525,26 +573,33 @@ class ProtocolEnv:
             raise ValueError(
                 f"bit index {bit} outside 0..{self.params.dimension - 1}"
             )
-        return ShareVector.from_int(self.params, payload.to_int() ^ (1 << bit))
+        return payload ^ (1 << bit)
 
     def deliver(
         self,
         sender: Party,
         recipient: Party,
         kind: str,
-        payload: ShareVector | bool,
+        payload: int | bool,
         element_index: int | None = None,
-    ) -> ShareVector | bool:
-        """Send one message, after tampering, and record the delivery.
+    ) -> int | bool:
+        """Send one message (a packed int, or a bool for control kinds),
+        after tampering, and record the delivery.
 
         Returns the payload as the recipient saw it; engine code must
         compute with the returned value, never the original.
         """
         if self.tamper_rules:
             payload = self._apply_tamper(sender, kind, payload)
-        steps = self.transcript.steps
+        transcript = self.transcript
+        seqs = transcript.seqs
         # The seq is the message's 1-based position, so it always increases.
-        steps.append(Message(len(steps) + 1, sender, recipient, kind, payload, element_index))
+        seqs.append(len(seqs) + 1)
+        transcript.senders.append(sender)
+        transcript.recipients.append(recipient)
+        transcript.kinds.append(kind)
+        transcript.payloads.append(payload)
+        transcript.element_indices.append(element_index)
         return payload
 
 
@@ -589,10 +644,14 @@ def _check_params(env: ProtocolEnv, *items) -> None:
     """Every item is anything with ``.params``: a vector, share or mask
     set, safe-shares state or bulletin."""
     for item in items:
-        if item.params != env.params:
+        if item.params is not env.params and item.params != env.params:
             raise MixedParams(
                 f"operation runs under {env.params}, got input under {item.params}"
             )
+
+
+def _share_set(role: SetRole, params: SchemeParams, values: Iterable[int]) -> AuthorizedShareSet:
+    return AuthorizedShareSet(role, from_ints(params, values), params)
 
 
 def set_generate_m(
@@ -609,35 +668,28 @@ def set_generate_m(
     if template_count < 1 or master_count < 1:
         raise ValueError("both set cardinalities must be >= 1")
     env.note_operation("set_generate_m", d=template_count, n=master_count)
-    masks = generate_mask_set(
-        template_count + master_count, env.source(ROLE_ACCUMULATOR), env.params
-    ).vectors
+    masks = mask_ints(template_count + master_count, env.source(ROLE_ACCUMULATOR), env.params)
+    deliver = env.deliver
     halves = []
-    for role, offset, count in (
-        (SetRole.TEMPLATE, 0, template_count),
-        (SetRole.MASTER, template_count, master_count),
+    for role, elements in (
+        (SetRole.TEMPLATE, masks[:template_count]),
+        (SetRole.MASTER, masks[template_count:]),
     ):
         tag = role.value
         shares = [
-            env.deliver(
-                ACCUMULATOR,
-                participant(tag, i + 1),
-                KIND_MASK_ELEMENT,
-                masks[offset + i],
-                element_index=i + 1,
-            )
-            for i in range(count)
+            deliver(ACCUMULATOR, participant(tag, i), KIND_MASK_ELEMENT, mask, i)
+            for i, mask in enumerate(elements, start=1)
         ]
-        halves.append(AuthorizedShareSet.from_shares(role, shares))
+        halves.append(_share_set(role, env.params, shares))
     return halves[0], halves[1]
 
 
 def _replicate_rounds(
-    masks: MaskSet,
-    shares: Sequence[ShareVector],
+    masks: Sequence[int],
+    shares: Sequence[int],
     env: ProtocolEnv,
     keep: int | None = None,
-) -> tuple[list[ShareVector], list[ShareVector]]:
+) -> tuple[list[int], list[int]]:
     """The two message rounds of replication: each of the n source
     holders blinds its share with its own mask element and hands it to
     the accumulator, which strips the first ``keep`` (default n) with
@@ -648,38 +700,24 @@ def _replicate_rounds(
     """
     n = len(shares)
     keep = n if keep is None else keep
+    deliver = env.deliver
     master_tag = SetRole.MASTER.value
     derived_tag = SetRole.DERIVED.value
-    blinded = []
-    for i in range(n):
-        delivered = env.deliver(
-            ACCUMULATOR,
-            participant(master_tag, i + 1),
-            KIND_MASK_ELEMENT,
-            masks.vectors[i],
-            element_index=i + 1,
-        )
-        blinded.append(shares[i] + delivered)
+    blinded = [
+        share ^ deliver(ACCUMULATOR, participant(master_tag, i), KIND_MASK_ELEMENT, mask, i)
+        for i, (share, mask) in enumerate(zip(shares, masks), start=1)
+    ]
     derived = []
     rest = []
-    for i in range(n):
-        received = env.deliver(
-            participant(master_tag, i + 1),
-            ACCUMULATOR,
-            KIND_MASKED_SHARE,
-            blinded[i],
-        )
-        if i >= keep:
+    for i, value in enumerate(blinded, start=1):
+        received = deliver(participant(master_tag, i), ACCUMULATOR, KIND_MASKED_SHARE, value)
+        if i > keep:
             rest.append(received)
             continue
-        delivered = env.deliver(
-            ACCUMULATOR,
-            participant(derived_tag, i + 1),
-            KIND_DERIVED_SHARE,
-            received + masks.vectors[n + i],
-            element_index=i + 1,
-        )
-        derived.append(delivered)
+        derived.append(deliver(
+            ACCUMULATOR, participant(derived_tag, i), KIND_DERIVED_SHARE,
+            received ^ masks[n + i - 1], i,
+        ))
     return derived, rest
 
 
@@ -696,8 +734,8 @@ def set_replicate(
             f"got {len(masks.vectors)}"
         )
     env.note_operation("set_replicate", n=n)
-    derived, _ = _replicate_rounds(masks, master.shares, env)
-    return AuthorizedShareSet.from_shares(SetRole.DERIVED, derived)
+    derived, _ = _replicate_rounds(to_ints(masks.vectors), to_ints(master.shares), env)
+    return _share_set(SetRole.DERIVED, env.params, derived)
 
 
 def equal_set_replicate(
@@ -707,9 +745,9 @@ def equal_set_replicate(
     _check_params(env, master)
     n = len(master.shares)
     env.note_operation("equal_set_replicate", n=n)
-    masks = generate_mask_set(2 * n, env.source(ROLE_ACCUMULATOR), env.params)
-    derived, _ = _replicate_rounds(masks, master.shares, env)
-    return AuthorizedShareSet.from_shares(SetRole.DERIVED, derived)
+    masks = mask_ints(2 * n, env.source(ROLE_ACCUMULATOR), env.params)
+    derived, _ = _replicate_rounds(masks, to_ints(master.shares), env)
+    return _share_set(SetRole.DERIVED, env.params, derived)
 
 
 def set_replicate_to_bigger(
@@ -729,19 +767,15 @@ def set_replicate_to_bigger(
             f"target cardinality {target_count} must exceed source cardinality {n}"
         )
     env.note_operation("set_replicate_to_bigger", n=n, d=target_count)
-    masks = generate_mask_set(target_count + n, env.source(ROLE_ACCUMULATOR), env.params)
-    derived, _ = _replicate_rounds(masks, master.shares, env)
+    masks = mask_ints(target_count + n, env.source(ROLE_ACCUMULATOR), env.params)
+    derived, _ = _replicate_rounds(masks, to_ints(master.shares), env)
+    deliver = env.deliver
     derived_tag = SetRole.DERIVED.value
-    for i in range(n, target_count):
-        delivered = env.deliver(
-            ACCUMULATOR,
-            participant(derived_tag, i + 1),
-            KIND_DERIVED_SHARE,
-            masks.vectors[i + n],
-            element_index=i + 1,
-        )
-        derived.append(delivered)
-    return AuthorizedShareSet.from_shares(SetRole.DERIVED, derived)
+    derived += [
+        deliver(ACCUMULATOR, participant(derived_tag, i), KIND_DERIVED_SHARE, mask, i)
+        for i, mask in enumerate(masks[2 * n:], start=n + 1)
+    ]
+    return _share_set(SetRole.DERIVED, env.params, derived)
 
 
 def set_replicate_to_smaller(
@@ -760,22 +794,21 @@ def set_replicate_to_smaller(
             f"target cardinality {target_count} must lie in 1..{n - 1}"
         )
     env.note_operation("set_replicate_to_smaller", n=n, d=target_count)
-    masks = generate_mask_set(n + target_count - 1, env.source(ROLE_ACCUMULATOR), env.params)
-    derived, rest = _replicate_rounds(masks, master.shares, env, keep=target_count - 1)
-    delivered = env.deliver(
+    masks = mask_ints(n + target_count - 1, env.source(ROLE_ACCUMULATOR), env.params)
+    derived, rest = _replicate_rounds(
+        masks, to_ints(master.shares), env, keep=target_count - 1
+    )
+    derived.append(env.deliver(
         ACCUMULATOR,
         participant(SetRole.DERIVED.value, target_count),
         KIND_DERIVED_SHARE,
-        combine(rest, env.params),
-        element_index=target_count,
-    )
-    derived.append(delivered)
-    return AuthorizedShareSet.from_shares(SetRole.DERIVED, derived)
+        functools.reduce(xor, rest, 0),
+        target_count,
+    ))
+    return _share_set(SetRole.DERIVED, env.params, derived)
 
 
-def _fast_share_rounds(
-    secret: ShareVector, count: int, env: ProtocolEnv
-) -> list[ShareVector]:
+def _fast_share_rounds(secret: int, count: int, env: ProtocolEnv) -> list[int]:
     """The owner's split as messages to the accumulator.
 
     Unlike :func:`asgs.kgh.kgh_split`, the last share is read off the
@@ -783,20 +816,16 @@ def _fast_share_rounds(
     changed; ``kgh_split`` sends nothing, so it has nothing to tamper.
     """
     source = env.source(ROLE_OWNER)
-    register = Accumulator(env.params)
+    params = env.params
+    deliver = env.deliver
+    register = 0
     shares = []
     for i in range(1, count):
-        share = source.next_vector(env.params)
-        delivered = env.deliver(
-            OWNER, ACCUMULATOR, KIND_OWNER_SHARE, share, element_index=i
-        )
-        assert isinstance(delivered, ShareVector)
-        register.store(delivered)
+        share = source.next_int(params)
+        register ^= deliver(OWNER, ACCUMULATOR, KIND_OWNER_SHARE, share, i)
         shares.append(share)
-    delivered_secret = env.deliver(OWNER, ACCUMULATOR, KIND_SECRET, secret)
-    assert isinstance(delivered_secret, ShareVector)
-    register.store(delivered_secret)
-    shares.append(register.read())
+    register ^= deliver(OWNER, ACCUMULATOR, KIND_SECRET, secret)
+    shares.append(register)
     return shares
 
 
@@ -813,8 +842,8 @@ def fast_share(
         raise ValueError(f"share count must be >= 1, got {count}")
     _check_params(env, secret)
     env.note_operation("fast_share", n=count)
-    return AuthorizedShareSet.from_shares(
-        SetRole.OWNER, _fast_share_rounds(secret, count, env)
+    return _share_set(
+        SetRole.OWNER, env.params, _fast_share_rounds(secret.to_int(), count, env)
     )
 
 
@@ -835,22 +864,23 @@ def safe_shares(
         raise ValueError(f"share count must be >= 1, got {count}")
     _check_params(env, secret)
     env.note_operation("safe_shares", n=count)
+    params = env.params
     dealer_source = env.source(ROLE_DEALER)
-    masks = generate_mask_set(count, dealer_source, env.params)
-    owner_shares = _fast_share_rounds(secret, count, env)
+    masks = mask_ints(count, dealer_source, params)
+    owner_shares = _fast_share_rounds(secret.to_int(), count, env)
     assignment = env.draw_assignment(count)
-    register = Accumulator(env.params)
-    keys: list[ShareVector] = []
-    protected_by_participant: dict[int, ShareVector] = {}
+    register = 0
+    keys: list[int] = []
+    protected_by_participant: dict[int, int] = {}
     protected_tag = SetRole.PROTECTED.value
     for i in range(count):
         attempts = 0
         while True:
-            key = dealer_source.next_vector(env.params)
+            key = dealer_source.next_int(params)
             attempts += 1
-            register.store(key)
-            if i == count - 1 and register.read().is_zero():
-                register.store(key)  # back the rejected key out of the register
+            register ^= key
+            if i == count - 1 and not register:
+                register ^= key  # back the rejected key out of the register
                 if attempts >= KEY_RETRY_LIMIT:
                     raise KeyRegenerationExhausted(
                         f"zero-sum guard rejected {attempts} key draws in a row"
@@ -858,26 +888,21 @@ def safe_shares(
                 continue
             break
         keys.append(key)
-        sealed_mask = masks.vectors[i] + key
-        delivered_mask = env.deliver(DEALER, OWNER, KIND_MASKED_SHARE, sealed_mask)
-        assert isinstance(delivered_mask, ShareVector)
-        protected = delivered_mask + owner_shares[i]
+        delivered_mask = env.deliver(DEALER, OWNER, KIND_MASKED_SHARE, masks[i] ^ key)
         target = assignment[i]
-        delivered = env.deliver(
+        protected_by_participant[target] = env.deliver(
             OWNER,
             participant(protected_tag, target),
             KIND_ENVELOPE_SHARE,
-            protected,
-            element_index=target,
+            delivered_mask ^ owner_shares[i],
+            target,
         )
-        assert isinstance(delivered, ShareVector)
-        protected_by_participant[target] = delivered
     return SafeSharesState(
-        params=env.params,
-        protected=tuple(protected_by_participant[j] for j in range(1, count + 1)),
-        keys=tuple(keys),
-        masks=masks,
-        owner_shares=tuple(owner_shares),
+        params=params,
+        protected=from_ints(params, (protected_by_participant[j] for j in range(1, count + 1))),
+        keys=from_ints(params, keys),
+        masks=MaskSet(from_ints(params, masks), params),
+        owner_shares=from_ints(params, owner_shares),
         assignment=assignment,
     )
 
@@ -896,7 +921,9 @@ def activate_shares(state: SafeSharesState, env: ProtocolEnv) -> AuthorizedShare
     count = len(state.protected)
     env.note_operation("activate_shares", n=count)
     identify = env.identify or (lambda index: True)
-    activated: dict[int, ShareVector] = {}
+    keys = to_ints(state.keys)
+    protected = to_ints(state.protected)
+    activated: dict[int, int] = {}
     pending: list[int] = []
     protected_tag = SetRole.PROTECTED.value
     for i in range(1, count + 1):
@@ -906,13 +933,9 @@ def activate_shares(state: SafeSharesState, env: ProtocolEnv) -> AuthorizedShare
         if not passed:
             pending.append(i)
             continue
-        delivered_key = env.deliver(
-            DEALER, holder, KIND_KEY, state.keys[i - 1], element_index=i
-        )
-        assert isinstance(delivered_key, ShareVector)
-        activated[i] = state.protected[i - 1] + delivered_key
+        activated[i] = protected[i - 1] ^ env.deliver(DEALER, holder, KIND_KEY, keys[i - 1], i)
     if pending:
-        raise IdentificationFailed(pending, activated)
-    return AuthorizedShareSet.from_shares(
-        SetRole.ACTIVATED, [activated[i] for i in range(1, count + 1)]
-    )
+        raise IdentificationFailed(
+            pending, dict(zip(activated, from_ints(env.params, activated.values())))
+        )
+    return _share_set(SetRole.ACTIVATED, env.params, activated.values())

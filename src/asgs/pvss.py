@@ -15,13 +15,14 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
-from asgs.devices import Accumulator
 from asgs.kgh import (
     AsgsError,
     AuthorizedShareSet,
     SchemeParams,
     ShareVector,
     combine,
+    from_ints,
+    to_ints,
 )
 from asgs.protocol import (
     ACCUMULATOR,
@@ -97,26 +98,24 @@ def distribute_shares_and_keys(
     )
     source = env.source(ROLE_DEALER)
     params = env.params
-    entries: dict[str, list[ShareVector]] = {"1": [], "2": []}
-    keys: dict[tuple[str, int], ShareVector] = {}
+    deliver = env.deliver
+    entries: dict[str, list[int]] = {"1": [], "2": []}
+    keys: dict[tuple[str, int], int] = {}
     for tag, shares in (("1", set1.shares), ("2", set2.shares)):
-        for i, share in enumerate(shares, start=1):
-            key = source.next_vector(params)
-            if key.is_zero():
+        published = entries[tag]
+        for i, share in enumerate(to_ints(shares), start=1):
+            key = source.next_int(params)
+            if not key:
                 warnings.warn(
                     f"zero one-time key for participant {i} of set {tag}; "
                     "the matching bulletin entry exposes the share in clear",
                     stacklevel=2,
                 )
-            delivered = env.deliver(
-                DEALER, participant(tag, i), KIND_KEY, key, element_index=i
-            )
-            assert isinstance(delivered, ShareVector)
-            keys[(tag, i)] = delivered
-            entries[tag].append(share + key)
+            keys[(tag, i)] = deliver(DEALER, participant(tag, i), KIND_KEY, key, i)
+            published.append(share ^ key)
     return (
-        BulletinBoard(tuple(entries["1"]), tuple(entries["2"]), params),
-        KeyAssignment(keys),
+        BulletinBoard(from_ints(params, entries["1"]), from_ints(params, entries["2"]), params),
+        KeyAssignment(dict(zip(keys, from_ints(params, keys.values())))),
     )
 
 
@@ -132,18 +131,17 @@ def recover_xored_keys(
     along the way.
     """
     env.note_operation("recover_xored_keys", h=set1_count, g=set2_count)
-    register = Accumulator(env.params)
-    zero = ShareVector.zero(env.params)
-    rounds = max(set1_count, set2_count)
-    for i in range(1, rounds + 1):
+    deliver = env.deliver
+    register = 0
+    for i in range(1, max(set1_count, set2_count) + 1):
         for tag, total in (("1", set1_count), ("2", set2_count)):
-            contribution = assignment.key_for(tag, i) if i <= total else zero
-            delivered = env.deliver(
-                participant(tag, i), ACCUMULATOR, KIND_KEY, contribution, element_index=i
-            )
-            assert isinstance(delivered, ShareVector)
-            register.store(delivered)
-    return register.read()
+            contribution = 0
+            if i <= total:
+                key = assignment.key_for(tag, i)
+                _check_params(env, key)
+                contribution = to_ints([key])[0]
+            register ^= deliver(participant(tag, i), ACCUMULATOR, KIND_KEY, contribution, i)
+    return ShareVector.from_int(env.params, register)
 
 
 def verify(
@@ -158,6 +156,11 @@ def verify(
     """
     _check_params(env, bulletin)
     for tag, entries in (("1", bulletin.set1_entries), ("2", bulletin.set2_entries)):
+        if not entries:
+            raise CardinalityMismatch(
+                f"set {tag}: the bulletin has no entries, "
+                "but an authorized set holds at least one share"
+            )
         if assignment.count_for(tag) != len(entries):
             raise CardinalityMismatch(
                 f"set {tag}: bulletin has {len(entries)} entries, "

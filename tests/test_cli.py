@@ -260,6 +260,26 @@ class TestPvssCommands:
         assert not (tmp_path / "out2").exists()
 
 
+    def test_verify_rejects_an_empty_bulletin_set(self, tmp_path, capsys):
+        assert self.distribute(tmp_path) == 0
+        out = tmp_path / "out"
+        for name, kind in (("bulletin.json", "bulletin"), ("keys.json", "key_assignment")):
+            doc = load_document(out / name, kind)
+            doc["set1"] = doc["set2"] = []
+            dump_document(doc, out / name)
+        code = main([
+            "pvss", "verify",
+            "--bulletin", str(out / "bulletin.json"),
+            "--keys", str(out / "keys.json"),
+            "--seed", "0", "--out", str(tmp_path / "out2"),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "bulletin.set1: empty" in captured.err
+        assert "verdict" not in captured.out
+        assert not (tmp_path / "out2").exists()
+
+
 class TestSimulate:
     CHAIN = ["simulate", "safeshares", "--bits", "8", "--secret", "5a",
              "--n", "2", "--then", "activate", "--then", "pvss"]

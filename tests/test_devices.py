@@ -1,5 +1,7 @@
 """Accumulator register and randomness sources."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -98,6 +100,18 @@ class TestRandSourceFixture:
         source.next_vector(P8)
         assert source.consumed == 1
 
+    def test_packed_draws_share_the_stream_and_its_checks(self):
+        source = fixture_source([0x0A, 0x06, 0x05])
+        assert source.next_int(P8) == 0x0A
+        assert source.next_vector(P8).to_int() == 0x06
+        assert source.consumed == 2
+        with pytest.raises(ParamMismatch):
+            source.next_int(SchemeParams.binary(16))
+        assert source.consumed == 2
+        assert source.next_int(P8) == 0x05
+        with pytest.raises(FixtureExhausted):
+            source.next_int(P8)
+
 
 class TestRandSourceSeeded:
     def test_equal_seeds_agree_on_first_100_outputs(self):
@@ -126,6 +140,23 @@ class TestRandSourceSeeded:
         source = RandSource.seeded(7)
         for _ in range(20):
             assert source.next_vector(params).to_int() < (1 << 12)
+
+    def test_packed_draw_is_getrandbits_of_the_width(self):
+        params = SchemeParams.binary(12)
+        source, reference = RandSource.seeded(9), random.Random(9)
+        draws = [source.next_int(params) for _ in range(20)]
+        assert draws == [reference.getrandbits(12) for _ in range(20)]
+        assert all(type(value) is int for value in draws)
+        assert source.consumed == 20
+
+    def test_next_vector_wraps_the_packed_draw(self):
+        ints_first, vectors_first = RandSource.seeded(3), RandSource.seeded(3)
+        for _ in range(10):
+            assert vectors_first.next_vector(P8).to_int() == ints_first.next_int(P8)
+
+    def test_packed_draws_are_binary_only(self):
+        with pytest.raises(ValueError):
+            RandSource.seeded(1).next_int(SchemeParams(5, 3))
 
     def test_direct_construction_is_guarded(self):
         with pytest.raises(ValueError):

@@ -42,9 +42,12 @@ from asgs.kgh import (
     ShareVector,
 )
 from asgs.protocol import (
+    ACCUMULATOR,
     DEALER,
     KIND_IDENTIFICATION,
+    KIND_KEY_REQUEST,
     KIND_SECRET,
+    OWNER,
     Message,
     ProtocolEnv,
     Transcript,
@@ -52,6 +55,7 @@ from asgs.protocol import (
     participant,
     safe_shares,
 )
+from asgs.pvss import BulletinBoard
 from helpers import P8, bv, bvs, ints
 
 # Longest int literal json.loads accepts (0: no limit; Python < 3.10.7 has none).
@@ -341,6 +345,14 @@ class TestPvssDocs:
         restored = key_assignment_from_doc(key_assignment_to_doc(assignment, 8))
         assert restored == assignment
 
+    @pytest.mark.parametrize("field", ["set1", "set2"])
+    def test_empty_bulletin_set_rejected(self, field):
+        bulletin = BulletinBoard((bv(0x11),), (bv(0x22),), P8)
+        doc = bulletin_to_doc(bulletin)
+        doc[field] = []
+        with pytest.raises(ParseError, match=f"bulletin.{field}: empty"):
+            bulletin_from_doc(doc)
+
     def test_key_assignment_doc_indexes_by_set(self):
         from asgs.pvss import KeyAssignment
 
@@ -416,6 +428,27 @@ class TestTranscriptDocs:
             doc["steps"][0]["kind"] = kind
             with pytest.raises(ParseError):
                 transcript_from_doc(doc)
+
+    def test_ack_kind_rejected(self):
+        transcript = Transcript({"bits": 8})
+        transcript.append(Message(1, DEALER, OWNER, KIND_KEY_REQUEST, True))
+        doc = transcript_to_doc(transcript)
+        transcript_from_doc(doc)
+        doc["steps"][0]["kind"] = "ack"
+        with pytest.raises(ParseError, match="unknown message kind 'ack'"):
+            transcript_from_doc(doc)
+
+    def test_decoded_seqs_need_not_be_one_to_n(self):
+        transcript = Transcript({"bits": 8})
+        for seq, payload in ((3, bv(0x01)), (7, bv(0x02)), (40, bv(0x03))):
+            transcript.append(Message(seq, OWNER, ACCUMULATOR, KIND_SECRET, payload))
+        doc = transcript_to_doc(transcript)
+        assert [step["seq"] for step in doc["steps"]] == [3, 7, 40]
+        restored = transcript_from_doc(doc)
+        assert restored.seqs == [3, 7, 40]
+        assert [m.seq for m in restored] == [3, 7, 40]
+        assert list(restored) == list(transcript)
+        assert transcript_to_doc(restored) == doc
 
     def test_non_canonical_party_label_rejected(self):
         transcript = Transcript({"bits": 8})

@@ -22,9 +22,12 @@ from asgs.kgh import (
     ShareVector,
     check_zero_sum,
     combine,
+    from_ints,
     generate_mask_set,
     kgh_split,
+    mask_ints,
     partition_sums,
+    to_ints,
 )
 from helpers import P8, bv, bvs, fixture_source, ints
 
@@ -300,6 +303,23 @@ class TestGenerateMaskSet:
         masks = generate_mask_set(count, RandSource.seeded(seed), params)
         assert len(masks) == count
         assert combine(masks.vectors).is_zero()
+
+    @given(st.integers(1, 32), st.integers(0, 2**31))
+    def test_mask_set_wraps_the_packed_masks(self, count, seed):
+        from asgs.devices import RandSource
+
+        packed = mask_ints(count, RandSource.seeded(seed), P8)
+        assert all(type(value) is int for value in packed)
+        assert ints(generate_mask_set(count, RandSource.seeded(seed), P8).vectors) == packed
+
+
+class TestPackedInts:
+    def test_round_trip(self):
+        vectors = from_ints(P8, [0x00, 0x5A, 0xFF])
+        assert vectors == tuple(bvs([0x00, 0x5A, 0xFF]))
+        assert all(v.params is P8 for v in vectors)
+        assert to_ints(vectors) == [0x00, 0x5A, 0xFF]
+        assert from_ints(P8, []) == ()
 
 
 class TestCheckZeroSum:

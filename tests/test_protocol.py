@@ -25,17 +25,22 @@ from asgs.protocol import (
     CLASS_MASK_FOREIGN,
     CLASS_MASK_OWN,
     CLASS_MASKED_SHARE,
+    CLASS_OWNER_SHARE,
+    CLASS_PROTECTED_SHARE,
     CLASS_SEALED_MASK,
     CLASS_SECRET,
+    CONTROL_KINDS,
     DEALER,
-    KIND_ACK,
     KIND_DERIVED_SHARE,
     KIND_ENVELOPE_SHARE,
+    KIND_IDENTIFICATION,
     KIND_KEY,
+    KIND_KEY_REQUEST,
     KIND_MASK_ELEMENT,
     KIND_MASKED_SHARE,
     KIND_OWNER_SHARE,
     KIND_SECRET,
+    MESSAGE_KINDS,
     CardinalityMismatch,
     IdentificationFailed,
     InvalidTarget,
@@ -46,6 +51,7 @@ from asgs.protocol import (
     TamperRule,
     Transcript,
     Violation,
+    VisibilityPolicy,
     activate_shares,
     check_visibility,
     classify_message,
@@ -75,6 +81,27 @@ def fixture_env(dealer=None, owner=None, accumulator=None, params=P8, **kwargs):
 
 def master_set(values, params=P8):
     return AuthorizedShareSet.from_shares(SetRole.MASTER, bvs(values, params))
+
+
+# (sender, recipient, kind, element_index) of the forbidden deliveries C10
+# injects into an honest transcript.
+C10_INJECTIONS = [
+    (OWNER, DEALER, KIND_SECRET, None),
+    (OWNER, DEALER, KIND_OWNER_SHARE, None),
+    (OWNER, DEALER, KIND_ENVELOPE_SHARE, None),
+    (ACCUMULATOR, OWNER, KIND_MASK_ELEMENT, 2),
+    (DEALER, OWNER, KIND_KEY, None),
+    (ACCUMULATOR, participant("2", 1), KIND_MASK_ELEMENT, 4),
+    (ACCUMULATOR, participant("2", 1), KIND_DERIVED_SHARE, 1),
+]
+PARTIES = [DEALER, OWNER, ACCUMULATOR] + [
+    participant(tag, i) for tag in ("1", "2", "3", "o", "p", "a") for i in (1, 2, 3)
+]
+VALUE_CLASSES = [
+    CLASS_SECRET, CLASS_OWNER_SHARE, CLASS_PROTECTED_SHARE, CLASS_DERIVED_SHARE,
+    CLASS_KEY, CLASS_SEALED_MASK, CLASS_MASKED_SHARE, CLASS_MASK_OWN,
+    CLASS_MASK_FOREIGN, CLASS_CONTROL,
+]
 
 
 class TestParties:
@@ -125,9 +152,71 @@ class TestMessage:
 
 class TestTranscript:
     def test_iteration_and_length(self):
-        transcript = Transcript(steps=[Message(1, DEALER, OWNER, KIND_ACK, True)])
+        transcript = Transcript(steps=[Message(1, DEALER, OWNER, KIND_KEY_REQUEST, True)])
         assert len(transcript) == 1
-        assert next(iter(transcript)).kind == KIND_ACK
+        assert next(iter(transcript)).kind == KIND_KEY_REQUEST
+
+    def test_steps_iterate_back_as_equal_messages(self):
+        steps = [
+            Message(3, ACCUMULATOR, participant("2", 1), KIND_MASK_ELEMENT, bv(0x42), 1),
+            Message(7, DEALER, participant("a", 2), KIND_KEY_REQUEST, True),
+            Message(8, participant("a", 2), DEALER, KIND_IDENTIFICATION, False),
+            Message(20, OWNER, ACCUMULATOR, KIND_SECRET, bv(0x00)),
+        ]
+        transcript = Transcript(steps=steps)
+        assert list(transcript) == steps
+        assert transcript.params == P8
+        assert transcript.seqs == [3, 7, 8, 20]
+        assert transcript.payloads == [0x42, True, False, 0x00]
+        assert [type(p) for p in transcript.payloads] == [int, bool, bool, int]
+        assert transcript.element_indices == [1, None, None, None]
+
+    def test_payload_under_other_params_is_rejected(self):
+        wide = ShareVector.from_int(SchemeParams.binary(16), 0x42)
+        for transcript in (
+            Transcript(params=P8),
+            Transcript(steps=[Message(1, OWNER, ACCUMULATOR, KIND_SECRET, bv(0x01))]),
+            ProtocolEnv.seeded(1, 8).transcript,
+        ):
+            before = len(transcript)
+            with pytest.raises(MixedParams):
+                transcript.append(Message(before + 1, OWNER, ACCUMULATOR, KIND_SECRET, wide))
+            assert len(transcript) == before
+            assert transcript.params == P8
+
+
+class TestDeliver:
+    def test_returns_packed_ints_and_bools(self):
+        env = ProtocolEnv.seeded(1, 8)
+        holder = participant("a", 1)
+        delivered = [
+            env.deliver(DEALER, OWNER, KIND_MASKED_SHARE, 0x5A),
+            env.deliver(DEALER, holder, KIND_KEY_REQUEST, True),
+            env.deliver(holder, DEALER, KIND_IDENTIFICATION, False),
+            env.deliver(DEALER, holder, KIND_KEY, 0x00, 1),
+        ]
+        assert delivered == [0x5A, True, False, 0x00]
+        assert [type(p) for p in delivered] == [int, bool, bool, int]
+        assert env.transcript.payloads == delivered
+        assert env.transcript.seqs == [1, 2, 3, 4]
+        assert [m.payload for m in env.transcript] == [bv(0x5A), True, False, bv(0x00)]
+
+    @pytest.mark.parametrize("bit", range(8))
+    def test_tamper_flips_exactly_the_named_bit_of_an_int(self, bit):
+        rule = TamperRule("dealer", KIND_KEY, 2, bit)
+        env = ProtocolEnv.seeded(1, 8, tamper_rules=(rule,))
+        first = env.deliver(DEALER, OWNER, KIND_KEY, 0x5A)
+        second = env.deliver(DEALER, OWNER, KIND_KEY, 0x5A)
+        assert (first, second) == (0x5A, 0x5A ^ (1 << bit))
+        assert type(second) is int
+        assert env.transcript.payloads == [first, second]
+        assert env.tamper_fired == [(rule, 2)]
+
+    @pytest.mark.parametrize("bit", [-1, 8])
+    def test_tamper_bit_outside_the_width_is_rejected(self, bit):
+        env = ProtocolEnv.seeded(1, 8, tamper_rules=(TamperRule("dealer", KIND_KEY, 1, bit),))
+        with pytest.raises(ValueError, match="outside 0..7"):
+            env.deliver(DEALER, OWNER, KIND_KEY, 0x5A)
 
 
 class TestSetGenerateM:
@@ -691,6 +780,51 @@ class TestVisibility:
             Message(1, ACCUMULATOR, OWNER, KIND_MASK_ELEMENT, bv(0x42))
         )
         assert len(check_visibility(transcript)) == 1
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.tuples(
+                        st.sampled_from(PARTIES),
+                        st.sampled_from(PARTIES),
+                        st.sampled_from(sorted(MESSAGE_KINDS)),
+                        st.one_of(st.none(), st.integers(1, 4)),
+                    ),
+                    st.sampled_from(C10_INJECTIONS),
+                ),
+                st.integers(1, 3),
+                st.integers(0, 0xFF),
+            ),
+            max_size=40,
+        ),
+        st.one_of(
+            st.none(),
+            st.builds(
+                VisibilityPolicy,
+                st.frozensets(st.tuples(
+                    st.sampled_from(sorted({party.key for party in PARTIES})),
+                    st.sampled_from(VALUE_CLASSES),
+                )),
+            ),
+        ),
+    )
+    def test_column_audit_matches_a_per_message_reference(self, steps, policy):
+        transcript = Transcript({"bits": 8})
+        seq = 0
+        for (sender, recipient, kind, element_index), gap, value in steps:
+            seq += gap
+            payload = bool(value & 1) if kind in CONTROL_KINDS else bv(value)
+            transcript.append(Message(seq, sender, recipient, kind, payload, element_index))
+        table = policy or default_visibility_policy()
+        reference = []
+        for message in transcript:
+            value_class = classify_message(message)
+            if not table.permits(message.recipient.key, value_class):
+                reference.append(
+                    Violation(message.seq, message.recipient.label(), value_class, message.kind)
+                )
+        assert check_visibility(transcript, policy) == reference
 
     def test_custom_policy_overrides_default(self):
         from asgs.protocol import VisibilityPolicy

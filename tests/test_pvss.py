@@ -190,6 +190,21 @@ class TestVerify:
             with pytest.raises(CardinalityMismatch, match=message):
                 verify(bulletin, keys, env)
 
+    def test_empty_bulletin_set_is_rejected(self):
+        """An authorized set holds at least one share, so a bulletin set
+        with no entries has nothing to verify, even with no keys for it."""
+        env = dealer_env([])
+        one = (bv(0x11),)
+        cases = [
+            (BulletinBoard((), (), P8), KeyAssignment({}), "set 1"),
+            (BulletinBoard((), one, P8), KeyAssignment({("2", 1): bv(0x10)}), "set 1"),
+            (BulletinBoard(one, (), P8), KeyAssignment({("1", 1): bv(0x10)}), "set 2"),
+        ]
+        for bulletin, keys, named in cases:
+            with pytest.raises(CardinalityMismatch, match=f"{named}: the bulletin has no entries"):
+                verify(bulletin, keys, env)
+        assert len(env.transcript) == 0
+
     def test_bulletin_params_must_match_env(self):
         _, bulletin, assignment = worked_distribution()
         other = ProtocolEnv.seeded(1, 16)
