@@ -6,11 +6,12 @@ of random ints, replays them into the engine as fixture streams and into
 the matching straight-line function of ``tests/oracles.py``, and times
 both. It then times serializing the operation's transcript
 (``transcript_to_doc`` and ``dumps_document``) and auditing it
-(``check_visibility``). It prints the median times over the repeats and
-the engine/oracle ratio, and exits 1 if any engine output differs from
-the oracle's, any transcript text differs from ``json.dumps(doc,
-sort_keys=True, indent=2) + "\\n"``, or the audit flags any delivery of
-these honest runs.
+(``check_visibility``). It prints the median times over the repeats, the
+engine/oracle ratio, the transcript length (``msgs``) and the engine time
+per message (``engine_us_per_msg``), and exits 1 if any engine output
+differs from the oracle's, any transcript text differs from
+``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, or the audit flags
+any delivery of these honest runs.
 
     PYTHONPATH=src python3 scripts/scaling_sweep.py
     PYTHONPATH=src python3 scripts/scaling_sweep.py --sizes 10 1000 --widths 128
@@ -154,9 +155,10 @@ def plain(outputs):
 
 def run_cell(case, n, bits, rng, repeat):
     """Median engine, oracle, ``transcript_to_doc``, ``dumps_document``
-    and ``check_visibility`` ms over ``repeat`` runs; whether the outputs
-    agree with the oracle's and the audit found nothing, and whether the
-    transcript text is the canonical json.dumps text."""
+    and ``check_visibility`` ms over ``repeat`` runs; the transcript
+    length; whether the outputs agree with the oracle's and the audit
+    found nothing, and whether the transcript text is the canonical
+    json.dumps text."""
     params = SchemeParams.binary(bits)
     streams, engine, oracle = case(
         n, params, lambda count: [rng.getrandbits(bits) for _ in range(count)]
@@ -184,7 +186,8 @@ def run_cell(case, n, bits, rng, repeat):
             times[name].append((end - start) * 1000)
         match = match and plain(engine_out) == oracle_out and not violations
     canonical = text == json.dumps(document, sort_keys=True, indent=2) + "\n"
-    return {name: statistics.median(ms) for name, ms in times.items()}, match, canonical
+    medians = {name: statistics.median(ms) for name, ms in times.items()}
+    return medians, len(env.transcript), match, canonical
 
 
 def main():
@@ -201,8 +204,8 @@ def main():
 
     print(f"python {platform.python_version()}, median of {args.repeat} runs per cell")
     print(f"{'operation':<34} {'n':>6} {'bits':>5} {'engine_ms':>10} "
-          f"{'oracle_ms':>10} {'ratio':>7} {'to_doc_ms':>10} {'dumps_ms':>9} "
-          f"{'audit_ms':>9}  match  text")
+          f"{'oracle_ms':>10} {'ratio':>7} {'msgs':>6} {'engine_us_per_msg':>17} "
+          f"{'to_doc_ms':>10} {'dumps_ms':>9} {'audit_ms':>9}  match  text")
     mismatches = 0
     with warnings.catch_warnings():
         # Narrow widths can draw a zero one-time key; pvss warns about it.
@@ -211,12 +214,13 @@ def main():
             for bits in args.widths:
                 for n in args.sizes:
                     rng = random.Random(f"{args.seed}:{name}:{n}:{bits}")
-                    ms, match, canonical = run_cell(case, n, bits, rng, args.repeat)
+                    ms, msgs, match, canonical = run_cell(case, n, bits, rng, args.repeat)
                     mismatches += not match
                     mismatches += not canonical
                     ratio = ms["engine"] / ms["oracle"] if ms["oracle"] else float("inf")
                     print(f"{name:<34} {n:>6} {bits:>5} {ms['engine']:>10.3f} "
-                          f"{ms['oracle']:>10.3f} {ratio:>7.1f} {ms['to_doc']:>10.3f} "
+                          f"{ms['oracle']:>10.3f} {ratio:>7.1f} {msgs:>6} "
+                          f"{ms['engine'] * 1000 / msgs:>17.3f} {ms['to_doc']:>10.3f} "
                           f"{ms['dumps']:>9.3f} {ms['audit']:>9.3f}  "
                           f"{'yes' if match else 'NO':<5}  "
                           f"{'yes' if canonical else 'NO'}")

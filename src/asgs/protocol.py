@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 from operator import xor
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from asgs.devices import RandSource, derive_stream_seed
 from asgs.kgh import (
+    MAX_DIMENSION,
     AsgsError,
     AuthorizedShareSet,
     MaskSet,
@@ -109,31 +111,35 @@ class IdentificationFailed(AsgsError):
 
 @dataclass(frozen=True)
 class Party:
-    """One modeled protocol party; participants carry a set tag and index."""
+    """One modeled protocol party; participants carry a set tag and index.
+
+    ``key`` is the policy lookup key: the role, refined by set tag for
+    participants. It and the label are built once, at construction,
+    because the audit, the encoder and tamper matching read them per
+    message; they take no part in equality or hashing.
+    """
 
     role: str
     set_tag: str | None = None
     index: int | None = None
+    key: str = field(init=False, repr=False, compare=False)
+    _label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.role == ROLE_PARTICIPANT:
             if self.set_tag is None or self.index is None or self.index < 1:
                 raise ValueError("participants need a set tag and a 1-based index")
+            key, label = f"participant:{self.set_tag}", f"p{self.set_tag}-{self.index}"
         elif self.set_tag is not None or self.index is not None:
             raise ValueError(f"{self.role} carries no set tag or index")
-
-    @property
-    def key(self) -> str:
-        """Policy lookup key: the role, refined by set tag for participants."""
-        if self.role == ROLE_PARTICIPANT:
-            return f"participant:{self.set_tag}"
-        return self.role
+        else:
+            key = label = self.role
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_label", label)
 
     def label(self) -> str:
         """Compact document form: dealer | owner | accumulator | p<set>-<index>."""
-        if self.role == ROLE_PARTICIPANT:
-            return f"p{self.set_tag}-{self.index}"
-        return self.role
+        return self._label
 
 
 DEALER = Party(ROLE_DEALER)
@@ -218,9 +224,11 @@ class Transcript:
     summary that produced it.
 
     Columnar: one parallel list per :class:`Message` field, with vector
-    payloads as packed ints under ``params`` (set by the environment or
-    the first vector appended) and control payloads as bools. Iteration
-    and :meth:`append` use :class:`Message` values.
+    payloads as packed ints under ``params`` and control payloads as
+    bools. ``params`` is the one given, else the binary params of a
+    valid config ``bits`` (so the written document's width matches its
+    payloads), else those of the first vector appended. Iteration and
+    :meth:`append` use :class:`Message` values.
     """
 
     def __init__(
@@ -230,6 +238,10 @@ class Transcript:
         params: SchemeParams | None = None,
     ):
         self.config: dict = dict(config or {})
+        if params is None:
+            bits = self.config.get("bits")
+            if type(bits) is int and 1 <= bits <= MAX_DIMENSION:
+                params = SchemeParams.binary(bits)
         self.params = params
         self.seqs: list[int] = []
         self.senders: list[Party] = []
@@ -550,7 +562,9 @@ class ProtocolEnv:
             chosen.append(remaining.pop(self._assignment_rng.randrange(len(remaining))))
         return tuple(chosen)
 
-    def _apply_tamper(self, sender: Party, kind: str, payload: int | bool) -> int | bool:
+    def _apply_tamper(
+        self, sender: Party, kind: str, payload: int | bool, seq: int
+    ) -> int | bool:
         key = (sender.label(), kind)
         occurrence = self._tamper_counts.get(key, 0) + 1
         self._tamper_counts[key] = occurrence
@@ -561,7 +575,7 @@ class ProtocolEnv:
                 and rule.occurrence == occurrence
             ):
                 payload = self._flip_bit(payload, rule.bit)
-                self.tamper_fired.append((rule, len(self.transcript) + 1))
+                self.tamper_fired.append((rule, seq))
         return payload
 
     def _flip_bit(self, payload: int | bool, bit: int) -> int | bool:
@@ -589,18 +603,133 @@ class ProtocolEnv:
         Returns the payload as the recipient saw it; engine code must
         compute with the returned value, never the original.
         """
-        if self.tamper_rules:
-            payload = self._apply_tamper(sender, kind, payload)
         transcript = self.transcript
         seqs = transcript.seqs
         # The seq is the message's 1-based position, so it always increases.
-        seqs.append(len(seqs) + 1)
+        seq = len(seqs) + 1
+        if self.tamper_rules:
+            payload = self._apply_tamper(sender, kind, payload, seq)
+        seqs.append(seq)
         transcript.senders.append(sender)
         transcript.recipients.append(recipient)
         transcript.kinds.append(kind)
         transcript.payloads.append(payload)
         transcript.element_indices.append(element_index)
         return payload
+
+    def deliver_round(
+        self,
+        senders: Party | Sequence[Party],
+        recipients: Party | Sequence[Party],
+        kind: str,
+        payloads: Sequence[int],
+        element_indices: Sequence[int] | None = None,
+    ) -> Sequence[int]:
+        """Send one round of ``kind`` vector messages: row i carries
+        ``payloads[i]`` from sender i to recipient i with element index i.
+
+        ``senders``, ``recipients`` and ``element_indices`` each take one
+        value for every row (None: no element index) or a list, tuple or
+        range with one per row. The transcript and the tamper rules see
+        exactly what :meth:`deliver` called row by row would produce,
+        and that is how the round is sent while tamper rules are set;
+        without them it is appended as one block and ``payloads`` itself
+        is returned.
+        """
+        count = len(payloads)
+        if self.tamper_rules:
+            deliver = self.deliver
+            return [
+                deliver(*row)
+                for row in zip(
+                    _column(senders, count), _column(recipients, count), repeat(kind),
+                    payloads, _column(element_indices, count),
+                )
+            ]
+        transcript = self.transcript
+        seqs = transcript.seqs
+        first = len(seqs) + 1
+        seqs.extend(range(first, first + count))
+        transcript.senders.extend(_column(senders, count))
+        transcript.recipients.extend(_column(recipients, count))
+        transcript.kinds.extend([kind] * count)
+        transcript.payloads.extend(payloads)
+        transcript.element_indices.extend(_column(element_indices, count))
+        return payloads
+
+    def relay_round(
+        self,
+        senders: Party | Sequence[Party],
+        relay: Party,
+        kind: str,
+        payloads: Sequence[int],
+        recipients: Sequence[Party],
+        forward_kind: str,
+        operands: Sequence[int],
+        forward_indices: Sequence[int],
+    ) -> tuple[Sequence[int], list[int]]:
+        """Send ``payloads`` to ``relay`` as ``kind`` messages; the relay
+        forwards each of the first ``len(operands)`` values it received,
+        XOR ``operands[i]``, to ``recipients[i]`` as a ``forward_kind``
+        message with element index ``forward_indices[i]``, right after
+        the message it came in on. ``senders`` takes the forms
+        :meth:`deliver_round` takes, and the round is sent row by row
+        while tamper rules are set, so each forward carries the value
+        the relay was delivered.
+
+        Returns the received and the forwarded payloads as delivered.
+        """
+        count, relayed = len(payloads), len(operands)
+        if self.tamper_rules:
+            deliver = self.deliver
+            received = []
+            forwarded = []
+            for i, (sender, payload) in enumerate(zip(_column(senders, count), payloads)):
+                value = deliver(sender, relay, kind, payload)
+                received.append(value)
+                if i < relayed:
+                    forwarded.append(deliver(
+                        relay, recipients[i], forward_kind, value ^ operands[i],
+                        forward_indices[i],
+                    ))
+            return received, forwarded
+        forwarded = [value ^ operand for value, operand in zip(payloads, operands)]
+        transcript = self.transcript
+        seqs = transcript.seqs
+        first = len(seqs) + 1
+        seqs.extend(range(first, first + count + relayed))
+        transcript.senders.extend(_weave(senders, relay, count, relayed))
+        transcript.recipients.extend(_weave(relay, recipients, count, relayed))
+        transcript.kinds.extend(_weave(kind, forward_kind, count, relayed))
+        transcript.payloads.extend(_weave(payloads, forwarded, count, relayed))
+        transcript.element_indices.extend(_weave(None, forward_indices, count, relayed))
+        return payloads, forwarded
+
+
+# The sequence types a round column may take; any other value is one
+# value for every row.
+_ROW_TYPES = (list, tuple, range)
+
+
+def _column(values, count: int) -> Sequence:
+    """A round column of ``count`` rows."""
+    return values if type(values) in _ROW_TYPES else [values] * count
+
+
+def _weave(inbound, forwarded, count: int, relayed: int) -> list:
+    """A relay round's column: inbound rows ``0..relayed-1``, each
+    followed by its forward, then inbound rows ``relayed..count-1``.
+    A forwarded sequence holds exactly ``relayed`` rows."""
+    inbound_rows = type(inbound) in _ROW_TYPES
+    forwarded_rows = type(forwarded) in _ROW_TYPES
+    column = [None if inbound_rows else inbound, None if forwarded_rows else forwarded] * relayed
+    if inbound_rows:
+        column[::2] = inbound[:relayed]
+    if forwarded_rows:
+        column[1::2] = forwarded
+    if count > relayed:
+        column += inbound[relayed:] if inbound_rows else [inbound] * (count - relayed)
+    return column
 
 
 @dataclass(frozen=True)
@@ -654,6 +783,18 @@ def _share_set(role: SetRole, params: SchemeParams, values: Iterable[int]) -> Au
     return AuthorizedShareSet(role, from_ints(params, values), params)
 
 
+@functools.lru_cache(maxsize=32)
+def _participants(tag: str, indices: range) -> tuple[Party, ...]:
+    """The participants ``indices`` of set ``tag``, in order.
+
+    Cached because the same (tag, range) recurs whenever operations run
+    in one process: a chain of set generation, replications and pvss
+    asks for the same ranges at each of its steps, and again in every
+    chain of the same shape. A single CLI command gets no hits.
+    """
+    return tuple(map(participant, repeat(tag), indices))
+
+
 def set_generate_m(
     template_count: int, master_count: int, env: ProtocolEnv
 ) -> tuple[AuthorizedShareSet, AuthorizedShareSet]:
@@ -668,20 +809,20 @@ def set_generate_m(
     if template_count < 1 or master_count < 1:
         raise ValueError("both set cardinalities must be >= 1")
     env.note_operation("set_generate_m", d=template_count, n=master_count)
-    masks = mask_ints(template_count + master_count, env.source(ROLE_ACCUMULATOR), env.params)
-    deliver = env.deliver
-    halves = []
-    for role, elements in (
-        (SetRole.TEMPLATE, masks[:template_count]),
-        (SetRole.MASTER, masks[template_count:]),
-    ):
-        tag = role.value
-        shares = [
-            deliver(ACCUMULATOR, participant(tag, i), KIND_MASK_ELEMENT, mask, i)
-            for i, mask in enumerate(elements, start=1)
-        ]
-        halves.append(_share_set(role, env.params, shares))
-    return halves[0], halves[1]
+    params = env.params
+    masks = mask_ints(template_count + master_count, env.source(ROLE_ACCUMULATOR), params)
+    templates = range(1, template_count + 1)
+    masters = range(1, master_count + 1)
+    shares = env.deliver_round(
+        ACCUMULATOR,
+        _participants(SetRole.TEMPLATE.value, templates)
+        + _participants(SetRole.MASTER.value, masters),
+        KIND_MASK_ELEMENT, masks, [*templates, *masters],
+    )
+    return (
+        _share_set(SetRole.TEMPLATE, params, shares[:template_count]),
+        _share_set(SetRole.MASTER, params, shares[template_count:]),
+    )
 
 
 def _replicate_rounds(
@@ -700,25 +841,16 @@ def _replicate_rounds(
     """
     n = len(shares)
     keep = n if keep is None else keep
-    deliver = env.deliver
-    master_tag = SetRole.MASTER.value
-    derived_tag = SetRole.DERIVED.value
-    blinded = [
-        share ^ deliver(ACCUMULATOR, participant(master_tag, i), KIND_MASK_ELEMENT, mask, i)
-        for i, (share, mask) in enumerate(zip(shares, masks), start=1)
-    ]
-    derived = []
-    rest = []
-    for i, value in enumerate(blinded, start=1):
-        received = deliver(participant(master_tag, i), ACCUMULATOR, KIND_MASKED_SHARE, value)
-        if i > keep:
-            rest.append(received)
-            continue
-        derived.append(deliver(
-            ACCUMULATOR, participant(derived_tag, i), KIND_DERIVED_SHARE,
-            received ^ masks[n + i - 1], i,
-        ))
-    return derived, rest
+    indices = range(1, n + 1)
+    holders = _participants(SetRole.MASTER.value, indices)
+    dealt = env.deliver_round(ACCUMULATOR, holders, KIND_MASK_ELEMENT, masks[:n], indices)
+    received, derived = env.relay_round(
+        holders, ACCUMULATOR, KIND_MASKED_SHARE,
+        [share ^ mask for share, mask in zip(shares, dealt)],
+        _participants(SetRole.DERIVED.value, indices[:keep]), KIND_DERIVED_SHARE,
+        masks[n:n + keep], indices[:keep],
+    )
+    return derived, received[keep:]
 
 
 def set_replicate(
@@ -769,12 +901,11 @@ def set_replicate_to_bigger(
     env.note_operation("set_replicate_to_bigger", n=n, d=target_count)
     masks = mask_ints(target_count + n, env.source(ROLE_ACCUMULATOR), env.params)
     derived, _ = _replicate_rounds(masks, to_ints(master.shares), env)
-    deliver = env.deliver
-    derived_tag = SetRole.DERIVED.value
-    derived += [
-        deliver(ACCUMULATOR, participant(derived_tag, i), KIND_DERIVED_SHARE, mask, i)
-        for i, mask in enumerate(masks[2 * n:], start=n + 1)
-    ]
+    extra = range(n + 1, target_count + 1)
+    derived += env.deliver_round(
+        ACCUMULATOR, _participants(SetRole.DERIVED.value, extra), KIND_DERIVED_SHARE,
+        masks[2 * n:], extra,
+    )
     return _share_set(SetRole.DERIVED, env.params, derived)
 
 
@@ -817,15 +948,10 @@ def _fast_share_rounds(secret: int, count: int, env: ProtocolEnv) -> list[int]:
     """
     source = env.source(ROLE_OWNER)
     params = env.params
-    deliver = env.deliver
-    register = 0
-    shares = []
-    for i in range(1, count):
-        share = source.next_int(params)
-        register ^= deliver(OWNER, ACCUMULATOR, KIND_OWNER_SHARE, share, i)
-        shares.append(share)
-    register ^= deliver(OWNER, ACCUMULATOR, KIND_SECRET, secret)
-    shares.append(register)
+    shares = [source.next_int(params) for _ in range(count - 1)]
+    delivered = env.deliver_round(OWNER, ACCUMULATOR, KIND_OWNER_SHARE, shares, range(1, count))
+    register = functools.reduce(xor, delivered, 0)
+    shares.append(register ^ env.deliver(OWNER, ACCUMULATOR, KIND_SECRET, secret))
     return shares
 
 
@@ -869,37 +995,30 @@ def safe_shares(
     masks = mask_ints(count, dealer_source, params)
     owner_shares = _fast_share_rounds(secret.to_int(), count, env)
     assignment = env.draw_assignment(count)
-    register = 0
-    keys: list[int] = []
-    protected_by_participant: dict[int, int] = {}
-    protected_tag = SetRole.PROTECTED.value
-    for i in range(count):
-        attempts = 0
-        while True:
-            key = dealer_source.next_int(params)
-            attempts += 1
-            register ^= key
-            if i == count - 1 and not register:
-                register ^= key  # back the rejected key out of the register
-                if attempts >= KEY_RETRY_LIMIT:
-                    raise KeyRegenerationExhausted(
-                        f"zero-sum guard rejected {attempts} key draws in a row"
-                    )
-                continue
+    # Deliveries draw nothing, so every key can be drawn first.
+    keys = [dealer_source.next_int(params) for _ in range(count - 1)]
+    register = functools.reduce(xor, keys, 0)
+    for _ in range(KEY_RETRY_LIMIT):
+        key = dealer_source.next_int(params)
+        if register ^ key:
             break
-        keys.append(key)
-        delivered_mask = env.deliver(DEALER, OWNER, KIND_MASKED_SHARE, masks[i] ^ key)
-        target = assignment[i]
-        protected_by_participant[target] = env.deliver(
-            OWNER,
-            participant(protected_tag, target),
-            KIND_ENVELOPE_SHARE,
-            delivered_mask ^ owner_shares[i],
-            target,
+    else:
+        raise KeyRegenerationExhausted(
+            f"zero-sum guard rejected {KEY_RETRY_LIMIT} key draws in a row"
         )
+    keys.append(key)
+    protected_tag = SetRole.PROTECTED.value
+    _, envelopes = env.relay_round(
+        DEALER, OWNER, KIND_MASKED_SHARE, [mask ^ key for mask, key in zip(masks, keys)],
+        [participant(protected_tag, target) for target in assignment], KIND_ENVELOPE_SHARE,
+        owner_shares, assignment,
+    )
+    protected = [0] * count
+    for target, envelope in zip(assignment, envelopes):
+        protected[target - 1] = envelope
     return SafeSharesState(
         params=params,
-        protected=from_ints(params, (protected_by_participant[j] for j in range(1, count + 1))),
+        protected=from_ints(params, protected),
         keys=from_ints(params, keys),
         masks=MaskSet(from_ints(params, masks), params),
         owner_shares=from_ints(params, owner_shares),

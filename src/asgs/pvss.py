@@ -13,6 +13,8 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 from typing import Mapping
 
 from asgs.kgh import (
@@ -32,6 +34,7 @@ from asgs.protocol import (
     ProtocolEnv,
     ROLE_DEALER,
     _check_params,
+    _participants,
     participant,
 )
 
@@ -96,26 +99,31 @@ def distribute_shares_and_keys(
     env.note_operation(
         "distribute_shares_and_keys", h=len(set1.shares), g=len(set2.shares)
     )
-    source = env.source(ROLE_DEALER)
     params = env.params
-    deliver = env.deliver
-    entries: dict[str, list[int]] = {"1": [], "2": []}
-    keys: dict[tuple[str, int], int] = {}
-    for tag, shares in (("1", set1.shares), ("2", set2.shares)):
-        published = entries[tag]
-        for i, share in enumerate(to_ints(shares), start=1):
-            key = source.next_int(params)
+    draw = env.source(ROLE_DEALER).next_int
+    holders = _participants("1", range(1, len(set1.shares) + 1)) + _participants(
+        "2", range(1, len(set2.shares) + 1)
+    )
+    keys = [draw(params) for _ in holders]
+    if not all(keys):
+        for holder, key in zip(holders, keys):
             if not key:
                 warnings.warn(
-                    f"zero one-time key for participant {i} of set {tag}; "
-                    "the matching bulletin entry exposes the share in clear",
+                    f"zero one-time key for participant {holder.index} of set "
+                    f"{holder.set_tag}; the matching bulletin entry exposes the share in clear",
                     stacklevel=2,
                 )
-            keys[(tag, i)] = deliver(DEALER, participant(tag, i), KIND_KEY, key, i)
-            published.append(share ^ key)
+    delivered = env.deliver_round(
+        DEALER, holders, KIND_KEY, keys, [holder.index for holder in holders]
+    )
+    shares = to_ints(set1.shares + set2.shares)
+    published = from_ints(params, [share ^ key for share, key in zip(shares, keys)])
+    split = len(set1.shares)
     return (
-        BulletinBoard(from_ints(params, entries["1"]), from_ints(params, entries["2"]), params),
-        KeyAssignment(dict(zip(keys, from_ints(params, keys.values())))),
+        BulletinBoard(published[:split], published[split:], params),
+        KeyAssignment(dict(zip(
+            [(holder.set_tag, holder.index) for holder in holders], from_ints(params, delivered)
+        ))),
     )
 
 
@@ -131,17 +139,24 @@ def recover_xored_keys(
     along the way.
     """
     env.note_operation("recover_xored_keys", h=set1_count, g=set2_count)
-    deliver = env.deliver
-    register = 0
+    # Every key is looked up and checked before the first message, so a
+    # failed recovery leaves no rows behind.
+    zero = ShareVector.zero(env.params)
+    senders = []
+    keys = []
     for i in range(1, max(set1_count, set2_count) + 1):
         for tag, total in (("1", set1_count), ("2", set2_count)):
-            contribution = 0
+            senders.append(participant(tag, i))
             if i <= total:
                 key = assignment.key_for(tag, i)
                 _check_params(env, key)
-                contribution = to_ints([key])[0]
-            register ^= deliver(participant(tag, i), ACCUMULATOR, KIND_KEY, contribution, i)
-    return ShareVector.from_int(env.params, register)
+                keys.append(key)
+            else:
+                keys.append(zero)
+    delivered = env.deliver_round(
+        senders, ACCUMULATOR, KIND_KEY, to_ints(keys), [party.index for party in senders]
+    )
+    return ShareVector.from_int(env.params, reduce(xor, delivered, 0))
 
 
 def verify(

@@ -37,6 +37,7 @@ from asgs.kgh import (
     MAX_DIMENSION,
     AuthorizedShareSet,
     MaskSet,
+    MixedParams,
     SchemeParams,
     SetRole,
     ShareVector,
@@ -437,6 +438,21 @@ class TestTranscriptDocs:
         doc["steps"][0]["kind"] = "ack"
         with pytest.raises(ParseError, match="unknown message kind 'ack'"):
             transcript_from_doc(doc)
+
+    def test_config_width_fixes_the_payload_width(self):
+        # The writer can only emit what its reader accepts: a payload of
+        # another width than the config's ``bits`` is refused on append.
+        transcript = Transcript({"bits": 8})
+        wide = ShareVector.from_int(SchemeParams.binary(16), 0x1234)
+        with pytest.raises(MixedParams):
+            transcript.append(Message(1, OWNER, ACCUMULATOR, KIND_SECRET, wide))
+        transcript.append(Message(1, OWNER, ACCUMULATOR, KIND_SECRET, bv(0x5A)))
+        doc = transcript_to_doc(transcript)
+        assert doc["steps"][0]["payload_hex"] == "5a"
+        restored = transcript_from_doc(doc)
+        assert restored.params == transcript.params
+        assert list(restored) == list(transcript)
+        assert transcript_to_doc(restored) == doc
 
     def test_decoded_seqs_need_not_be_one_to_n(self):
         transcript = Transcript({"bits": 8})

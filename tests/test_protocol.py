@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from asgs.devices import FixtureExhausted
 from asgs.kgh import (
+    MAX_DIMENSION,
     AuthorizedShareSet,
     MaskSet,
     MixedParams,
@@ -47,6 +48,9 @@ from asgs.protocol import (
     KeyRegenerationExhausted,
     Message,
     OWNER,
+    ROLE_DEALER,
+    ROLE_PARTICIPANT,
+    Party,
     ProtocolEnv,
     TamperRule,
     Transcript,
@@ -66,6 +70,7 @@ from asgs.protocol import (
     set_replicate_to_bigger,
     set_replicate_to_smaller,
 )
+from asgs.pvss import distribute_shares_and_keys, verify
 from helpers import P8, bv, bvs, ints
 
 
@@ -132,6 +137,16 @@ class TestParties:
         assert participant("2", 3).key == "participant:2"
         assert DEALER.key == "dealer"
 
+    def test_key_and_label_are_built_once_and_ignored_by_equality(self):
+        party = participant("a", 12)
+        assert party.label() is party.label() == "pa-12"
+        assert party.key is party.key == "participant:a"
+        built = Party(ROLE_PARTICIPANT, "a", 12)
+        assert built is not party
+        assert built == party and hash(built) == hash(party)
+        assert repr(built) == "Party(role='participant', set_tag='a', index=12)"
+        assert Party(ROLE_DEALER) == DEALER and Party(ROLE_DEALER).label() == "dealer"
+
 
 class TestMessage:
     FIELDS = (1, ACCUMULATOR, participant("2", 1), KIND_MASK_ELEMENT, bv(0x42), 1)
@@ -171,10 +186,17 @@ class TestTranscript:
         assert [type(p) for p in transcript.payloads] == [int, bool, bool, int]
         assert transcript.element_indices == [1, None, None, None]
 
+    def test_params_follow_a_valid_config_width(self):
+        assert Transcript({"bits": 8}).params == P8
+        assert Transcript({"bits": 8}, params=SchemeParams.binary(16)).params.dimension == 16
+        for bits in (None, 0, True, "8", MAX_DIMENSION + 1):
+            assert Transcript({"bits": bits}).params is None
+
     def test_payload_under_other_params_is_rejected(self):
         wide = ShareVector.from_int(SchemeParams.binary(16), 0x42)
         for transcript in (
             Transcript(params=P8),
+            Transcript({"bits": 8}),
             Transcript(steps=[Message(1, OWNER, ACCUMULATOR, KIND_SECRET, bv(0x01))]),
             ProtocolEnv.seeded(1, 8).transcript,
         ):
@@ -686,6 +708,138 @@ class TestTamper:
         state = safe_shares(bv(0x03), 2, env)
         activated = activate_shares(state, env)
         assert combine(activated.shares).to_int() == 0x03 ^ 0x08
+
+
+# Replications of the source set [04, 08, 0F]: the operation, its
+# accumulator draws, and the derived shares of an untampered run.
+RELAY_CASES = {
+    "equal": (
+        lambda env: equal_set_replicate(master_set([0x04, 0x08, 0x0F]), env),
+        [0x10, 0x20, 0x30, 0x40, 0x50],
+        [0x54, 0x78, 0x2F],
+    ),
+    "bigger": (
+        lambda env: set_replicate_to_bigger(master_set([0x04, 0x08, 0x0F]), 5, env),
+        [0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x71],
+        [0x54, 0x78, 0x5F, 0x71, 0x01],
+    ),
+    "smaller": (
+        lambda env: set_replicate_to_smaller(master_set([0x04, 0x08, 0x0F]), 2, env),
+        [0xA0, 0xB0, 0xC0],
+        [0x74, 0x77],
+    ),
+}
+
+
+def flipped(values, position, mask):
+    return [v ^ mask if j == position else v for j, v in enumerate(values)]
+
+
+class TestTamperInRounds:
+    """Tamper rules inside a message round: occurrences count per
+    (sender label, kind), a relay forwards the value it was delivered,
+    and ``tamper_fired`` lists (rule, seq) in seq order."""
+
+    @staticmethod
+    def replicate(case, *rules):
+        operation, draws, _ = RELAY_CASES[case]
+        env = fixture_env(accumulator=draws, tamper_rules=rules)
+        return ints(operation(env).shares), env
+
+    @pytest.mark.parametrize("case", RELAY_CASES)
+    def test_untampered_runs(self, case):
+        shares, env = self.replicate(case)
+        assert shares == RELAY_CASES[case][2]
+        assert env.tamper_fired == []
+
+    # Seqs: three mask elements, then each blinded share followed by the
+    # derived share it becomes; to_smaller(2) re-deals only the first.
+    @pytest.mark.parametrize("case, holder, position, seq", [
+        ("equal", 1, 0, 4), ("equal", 2, 1, 6), ("equal", 3, 2, 8),
+        ("bigger", 1, 0, 4), ("bigger", 2, 1, 6), ("bigger", 3, 2, 8),
+        ("smaller", 1, 0, 4), ("smaller", 2, 1, 6), ("smaller", 3, 1, 7),
+    ])
+    def test_blinded_share_tamper_flips_the_derived_share(self, case, holder, position, seq):
+        rule = TamperRule(f"p2-{holder}", KIND_MASKED_SHARE, 1, 5)
+        shares, env = self.replicate(case, rule)
+        assert shares == flipped(RELAY_CASES[case][2], position, 0x20)
+        assert env.tamper_fired == [(rule, seq)]
+
+    @pytest.mark.parametrize("case, occurrence, seq", [
+        ("equal", 1, 5), ("equal", 2, 7), ("equal", 3, 9),
+        ("bigger", 1, 5), ("bigger", 3, 9), ("bigger", 4, 10), ("bigger", 5, 11),
+        ("smaller", 1, 5), ("smaller", 2, 8),
+    ])
+    def test_derived_share_tamper_flips_only_that_share(self, case, occurrence, seq):
+        rule = TamperRule("accumulator", KIND_DERIVED_SHARE, occurrence, 0)
+        shares, env = self.replicate(case, rule)
+        assert shares == flipped(RELAY_CASES[case][2], occurrence - 1, 0x01)
+        assert env.tamper_fired == [(rule, seq)]
+
+    @pytest.mark.parametrize("bits, expected", [((0, 6), 0x78 ^ 0x41), ((3, 3), 0x78)])
+    def test_two_rules_fire_on_the_same_row(self, bits, expected):
+        rules = [TamperRule("p2-2", KIND_MASKED_SHARE, 1, bit) for bit in bits]
+        shares, env = self.replicate("equal", *rules)
+        assert shares == [0x54, expected, 0x2F]
+        assert env.tamper_fired == [(rules[0], 6), (rules[1], 6)]
+
+    def test_fired_rules_are_listed_in_seq_order(self):
+        rules = [
+            TamperRule("accumulator", KIND_DERIVED_SHARE, 3, 0),
+            TamperRule("p2-3", KIND_MASKED_SHARE, 1, 1),
+            TamperRule("accumulator", KIND_DERIVED_SHARE, 1, 2),
+            TamperRule("p2-1", KIND_MASKED_SHARE, 1, 3),
+            TamperRule("accumulator", KIND_MASK_ELEMENT, 2, 4),
+        ]
+        shares, env = self.replicate("equal", *rules)
+        assert shares == [0x54 ^ 0x0C, 0x78 ^ 0x10, 0x2F ^ 0x03]
+        assert env.tamper_fired == [
+            (rules[4], 2), (rules[3], 4), (rules[2], 5), (rules[1], 8), (rules[0], 9),
+        ]
+
+    @pytest.mark.parametrize("kind, occurrence, seq", [
+        (KIND_SECRET, 1, 3), (KIND_OWNER_SHARE, 1, 1), (KIND_OWNER_SHARE, 2, 2),
+    ])
+    def test_owner_tamper_flips_the_last_fast_share(self, kind, occurrence, seq):
+        # The last share is read off the register, which folds in the
+        # delivered values; the drawn shares are kept as drawn.
+        rule = TamperRule("owner", kind, occurrence, 7)
+        env = fixture_env(owner=[0x11, 0x22], tamper_rules=(rule,))
+        assert ints(fast_share(bv(0x5A), 3, env).shares) == [0x11, 0x22, 0x69 ^ 0x80]
+        assert env.tamper_fired == [(rule, seq)]
+
+    def test_a_rule_that_never_fires_changes_nothing(self):
+        # With a rule set, rounds go through deliver() row by row; without
+        # one, each round is appended as a block. Both record the same rows.
+        def run(rules):
+            env = ProtocolEnv.seeded(11, 16, tamper_rules=rules)
+            secret = ShareVector.from_int(env.params, 0xBEEF)
+            state = safe_shares(secret, 9, env)
+            outputs = [state.protected, state.keys, activate_shares(state, env).shares,
+                       fast_share(secret, 10, env).shares]
+            template, current = set_generate_m(7, 12, env)
+            for replicate, args in ((set_replicate_to_bigger, (20,)),
+                                    (set_replicate_to_smaller, (5,)),
+                                    (equal_set_replicate, ())):
+                current = replicate(current, *args, env)
+                outputs.append(current.shares)
+            bulletin, keys = distribute_shares_and_keys(template, current, env)
+            outputs += [bulletin, keys, verify(bulletin, keys, env)]
+            transcript = env.transcript
+            columns = (transcript.seqs, transcript.senders, transcript.recipients,
+                       transcript.kinds, transcript.payloads, transcript.element_indices)
+            return outputs, columns, env.tamper_fired
+
+        blocks = run(())
+        assert len(blocks[1][0]) == 213
+        assert run((TamperRule("p9-1", KIND_KEY, 1, 0),)) == blocks
+
+    def test_sealed_mask_tamper_reaches_the_envelope(self):
+        rule = TamperRule("dealer", KIND_MASKED_SHARE, 2, 1)
+        env = fixture_env(dealer=[0x0F, 0x21, 0x43], owner=[0x55], tamper_rules=(rule,))
+        state = safe_shares(bv(0x03), 2, env)
+        assert ints(state.protected) == [0x7B, 0x1A ^ 0x02]
+        assert env.tamper_fired == [(rule, 5)]
 
 
 class TestClassification:

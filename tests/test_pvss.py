@@ -129,6 +129,48 @@ class TestRecoverXoredKeys:
             recover_xored_keys(assignment, 2, 0, dealer_env([]))
         assert (excinfo.value.set_tag, excinfo.value.index) == ("1", 2)
 
+    @pytest.mark.parametrize("present, missing", [
+        # Round order: position i of set 1, then of set 2, then i + 1.
+        ([("1", 1), ("2", 1), ("1", 2), ("2", 2), ("1", 3)], ("2", 3)),
+        ([("1", 1), ("2", 1), ("2", 2), ("2", 3)], ("1", 2)),
+        ([("1", 1), ("1", 2), ("1", 3)], ("2", 1)),
+    ])
+    def test_missing_key_leaves_no_recovery_rows(self, present, missing):
+        env, _, _ = worked_distribution()
+        before = len(env.transcript)
+        assignment = KeyAssignment({entry: bv(0x10) for entry in present})
+        with pytest.raises(MissingKey) as excinfo:
+            recover_xored_keys(assignment, 3, 3, env)
+        assert (excinfo.value.set_tag, excinfo.value.index) == missing
+        assert len(env.transcript) == before
+
+    @pytest.mark.parametrize("wide, missing, error", [
+        (("2", 3), None, MixedParams),
+        # With two faulty keys, the first in round order decides the error.
+        (("1", 1), ("2", 3), MixedParams),
+        (("2", 3), ("1", 2), MissingKey),
+    ])
+    def test_key_under_other_params_leaves_no_recovery_rows(self, wide, missing, error):
+        env, _, assignment = worked_distribution()
+        before = len(env.transcript)
+        entries = dict(assignment.entries)
+        entries[wide] = ShareVector.from_int(SchemeParams.binary(16), 0x31)
+        entries.pop(missing, None)
+        with pytest.raises(error):
+            recover_xored_keys(KeyAssignment(entries), 2, 3, env)
+        assert len(env.transcript) == before
+
+    def test_tampered_contributions_fire_in_seq_order(self):
+        rules = (TamperRule("p2-3", KIND_KEY, 1, 1), TamperRule("p1-1", KIND_KEY, 2, 2),
+                 TamperRule("p1-1", KIND_KEY, 1, 0), TamperRule("p1-3", KIND_KEY, 1, 3))
+        env, _, assignment = worked_distribution(tamper_rules=rules)
+        result = recover_xored_keys(assignment, 2, 3, env)
+        # Occurrences count what a party sends: p1-1 only received its
+        # distributed key, so its one contribution is occurrence 1 and the
+        # rule on occurrence 2 never fires.
+        assert result.to_int() == 0xC1 ^ 0x02 ^ 0x01 ^ 0x08
+        assert env.tamper_fired == [(rules[2], 6), (rules[3], 10), (rules[0], 11)]
+
     def test_single_key_each_side(self):
         assignment = KeyAssignment({("1", 1): bv(0x0F), ("2", 1): bv(0xF0)})
         result = recover_xored_keys(assignment, 1, 1, dealer_env([]))
