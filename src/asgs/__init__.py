@@ -1,4 +1,4 @@
-"""Automatic secret generation and sharing over component-wise addition.
+"""Automatic secret generation and sharing over XOR of l-bit vectors.
 
 The package simulates a small cast of parties (a dealer, a secret owner,
 an accumulator device, and numbered participants) running share

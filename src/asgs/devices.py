@@ -1,9 +1,9 @@
 """The two primitive devices behind the automatic protocols.
 
 An :class:`Accumulator` is an l-bit register that can only be reset,
-read, and written by XOR. A :class:`RandSource` hands out vectors either
-from a seeded deterministic generator or from an explicit fixture list.
-Every protocol run is a pure function of its devices' contents.
+read, and written by XOR. A :class:`RandSource` hands out l-bit vectors
+either from a seeded deterministic generator or from an explicit fixture
+list. Every protocol run is a pure function of its devices' contents.
 
 The protocol engine draws with :meth:`RandSource.next_int` and keeps
 each register as a plain int XORed in place; :class:`Accumulator` is
@@ -18,25 +18,19 @@ from typing import Iterable, Sequence
 
 from asgs.kgh import AsgsError, MixedParams, SchemeParams, ShareVector
 
-# A device handed a vector under the wrong params raises the same error
-# as any other mix of params; the old name stays for existing callers.
-ParamMismatch = MixedParams
-
 
 class FixtureExhausted(AsgsError):
     """A fixture source ran out of prepared vectors (test misconfiguration)."""
 
 
 class Accumulator:
-    """A binary register of fixed width, reachable only via reset/read/store.
+    """An l-bit register, reachable only via reset/read/store.
 
     store XORs its argument into the register, so storing the same value
     twice cancels it. Nothing else observes or serializes the register.
     """
 
     def __init__(self, params: SchemeParams) -> None:
-        if params.modulus != 2:
-            raise ValueError("the accumulator register is binary only")
         self._params = params
         self._register = ShareVector.zero(params)
 
@@ -48,7 +42,7 @@ class Accumulator:
 
     def store(self, vector: ShareVector) -> None:
         if vector.params is not self._params and vector.params != self._params:
-            raise ParamMismatch(
+            raise MixedParams(
                 f"register holds {self._params}, got a vector under {vector.params}"
             )
         self._register = self._register + vector
@@ -58,11 +52,11 @@ class RandSource:
     """Deterministic vector stream, seeded or replayed from a fixture.
 
     Seeded mode draws from MT19937 (``random.Random``) initialised with
-    the given integer: a binary vector is ``getrandbits(bits)`` taken as
-    its packed value (component 1 is the top bit), other moduli draw one
-    ``randrange(k)`` per component, left to right. This generator choice is frozen; repeat
-    runs with equal seeds reproduce identical streams. Fixture mode
-    replays the prepared vectors in order and refuses to wrap around.
+    the given integer: a vector is ``getrandbits(bits)`` taken as its
+    packed value (component 1 is the top bit). This generator choice is
+    frozen; repeat runs with equal seeds reproduce identical streams.
+    Fixture mode replays the prepared vectors in order, checks that each
+    carries the requested params, and refuses to wrap around.
     """
 
     def __init__(
@@ -90,38 +84,26 @@ class RandSource:
         return self._cursor
 
     def next_int(self, params: SchemeParams) -> int:
-        """The one binary draw: a vector as its packed int."""
-        if params.modulus != 2:
-            raise ValueError("packed draws are defined for modulus 2 only")
-        if self._values is not None:
-            return self.next_vector(params).to_int()
-        assert self._rng is not None
-        self._cursor += 1
-        return self._rng.getrandbits(params.dimension)
+        """The one draw: the next vector as its packed int."""
+        values = self._values
+        if values is None:
+            assert self._rng is not None
+            self._cursor += 1
+            return self._rng.getrandbits(params.dimension)
+        cursor = self._cursor
+        if cursor >= len(values):
+            raise FixtureExhausted(f"fixture drained after {len(values)} vectors")
+        value = values[cursor]
+        if value.params is not params and value.params != params:
+            raise MixedParams(
+                f"fixture vector {cursor + 1} carries {value.params}, "
+                f"requested {params}"
+            )
+        self._cursor = cursor + 1
+        return value.to_int()
 
     def next_vector(self, params: SchemeParams) -> ShareVector:
-        if self._values is not None:
-            if self._cursor >= len(self._values):
-                raise FixtureExhausted(
-                    f"fixture drained after {len(self._values)} vectors"
-                )
-            value = self._values[self._cursor]
-            if value.params is not params and value.params != params:
-                raise ParamMismatch(
-                    f"fixture vector {self._cursor + 1} carries {value.params}, "
-                    f"requested {params}"
-                )
-            self._cursor += 1
-            return value
-        if params.modulus == 2:
-            return ShareVector.from_int(params, self.next_int(params))
-        assert self._rng is not None
-        vector = ShareVector(
-            params,
-            tuple(self._rng.randrange(params.modulus) for _ in range(params.dimension)),
-        )
-        self._cursor += 1
-        return vector
+        return ShareVector.from_int(params, self.next_int(params))
 
 
 def derive_stream_seed(seed: int, label: str) -> int:

@@ -75,8 +75,6 @@ def decode_vector(text: str, params: SchemeParams) -> ShareVector:
     uppercase, signs, whitespace, ``_`` and non-ASCII digits), and
     nonzero bits in the padding tail.
     """
-    if params.modulus != 2:
-        raise ValueError("hex vectors are defined for modulus 2 only")
     bits = params.dimension
     expected = _hex_width(bits)
     if len(text) != expected:

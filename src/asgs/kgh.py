@@ -1,15 +1,13 @@
-"""Additive share algebra in the Karnin-Greene-Hellman style.
+"""Additive share algebra in the Karnin-Greene-Hellman style, over XOR.
 
 Secrets, shares, masks, and one-time keys are all the same kind of value:
-a fixed-dimension vector of residues mod k. A secret is recovered by
-adding the shares of an authorized set component-wise. With modulus 2
-every operation collapses to XOR on l-bit strings, which is the form the
-automatic protocols in :mod:`asgs.protocol` work in. A binary vector is
-therefore stored as one packed unsigned int, component 1 in the most
-significant bit, and adding two of them is a single ``^``; its
-``components`` tuple is a derived view. Other moduli keep a tuple of
-residues and add component-wise. The protocol engine computes on the
-packed ints themselves (:func:`to_ints`, :func:`from_ints`).
+an l-bit string. A secret is recovered by XORing the shares of an
+authorized set, which is the form the automatic protocols in
+:mod:`asgs.protocol` work in. A vector is stored as one packed unsigned
+int, component 1 in the most significant bit, so adding or subtracting
+two of them is a single ``^``; its ``components`` tuple is a derived
+view. The protocol engine computes on the packed ints themselves
+(:func:`to_ints`, :func:`from_ints`).
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ class AsgsError(Exception):
 
 
 class MixedParams(AsgsError):
-    """Vectors with different (modulus, dimension) cannot be combined."""
+    """Vectors of different widths (``SchemeParams``) cannot be combined."""
 
 
 class IndexOutOfRange(AsgsError):
@@ -43,19 +41,15 @@ MAX_DIMENSION = 1 << 16
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Algebra parameters: residue modulus and vector dimension.
+    """Algebra parameters: the bit width of every vector.
 
-    In the binary case (modulus 2) the dimension is a bit width and
-    vectors behave like l-bit strings under XOR. The dimension lies in
-    ``1..MAX_DIMENSION``.
+    Vectors behave like l-bit strings under XOR, with l = ``dimension``
+    in ``1..MAX_DIMENSION``.
     """
 
-    modulus: int
     dimension: int
 
     def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         if self.dimension > MAX_DIMENSION:
@@ -64,25 +58,19 @@ class SchemeParams:
     @classmethod
     def binary(cls, bits: int = 128) -> SchemeParams:
         """Parameters for bit-string vectors of the given width."""
-        return cls(2, bits)
-
-    @property
-    def bits(self) -> int:
-        """Bit width of a binary vector (alias for ``dimension``)."""
-        return self.dimension
+        return cls(bits)
 
 
 class ShareVector:
-    """One element of Z_k^dimension, the unit every protocol value is made of.
+    """One l-bit vector, the unit every protocol value is made of.
 
-    A binary vector (modulus 2) is stored as one unsigned int of
-    ``dimension`` bits with component 1 in the most significant bit, so
-    ``+`` and ``-`` are a single XOR. Other moduli keep a tuple of
-    residues. ``components`` is a derived, read-only view either way.
+    It is stored as one unsigned int of ``dimension`` bits with
+    component 1 in the most significant bit, so ``+`` and ``-`` are a
+    single XOR. ``components`` is a derived, read-only view of the bits.
     Inputs are validated where they enter (the constructor and
     :meth:`from_int`); results of arithmetic on valid vectors are valid
     by construction and are not checked again. Vectors are immutable,
-    hashable, and equal exactly when their params and components are.
+    hashable, and equal exactly when their params and bits are.
     """
 
     __slots__ = ("params", "_data")
@@ -93,79 +81,50 @@ class ShareVector:
             raise ValueError(
                 f"expected {params.dimension} components, got {len(components)}"
             )
-        k = params.modulus
-        if any(c < 0 or c >= k for c in components):
-            raise ValueError(f"components must lie in [0, {k})")
-        if k == 2:
-            data = int("".join("1" if c else "0" for c in components), 2)
-        else:
-            data = components
+        if any(c not in (0, 1) for c in components):
+            raise ValueError("components must be bits, 0 or 1")
         _set_params(self, params)
-        _set_data(self, data)
+        _set_data(self, int("".join("1" if c else "0" for c in components), 2))
 
     @classmethod
     def zero(cls, params: SchemeParams) -> ShareVector:
-        return _vector(params, 0 if params.modulus == 2 else (0,) * params.dimension)
+        return _vector(params, 0)
 
     @classmethod
     def from_int(cls, params: SchemeParams, value: int) -> ShareVector:
-        """Wrap an unsigned integer as a binary vector, MSB first.
+        """Wrap an unsigned integer as a vector, MSB first.
 
         Component 1 is the most significant bit of ``value`` at the
         declared width.
         """
-        if params.modulus != 2:
-            raise ValueError("integer packing is defined for modulus 2 only")
         width = params.dimension
         if value < 0 or value >> width:
             raise ValueError(f"value {value:#x} does not fit in {width} bits")
         return _vector(params, value)
 
     def to_int(self) -> int:
-        """The packed unsigned integer of a binary vector, component 1 first."""
-        if self.params.modulus != 2:
-            raise ValueError("integer packing is defined for modulus 2 only")
+        """The packed unsigned integer, component 1 first."""
         return self._data
 
     @property
     def components(self) -> tuple[int, ...]:
-        """The residues, component 1 first (unpacked MSB first when binary)."""
-        if self.params.modulus != 2:
-            return self._data
+        """The bits, component 1 (the most significant bit) first."""
         return tuple(map(int, format(self._data, f"0{self.params.dimension}b")))
 
     def is_zero(self) -> bool:
-        if self.params.modulus == 2:
-            return not self._data
-        return not any(self._data)
-
-    def _require_same_params(self, other: ShareVector) -> None:
-        if other.params is not self.params and other.params != self.params:
-            raise MixedParams(
-                f"cannot mix vectors under {self.params} and {other.params}"
-            )
+        return not self._data
 
     def __add__(self, other: ShareVector) -> ShareVector:
         if not isinstance(other, ShareVector):
             return NotImplemented
-        self._require_same_params(other)
-        k = self.params.modulus
-        if k == 2:
-            return _vector(self.params, self._data ^ other._data)
-        return _vector(
-            self.params, tuple((a + b) % k for a, b in zip(self._data, other._data))
-        )
+        if other.params is not self.params and other.params != self.params:
+            raise MixedParams(
+                f"cannot mix vectors under {self.params} and {other.params}"
+            )
+        return _vector(self.params, self._data ^ other._data)
 
-    def __sub__(self, other: ShareVector) -> ShareVector:
-        if not isinstance(other, ShareVector):
-            return NotImplemented
-        self._require_same_params(other)
-        k = self.params.modulus
-        if k == 2:
-            return _vector(self.params, self._data ^ other._data)
-        return _vector(
-            self.params, tuple((a - b) % k for a, b in zip(self._data, other._data))
-        )
+    # Every vector is its own inverse under XOR.
+    __sub__ = __add__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ShareVector):
@@ -185,7 +144,7 @@ class ShareVector:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return ShareVector, (self.params, self.components)
+        return ShareVector.from_int, (self.params, self._data)
 
 
 # The slot descriptors' setters write the two fields past the frozen
@@ -194,8 +153,8 @@ _set_params = ShareVector.params.__set__
 _set_data = ShareVector._data.__set__
 
 
-def _vector(params: SchemeParams, data: int | tuple[int, ...]) -> ShareVector:
-    """Build a vector from already-valid packed data, skipping validation."""
+def _vector(params: SchemeParams, data: int) -> ShareVector:
+    """Build a vector from an int that already fits the width, unchecked."""
     vector = object.__new__(ShareVector)
     _set_params(vector, params)
     _set_data(vector, data)
@@ -203,7 +162,7 @@ def _vector(params: SchemeParams, data: int | tuple[int, ...]) -> ShareVector:
 
 
 def to_ints(vectors: Iterable[ShareVector]) -> list[int]:
-    """The packed ints of binary vectors whose params the caller checked."""
+    """The packed ints of vectors whose params the caller checked."""
     return [vector._data for vector in vectors]
 
 
@@ -282,7 +241,7 @@ class MaskSet:
 def combine(
     shares: Iterable[ShareVector], params: SchemeParams | None = None
 ) -> ShareVector:
-    """Component-wise mod-k sum of the given vectors (XOR when k == 2).
+    """The XOR of the given vectors.
 
     The empty combination is the zero vector, which needs explicit
     ``params`` since there is no vector to infer them from.
@@ -295,18 +254,12 @@ def combine(
     first = shares[0].params
     if params is not None and first != params:
         raise MixedParams(f"shares carry {first}, expected {params}")
+    acc = 0
     for share in shares:
         if share.params is not first and share.params != first:
             raise MixedParams(f"cannot mix vectors under {first} and {share.params}")
-    k = first.modulus
-    if k == 2:
-        acc = 0
-        for share in shares:
-            acc ^= share._data
-        return _vector(first, acc)
-    return _vector(
-        first, tuple(sum(column) % k for column in zip(*(s._data for s in shares)))
-    )
+        acc ^= share._data
+    return _vector(first, acc)
 
 
 def kgh_split(
@@ -330,13 +283,11 @@ def mask_ints(count: int, rand: RandSource, params: SchemeParams) -> list[int]:
     """A fresh zero-sum mask set of the given cardinality, as packed ints.
 
     Mirrors the accumulator register protocol: reset, store count - 1
-    random draws, and read the balancing element off the register. Only
-    defined for the binary algebra, where store is XOR and the final
-    read cancels everything stored so far. This is the one mask
-    generator: every protocol operation draws its masks through it.
+    random draws, and read the balancing element off the register:
+    store is XOR, so the final read cancels everything stored so far.
+    This is the one mask generator: every protocol operation draws its
+    masks through it.
     """
-    if params.modulus != 2:
-        raise ValueError("mask generation is defined for modulus 2 only")
     if count < 1:
         raise ValueError(f"mask set cardinality must be >= 1, got {count}")
     draw = rand.next_int

@@ -458,8 +458,6 @@ class ProtocolEnv:
         identify: Callable[[int], bool] | None = None,
         config: Mapping | None = None,
     ) -> None:
-        if params.modulus != 2:
-            raise ValueError("protocol runs are defined for modulus 2")
         self.params = params
         self._sources = dict(sources)
         self.tamper_rules = tuple(tamper_rules)

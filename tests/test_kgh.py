@@ -32,27 +32,18 @@ from asgs.kgh import (
 from helpers import P8, bv, bvs, fixture_source, ints
 
 
-def general_vector(params: SchemeParams, components) -> ShareVector:
-    return ShareVector(params, tuple(components))
-
-
 class TestSchemeParams:
-    def test_binary_constructor_and_bits_alias(self):
-        params = SchemeParams.binary(12)
-        assert params.modulus == 2
-        assert params.dimension == 12
-        assert params.bits == 12
+    def test_binary_constructor(self):
+        assert SchemeParams.binary(12) == SchemeParams(12)
+        assert SchemeParams.binary(12).dimension == 12
 
     def test_default_width_is_128(self):
         assert SchemeParams.binary().dimension == 128
 
-    @pytest.mark.parametrize(
-        "modulus,dimension",
-        [(1, 4), (0, 4), (2, 0), (3, -1), (2, MAX_DIMENSION + 1)],
-    )
-    def test_rejects_degenerate_parameters(self, modulus, dimension):
+    @pytest.mark.parametrize("dimension", [0, -1, MAX_DIMENSION + 1])
+    def test_rejects_degenerate_parameters(self, dimension):
         with pytest.raises(ValueError):
-            SchemeParams(modulus, dimension)
+            SchemeParams(dimension)
 
 
 WIDTHS = [1, 8, 12, 128, 4096]
@@ -123,7 +114,6 @@ class TestShareVector:
         [
             bv(0x5A),
             ShareVector.from_int(SchemeParams.binary(4096), 1 << 4095),
-            ShareVector(SchemeParams(5, 3), (4, 0, 2)),
         ],
     )
     def test_frozen(self, vector):
@@ -135,28 +125,15 @@ class TestShareVector:
         assert copy.deepcopy(vector) == vector
         assert pickle.loads(pickle.dumps(vector)) == vector
 
-    def test_int_packing_is_binary_only(self):
-        params = SchemeParams(3, 2)
-        with pytest.raises(ValueError):
-            ShareVector.from_int(params, 1)
-        with pytest.raises(ValueError):
-            general_vector(params, (1, 2)).to_int()
-
     def test_component_range_enforced(self):
+        for bad in (2, -1):
+            with pytest.raises(ValueError):
+                ShareVector(P8, (0,) * 7 + (bad,))
         with pytest.raises(ValueError):
-            general_vector(SchemeParams(3, 2), (1, 3))
-        with pytest.raises(ValueError):
-            general_vector(P8, (0,) * 7)
+            ShareVector(P8, (0,) * 7)
 
     def test_add_is_xor_in_binary(self):
         assert (bv(0x0F) + bv(0x99)).to_int() == 0x96
-
-    def test_add_and_sub_mod_k(self):
-        params = SchemeParams(5, 2)
-        a = general_vector(params, (1, 2))
-        b = general_vector(params, (3, 4))
-        assert (a + b).components == (4, 1)
-        assert (a - b).components == (3, 3)
 
     def test_mixed_params_rejected(self):
         for op in (operator.add, operator.sub):
@@ -183,11 +160,6 @@ class TestCombine:
         with pytest.raises(ValueError):
             combine([])
 
-    def test_general_modulus_example(self):
-        params = SchemeParams(5, 2)
-        result = combine([general_vector(params, (1, 2)), general_vector(params, (3, 4))])
-        assert result.components == (4, 1)
-
     def test_binary_example(self):
         assert combine(bvs([0x04, 0x08, 0x0F])).to_int() == 0x03
 
@@ -208,61 +180,44 @@ class TestCombine:
 
 
 class TestKghSplit:
-    def test_general_modulus_example(self):
-        params = SchemeParams(5, 2)
-        secret = general_vector(params, (4, 1))
-        from asgs.devices import RandSource
-
-        rand = RandSource.fixture([general_vector(params, (1, 2))])
-        result = kgh_split(secret, 2, rand)
-        assert result.role is SetRole.OWNER
-        assert [s.components for s in result.shares] == [(1, 2), (3, 4)]
-
     def test_single_share_degenerate_case(self):
         result = kgh_split(bv(0x5A), 1, fixture_source([]))
         assert ints(result.shares) == [0x5A]
 
     def test_binary_three_way_split(self):
         result = kgh_split(bv(0x5A), 3, fixture_source([0x11, 0x22]))
+        assert result.role is SetRole.OWNER
         assert ints(result.shares) == [0x11, 0x22, 0x69]
 
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
             kgh_split(bv(0x5A), 0, fixture_source([]))
 
-    @given(
-        st.integers(2, 7),
-        st.integers(1, 4),
-        st.integers(1, 5),
-        st.integers(0, 2**31),
-    )
-    def test_round_trip_all_moduli(self, modulus, dimension, count, seed):
+    @pytest.mark.parametrize("bits", [1, 8, 128, 4096])
+    @given(st.integers(1, 5), st.integers(0, 2**31))
+    def test_round_trip_all_widths(self, bits, count, seed):
         from asgs.devices import RandSource
 
-        params = SchemeParams(modulus, dimension)
+        params = SchemeParams.binary(bits)
         rng_source = RandSource.seeded(seed)
         secret = rng_source.next_vector(params)
         shares = kgh_split(secret, count, rng_source)
         assert len(shares) == count
         assert combine(shares.shares) == secret
 
-    @pytest.mark.parametrize("modulus", [2, 3, 4, 5])
-    @pytest.mark.parametrize("count", [2, 3])
-    def test_prefix_secrecy_exhaustive(self, modulus, count):
-        """Any proper subset of the split shares is uniform over Z_k at
-        dimension 1, marginalized over all draw streams."""
-        params = SchemeParams(modulus, 1)
-        secret = general_vector(params, (1 % modulus,))
-        from asgs.devices import RandSource
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_prefix_secrecy_exhaustive(self, count):
+        """Any proper subset of the split shares is uniform over bits at
+        width 1, marginalized over all draw streams."""
+        params = SchemeParams.binary(1)
+        secret = bv(1, params)
 
         subset_counts: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        streams = itertools.product(range(modulus), repeat=count - 1)
+        streams = itertools.product(range(2), repeat=count - 1)
         total_streams = 0
         for stream_values in streams:
             total_streams += 1
-            rand = RandSource.fixture(
-                [general_vector(params, (v,)) for v in stream_values]
-            )
+            rand = fixture_source(stream_values, params)
             shares = [s.components[0] for s in kgh_split(secret, count, rand).shares]
             for size in range(1, count):
                 for positions in itertools.combinations(range(count), size):
@@ -270,7 +225,7 @@ class TestKghSplit:
                     bucket = subset_counts.setdefault(positions, {})
                     bucket[observed] = bucket.get(observed, 0) + 1
         for positions, bucket in subset_counts.items():
-            expected = total_streams // (modulus ** len(positions))
+            expected = total_streams // (2 ** len(positions))
             assert set(bucket.values()) == {expected}, positions
 
 
@@ -286,10 +241,6 @@ class TestGenerateMaskSet:
     def test_triple_balances(self):
         masks = generate_mask_set(3, fixture_source([0x0A, 0x06]), P8)
         assert ints(masks.vectors) == [0x0A, 0x06, 0x0C]
-
-    def test_binary_only(self):
-        with pytest.raises(ValueError):
-            generate_mask_set(2, fixture_source([0x01]), SchemeParams(3, 4))
 
     def test_cardinality_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -599,10 +599,6 @@ class TestEnvironment:
         with pytest.raises(ValueError):
             env.source("owner")
 
-    def test_binary_only(self):
-        with pytest.raises(ValueError):
-            ProtocolEnv.with_fixtures(SchemeParams(3, 4))
-
     def test_seeded_assignment_is_a_permutation(self):
         env = ProtocolEnv.seeded(5, 8)
         drawn = env.draw_assignment(6)
