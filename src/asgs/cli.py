@@ -60,7 +60,6 @@ from asgs.kgh import (
     generate_mask_set,
 )
 from asgs.protocol import (
-    MESSAGE_KINDS,
     ProtocolEnv,
     ROLE_ACCUMULATOR,
     SOURCE_ROLES,
@@ -72,7 +71,6 @@ from asgs.protocol import (
     check_visibility,
     equal_set_replicate,
     fast_share,
-    parse_party,
     safe_shares,
     set_generate_m,
     set_replicate_to_bigger,
@@ -102,29 +100,21 @@ def default_bits() -> int:
 
 
 def parse_tamper_rule(text: str) -> TamperRule:
-    """Parse party:kind:occurrence:bit:index into a tamper rule."""
+    """Parse party:kind:occurrence:bit:index into a tamper rule whose
+    spec is ``text``, so numbers must be plain decimal integers."""
     parts = text.split(":")
     if len(parts) != 5 or parts[3] != "bit":
         raise ParseError(
             f"tamper rule must look like party:kind:occurrence:bit:index, got {text!r}"
         )
-    party_text, kind, occurrence_text, _, bit_text = parts
+    party, kind, occurrence, _, bit = parts
     try:
-        parse_party(party_text)
+        rule = TamperRule(party, kind, int(occurrence), int(bit))
+        if rule.spec() != text:
+            raise ValueError("occurrence and bit must be plain decimal integers")
     except ValueError as exc:
-        raise ParseError(f"tamper rule {text!r}: {exc}") from exc
-    if kind not in MESSAGE_KINDS:
-        raise ParseError(f"tamper rule {text!r}: unknown message kind {kind!r}")
-    try:
-        occurrence = int(occurrence_text)
-        bit = int(bit_text)
-    except ValueError:
-        raise ParseError(f"tamper rule {text!r}: occurrence and bit must be integers") from None
-    if occurrence < 1:
-        raise ParseError(f"tamper rule {text!r}: occurrence counts from 1")
-    if bit < 0:
-        raise ParseError(f"tamper rule {text!r}: bit index must be >= 0")
-    return TamperRule(party_text, kind, occurrence, bit)
+        raise ParseError(f"tamper rule {text!r}: {exc}") from None
+    return rule
 
 
 @dataclass

@@ -23,7 +23,7 @@ import functools
 import random
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import xor
+from operator import itemgetter, xor
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from asgs.devices import RandSource, derive_stream_seed
@@ -289,12 +289,22 @@ class TamperRule:
 
     ``party`` is a party label as produced by :meth:`Party.label`;
     ``occurrence`` counts that party's messages of that kind from 1.
+    :class:`ProtocolEnv` checks the bit against its payload width.
     """
 
     party: str
     kind: str
     occurrence: int
     bit: int
+
+    def __post_init__(self) -> None:
+        parse_party(self.party)
+        if self.kind not in MESSAGE_KINDS:
+            raise ValueError(f"unknown message kind {self.kind!r}")
+        if self.occurrence < 1:
+            raise ValueError("occurrence counts from 1")
+        if self.bit < 0:
+            raise ValueError("bit index must be >= 0")
 
     def spec(self) -> str:
         return f"{self.party}:{self.kind}:{self.occurrence}:bit:{self.bit}"
@@ -461,11 +471,21 @@ class ProtocolEnv:
         self.params = params
         self._sources = dict(sources)
         self.tamper_rules = tuple(tamper_rules)
-        # Messages per (sender label, kind), counted only while some rule
-        # could match: without rules nothing reads the counts.
-        self._tamper_counts: dict[tuple[str, str], int] = {}
-        # (rule, seq of the message it flipped), in delivery order. Kept
-        # out of the transcript so its bytes do not depend on it.
+        # The rules by the (sender label, kind) they count, each with the
+        # mask that flips its bit (True keeps a control payload a bool).
+        self._tamper_groups: dict[tuple[str, str], list[tuple[TamperRule, int]]] = {}
+        for rule in self.tamper_rules:
+            control = rule.kind in CONTROL_KINDS
+            width = 1 if control else params.dimension
+            if rule.bit >= width:
+                raise ValueError(
+                    f"tamper rule {rule.spec()}: bit index {rule.bit} outside 0..{width - 1}"
+                )
+            mask = True if control else 1 << rule.bit
+            self._tamper_groups.setdefault((rule.party, rule.kind), []).append((rule, mask))
+        self._tamper_counts = dict.fromkeys(self._tamper_groups, 0)
+        # (rule, seq of the message it flipped), in seq order. Kept out
+        # of the transcript so its bytes do not depend on it.
         self.tamper_fired: list[tuple[TamperRule, int]] = []
         self._fixed_assignment = tuple(assignment) if assignment is not None else None
         self._assignment_rng = assignment_rng
@@ -560,32 +580,34 @@ class ProtocolEnv:
             chosen.append(remaining.pop(self._assignment_rng.randrange(len(remaining))))
         return tuple(chosen)
 
-    def _apply_tamper(
-        self, sender: Party, kind: str, payload: int | bool, seq: int
-    ) -> int | bool:
-        key = (sender.label(), kind)
-        occurrence = self._tamper_counts.get(key, 0) + 1
-        self._tamper_counts[key] = occurrence
-        for rule in self.tamper_rules:
-            if (
-                rule.party == key[0]
-                and rule.kind == kind
-                and rule.occurrence == occurrence
-            ):
-                payload = self._flip_bit(payload, rule.bit)
-                self.tamper_fired.append((rule, seq))
-        return payload
-
-    def _flip_bit(self, payload: int | bool, bit: int) -> int | bool:
-        if type(payload) is bool:
-            if bit != 0:
-                raise ValueError("boolean payloads only have bit 0")
-            return not payload
-        if bit < 0 or bit >= self.params.dimension:
-            raise ValueError(
-                f"bit index {bit} outside 0..{self.params.dimension - 1}"
-            )
-        return payload ^ (1 << bit)
+    def _tamper(
+        self, senders: Party | Sequence[Party], kind: str, payloads: Sequence, seqs: Sequence
+    ) -> Sequence:
+        """Apply the tamper rules to one column of ``kind`` rows: row i is
+        sent by sender i (``senders`` as :meth:`deliver_round` takes it)
+        with seq ``seqs[i]``. Returns ``payloads`` itself when no rule
+        fires, else a flipped copy."""
+        tampered = payloads
+        fired = self.tamper_fired
+        before = len(fired)
+        for (label, rule_kind), rules in self._tamper_groups.items():
+            if rule_kind != kind:
+                continue
+            column = _column(senders, len(payloads))
+            rows = [row for row, sender in enumerate(column) if sender.label() == label]
+            seen = self._tamper_counts[label, kind]
+            self._tamper_counts[label, kind] = seen + len(rows)
+            for rule, mask in rules:
+                if seen < rule.occurrence <= seen + len(rows):
+                    row = rows[rule.occurrence - seen - 1]
+                    if tampered is payloads:
+                        tampered = list(payloads)
+                    tampered[row] ^= mask
+                    fired.append((rule, seqs[row]))
+        if len(fired) > before:
+            # Stable, so two rules on one row stay in rule order.
+            fired.sort(key=itemgetter(1))
+        return tampered
 
     def deliver(
         self,
@@ -606,7 +628,7 @@ class ProtocolEnv:
         # The seq is the message's 1-based position, so it always increases.
         seq = len(seqs) + 1
         if self.tamper_rules:
-            payload = self._apply_tamper(sender, kind, payload, seq)
+            payload = self._tamper(sender, kind, (payload,), (seq,))[0]
         seqs.append(seq)
         transcript.senders.append(sender)
         transcript.recipients.append(recipient)
@@ -628,25 +650,17 @@ class ProtocolEnv:
 
         ``senders``, ``recipients`` and ``element_indices`` each take one
         value for every row (None: no element index) or a list, tuple or
-        range with one per row. The transcript and the tamper rules see
-        exactly what :meth:`deliver` called row by row would produce,
-        and that is how the round is sent while tamper rules are set;
-        without them it is appended as one block and ``payloads`` itself
-        is returned.
+        range with one per row. The round is tampered as one column and
+        appended as one block; the transcript and the tamper rules see
+        exactly what :meth:`deliver` called row by row would produce.
+        Returns the payloads as delivered, ``payloads`` itself unless a
+        rule fired.
         """
         count = len(payloads)
-        if self.tamper_rules:
-            deliver = self.deliver
-            return [
-                deliver(*row)
-                for row in zip(
-                    _column(senders, count), _column(recipients, count), repeat(kind),
-                    payloads, _column(element_indices, count),
-                )
-            ]
         transcript = self.transcript
         seqs = transcript.seqs
         first = len(seqs) + 1
+        payloads = self._tamper(senders, kind, payloads, range(first, first + count))
         seqs.extend(range(first, first + count))
         transcript.senders.extend(_column(senders, count))
         transcript.recipients.extend(_column(recipients, count))
@@ -671,37 +685,31 @@ class ProtocolEnv:
         XOR ``operands[i]``, to ``recipients[i]`` as a ``forward_kind``
         message with element index ``forward_indices[i]``, right after
         the message it came in on. ``senders`` takes the forms
-        :meth:`deliver_round` takes, and the round is sent row by row
-        while tamper rules are set, so each forward carries the value
-        the relay was delivered.
+        :meth:`deliver_round` takes.
+
+        The inbound column is tampered first, so each forward carries the
+        value the relay was delivered, then the forward column; one woven
+        block is appended. Both callers have ``kind != forward_kind``, so
+        the two columns' occurrence counts are independent.
 
         Returns the received and the forwarded payloads as delivered.
         """
         count, relayed = len(payloads), len(operands)
-        if self.tamper_rules:
-            deliver = self.deliver
-            received = []
-            forwarded = []
-            for i, (sender, payload) in enumerate(zip(_column(senders, count), payloads)):
-                value = deliver(sender, relay, kind, payload)
-                received.append(value)
-                if i < relayed:
-                    forwarded.append(deliver(
-                        relay, recipients[i], forward_kind, value ^ operands[i],
-                        forward_indices[i],
-                    ))
-            return received, forwarded
-        forwarded = [value ^ operand for value, operand in zip(payloads, operands)]
         transcript = self.transcript
         seqs = transcript.seqs
         first = len(seqs) + 1
+        woven = first + 2 * relayed
+        inbound_seqs = [*range(first, woven, 2), *range(woven, first + count + relayed)]
+        received = self._tamper(senders, kind, payloads, inbound_seqs)
+        forwarded = [value ^ operand for value, operand in zip(received, operands)]
+        forwarded = self._tamper(relay, forward_kind, forwarded, range(first + 1, woven, 2))
         seqs.extend(range(first, first + count + relayed))
         transcript.senders.extend(_weave(senders, relay, count, relayed))
         transcript.recipients.extend(_weave(relay, recipients, count, relayed))
         transcript.kinds.extend(_weave(kind, forward_kind, count, relayed))
-        transcript.payloads.extend(_weave(payloads, forwarded, count, relayed))
+        transcript.payloads.extend(_weave(received, forwarded, count, relayed))
         transcript.element_indices.extend(_weave(None, forward_indices, count, relayed))
-        return payloads, forwarded
+        return received, forwarded
 
 
 # The sequence types a round column may take; any other value is one

@@ -489,6 +489,15 @@ class TestUsageErrors:
             assert f"error: tamper rule {idle} matched no message" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_tamper_bit_outside_the_payload(self, tmp_path, capsys):
+        code = run(tmp_path, "fastshare", "--bits", "8", "--secret", "5a", "--n", "3",
+                   "--tamper", "owner:secret:1:bit:8")
+        assert code == 1
+        assert "error: tamper rule owner:secret:1:bit:8: bit index 8 outside 0..7" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_width_above_bound(self, tmp_path, capsys):
         for bits in ("3000000000", str(MAX_DIMENSION + 1)):
             code = run(tmp_path, "gen-m", "--bits", bits, "--n", "2")
@@ -505,8 +514,8 @@ class TestUsageErrors:
 
 class TestTamperRuleParsing:
     def test_round_trip(self):
-        rule = parse_tamper_rule("dealer:key:2:bit:0")
-        assert rule.spec() == "dealer:key:2:bit:0"
+        for text in ("dealer:key:2:bit:0", "p1-10:key:10:bit:127"):
+            assert parse_tamper_rule(text).spec() == text
 
     @pytest.mark.parametrize(
         "text",
@@ -519,6 +528,11 @@ class TestTamperRuleParsing:
             "dealer:key:1:bit:-1",
             "dealer:key:one:bit:0",
             "p2-01:masked_share:1:bit:0",
+            "dealer:key:+2:bit:0",
+            "dealer:key:2:bit: 3",
+            "dealer:key:1_0:bit:0",
+            "dealer:key:02:bit:0",
+            "dealer:key:\u0662:bit:0",
         ],
     )
     def test_malformed_rules_rejected(self, text):

@@ -1,5 +1,6 @@
 """Protocol engine: generation, replication, pre-positioning, auditing."""
 
+import collections
 import random
 
 import pytest
@@ -236,9 +237,11 @@ class TestDeliver:
 
     @pytest.mark.parametrize("bit", [-1, 8])
     def test_tamper_bit_outside_the_width_is_rejected(self, bit):
-        env = ProtocolEnv.seeded(1, 8, tamper_rules=(TamperRule("dealer", KIND_KEY, 1, bit),))
-        with pytest.raises(ValueError, match="outside 0..7"):
-            env.deliver(DEALER, OWNER, KIND_KEY, 0x5A)
+        # A negative bit is rejected by the rule, a bit past the width by
+        # the environment: both before any message is sent.
+        message = "bit index must be >= 0" if bit < 0 else "bit index 8 outside 0..7"
+        with pytest.raises(ValueError, match=message):
+            ProtocolEnv.seeded(1, 8, tamper_rules=(TamperRule("dealer", KIND_KEY, 1, bit),))
 
 
 class TestSetGenerateM:
@@ -692,6 +695,27 @@ class TestTamper:
         assert env.tamper_fired == [(fired, envelopes[1].seq)]
         assert "tamper_fired" not in env.transcript.config
 
+    @pytest.mark.parametrize("fields, message", [
+        (("nobody", KIND_KEY, 1, 0), "unrecognized party label"),
+        (("p1-01", KIND_KEY, 1, 0), "unrecognized party label"),
+        (("dealer", "telegram", 1, 0), "unknown message kind"),
+        (("dealer", KIND_KEY, 0, 0), "occurrence counts from 1"),
+        (("dealer", KIND_KEY, 1, -1), "bit index must be >= 0"),
+    ])
+    def test_invalid_rules_are_rejected_at_construction(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            TamperRule(*fields)
+
+    @pytest.mark.parametrize("kind, bit, width", [
+        (KIND_KEY, 8, 8), (KIND_KEY_REQUEST, 1, 1), (KIND_IDENTIFICATION, 1, 1),
+    ])
+    def test_bit_outside_the_payload_is_rejected_by_the_environment(self, kind, bit, width):
+        rule = TamperRule("dealer", kind, 1, bit)
+        message = f"tamper rule {rule.spec()}: bit index {bit} outside 0..{width - 1}"
+        with pytest.raises(ValueError, match=message):
+            ProtocolEnv.seeded(1, 8, tamper_rules=(rule,))
+        ProtocolEnv.seeded(1, 8, tamper_rules=(TamperRule("dealer", kind, 1, bit - 1),))
+
     def test_rule_spec_round_trip(self):
         rule = TamperRule("dealer", KIND_KEY, 2, 0)
         assert rule.spec() == "dealer:key:2:bit:0"
@@ -805,8 +829,8 @@ class TestTamperInRounds:
         assert env.tamper_fired == [(rule, seq)]
 
     def test_a_rule_that_never_fires_changes_nothing(self):
-        # With a rule set, rounds go through deliver() row by row; without
-        # one, each round is appended as a block. Both record the same rows.
+        # A rule that matches no row leaves every round untouched: the
+        # rounds are appended as the same blocks as with no rule at all.
         def run(rules):
             env = ProtocolEnv.seeded(11, 16, tamper_rules=rules)
             secret = ShareVector.from_int(env.params, 0xBEEF)
@@ -836,6 +860,112 @@ class TestTamperInRounds:
         state = safe_shares(bv(0x03), 2, env)
         assert ints(state.protected) == [0x7B, 0x1A ^ 0x02]
         assert env.tamper_fired == [(rule, 5)]
+
+
+class RowByRowEnv(ProtocolEnv):
+    """Reference for the round engine, for tests only: every round is
+    sent through :meth:`deliver` row by row, and each row is tampered as
+    it is sent, counting rows per (sender label, kind)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.row_counts = collections.Counter()
+
+    def deliver(self, sender, recipient, kind, payload, element_index=None):
+        transcript = self.transcript
+        seq = len(transcript) + 1
+        key = (sender.label(), kind)
+        self.row_counts[key] += 1
+        for rule in self.tamper_rules:
+            if (rule.party, rule.kind, rule.occurrence) == (*key, self.row_counts[key]):
+                payload = (not payload) if type(payload) is bool else payload ^ (1 << rule.bit)
+                self.tamper_fired.append((rule, seq))
+        row = (seq, sender, recipient, kind, payload, element_index)
+        for column, value in zip(transcript_columns(transcript), row):
+            column.append(value)
+        return payload
+
+    def deliver_round(self, senders, recipients, kind, payloads, element_indices=None):
+        count = len(payloads)
+        return [
+            self.deliver(sender, recipient, kind, payload, index)
+            for sender, recipient, payload, index in zip(
+                per_row(senders, count), per_row(recipients, count), payloads,
+                per_row(element_indices, count),
+            )
+        ]
+
+    def relay_round(self, senders, relay, kind, payloads, recipients, forward_kind,
+                    operands, forward_indices):
+        received, forwarded = [], []
+        for i, (sender, payload) in enumerate(zip(per_row(senders, len(payloads)), payloads)):
+            received.append(self.deliver(sender, relay, kind, payload))
+            if i < len(operands):
+                forwarded.append(self.deliver(
+                    relay, recipients[i], forward_kind, received[-1] ^ operands[i],
+                    forward_indices[i],
+                ))
+        return received, forwarded
+
+
+def per_row(values, count):
+    return values if isinstance(values, (list, tuple, range)) else [values] * count
+
+
+def transcript_columns(transcript):
+    return (transcript.seqs, transcript.senders, transcript.recipients, transcript.kinds,
+            transcript.payloads, transcript.element_indices)
+
+
+def tamper_chain(env, n):
+    """Every operation that sends messages, at sizes from ``n``; a
+    failed activation is recorded and the chain goes on."""
+    secret = ShareVector.from_int(env.params, 0xBEEF)
+    state = safe_shares(secret, n, env)
+    outputs = [state.protected, state.keys]
+    try:
+        outputs.append(activate_shares(state, env).shares)
+    except IdentificationFailed as failure:
+        outputs.append((failure.pending, failure.activated))
+    outputs.append(fast_share(secret, n, env).shares)
+    template, current = set_generate_m(n, n + 1, env)
+    for replicate, args in ((set_replicate_to_bigger, (n + 3,)),
+                            (set_replicate_to_smaller, (n,)),
+                            (equal_set_replicate, ())):
+        current = replicate(current, *args, env)
+        outputs.append(current.shares)
+    bulletin, keys = distribute_shares_and_keys(template, current, env)
+    outputs += [bulletin, keys, verify(bulletin, keys, env)]
+    return outputs, transcript_columns(env.transcript), env.tamper_fired
+
+
+class TestColumnTamperMatchesRowByRow:
+    """Rounds are tampered column by column and appended as one block;
+    :class:`RowByRowEnv` sends the same rounds one row at a time."""
+
+    @given(st.integers(1, 5), st.integers(0, 2**31), st.data())
+    def test_same_rows_outputs_and_fired_rules(self, n, seed, data):
+        honest = ProtocolEnv.seeded(seed, 16)
+        tamper_chain(honest, n)
+        targets = sorted({(sender.label(), kind) for sender, kind
+                          in zip(honest.transcript.senders, honest.transcript.kinds)})
+        rules = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            label, kind = data.draw(st.sampled_from(targets))
+            bit = data.draw(st.just(0) if kind in CONTROL_KINDS else st.integers(0, 15))
+            rules.append(TamperRule(label, kind, data.draw(st.integers(1, 4)), bit))
+        assert (tamper_chain(ProtocolEnv.seeded(seed, 16, tamper_rules=rules), n)
+                == tamper_chain(RowByRowEnv.seeded(seed, 16, tamper_rules=rules), n))
+
+    def test_a_tampered_round_leaves_the_callers_payloads_unchanged(self):
+        rule = TamperRule("accumulator", KIND_MASK_ELEMENT, 2, 0)
+        env = ProtocolEnv.seeded(1, 8, tamper_rules=(rule,))
+        payloads = [0x10, 0x20, 0x30]
+        delivered = env.deliver_round(ACCUMULATOR, OWNER, KIND_MASK_ELEMENT, payloads)
+        assert payloads == [0x10, 0x20, 0x30]
+        assert delivered == [0x10, 0x21, 0x30]
+        assert env.transcript.payloads == delivered
+        assert env.tamper_fired == [(rule, 2)]
 
 
 class TestClassification:
