@@ -5,18 +5,28 @@ read, and written by XOR. A :class:`RandSource` hands out l-bit vectors
 either from a seeded deterministic generator or from an explicit fixture
 list. Every protocol run is a pure function of its devices' contents.
 
-The protocol engine draws with :meth:`RandSource.next_int` and keeps
-each register as a plain int XORed in place; :class:`Accumulator` is
-that register as a library device.
+The protocol engine draws whole columns with :meth:`RandSource.next_ints`
+(``count`` packed ints in one call, the same values as ``count`` calls
+of :meth:`RandSource.next_int`; a batch that fails consumes nothing) and
+keeps each register as a plain int XORed in place; :class:`Accumulator`
+is that register as a library device.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from itertools import repeat
 from typing import Iterable, Sequence
 
-from asgs.kgh import AsgsError, MixedParams, SchemeParams, ShareVector
+from asgs.kgh import (
+    AsgsError,
+    MixedParams,
+    SchemeParams,
+    ShareVector,
+    params_identical,
+    to_ints,
+)
 
 
 class FixtureExhausted(AsgsError):
@@ -83,24 +93,39 @@ class RandSource:
         """How many vectors have been drawn so far."""
         return self._cursor
 
-    def next_int(self, params: SchemeParams) -> int:
-        """The one draw: the next vector as its packed int."""
+    def next_ints(self, params: SchemeParams, count: int) -> list[int]:
+        """The batch draw: the next ``count`` vectors as packed ints.
+
+        Draws exactly what ``count`` calls of :meth:`next_int` would, in
+        one call. A failed batch consumes nothing: a fixture vector
+        under other params raises :class:`MixedParams` naming the same
+        1-based vector that :meth:`next_int` would, and a batch that
+        overruns the fixture raises :class:`FixtureExhausted`.
+        """
+        if count < 0:
+            raise ValueError(f"draw count must be >= 0, got {count}")
         values = self._values
         if values is None:
             assert self._rng is not None
-            self._cursor += 1
-            return self._rng.getrandbits(params.dimension)
+            self._cursor += count
+            return list(map(self._rng.getrandbits, repeat(params.dimension, count)))
         cursor = self._cursor
-        if cursor >= len(values):
+        batch = values[cursor:cursor + count]
+        if not params_identical(batch, params):
+            for offset, value in enumerate(batch, start=cursor + 1):
+                if value.params != params:
+                    raise MixedParams(
+                        f"fixture vector {offset} carries {value.params}, "
+                        f"requested {params}"
+                    )
+        if len(batch) < count:
             raise FixtureExhausted(f"fixture drained after {len(values)} vectors")
-        value = values[cursor]
-        if value.params is not params and value.params != params:
-            raise MixedParams(
-                f"fixture vector {cursor + 1} carries {value.params}, "
-                f"requested {params}"
-            )
-        self._cursor = cursor + 1
-        return value.to_int()
+        self._cursor = cursor + count
+        return to_ints(batch)
+
+    def next_int(self, params: SchemeParams) -> int:
+        """The single draw: the next vector as its packed int."""
+        return self.next_ints(params, 1)[0]
 
     def next_vector(self, params: SchemeParams) -> ShareVector:
         return ShareVector.from_int(params, self.next_int(params))

@@ -13,9 +13,11 @@ view. The protocol engine computes on the packed ints themselves
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
 from functools import reduce
-from operator import xor
+from itertools import repeat
+from operator import attrgetter, is_, xor
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -161,14 +163,39 @@ def _vector(params: SchemeParams, data: int) -> ShareVector:
     return vector
 
 
+# Runs an iterator of setter calls to its end, keeping nothing.
+_exhaust = deque(maxlen=0).extend
+_params_of = attrgetter("params")
+
+
 def to_ints(vectors: Iterable[ShareVector]) -> list[int]:
     """The packed ints of vectors whose params the caller checked."""
     return [vector._data for vector in vectors]
 
 
 def from_ints(params: SchemeParams, values: Iterable[int]) -> tuple[ShareVector, ...]:
-    """Wrap packed ints that already fit the width, unchecked."""
-    return tuple([_vector(params, value) for value in values])
+    """Wrap packed ints that already fit the width, unchecked.
+
+    Builds the whole column with C-level maps, no Python frame per
+    vector, which is what makes a wrap of hundreds of results cheap.
+    """
+    if not isinstance(values, (list, tuple)):
+        values = list(values)
+    vectors = tuple(map(object.__new__, repeat(ShareVector, len(values))))
+    _exhaust(map(_set_params, vectors, repeat(params)))
+    _exhaust(map(_set_data, vectors, values))
+    return vectors
+
+
+def params_identical(vectors: Iterable[ShareVector], params: SchemeParams) -> bool:
+    """True when every vector carries this very ``params`` object.
+
+    The fast path of every column params check: vectors built by one
+    operation share one params object, and this test calls no Python
+    method per vector. False does not mean mixed params, since equal
+    params may be distinct objects; callers then compare with ``==``.
+    """
+    return all(map(is_, map(_params_of, vectors), repeat(params)))
 
 
 class SetRole(enum.Enum):
@@ -197,7 +224,9 @@ class AuthorizedShareSet:
         if not self.shares:
             raise ValueError("an authorized set holds at least one share")
         params = self.params
-        if any(s.params is not params and s.params != params for s in self.shares):
+        if not params_identical(self.shares, params) and any(
+            s.params != params for s in self.shares
+        ):
             raise MixedParams("all shares of a set carry the same params")
 
     @classmethod
@@ -222,9 +251,11 @@ class MaskSet:
 
     def __post_init__(self) -> None:
         params = self.params
-        if any(v.params is not params and v.params != params for v in self.vectors):
+        if not params_identical(self.vectors, params) and any(
+            v.params != params for v in self.vectors
+        ):
             raise MixedParams("all mask elements carry the same params")
-        if not check_zero_sum(self.vectors, self.params):
+        if reduce(xor, to_ints(self.vectors), 0):
             raise ValueError("mask set elements must combine to the zero vector")
 
     @classmethod
@@ -274,9 +305,10 @@ def kgh_split(
     """
     if count < 1:
         raise ValueError(f"share count must be >= 1, got {count}")
-    drawn = [rand.next_vector(secret.params) for _ in range(count - 1)]
-    last = secret - combine(drawn, secret.params)
-    return AuthorizedShareSet.from_shares(SetRole.OWNER, drawn + [last])
+    params = secret.params
+    shares = rand.next_ints(params, count - 1)
+    shares.append(reduce(xor, shares, secret._data))
+    return AuthorizedShareSet(SetRole.OWNER, from_ints(params, shares), params)
 
 
 def mask_ints(count: int, rand: RandSource, params: SchemeParams) -> list[int]:
@@ -290,8 +322,7 @@ def mask_ints(count: int, rand: RandSource, params: SchemeParams) -> list[int]:
     """
     if count < 1:
         raise ValueError(f"mask set cardinality must be >= 1, got {count}")
-    draw = rand.next_int
-    masks = [draw(params) for _ in range(count - 1)]
+    masks = rand.next_ints(params, count - 1)
     masks.append(reduce(xor, masks, 0))
     return masks
 
@@ -332,7 +363,10 @@ def partition_sums(
     chosen = set(left_indices)
     total = len(masks.vectors)
     for index in chosen:
-        if not isinstance(index, int) or index < 1 or index > total:
+        if (
+            not isinstance(index, int) or isinstance(index, bool)
+            or index < 1 or index > total
+        ):
             raise IndexOutOfRange(
                 f"index {index!r} outside 1..{total}"
             )

@@ -952,9 +952,7 @@ def _fast_share_rounds(secret: int, count: int, env: ProtocolEnv) -> list[int]:
     register from the *delivered* values, which tamper rules may have
     changed; ``kgh_split`` sends nothing, so it has nothing to tamper.
     """
-    source = env.source(ROLE_OWNER)
-    params = env.params
-    shares = [source.next_int(params) for _ in range(count - 1)]
+    shares = env.source(ROLE_OWNER).next_ints(env.params, count - 1)
     delivered = env.deliver_round(OWNER, ACCUMULATOR, KIND_OWNER_SHARE, shares, range(1, count))
     register = functools.reduce(xor, delivered, 0)
     shares.append(register ^ env.deliver(OWNER, ACCUMULATOR, KIND_SECRET, secret))
@@ -1002,7 +1000,7 @@ def safe_shares(
     owner_shares = _fast_share_rounds(secret.to_int(), count, env)
     assignment = env.draw_assignment(count)
     # Deliveries draw nothing, so every key can be drawn first.
-    keys = [dealer_source.next_int(params) for _ in range(count - 1)]
+    keys = dealer_source.next_ints(params, count - 1)
     register = functools.reduce(xor, keys, 0)
     for _ in range(KEY_RETRY_LIMIT):
         key = dealer_source.next_int(params)

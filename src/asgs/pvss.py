@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
-from operator import xor
+from itertools import repeat
+from operator import is_, xor
 from typing import Mapping
 
 from asgs.kgh import (
@@ -24,6 +25,7 @@ from asgs.kgh import (
     ShareVector,
     combine,
     from_ints,
+    params_identical,
     to_ints,
 )
 from asgs.protocol import (
@@ -35,7 +37,6 @@ from asgs.protocol import (
     ROLE_DEALER,
     _check_params,
     _participants,
-    participant,
 )
 
 
@@ -64,9 +65,22 @@ class BulletinBoard:
 
 @dataclass(frozen=True)
 class KeyAssignment:
-    """Per-participant one-time keys, addressed by (set tag, 1-based index)."""
+    """Per-participant one-time keys, addressed by (set tag, 1-based index).
+
+    The keys of each set tag are counted once, when the assignment is
+    built: :func:`verify`, the key-assignment writer and the CLI all
+    ask for the counts.
+    """
 
     entries: Mapping[tuple[str, int], ShareVector]
+    _counts: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # One C-level count per distinct tag: every producer uses the two
+        # tags "1" and "2". collections.Counter's Python-level
+        # constructor would cost more than the count for a small run.
+        tags = [tag for tag, _ in self.entries]
+        object.__setattr__(self, "_counts", {tag: tags.count(tag) for tag in set(tags)})
 
     def key_for(self, set_tag: str, index: int) -> ShareVector:
         try:
@@ -75,7 +89,7 @@ class KeyAssignment:
             raise MissingKey(set_tag, index) from None
 
     def count_for(self, set_tag: str) -> int:
-        return sum(1 for tag, _ in self.entries if tag == set_tag)
+        return self._counts.get(set_tag, 0)
 
 
 @dataclass(frozen=True)
@@ -100,11 +114,10 @@ def distribute_shares_and_keys(
         "distribute_shares_and_keys", h=len(set1.shares), g=len(set2.shares)
     )
     params = env.params
-    draw = env.source(ROLE_DEALER).next_int
-    holders = _participants("1", range(1, len(set1.shares) + 1)) + _participants(
-        "2", range(1, len(set2.shares) + 1)
-    )
-    keys = [draw(params) for _ in holders]
+    split = len(set1.shares)
+    first, second = range(1, split + 1), range(1, len(set2.shares) + 1)
+    holders = _participants("1", first) + _participants("2", second)
+    keys = env.source(ROLE_DEALER).next_ints(params, len(holders))
     if not all(keys):
         for holder, key in zip(holders, keys):
             if not key:
@@ -113,16 +126,14 @@ def distribute_shares_and_keys(
                     f"{holder.set_tag}; the matching bulletin entry exposes the share in clear",
                     stacklevel=2,
                 )
-    delivered = env.deliver_round(
-        DEALER, holders, KIND_KEY, keys, [holder.index for holder in holders]
-    )
+    delivered = env.deliver_round(DEALER, holders, KIND_KEY, keys, [*first, *second])
     shares = to_ints(set1.shares + set2.shares)
     published = from_ints(params, [share ^ key for share, key in zip(shares, keys)])
-    split = len(set1.shares)
     return (
         BulletinBoard(published[:split], published[split:], params),
         KeyAssignment(dict(zip(
-            [(holder.set_tag, holder.index) for holder in holders], from_ints(params, delivered)
+            [*zip(repeat("1"), first), *zip(repeat("2"), second)],
+            from_ints(params, delivered),
         ))),
     )
 
@@ -139,24 +150,30 @@ def recover_xored_keys(
     along the way.
     """
     env.note_operation("recover_xored_keys", h=set1_count, g=set2_count)
+    params = env.params
+    rounds = range(1, max(set1_count, set2_count) + 1)
+    width = 2 * len(rounds)
+    # The woven column: round i fills slot 2i - 2 from set 1 and slot
+    # 2i - 1 from set 2; a missing key reads None.
+    key_of = assignment.entries.get
+    keys = [ShareVector.zero(params)] * width
+    keys[0:2 * set1_count:2] = map(key_of, zip(repeat("1"), rounds[:set1_count]))
+    keys[1:2 * set2_count:2] = map(key_of, zip(repeat("2"), rounds[:set2_count]))
     # Every key is looked up and checked before the first message, so a
     # failed recovery leaves no rows behind.
-    zero = ShareVector.zero(env.params)
-    senders = []
-    keys = []
-    for i in range(1, max(set1_count, set2_count) + 1):
-        for tag, total in (("1", set1_count), ("2", set2_count)):
-            senders.append(participant(tag, i))
-            if i <= total:
-                key = assignment.key_for(tag, i)
-                _check_params(env, key)
-                keys.append(key)
-            else:
-                keys.append(zero)
-    delivered = env.deliver_round(
-        senders, ACCUMULATOR, KIND_KEY, to_ints(keys), [party.index for party in senders]
-    )
-    return ShareVector.from_int(env.params, reduce(xor, delivered, 0))
+    if any(map(is_, keys, repeat(None))) or not params_identical(keys, params):
+        for slot, key in enumerate(keys):
+            if key is None:
+                raise MissingKey("12"[slot % 2], slot // 2 + 1)
+            _check_params(env, key)
+    senders = [None] * width
+    senders[0::2] = _participants("1", rounds)
+    senders[1::2] = _participants("2", rounds)
+    indices = [None] * width
+    indices[0::2] = rounds
+    indices[1::2] = rounds
+    delivered = env.deliver_round(senders, ACCUMULATOR, KIND_KEY, to_ints(keys), indices)
+    return ShareVector.from_int(params, reduce(xor, delivered, 0))
 
 
 def verify(

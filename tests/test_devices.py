@@ -153,6 +153,70 @@ class TestRandSourceSeeded:
             RandSource(rng=object(), values=())
 
 
+class TestNextInts:
+    """The batch draw against ``count`` calls of the single draw."""
+
+    @given(st.integers(0, 2**64), st.integers(1, 300), st.integers(0, 40))
+    def test_seeded_batch_is_the_single_draws(self, seed, bits, count):
+        params = SchemeParams.binary(bits)
+        batch, single = RandSource.seeded(seed), RandSource.seeded(seed)
+        assert batch.next_ints(params, count) == [
+            single.next_int(params) for _ in range(count)
+        ]
+        assert batch.consumed == single.consumed == count
+        assert batch.next_int(params) == single.next_int(params)
+
+    @given(st.lists(st.integers(0, 0xFF), max_size=20), st.data())
+    def test_fixture_batch_is_the_single_draws(self, values, data):
+        start = data.draw(st.integers(0, len(values)))
+        count = data.draw(st.integers(0, len(values) - start))
+        batch, single = fixture_source(values), fixture_source(values)
+        batch.next_ints(P8, start)
+        for _ in range(start):
+            single.next_int(P8)
+        assert batch.next_ints(P8, count) == [single.next_int(P8) for _ in range(count)]
+        assert batch.consumed == single.consumed == start + count
+
+    def test_empty_batch_from_a_drained_fixture(self):
+        source = fixture_source([0x0A])
+        source.next_int(P8)
+        assert source.next_ints(P8, 0) == []
+        assert source.consumed == 1
+
+    def test_negative_count_is_rejected(self):
+        for source in (RandSource.seeded(1), fixture_source([0x0A])):
+            with pytest.raises(ValueError):
+                source.next_ints(P8, -1)
+            assert source.consumed == 0
+
+    @given(st.lists(st.integers(0, 0xFF), max_size=20), st.data())
+    def test_overrun_consumes_nothing(self, values, data):
+        start = data.draw(st.integers(0, len(values)))
+        count = data.draw(st.integers(len(values) - start + 1, len(values) + 5))
+        source = fixture_source(values)
+        source.next_ints(P8, start)
+        with pytest.raises(FixtureExhausted):
+            source.next_ints(P8, count)
+        assert source.consumed == start
+
+    @given(st.integers(0, 8), st.integers(0, 8), st.integers(1, 8))
+    def test_wrong_params_names_the_single_draw_vector(self, start, wrong, tail):
+        vectors = bvs(range(start + wrong)) + [bv(0x0001, SchemeParams.binary(16))]
+        vectors += bvs(range(tail))
+        batch, single = RandSource.fixture(vectors), RandSource.fixture(vectors)
+        batch.next_ints(P8, start)
+        for _ in range(start):
+            single.next_int(P8)
+        with pytest.raises(MixedParams) as per_draw:
+            for _ in range(wrong + tail + 1):
+                single.next_int(P8)
+        with pytest.raises(MixedParams) as batched:
+            batch.next_ints(P8, wrong + tail + 1)
+        assert str(batched.value) == str(per_draw.value)
+        assert f"fixture vector {start + wrong + 1} " in str(batched.value)
+        assert batch.consumed == start
+
+
 class TestDeriveStreamSeed:
     def test_stable(self):
         assert derive_stream_seed(7, "dealer") == derive_stream_seed(7, "dealer")

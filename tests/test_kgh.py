@@ -272,6 +272,23 @@ class TestPackedInts:
         assert to_ints(vectors) == [0x00, 0x5A, 0xFF]
         assert from_ints(P8, []) == ()
 
+    @pytest.mark.parametrize("feed", [
+        list,
+        lambda values: (value for value in values),
+        lambda values: dict(enumerate(values)).values(),
+    ], ids=["list", "generator", "dict_values"])
+    @pytest.mark.parametrize("length", [0, 1, 4, 625])
+    @pytest.mark.parametrize("bits", [1, 8, 128, 4096])
+    def test_round_trip_any_iterable(self, bits, length, feed):
+        params = SchemeParams.binary(bits)
+        rng = random.Random(f"{bits}:{length}")
+        values = [rng.getrandbits(bits) for _ in range(length)]
+        vectors = from_ints(params, feed(values))
+        assert type(vectors) is tuple
+        assert vectors == tuple(ShareVector.from_int(params, value) for value in values)
+        assert all(type(v) is ShareVector and v.params is params for v in vectors)
+        assert to_ints(vectors) == values
+
 
 class TestCheckZeroSum:
     def test_balanced_triple(self):
@@ -299,6 +316,12 @@ class TestMaskSet:
                 P8,
             )
 
+    def test_equal_params_need_not_be_identical(self):
+        vectors = (bv(0x0F, SchemeParams.binary(8)), bv(0x0F, SchemeParams.binary(8)))
+        assert MaskSet(vectors, SchemeParams.binary(8)).vectors == vectors
+        with pytest.raises(MixedParams):
+            MaskSet(vectors + (bv(0x0000, SchemeParams.binary(16)),), SchemeParams.binary(8))
+
     def test_len(self):
         assert len(MaskSet.from_vectors(bvs([0x0F, 0x0F]))) == 2
 
@@ -320,6 +343,16 @@ class TestAuthorizedShareSet:
                 SetRole.MASTER, [bv(0x01), bv(0x0001, SchemeParams.binary(16))]
             )
 
+    def test_equal_params_need_not_be_identical(self):
+        shares = (bv(0x01, SchemeParams.binary(8)), bv(0x02, SchemeParams.binary(8)))
+        made = AuthorizedShareSet(SetRole.MASTER, shares, SchemeParams.binary(8))
+        assert made.shares == shares
+        with pytest.raises(MixedParams):
+            AuthorizedShareSet(
+                SetRole.MASTER, shares + (bv(0x0003, SchemeParams.binary(16)),),
+                SchemeParams.binary(8),
+            )
+
 
 class TestPartitionSums:
     def test_singleton_left_side(self):
@@ -337,7 +370,7 @@ class TestPartitionSums:
         left, right = partition_sums(masks, {1, 2})
         assert (left.to_int(), right.to_int()) == (0x0C, 0x0C)
 
-    @pytest.mark.parametrize("bad", [{0}, {4}, {-1}])
+    @pytest.mark.parametrize("bad", [{0}, {4}, {-1}, {True}, {False}])
     def test_out_of_range_indices(self, bad):
         masks = MaskSet.from_vectors(bvs([0x0A, 0x06, 0x0C]))
         with pytest.raises(IndexOutOfRange):

@@ -58,6 +58,7 @@ class TestDistribute:
         assert assignment.key_for("2", 3).to_int() == 0x31
         assert assignment.count_for("1") == 2
         assert assignment.count_for("2") == 3
+        assert assignment.count_for("3") == 0
 
     def test_zero_keys_publish_shares_in_clear_with_warning(self):
         env = dealer_env([0x00, 0x00])
