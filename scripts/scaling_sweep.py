@@ -4,33 +4,47 @@
 For every operation, share count n and width, the script draws one set
 of random ints, replays them into the engine as fixture streams and into
 the matching straight-line function of ``tests/oracles.py``, and times
-both. It then times serializing the operation's transcript
-(``transcript_to_doc`` and ``dumps_document``) and auditing it
-(``check_visibility``). It prints the median times over the repeats, the
-engine/oracle ratio, the transcript length (``msgs``) and the engine time
-per message (``engine_us_per_msg``), and exits 1 if any engine output
-differs from the oracle's, any transcript text differs from
-``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, or the audit flags
+both. It then times what the CLI does with the operation's transcript:
+writing its text (``dumps_transcript``), reading the parsed document
+back (``transcript_from_doc``) and auditing it (``check_visibility``).
+It prints the median times over the repeats, the engine/oracle ratio,
+the transcript length (``msgs``) and the engine time per message
+(``engine_us_per_msg``), and exits 1 if any engine output differs from
+the oracle's, any transcript text differs from ``json.dumps(doc,
+sort_keys=True, indent=2) + "\\n"`` of the document it parses to, the
+transcript read back differs from the one written, or the audit flags
 any delivery of these honest runs.
+
+With ``--cli`` it runs the CLI cold instead: for each n and width, a
+chain of seven commands (set-generate, replicate, pvss distribute and
+verify, safeshares, activate, audit), one subprocess each, in sequence.
+It prints each command's wall time, that time minus the start of a bare
+interpreter (``python -c pass``, median of five), and the bytes of the
+artifacts it wrote, and exits 1 if any command exits nonzero.
 
     PYTHONPATH=src python3 scripts/scaling_sweep.py
     PYTHONPATH=src python3 scripts/scaling_sweep.py --sizes 10 1000 --widths 128
+    PYTHONPATH=src python3 scripts/scaling_sweep.py --cli --sizes 10 1000
 """
 
 import argparse
 import json
+import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
 
 import oracles  # noqa: E402
-from asgs.formats import dumps_document, transcript_to_doc  # noqa: E402
+from asgs.formats import dumps_transcript, encode_vector, transcript_from_doc  # noqa: E402
 from asgs.kgh import AuthorizedShareSet, SchemeParams, SetRole, ShareVector  # noqa: E402
 from asgs.protocol import (  # noqa: E402
     KEY_RETRY_LIMIT,
@@ -153,12 +167,18 @@ def plain(outputs):
     return [v.to_int() if isinstance(v, ShareVector) else v for v in outputs]
 
 
+def columns(transcript):
+    return (transcript.seqs, transcript.senders, transcript.recipients, transcript.kinds,
+            transcript.payloads, transcript.element_indices)
+
+
 def run_cell(case, n, bits, rng, repeat):
-    """Median engine, oracle, ``transcript_to_doc``, ``dumps_document``
-    and ``check_visibility`` ms over ``repeat`` runs; the transcript
-    length; whether the outputs agree with the oracle's and the audit
-    found nothing, and whether the transcript text is the canonical
-    json.dumps text."""
+    """Median engine, oracle, ``dumps_transcript``,
+    ``transcript_from_doc`` and ``check_visibility`` ms over ``repeat``
+    runs; the transcript length; whether the outputs agree with the
+    oracle's and the audit found nothing, and whether the transcript
+    text is the canonical json.dumps text of a document that reads back
+    to the same transcript."""
     params = SchemeParams.binary(bits)
     streams, engine, oracle = case(
         n, params, lambda count: [rng.getrandbits(bits) for _ in range(count)]
@@ -167,27 +187,88 @@ def run_cell(case, n, bits, rng, repeat):
         role: tuple(ShareVector.from_int(params, v) for v in values)
         for role, values in streams.items()
     }
-    times = {"engine": [], "oracle": [], "to_doc": [], "dumps": [], "audit": []}
+    times = {"engine": [], "oracle": [], "dumps": [], "from_doc": [], "audit": []}
+
+    def timed(name, call):
+        start = time.perf_counter()
+        result = call()
+        times[name].append((time.perf_counter() - start) * 1000)
+        return result
+
     match = True
     for _ in range(repeat):
         env = ProtocolEnv.with_fixtures(params, **fixtures)
-        marks = [time.perf_counter()]
-        engine_out = engine(env)
-        marks.append(time.perf_counter())
-        oracle_out = oracle()
-        marks.append(time.perf_counter())
-        document = transcript_to_doc(env.transcript)
-        marks.append(time.perf_counter())
-        text = dumps_document(document)
-        marks.append(time.perf_counter())
-        violations = check_visibility(env.transcript)
-        marks.append(time.perf_counter())
-        for name, start, end in zip(times, marks, marks[1:]):
-            times[name].append((end - start) * 1000)
+        engine_out = timed("engine", lambda: engine(env))
+        oracle_out = timed("oracle", oracle)
+        text = timed("dumps", lambda: dumps_transcript(env.transcript))
+        document = json.loads(text)  # the stdlib's parser, not timed
+        restored = timed("from_doc", lambda: transcript_from_doc(document))
+        violations = timed("audit", lambda: check_visibility(env.transcript))
         match = match and plain(engine_out) == oracle_out and not violations
-    canonical = text == json.dumps(document, sort_keys=True, indent=2) + "\n"
+    canonical = (text == json.dumps(document, sort_keys=True, indent=2) + "\n"
+                 and columns(restored) == columns(env.transcript))
     medians = {name: statistics.median(ms) for name, ms in times.items()}
     return medians, len(env.transcript), match, canonical
+
+
+def cli_chain(root, n, bits, secret_hex):
+    """(command, argv, output directory) of one cold CLI chain, in order."""
+    d = [root / str(k) for k in range(1, 7)]
+    return [
+        ("set-generate", ["set-generate", "--bits", str(bits), "--d", str(n), "--n", str(n),
+                          "--seed", "1", "--audit"], d[0]),
+        ("replicate", ["replicate", "--mode", "equal", "--in", str(d[0] / "u2.json"),
+                       "--seed", "2", "--audit"], d[1]),
+        ("pvss distribute", ["pvss", "distribute", "--set1", str(d[0] / "u1.json"),
+                             "--set2", str(d[1] / "derived.json"), "--seed", "3", "--audit"],
+         d[2]),
+        ("pvss verify", ["pvss", "verify", "--bulletin", str(d[2] / "bulletin.json"),
+                         "--keys", str(d[2] / "keys.json"), "--seed", "4", "--audit"], d[3]),
+        ("safeshares", ["safeshares", "--bits", str(bits), "--secret", secret_hex,
+                        "--n", str(n), "--seed", "5", "--audit"], d[4]),
+        ("activate", ["activate", "--state", str(d[4] / "state.json"), "--seed", "6",
+                      "--audit"], d[5]),
+        ("audit", ["audit", str(d[5] / "transcript.json")], None),
+    ]
+
+
+def wall_ms(argv, env):
+    """Wall time of one subprocess in ms, and its exit code."""
+    start = time.perf_counter()
+    code = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL).returncode
+    return (time.perf_counter() - start) * 1000, code
+
+
+def cli_sweep(sizes, widths, seed):
+    """Run the CLI chain cold at every n and width; return the number of
+    commands that exited nonzero."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    bare = statistics.median(wall_ms([sys.executable, "-c", "pass"], env)[0] for _ in range(5))
+    print(f"python {platform.python_version()}, cold CLI: one subprocess per command; "
+          f"net_ms is wall_ms minus a bare interpreter start ({bare:.1f} ms)")
+    print(f"{'command':<16} {'n':>6} {'bits':>5} {'wall_ms':>10} {'net_ms':>10} "
+          f"{'artifact_bytes':>14}  exit")
+    failures = 0
+    for bits in widths:
+        for n in sizes:
+            rng = random.Random(f"{seed}:cli:{n}:{bits}")
+            secret = encode_vector(ShareVector.from_int(SchemeParams.binary(bits),
+                                                        rng.getrandbits(bits)))
+            with tempfile.TemporaryDirectory() as tmp:
+                for name, argv, out in cli_chain(Path(tmp), n, bits, secret):
+                    argv = [sys.executable, "-m", "asgs.cli", *argv]
+                    if out is not None:
+                        argv += ["--out", str(out)]
+                    ms, code = wall_ms(argv, env)
+                    failures += code != 0
+                    written = out.iterdir() if out and out.is_dir() else ()
+                    size = sum(f.stat().st_size for f in written)
+                    print(f"{name:<16} {n:>6} {bits:>5} {ms:>10.1f} {ms - bare:>10.1f} "
+                          f"{size:>14}  {code}")
+    return failures
 
 
 def main():
@@ -198,14 +279,20 @@ def main():
                         help="vector widths in bits")
     parser.add_argument("--repeat", type=int, default=3, help="timed runs per cell")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--cli", action="store_true",
+                        help="run the CLI cold, one subprocess per command, instead")
     args = parser.parse_args()
     if min(args.sizes) < 2 or args.repeat < 1:
         parser.error("every size must be >= 2 and --repeat >= 1")
+    if args.cli:
+        failures = cli_sweep(args.sizes, args.widths, args.seed)
+        print(f"\nfailed commands: {failures}")
+        raise SystemExit(1 if failures else 0)
 
     print(f"python {platform.python_version()}, median of {args.repeat} runs per cell")
     print(f"{'operation':<34} {'n':>6} {'bits':>5} {'engine_ms':>10} "
           f"{'oracle_ms':>10} {'ratio':>7} {'msgs':>6} {'engine_us_per_msg':>17} "
-          f"{'to_doc_ms':>10} {'dumps_ms':>9} {'audit_ms':>9}  match  text")
+          f"{'dumps_ms':>9} {'from_doc_ms':>11} {'audit_ms':>9}  match  text")
     mismatches = 0
     with warnings.catch_warnings():
         # Narrow widths can draw a zero one-time key; pvss warns about it.
@@ -220,8 +307,8 @@ def main():
                     ratio = ms["engine"] / ms["oracle"] if ms["oracle"] else float("inf")
                     print(f"{name:<34} {n:>6} {bits:>5} {ms['engine']:>10.3f} "
                           f"{ms['oracle']:>10.3f} {ratio:>7.1f} {msgs:>6} "
-                          f"{ms['engine'] * 1000 / msgs:>17.3f} {ms['to_doc']:>10.3f} "
-                          f"{ms['dumps']:>9.3f} {ms['audit']:>9.3f}  "
+                          f"{ms['engine'] * 1000 / msgs:>17.3f} {ms['dumps']:>9.3f} "
+                          f"{ms['from_doc']:>11.3f} {ms['audit']:>9.3f}  "
                           f"{'yes' if match else 'NO':<5}  "
                           f"{'yes' if canonical else 'NO'}")
     print(f"\nmismatches: {mismatches}")

@@ -37,7 +37,8 @@ from asgs.formats import (
     bulletin_from_doc,
     bulletin_to_doc,
     decode_vector,
-    dump_document,
+    dumps_document,
+    dumps_transcript,
     encode_vector,
     key_assignment_from_doc,
     key_assignment_to_doc,
@@ -49,7 +50,6 @@ from asgs.formats import (
     share_set_from_doc,
     share_set_to_doc,
     transcript_from_doc,
-    transcript_to_doc,
 )
 from asgs.kgh import (
     AsgsError,
@@ -536,14 +536,15 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
     for rule in env.tamper_rules:
         if rule not in fired:
             raise ParseError(f"tamper rule {rule.spec()} matched no message")
-    result.documents["transcript.json"] = transcript_to_doc(env.transcript)
+    texts = {name: dumps_document(doc) for name, doc in result.documents.items()}
+    texts["transcript.json"] = dumps_transcript(env.transcript)
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = result.artifacts
     try:
-        for name, doc in result.documents.items():
+        for name, text in texts.items():
             artifacts[name] = out_dir / name
-            dump_document(doc, artifacts[name])
+            artifacts[name].write_text(text, encoding="utf-8")
     except OSError:
         # Take back what this run wrote, a half-written file included.
         for path in artifacts.values():

@@ -113,6 +113,8 @@ class IdentificationFailed(AsgsError):
 class Party:
     """One modeled protocol party; participants carry a set tag and index.
 
+    The role is a ``ROLE_*`` name and a set tag non-empty ASCII
+    ``[0-9A-Za-z]``, so labels are ASCII words JSON writes unescaped.
     ``key`` is the policy lookup key: the role, refined by set tag for
     participants. It and the label are built once, at construction,
     because the audit, the encoder and tamper matching read them per
@@ -127,9 +129,14 @@ class Party:
 
     def __post_init__(self) -> None:
         if self.role == ROLE_PARTICIPANT:
-            if self.set_tag is None or self.index is None or self.index < 1:
+            tag = self.set_tag
+            if not (isinstance(tag, str) and tag.isascii() and tag.isalnum()):
+                raise ValueError(f"set tag must be non-empty ASCII [0-9A-Za-z], got {tag!r}")
+            if self.index is None or self.index < 1:
                 raise ValueError("participants need a set tag and a 1-based index")
             key, label = f"participant:{self.set_tag}", f"p{self.set_tag}-{self.index}"
+        elif self.role not in (ROLE_DEALER, ROLE_OWNER, ROLE_ACCUMULATOR):
+            raise ValueError(f"unknown role {self.role!r}")
         elif self.set_tag is not None or self.index is not None:
             raise ValueError(f"{self.role} carries no set tag or index")
         else:
@@ -168,7 +175,7 @@ def parse_party(label: str) -> Party:
         return _ROLE_PARTIES[label]
     if label.startswith("p") and "-" in label:
         tag, _, index_text = label[1:].partition("-")
-        if tag and index_text.isdigit():
+        if tag.isascii() and tag.isalnum() and index_text.isdigit():
             party = participant(tag, int(index_text))
             if party.label() == label:
                 return party

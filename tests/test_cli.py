@@ -417,6 +417,17 @@ class TestAudit:
         assert "dealer" in printed
         assert "secret" in printed
 
+    def test_label_with_a_quote_is_a_usage_error(self, tmp_path, capsys):
+        transcript = Transcript({"bits": 8})
+        transcript.append(Message(1, OWNER, DEALER, KIND_SECRET, bv(0x5A)))
+        doc = transcript_to_doc(transcript)
+        doc["steps"][0]["from"] = 'p"x-1'
+        path = dump_document(doc, tmp_path / "bad.json")
+        assert main(["audit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: transcript.steps[0]: unrecognized party label 'p\"x-1'\n"
+
     @pytest.mark.parametrize("value", [
         pytest.param("[" * 100_000 + "]" * 100_000, id="deep"),
         pytest.param("7" * 5000, id="huge-int", marks=pytest.mark.skipif(

@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from asgs.formats import (
@@ -19,6 +19,7 @@ from asgs.formats import (
     decode_vector,
     dump_document,
     dumps_document,
+    dumps_transcript,
     encode_vector,
     key_assignment_from_doc,
     key_assignment_to_doc,
@@ -44,10 +45,12 @@ from asgs.kgh import (
 )
 from asgs.protocol import (
     ACCUMULATOR,
+    CONTROL_KINDS,
     DEALER,
     KIND_IDENTIFICATION,
     KIND_KEY_REQUEST,
     KIND_SECRET,
+    MESSAGE_KINDS,
     OWNER,
     Message,
     ProtocolEnv,
@@ -127,13 +130,12 @@ class TestFixtureFiles:
         assert ints(read_fixture_file(path, P8)) == [0x0F]
 
     def test_bad_line_reports_path_and_number(self, tmp_path):
+        # The first bad line is reported, by its number in the file.
         path = tmp_path / "draws.txt"
-        path.write_text("0f\nnope\n")
+        path.write_text("0f\n\n# note\n5A\nnope\n")
         with pytest.raises(ParseError) as excinfo:
             read_fixture_file(path, P8)
-        message = str(excinfo.value)
-        assert "draws.txt" in message
-        assert "2" in message
+        assert str(excinfo.value) == f"{path}:4: not lowercase hexadecimal [0-9a-f]: '5A'"
 
     def test_non_utf8_file_reports_path(self, tmp_path):
         path = tmp_path / "draws.txt"
@@ -582,3 +584,166 @@ class TestDecoderFuzz:
                     read_fixture_file(path, params)
                 except ParseError:
                     pass
+
+
+def oracle_transcript_doc(transcript: Transcript) -> dict:
+    """The transcript document built one step dict at a time, the way
+    the writer did before it rendered from the columns: the reference
+    for :func:`dumps_transcript`."""
+    steps = []
+    for seq, sender, recipient, kind, payload, element_index in zip(
+        transcript.seqs, transcript.senders, transcript.recipients, transcript.kinds,
+        transcript.payloads, transcript.element_indices,
+    ):
+        step = {
+            "seq": seq,
+            "from": sender.label(),
+            "to": recipient.label(),
+            "kind": kind,
+            "payload_hex": (
+                ("01" if payload else "00") if type(payload) is bool
+                else encode_vector(ShareVector.from_int(transcript.params, payload))
+            ),
+        }
+        if element_index is not None:
+            step["element_index"] = element_index
+        steps.append(step)
+    config = dict(transcript.config)
+    bits = config.get("bits")
+    return {
+        "version": FORMAT_VERSION,
+        "kind": "transcript",
+        "bits": bits if isinstance(bits, int) else 0,
+        "config": config,
+        "steps": steps,
+    }
+
+
+_TAGS = st.text(alphabet="0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz",
+                min_size=1, max_size=3)
+_PARTIES = st.sampled_from([DEALER, OWNER, ACCUMULATOR]) | st.builds(
+    participant, _TAGS, st.integers(min_value=1, max_value=10**6)
+)
+# Configs with nested lists and dicts, escapes, and a decoy "steps" key.
+_CONFIGS = st.dictionaries(_WRITER_TEXT, _WRITER_VALUES, max_size=4) | st.just(
+    {"steps": [], "note": '"steps": []', "nested": {"steps": [[], {"steps": []}]}}
+)
+
+
+@st.composite
+def transcripts(draw) -> Transcript:
+    width = draw(st.integers(min_value=1, max_value=4096))
+    transcript = Transcript({**draw(_CONFIGS), "bits": width})
+    seq = 0
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        seq += draw(st.integers(min_value=1, max_value=3))
+        kind = draw(st.sampled_from(sorted(MESSAGE_KINDS)))
+        payload = (
+            draw(st.booleans()) if kind in CONTROL_KINDS
+            else ShareVector.from_int(transcript.params,
+                                      draw(st.integers(min_value=0, max_value=2**width - 1)))
+        )
+        element_index = draw(st.none() | st.integers(min_value=1, max_value=10**6))
+        transcript.append(Message(seq, draw(_PARTIES), draw(_PARTIES), kind, payload,
+                                  element_index))
+    return transcript
+
+
+class TestTranscriptWriter:
+    """dumps_transcript renders the columns straight to the canonical
+    text of the step-by-step document."""
+
+    @given(transcript=transcripts())
+    @example(transcript=Transcript({"bits": 8}))
+    @example(transcript=Transcript())
+    def test_matches_the_step_dict_oracle(self, transcript):
+        text = dumps_transcript(transcript)
+        assert text == canonical(oracle_transcript_doc(transcript))
+        restored = transcript_from_doc(json.loads(text))
+        assert list(restored) == list(transcript)
+        assert dumps_transcript(restored) == text
+
+    def test_to_doc_is_the_dict_view_of_the_text(self):
+        env = ProtocolEnv.seeded(5, 12)
+        safe_shares(ShareVector.from_int(env.params, 0xABC), 3, env)
+        text = dumps_transcript(env.transcript)
+        assert transcript_to_doc(env.transcript) == json.loads(text)
+        assert dumps_document(transcript_to_doc(env.transcript)) == text
+
+    def test_unknown_kind_is_not_written(self):
+        transcript = Transcript({"bits": 8})
+        transcript.append(Message(1, DEALER, OWNER, 'sec"ret', bv(0x01)))
+        with pytest.raises(ValueError, match="unknown message kinds"):
+            dumps_transcript(transcript)
+
+
+def _four_step_doc(kind=KIND_SECRET) -> dict:
+    transcript = Transcript({"bits": 12})
+    for seq in range(1, 5):
+        transcript.append(Message(seq, participant("1", seq), DEALER, kind,
+                                  bv(0x120 + seq, SchemeParams.binary(12)), element_index=seq))
+    return transcript_to_doc(transcript)
+
+
+class TestReaderErrorOrder:
+    """The column decoders report the first fault in document order,
+    with the message the step-by-step reader gave."""
+
+    @pytest.mark.parametrize("faults, message", [
+        pytest.param(
+            {(0, "payload_hex"): "zz0", (2, "seq"): 0},
+            "transcript.steps[0]: expected 4 hex characters for 12 bits, got 3",
+            id="hex-then-later-seq"),
+        pytest.param(
+            {(1, "payload_hex"): "12G0", (3, "from"): 'p"x-1'},
+            "transcript.steps[1]: not lowercase hexadecimal [0-9a-f]: '12G0'",
+            id="hex-then-later-label"),
+        pytest.param(
+            {(2, "payload_hex"): "123f", (2, "to"): "nobody"},
+            "transcript.steps[2]: nonzero padding bits in '123f' at width 12",
+            id="hex-and-label-same-step"),
+        pytest.param(
+            {(0, "to"): "nobody", (1, "payload_hex"): "zz"},
+            "transcript.steps[0]: unrecognized party label 'nobody'",
+            id="label-then-later-hex"),
+        pytest.param(
+            {(2, "kind"): "ack", (2, "payload_hex"): "zz"},
+            "transcript.steps[2]: unknown message kind 'ack'",
+            id="kind-before-hex-same-step"),
+        pytest.param(
+            {(3, "payload_hex"): "123f", (1, "payload_hex"): 7},
+            "transcript.steps[1]: missing payload_hex",
+            id="type-then-later-hex"),
+    ])
+    def test_transcript_first_fault_wins(self, faults, message):
+        doc = _four_step_doc()
+        for (step, field), value in faults.items():
+            doc["steps"][step][field] = value
+        with pytest.raises(ParseError) as caught:
+            transcript_from_doc(doc)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("decode, field, items, message", [
+        pytest.param(share_set_from_doc, "shares", ["5a", "5A", "zz", 7],
+                     "share_set.shares[1]: not lowercase hexadecimal [0-9a-f]: '5A'",
+                     id="share-set-hex"),
+        pytest.param(share_set_from_doc, "shares", ["5a", 7, "5"],
+                     "share_set.shares[1]: expected a hex string", id="share-set-type"),
+        pytest.param(share_set_from_doc, "shares", ["5a", "٥a", "5"],
+                     "share_set.shares[1]: not lowercase hexadecimal [0-9a-f]: '٥a'",
+                     id="share-set-non-ascii-digit"),
+        pytest.param(safe_state_from_doc, "keys", ["0f", "0f0", "+f"],
+                     "safe_state.keys[1]: expected 2 hex characters for 8 bits, got 3",
+                     id="safe-state-length"),
+    ])
+    def test_list_first_fault_wins(self, decode, field, items, message):
+        doc = {**VALID_DOCUMENTS[decode], field: items}
+        with pytest.raises(ParseError) as caught:
+            decode(doc)
+        assert str(caught.value) == message
+
+    def test_protected_is_read_before_keys(self):
+        doc = {**VALID_DOCUMENTS[safe_state_from_doc], "protected": ["0f", "zz"],
+               "keys": ["z"]}
+        with pytest.raises(ParseError, match=r"^safe_state\.protected\[1\]: not lowercase"):
+            safe_state_from_doc(doc)

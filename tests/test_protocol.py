@@ -122,6 +122,20 @@ class TestParties:
             with pytest.raises(ValueError):
                 parse_party(label)
 
+    @pytest.mark.parametrize("tag", ['"x', "\u00e9", "", "a-b", " 1", "\u0661", 1, None])
+    def test_set_tag_is_nonempty_ascii_alphanumeric(self, tag):
+        with pytest.raises(ValueError, match="set tag must be"):
+            Party(ROLE_PARTICIPANT, tag, 1)
+
+    def test_unknown_role_rejected(self):
+        with pytest.raises(ValueError, match="unknown role 'banker'"):
+            Party("banker")
+
+    @pytest.mark.parametrize("label", ['p"x-1', "p\u00e9-2", "p-1", "pa b-1", "p\u0661-1"])
+    def test_label_with_another_set_tag_rejected(self, label):
+        with pytest.raises(ValueError, match="unrecognized party label"):
+            parse_party(label)
+
     def test_participant_needs_index(self):
         # The interning cache keeps results only, so a bad index raises
         # on every call, not just the first.

@@ -34,6 +34,8 @@ def run_script(name, *args):
         pytest.param("scaling_sweep.py",
                      ("--sizes", "2", "5", "--widths", "8", "--repeat", "1"), 0,
                      id="scaling-sweep"),
+        pytest.param("scaling_sweep.py", ("--cli", "--sizes", "2", "--widths", "12"), 0,
+                     id="scaling-sweep-cli"),
     ],
 )
 def test_exit_code(name, args, code):
