@@ -4,11 +4,14 @@
 For every operation, share count n and width, the script draws one set
 of random ints, replays them into the engine as fixture streams and into
 the matching straight-line function of ``tests/oracles.py``, and times
-both. It then times what the CLI does with the operation's transcript:
+both. The engine call returns the results' int columns, as the oracle
+does and as a chain passes them on; building the results' vector views,
+which the int columns defer to their first read, is timed on its own.
+It then times what the CLI does with the operation's transcript:
 writing its text (``dumps_transcript``), reading the parsed document
 back (``transcript_from_doc``) and auditing it (``check_visibility``).
 It prints the median times over the repeats, the engine/oracle ratio,
-the transcript length (``msgs``) and the engine time per message
+the view time (``view_ms``), the transcript length (``msgs``) and the engine time per message
 (``engine_us_per_msg``), and exits 1 if any engine output differs from
 the oracle's, any transcript text differs from ``json.dumps(doc,
 sort_keys=True, indent=2) + "\\n"`` of the document it parses to, the
@@ -38,6 +41,7 @@ import sys
 import tempfile
 import time
 import warnings
+from functools import cached_property
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,8 +66,8 @@ from asgs.pvss import Verdict, distribute_shares_and_keys, verify  # noqa: E402
 
 # Each case takes (n, params, draw) and returns the fixture streams, an
 # engine call on a fresh environment, and the oracle call. Both calls
-# return the same list of outputs: vectors (ints for the oracle) and
-# verdicts.
+# return the same list of outputs: packed ints and verdicts. The engine
+# call also returns its result objects, whose views are timed apart.
 
 
 def case_set_generate(n, params, draw):
@@ -71,7 +75,7 @@ def case_set_generate(n, params, draw):
 
     def engine(env):
         template, master = set_generate_m(n, n, env)
-        return [*template.shares, *master.shares]
+        return [*template.ints, *master.ints], (template, master)
 
     def oracle():
         template, master = oracles.set_generate(iter(masks), n, n)
@@ -92,7 +96,8 @@ def replication_case(operation, oracle_operation, target, mask_draws):
         args = () if d is None else (d,)
 
         def engine(env):
-            return list(operation(master, *args, env).shares)
+            derived = operation(master, *args, env)
+            return list(derived.ints), (derived,)
 
         def oracle():
             return oracle_operation(iter(masks), shares, *args)
@@ -111,7 +116,8 @@ def case_safe_shares(n, params, draw):
 
     def engine(env):
         state = safe_shares(secret_vector, n, env)
-        return [*state.protected, *activate_shares(state, env).shares]
+        activated = activate_shares(state, env)
+        return [*state.protected_ints, *activated.ints], (state, state.masks, activated)
 
     def oracle():
         state = oracles.safe_shares(iter(dealer), iter(owner), secret, n)
@@ -131,8 +137,8 @@ def case_pvss(n, params, draw):
     def engine(env):
         bulletin, assignment = distribute_shares_and_keys(first, second, env)
         result = verify(bulletin, assignment, env)
-        return [*bulletin.set1_entries, *bulletin.set2_entries, result.xored_keys,
-                result.verdict is Verdict.POSITIVE]
+        return [*bulletin.set1_ints, *bulletin.set2_ints, result.xored_keys,
+                result.verdict is Verdict.POSITIVE], (bulletin, assignment)
 
     def oracle():
         b1, b2, k1, k2 = oracles.distribute(iter(keys), set1, set2)
@@ -163,6 +169,15 @@ def share_set(role, values, params):
     )
 
 
+def read_views(results):
+    """Build every vector view of the result objects: the work their
+    int columns defer to the first read."""
+    for result in results:
+        for name, attribute in vars(type(result)).items():
+            if isinstance(attribute, cached_property):
+                getattr(result, name)
+
+
 def plain(outputs):
     return [v.to_int() if isinstance(v, ShareVector) else v for v in outputs]
 
@@ -173,7 +188,7 @@ def columns(transcript):
 
 
 def run_cell(case, n, bits, rng, repeat):
-    """Median engine, oracle, ``dumps_transcript``,
+    """Median engine, oracle, view, ``dumps_transcript``,
     ``transcript_from_doc`` and ``check_visibility`` ms over ``repeat``
     runs; the transcript length; whether the outputs agree with the
     oracle's and the audit found nothing, and whether the transcript
@@ -187,7 +202,7 @@ def run_cell(case, n, bits, rng, repeat):
         role: tuple(ShareVector.from_int(params, v) for v in values)
         for role, values in streams.items()
     }
-    times = {"engine": [], "oracle": [], "dumps": [], "from_doc": [], "audit": []}
+    times = {"engine": [], "oracle": [], "views": [], "dumps": [], "from_doc": [], "audit": []}
 
     def timed(name, call):
         start = time.perf_counter()
@@ -198,8 +213,9 @@ def run_cell(case, n, bits, rng, repeat):
     match = True
     for _ in range(repeat):
         env = ProtocolEnv.with_fixtures(params, **fixtures)
-        engine_out = timed("engine", lambda: engine(env))
+        engine_out, results = timed("engine", lambda: engine(env))
         oracle_out = timed("oracle", oracle)
+        timed("views", lambda: read_views(results))
         text = timed("dumps", lambda: dumps_transcript(env.transcript))
         document = json.loads(text)  # the stdlib's parser, not timed
         restored = timed("from_doc", lambda: transcript_from_doc(document))
@@ -291,7 +307,7 @@ def main():
 
     print(f"python {platform.python_version()}, median of {args.repeat} runs per cell")
     print(f"{'operation':<34} {'n':>6} {'bits':>5} {'engine_ms':>10} "
-          f"{'oracle_ms':>10} {'ratio':>7} {'msgs':>6} {'engine_us_per_msg':>17} "
+          f"{'oracle_ms':>10} {'ratio':>7} {'view_ms':>9} {'msgs':>6} {'engine_us_per_msg':>17} "
           f"{'dumps_ms':>9} {'from_doc_ms':>11} {'audit_ms':>9}  match  text")
     mismatches = 0
     with warnings.catch_warnings():
@@ -306,7 +322,7 @@ def main():
                     mismatches += not canonical
                     ratio = ms["engine"] / ms["oracle"] if ms["oracle"] else float("inf")
                     print(f"{name:<34} {n:>6} {bits:>5} {ms['engine']:>10.3f} "
-                          f"{ms['oracle']:>10.3f} {ratio:>7.1f} {msgs:>6} "
+                          f"{ms['oracle']:>10.3f} {ratio:>7.1f} {ms['views']:>9.3f} {msgs:>6} "
                           f"{ms['engine'] * 1000 / msgs:>17.3f} {ms['dumps']:>9.3f} "
                           f"{ms['from_doc']:>11.3f} {ms['audit']:>9.3f}  "
                           f"{'yes' if match else 'NO':<5}  "

@@ -298,7 +298,7 @@ def _fastshare(spec: ScenarioSpec, out: RunResult) -> None:
 def _safeshares(spec: ScenarioSpec, out: RunResult) -> None:
     state, _ = _safeshares_step(spec, out)
     out.summary.append(
-        f"protected set ({len(state.protected)} shares) -> {out.path('protected.json')}"
+        f"protected set ({len(state.protected_ints)} shares) -> {out.path('protected.json')}"
     )
     out.summary.append(f"full pre-positioning state -> {out.path('state.json')}")
 
@@ -369,7 +369,7 @@ def _simulate(spec: ScenarioSpec, out: RunResult) -> None:
         if spec.d is not None:
             raise ParseError(f"--d {spec.d} applies only to simulate set-generate")
         state, secret = _safeshares_step(spec, out)
-        out.summary.append(f"safeshares: protected set of {len(state.protected)} shares")
+        out.summary.append(f"safeshares: protected set of {len(state.protected_ints)} shares")
         # what pvss compares against
         reference = AuthorizedShareSet.from_shares(SetRole.TEMPLATE, [secret])
         current = state.protected_set()

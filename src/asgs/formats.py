@@ -26,7 +26,6 @@ from asgs.kgh import (
     SetRole,
     ShareVector,
     from_ints,
-    to_ints,
 )
 from asgs.protocol import (
     CONTROL_KINDS,
@@ -62,14 +61,14 @@ def _hex_width(bits: int) -> int:
 
 def encode_vector(vector: ShareVector) -> str:
     """Render a binary vector as lowercase hex, component 1 first."""
-    return _encode_list((vector,), vector.params.dimension)[0]
+    return _encode_list((vector.to_int(),), vector.params.dimension)[0]
 
 
-def _encode_list(vectors, bits: int) -> list[str]:
-    """:func:`encode_vector` of each ``bits``-wide vector."""
+def _encode_list(values, bits: int) -> list[str]:
+    """:func:`encode_vector` of each ``bits``-wide packed int."""
     padding = -bits % 8
     size = (bits + padding) // 8
-    return [(value << padding).to_bytes(size, "big").hex() for value in to_ints(vectors)]
+    return [(value << padding).to_bytes(size, "big").hex() for value in values]
 
 
 def decode_vector(text: str, params: SchemeParams) -> ShareVector:
@@ -226,10 +225,10 @@ def _decode_column(items: list, params: SchemeParams, name) -> list[int]:
     return out
 
 
-def _decode_list(items: object, params: SchemeParams, context: str) -> tuple[ShareVector, ...]:
+def _decode_list(items: object, params: SchemeParams, context: str) -> tuple[int, ...]:
     if not isinstance(items, list):
         raise ParseError(f"{context}: expected a list of hex vectors")
-    return from_ints(params, _decode_column(items, params, f"{context}[{{}}]".format))
+    return tuple(_decode_column(items, params, f"{context}[{{}}]".format))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +242,7 @@ def share_set_to_doc(share_set: AuthorizedShareSet) -> dict:
         "kind": "share_set",
         "bits": share_set.params.dimension,
         "role": share_set.role.value,
-        "shares": _encode_list(share_set.shares, share_set.params.dimension),
+        "shares": _encode_list(share_set.ints, share_set.params.dimension),
     }
 
 
@@ -264,7 +263,7 @@ def mask_set_to_doc(masks: MaskSet) -> dict:
         "version": FORMAT_VERSION,
         "kind": "mask_set",
         "bits": masks.params.dimension,
-        "vectors": _encode_list(masks.vectors, masks.params.dimension),
+        "vectors": _encode_list(masks.ints, masks.params.dimension),
     }
 
 
@@ -287,8 +286,8 @@ def bulletin_to_doc(bulletin: BulletinBoard) -> dict:
         "version": FORMAT_VERSION,
         "kind": "bulletin",
         "bits": bulletin.params.dimension,
-        "set1": _encode_list(bulletin.set1_entries, bulletin.params.dimension),
-        "set2": _encode_list(bulletin.set2_entries, bulletin.params.dimension),
+        "set1": _encode_list(bulletin.set1_ints, bulletin.params.dimension),
+        "set2": _encode_list(bulletin.set2_ints, bulletin.params.dimension),
     }
 
 
@@ -306,7 +305,7 @@ def bulletin_from_doc(document: Mapping) -> BulletinBoard:
 
 
 def key_assignment_to_doc(assignment: KeyAssignment, bits: int) -> dict:
-    keys = {tag: [assignment.key_for(tag, i) for i in range(1, assignment.count_for(tag) + 1)]
+    keys = {tag: [assignment.key_int(tag, i) for i in range(1, assignment.count_for(tag) + 1)]
             for tag in ("1", "2")}
     return {
         "version": FORMAT_VERSION,
@@ -319,13 +318,14 @@ def key_assignment_to_doc(assignment: KeyAssignment, bits: int) -> dict:
 
 def key_assignment_from_doc(document: Mapping) -> KeyAssignment:
     params = _document_params(document, "key_assignment")
-    entries: dict[tuple[str, int], ShareVector] = {}
+    keys: dict[tuple[str, int], int] = {}
     for tag, field in (("1", "set1"), ("2", "set2")):
-        for i, key in enumerate(
-            _decode_list(document.get(field), params, f"key_assignment.{field}"), start=1
-        ):
-            entries[(tag, i)] = key
-    return KeyAssignment(entries)
+        column = _decode_list(document.get(field), params, f"key_assignment.{field}")
+        keys.update(zip(zip(repeat(tag), range(1, len(column) + 1)), column))
+    try:
+        return KeyAssignment(keys, params)
+    except ValueError as exc:
+        raise ParseError(f"key_assignment: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +339,10 @@ def safe_state_to_doc(state: SafeSharesState) -> dict:
         "version": FORMAT_VERSION,
         "kind": "safe_state",
         "bits": bits,
-        "protected": _encode_list(state.protected, bits),
-        "keys": _encode_list(state.keys, bits),
-        "masks": _encode_list(state.masks.vectors, bits),
-        "owner_shares": _encode_list(state.owner_shares, bits),
+        "protected": _encode_list(state.protected_ints, bits),
+        "keys": _encode_list(state.key_ints, bits),
+        "masks": _encode_list(state.masks.ints, bits),
+        "owner_shares": _encode_list(state.owner_share_ints, bits),
         "assignment": list(state.assignment),
     }
 
@@ -352,18 +352,13 @@ def safe_state_from_doc(document: Mapping) -> SafeSharesState:
     assignment = document.get("assignment")
     if not isinstance(assignment, list) or not all(_is_int(i) for i in assignment):
         raise ParseError("safe_state.assignment: expected a list of integers")
+    protected, keys, masks, owner_shares = (
+        _decode_list(document.get(name), params, f"safe_state.{name}")
+        for name in ("protected", "keys", "masks", "owner_shares")
+    )
     try:
         return SafeSharesState(
-            params=params,
-            protected=_decode_list(document.get("protected"), params, "safe_state.protected"),
-            keys=_decode_list(document.get("keys"), params, "safe_state.keys"),
-            masks=MaskSet(
-                _decode_list(document.get("masks"), params, "safe_state.masks"), params
-            ),
-            owner_shares=_decode_list(
-                document.get("owner_shares"), params, "safe_state.owner_shares"
-            ),
-            assignment=tuple(assignment),
+            params, protected, keys, MaskSet(masks, params), owner_shares, tuple(assignment)
         )
     except ValueError as exc:
         raise ParseError(f"safe_state: {exc}") from exc

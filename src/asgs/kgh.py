@@ -7,7 +7,9 @@ authorized set, which is the form the automatic protocols in
 int, component 1 in the most significant bit, so adding or subtracting
 two of them is a single ``^``; its ``components`` tuple is a derived
 view. The protocol engine computes on the packed ints themselves
-(:func:`to_ints`, :func:`from_ints`).
+(:func:`to_ints`, :func:`from_ints`). Results store int columns plus
+``params``: their vector attributes are views built on first read and
+cached, and vectors enter only through one classmethod per result type.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import repeat
 from operator import attrgetter, is_, xor
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 if TYPE_CHECKING:
     from asgs.devices import RandSource
@@ -198,6 +200,30 @@ def params_identical(vectors: Iterable[ShareVector], params: SchemeParams) -> bo
     return all(map(is_, map(_params_of, vectors), repeat(params)))
 
 
+def vector_params(vectors: Sequence[ShareVector]) -> SchemeParams:
+    """The params of a non-empty column of vectors; raises on mixed params."""
+    if not vectors:
+        raise ValueError("need at least one vector to infer params")
+    params = vectors[0].params
+    if not params_identical(vectors, params) and any(v.params != params for v in vectors):
+        raise MixedParams(f"a column mixes vectors under {params} with other params")
+    return params
+
+
+def check_ints(values: Collection[int], params: SchemeParams, what: str) -> None:
+    """Reject an empty int column, or one holding a value outside
+    ``0..2^l - 1``: one C-level ``min`` and ``max`` over the ints."""
+    if not values:
+        raise ValueError(f"{what} must not be empty")
+    if min(values) < 0 or max(values) >> params.dimension:
+        raise ValueError(f"{what} holds a value that does not fit in {params.dimension} bits")
+
+
+def vector_view(column: str) -> cached_property:
+    """A result type's vector view of its int column ``column``, cached."""
+    return cached_property(lambda result: from_ints(result.params, getattr(result, column)))
+
+
 class SetRole(enum.Enum):
     """Lifecycle tag of an authorized share set.
 
@@ -214,59 +240,51 @@ class SetRole(enum.Enum):
 
 @dataclass(frozen=True)
 class AuthorizedShareSet:
-    """An ordered set of shares that jointly recover one secret."""
+    """An ordered set of shares that jointly recover one secret, held as
+    packed ints; ``shares`` is their vector view."""
 
     role: SetRole
-    shares: tuple[ShareVector, ...]
+    ints: tuple[int, ...]
     params: SchemeParams
 
     def __post_init__(self) -> None:
-        if not self.shares:
-            raise ValueError("an authorized set holds at least one share")
-        params = self.params
-        if not params_identical(self.shares, params) and any(
-            s.params != params for s in self.shares
-        ):
-            raise MixedParams("all shares of a set carry the same params")
+        check_ints(self.ints, self.params, "an authorized set")
 
     @classmethod
     def from_shares(
         cls, role: SetRole, shares: Iterable[ShareVector]
     ) -> AuthorizedShareSet:
         shares = tuple(shares)
-        if not shares:
-            raise ValueError("an authorized set holds at least one share")
-        return cls(role, shares, shares[0].params)
+        return cls(role, tuple(to_ints(shares)), vector_params(shares))
+
+    shares = vector_view("ints")
 
     def __len__(self) -> int:
-        return len(self.shares)
+        return len(self.ints)
 
 
 @dataclass(frozen=True)
 class MaskSet:
-    """An ordered set of vectors whose group sum is the zero vector."""
+    """An ordered set of vectors whose group sum is the zero vector, held
+    as packed ints; ``vectors`` is their vector view."""
 
-    vectors: tuple[ShareVector, ...]
+    ints: tuple[int, ...]
     params: SchemeParams
 
     def __post_init__(self) -> None:
-        params = self.params
-        if not params_identical(self.vectors, params) and any(
-            v.params != params for v in self.vectors
-        ):
-            raise MixedParams("all mask elements carry the same params")
-        if reduce(xor, to_ints(self.vectors), 0):
+        check_ints(self.ints, self.params, "a mask set")
+        if reduce(xor, self.ints, 0):
             raise ValueError("mask set elements must combine to the zero vector")
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[ShareVector]) -> MaskSet:
         vectors = tuple(vectors)
-        if not vectors:
-            raise ValueError("need at least one vector to infer params")
-        return cls(vectors, vectors[0].params)
+        return cls(tuple(to_ints(vectors)), vector_params(vectors))
+
+    vectors = vector_view("ints")
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.ints)
 
 
 def combine(
@@ -308,7 +326,7 @@ def kgh_split(
     params = secret.params
     shares = rand.next_ints(params, count - 1)
     shares.append(reduce(xor, shares, secret._data))
-    return AuthorizedShareSet(SetRole.OWNER, from_ints(params, shares), params)
+    return AuthorizedShareSet(SetRole.OWNER, tuple(shares), params)
 
 
 def mask_ints(count: int, rand: RandSource, params: SchemeParams) -> list[int]:
@@ -331,7 +349,7 @@ def generate_mask_set(
     count: int, rand: RandSource, params: SchemeParams
 ) -> MaskSet:
     """:func:`mask_ints` as a :class:`MaskSet`."""
-    return MaskSet(from_ints(params, mask_ints(count, rand, params)), params)
+    return MaskSet(tuple(mask_ints(count, rand, params)), params)
 
 
 def check_zero_sum(
@@ -343,8 +361,7 @@ def check_zero_sum(
     can be tested before construction.
     """
     if isinstance(vectors, MaskSet):
-        params = vectors.params
-        vectors = vectors.vectors
+        return not reduce(xor, vectors.ints, 0)
     vectors = tuple(vectors)
     if not vectors and params is None:
         return True
@@ -361,7 +378,7 @@ def partition_sums(
     whole set cancels to zero.
     """
     chosen = set(left_indices)
-    total = len(masks.vectors)
+    total = len(masks.ints)
     for index in chosen:
         if (
             not isinstance(index, int) or isinstance(index, bool)
@@ -370,6 +387,6 @@ def partition_sums(
             raise IndexOutOfRange(
                 f"index {index!r} outside 1..{total}"
             )
-    left = [v for i, v in enumerate(masks.vectors, start=1) if i in chosen]
-    right = [v for i, v in enumerate(masks.vectors, start=1) if i not in chosen]
-    return combine(left, masks.params), combine(right, masks.params)
+    left = reduce(xor, [v for i, v in enumerate(masks.ints, start=1) if i in chosen], 0)
+    right = reduce(xor, [v for i, v in enumerate(masks.ints, start=1) if i not in chosen], 0)
+    return _vector(masks.params, left), _vector(masks.params, right)

@@ -14,7 +14,8 @@ rules, and the envelope assignment. Replaying an environment reproduces
 the transcript bit for bit.
 
 The engine computes on packed ints (see :class:`~asgs.kgh.ShareVector`)
-from draw to delivery and wraps only the results it returns.
+from draw to delivery, and its results store them: each operation takes
+and returns int columns, so a chain of operations builds no vector.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from asgs.kgh import (
     SchemeParams,
     SetRole,
     ShareVector,
-    combine,
+    check_ints,
     from_ints,
     mask_ints,
-    to_ints,
+    vector_view,
 )
 
 KEY_RETRY_LIMIT = 64
@@ -749,32 +750,38 @@ def _weave(inbound, forwarded, count: int, relayed: int) -> list:
 class SafeSharesState:
     """Outcome of pre-positioning: everything each party is left holding.
 
-    ``protected`` is ordered by participant index; ``assignment`` maps
-    each original share index (1-based position) to the participant that
-    received its envelope. The keys are the dealer's, ordered by
-    original index.
+    ``protected`` (the vector view of ``protected_ints``) is ordered by
+    participant index; ``assignment`` maps each original share index
+    (1-based position) to the participant that received its envelope.
+    The keys are the dealer's, ordered by original index.
     """
 
     params: SchemeParams
-    protected: tuple[ShareVector, ...]
-    keys: tuple[ShareVector, ...]
+    protected_ints: tuple[int, ...]
+    key_ints: tuple[int, ...]
     masks: MaskSet
-    owner_shares: tuple[ShareVector, ...]
+    owner_share_ints: tuple[int, ...]
     assignment: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        count = len(self.protected)
+        count = len(self.protected_ints)
         if not (
-            len(self.keys) == len(self.masks.vectors) == len(self.owner_shares) == count
+            len(self.key_ints) == len(self.masks) == len(self.owner_share_ints) == count
         ):
             raise ValueError("all per-share sequences must have equal length")
         if sorted(self.assignment) != list(range(1, count + 1)):
             raise ValueError("assignment must be a permutation of participant indices")
-        if combine(self.keys, self.params).is_zero():
+        if not functools.reduce(xor, self.key_ints, 0):
             raise ValueError("key set must not cancel to zero")
+        for column in (self.protected_ints, self.key_ints, self.owner_share_ints):
+            check_ints(column, self.params, "a safe-shares column")
+
+    protected = vector_view("protected_ints")
+    keys = vector_view("key_ints")
+    owner_shares = vector_view("owner_share_ints")
 
     def protected_set(self) -> AuthorizedShareSet:
-        return AuthorizedShareSet(SetRole.PROTECTED, self.protected, self.params)
+        return AuthorizedShareSet(SetRole.PROTECTED, self.protected_ints, self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +791,7 @@ class SafeSharesState:
 
 def _check_params(env: ProtocolEnv, *items) -> None:
     """Every item is anything with ``.params``: a vector, share or mask
-    set, safe-shares state or bulletin."""
+    set, safe-shares state, bulletin or key assignment."""
     for item in items:
         if item.params is not env.params and item.params != env.params:
             raise MixedParams(
@@ -793,7 +800,7 @@ def _check_params(env: ProtocolEnv, *items) -> None:
 
 
 def _share_set(role: SetRole, params: SchemeParams, values: Iterable[int]) -> AuthorizedShareSet:
-    return AuthorizedShareSet(role, from_ints(params, values), params)
+    return AuthorizedShareSet(role, tuple(values), params)
 
 
 @functools.lru_cache(maxsize=32)
@@ -872,14 +879,14 @@ def set_replicate(
     """Replicate a share set into a fresh equal-size set using the given
     zero-sum mask set of twice its cardinality."""
     _check_params(env, masks, master)
-    n = len(master.shares)
-    if len(masks.vectors) != 2 * n:
+    n = len(master)
+    if len(masks) != 2 * n:
         raise CardinalityMismatch(
             f"replication over {n} shares needs 2n = {2 * n} mask elements, "
-            f"got {len(masks.vectors)}"
+            f"got {len(masks)}"
         )
     env.note_operation("set_replicate", n=n)
-    derived, _ = _replicate_rounds(to_ints(masks.vectors), to_ints(master.shares), env)
+    derived, _ = _replicate_rounds(masks.ints, master.ints, env)
     return _share_set(SetRole.DERIVED, env.params, derived)
 
 
@@ -888,10 +895,10 @@ def equal_set_replicate(
 ) -> AuthorizedShareSet:
     """Replicate a share set into a fresh set of the same cardinality."""
     _check_params(env, master)
-    n = len(master.shares)
+    n = len(master)
     env.note_operation("equal_set_replicate", n=n)
     masks = mask_ints(2 * n, env.source(ROLE_ACCUMULATOR), env.params)
-    derived, _ = _replicate_rounds(masks, to_ints(master.shares), env)
+    derived, _ = _replicate_rounds(masks, master.ints, env)
     return _share_set(SetRole.DERIVED, env.params, derived)
 
 
@@ -906,14 +913,14 @@ def set_replicate_to_bigger(
     cancels.
     """
     _check_params(env, master)
-    n = len(master.shares)
+    n = len(master)
     if target_count <= n:
         raise InvalidTarget(
             f"target cardinality {target_count} must exceed source cardinality {n}"
         )
     env.note_operation("set_replicate_to_bigger", n=n, d=target_count)
     masks = mask_ints(target_count + n, env.source(ROLE_ACCUMULATOR), env.params)
-    derived, _ = _replicate_rounds(masks, to_ints(master.shares), env)
+    derived, _ = _replicate_rounds(masks, master.ints, env)
     extra = range(n + 1, target_count + 1)
     derived += env.deliver_round(
         ACCUMULATOR, _participants(SetRole.DERIVED.value, extra), KIND_DERIVED_SHARE,
@@ -932,7 +939,7 @@ def set_replicate_to_smaller(
     into the single last share.
     """
     _check_params(env, master)
-    n = len(master.shares)
+    n = len(master)
     if target_count < 1 or target_count >= n:
         raise InvalidTarget(
             f"target cardinality {target_count} must lie in 1..{n - 1}"
@@ -940,7 +947,7 @@ def set_replicate_to_smaller(
     env.note_operation("set_replicate_to_smaller", n=n, d=target_count)
     masks = mask_ints(n + target_count - 1, env.source(ROLE_ACCUMULATOR), env.params)
     derived, rest = _replicate_rounds(
-        masks, to_ints(master.shares), env, keep=target_count - 1
+        masks, master.ints, env, keep=target_count - 1
     )
     derived.append(env.deliver(
         ACCUMULATOR,
@@ -1029,10 +1036,10 @@ def safe_shares(
         protected[target - 1] = envelope
     return SafeSharesState(
         params=params,
-        protected=from_ints(params, protected),
-        keys=from_ints(params, keys),
-        masks=MaskSet(from_ints(params, masks), params),
-        owner_shares=from_ints(params, owner_shares),
+        protected_ints=tuple(protected),
+        key_ints=tuple(keys),
+        masks=MaskSet(tuple(masks), params),
+        owner_share_ints=tuple(owner_shares),
         assignment=assignment,
     )
 
@@ -1048,11 +1055,10 @@ def activate_shares(state: SafeSharesState, env: ProtocolEnv) -> AuthorizedShare
     here cancel pairwise.
     """
     _check_params(env, state)
-    count = len(state.protected)
+    count = len(state.protected_ints)
     env.note_operation("activate_shares", n=count)
     identify = env.identify or (lambda index: True)
-    keys = to_ints(state.keys)
-    protected = to_ints(state.protected)
+    keys, protected = state.key_ints, state.protected_ints
     activated: dict[int, int] = {}
     pending: list[int] = []
     protected_tag = SetRole.PROTECTED.value

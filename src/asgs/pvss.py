@@ -13,20 +13,21 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import repeat
-from operator import is_, xor
-from typing import Mapping
+from operator import xor
+from typing import Iterable, Mapping
 
 from asgs.kgh import (
     AsgsError,
     AuthorizedShareSet,
     SchemeParams,
     ShareVector,
-    combine,
+    check_ints,
     from_ints,
-    params_identical,
     to_ints,
+    vector_params,
+    vector_view,
 )
 from asgs.protocol import (
     ACCUMULATOR,
@@ -56,37 +57,72 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class BulletinBoard:
-    """Published encrypted shares of the two sets under comparison."""
+    """Published encrypted shares of the two sets under comparison, as
+    packed ints; ``set1_entries`` and ``set2_entries`` are their vector
+    views. An authorized set holds at least one share, so neither is empty.
+    """
 
-    set1_entries: tuple[ShareVector, ...]
-    set2_entries: tuple[ShareVector, ...]
+    set1_ints: tuple[int, ...]
+    set2_ints: tuple[int, ...]
     params: SchemeParams
+
+    def __post_init__(self) -> None:
+        for tag, column in (("1", self.set1_ints), ("2", self.set2_ints)):
+            if not column:
+                raise CardinalityMismatch(f"set {tag}: the bulletin has no entries, "
+                                          "but an authorized set holds at least one share")
+            check_ints(column, self.params, f"bulletin set {tag}")
+
+    @classmethod
+    def from_entries(
+        cls, set1_entries: Iterable[ShareVector], set2_entries: Iterable[ShareVector]
+    ) -> BulletinBoard:
+        set1, set2 = tuple(set1_entries), tuple(set2_entries)
+        return cls(tuple(to_ints(set1)), tuple(to_ints(set2)), vector_params(set1 + set2))
+
+    set1_entries = vector_view("set1_ints")
+    set2_entries = vector_view("set2_ints")
 
 
 @dataclass(frozen=True)
 class KeyAssignment:
     """Per-participant one-time keys, addressed by (set tag, 1-based index).
 
-    The keys of each set tag are counted once, when the assignment is
-    built: :func:`verify`, the key-assignment writer and the CLI all
-    ask for the counts.
+    ``ints`` maps each address to a packed int, ``entries`` to a vector;
+    the hash reads only ``params``, since a dict has none. The keys of
+    each set tag are counted once, when the assignment is built:
+    :func:`verify`, the key-assignment writer and the CLI all ask.
     """
 
-    entries: Mapping[tuple[str, int], ShareVector]
+    ints: Mapping[tuple[str, int], int] = field(hash=False)
+    params: SchemeParams
     _counts: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        check_ints(self.ints.values(), self.params, "a key assignment")
         # One C-level count per distinct tag: every producer uses the two
         # tags "1" and "2". collections.Counter's Python-level
         # constructor would cost more than the count for a small run.
-        tags = [tag for tag, _ in self.entries]
+        tags = [tag for tag, _ in self.ints]
         object.__setattr__(self, "_counts", {tag: tags.count(tag) for tag in set(tags)})
 
-    def key_for(self, set_tag: str, index: int) -> ShareVector:
+    @classmethod
+    def from_entries(cls, entries: Mapping[tuple[str, int], ShareVector]) -> KeyAssignment:
+        keys = tuple(entries.values())
+        return cls(dict(zip(entries, to_ints(keys))), vector_params(keys))
+
+    @cached_property
+    def entries(self) -> dict[tuple[str, int], ShareVector]:
+        return dict(zip(self.ints, from_ints(self.params, self.ints.values())))
+
+    def key_int(self, set_tag: str, index: int) -> int:
         try:
-            return self.entries[(set_tag, index)]
+            return self.ints[(set_tag, index)]
         except KeyError:
             raise MissingKey(set_tag, index) from None
+
+    def key_for(self, set_tag: str, index: int) -> ShareVector:
+        return ShareVector.from_int(self.params, self.key_int(set_tag, index))
 
     def count_for(self, set_tag: str) -> int:
         return self._counts.get(set_tag, 0)
@@ -110,12 +146,10 @@ def distribute_shares_and_keys(
     share in clear, which is legal but worth flagging.
     """
     _check_params(env, set1, set2)
-    env.note_operation(
-        "distribute_shares_and_keys", h=len(set1.shares), g=len(set2.shares)
-    )
+    env.note_operation("distribute_shares_and_keys", h=len(set1), g=len(set2))
     params = env.params
-    split = len(set1.shares)
-    first, second = range(1, split + 1), range(1, len(set2.shares) + 1)
+    split = len(set1)
+    first, second = range(1, split + 1), range(1, len(set2) + 1)
     holders = _participants("1", first) + _participants("2", second)
     keys = env.source(ROLE_DEALER).next_ints(params, len(holders))
     if not all(keys):
@@ -127,14 +161,12 @@ def distribute_shares_and_keys(
                     stacklevel=2,
                 )
     delivered = env.deliver_round(DEALER, holders, KIND_KEY, keys, [*first, *second])
-    shares = to_ints(set1.shares + set2.shares)
-    published = from_ints(params, [share ^ key for share, key in zip(shares, keys)])
+    published = [share ^ key for share, key in zip(set1.ints + set2.ints, keys)]
     return (
-        BulletinBoard(published[:split], published[split:], params),
+        BulletinBoard(tuple(published[:split]), tuple(published[split:]), params),
         KeyAssignment(dict(zip(
-            [*zip(repeat("1"), first), *zip(repeat("2"), second)],
-            from_ints(params, delivered),
-        ))),
+            [*zip(repeat("1"), first), *zip(repeat("2"), second)], delivered
+        )), params),
     )
 
 
@@ -149,31 +181,29 @@ def recover_xored_keys(
     register value is the XOR of all keys, with no single key exposed
     along the way.
     """
+    _check_params(env, assignment)
     env.note_operation("recover_xored_keys", h=set1_count, g=set2_count)
-    params = env.params
     rounds = range(1, max(set1_count, set2_count) + 1)
     width = 2 * len(rounds)
     # The woven column: round i fills slot 2i - 2 from set 1 and slot
-    # 2i - 1 from set 2; a missing key reads None.
-    key_of = assignment.entries.get
-    keys = [ShareVector.zero(params)] * width
+    # 2i - 1 from set 2; a padding slot holds 0 and a missing key None.
+    key_of = assignment.ints.get
+    keys = [0] * width
     keys[0:2 * set1_count:2] = map(key_of, zip(repeat("1"), rounds[:set1_count]))
     keys[1:2 * set2_count:2] = map(key_of, zip(repeat("2"), rounds[:set2_count]))
-    # Every key is looked up and checked before the first message, so a
-    # failed recovery leaves no rows behind.
-    if any(map(is_, keys, repeat(None))) or not params_identical(keys, params):
-        for slot, key in enumerate(keys):
-            if key is None:
-                raise MissingKey("12"[slot % 2], slot // 2 + 1)
-            _check_params(env, key)
+    # Every key is looked up before the first message, so a failed
+    # recovery leaves no rows behind.
+    if None in keys:
+        slot = keys.index(None)
+        raise MissingKey("12"[slot % 2], slot // 2 + 1)
     senders = [None] * width
     senders[0::2] = _participants("1", rounds)
     senders[1::2] = _participants("2", rounds)
     indices = [None] * width
     indices[0::2] = rounds
     indices[1::2] = rounds
-    delivered = env.deliver_round(senders, ACCUMULATOR, KIND_KEY, to_ints(keys), indices)
-    return ShareVector.from_int(params, reduce(xor, delivered, 0))
+    delivered = env.deliver_round(senders, ACCUMULATOR, KIND_KEY, keys, indices)
+    return ShareVector.from_int(env.params, reduce(xor, delivered, 0))
 
 
 def verify(
@@ -187,23 +217,15 @@ def verify(
     set; a key with no entry would otherwise be ignored.
     """
     _check_params(env, bulletin)
-    for tag, entries in (("1", bulletin.set1_entries), ("2", bulletin.set2_entries)):
-        if not entries:
-            raise CardinalityMismatch(
-                f"set {tag}: the bulletin has no entries, "
-                "but an authorized set holds at least one share"
-            )
+    set1, set2 = bulletin.set1_ints, bulletin.set2_ints
+    for tag, entries in (("1", set1), ("2", set2)):
         if assignment.count_for(tag) != len(entries):
             raise CardinalityMismatch(
                 f"set {tag}: bulletin has {len(entries)} entries, "
                 f"key assignment has {assignment.count_for(tag)} keys"
             )
-    env.note_operation(
-        "verify", h=len(bulletin.set1_entries), g=len(bulletin.set2_entries)
-    )
-    encrypted = combine(bulletin.set1_entries + bulletin.set2_entries, env.params)
-    keys = recover_xored_keys(
-        assignment, len(bulletin.set1_entries), len(bulletin.set2_entries), env
-    )
+    env.note_operation("verify", h=len(set1), g=len(set2))
+    encrypted = ShareVector.from_int(env.params, reduce(xor, set1 + set2, 0))
+    keys = recover_xored_keys(assignment, len(set1), len(set2), env)
     verdict = Verdict.POSITIVE if encrypted == keys else Verdict.NEGATIVE
     return VerificationResult(verdict, keys, encrypted)

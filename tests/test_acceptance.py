@@ -312,10 +312,9 @@ def test_c09_pvss_tamper_sensitivity():
                     for bit in range(8):
                         flipped = list(entries)
                         flipped[idx] = flipped[idx] + bv(1 << bit)
-                        board = BulletinBoard(
+                        board = BulletinBoard.from_entries(
                             tuple(flipped) if flip_set == 1 else bulletin.set1_entries,
                             tuple(flipped) if flip_set == 2 else bulletin.set2_entries,
-                            bulletin.params,
                         )
                         cases += 1
                         negatives += (
@@ -324,7 +323,7 @@ def test_c09_pvss_tamper_sensitivity():
 
             for slot, key in assignment.entries.items():
                 for bit in range(8):
-                    tampered = KeyAssignment(
+                    tampered = KeyAssignment.from_entries(
                         {**assignment.entries, slot: key + bv(1 << bit)}
                     )
                     cases += 1

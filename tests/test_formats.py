@@ -281,9 +281,10 @@ class TestBooleansAreNotIntegers:
         for decode, doc in (
             (share_set_from_doc, share_set_to_doc(share_set)),
             (mask_set_from_doc, mask_set_to_doc(MaskSet.from_vectors(bvs([0x80, 0x80])))),
-            (bulletin_from_doc, bulletin_to_doc(BulletinBoard(bvs([0x80]), (), P8))),
+            (bulletin_from_doc,
+             bulletin_to_doc(BulletinBoard.from_entries(bvs([0x80]), bvs([0x80])))),
             (key_assignment_from_doc,
-             key_assignment_to_doc(KeyAssignment({("1", 1): bv(0x80)}), 8)),
+             key_assignment_to_doc(KeyAssignment.from_entries({("1", 1): bv(0x80)}), 8)),
             (safe_state_from_doc, self.safe_state_doc()),
         ):
             with pytest.raises(ParseError, match="bits"):
@@ -350,7 +351,7 @@ class TestPvssDocs:
 
     @pytest.mark.parametrize("field", ["set1", "set2"])
     def test_empty_bulletin_set_rejected(self, field):
-        bulletin = BulletinBoard((bv(0x11),), (bv(0x22),), P8)
+        bulletin = BulletinBoard.from_entries((bv(0x11),), (bv(0x22),))
         doc = bulletin_to_doc(bulletin)
         doc[field] = []
         with pytest.raises(ParseError, match=f"bulletin.{field}: empty"):
@@ -359,7 +360,7 @@ class TestPvssDocs:
     def test_key_assignment_doc_indexes_by_set(self):
         from asgs.pvss import KeyAssignment
 
-        assignment = KeyAssignment({("1", 1): bv(0x10), ("2", 1): bv(0x40)})
+        assignment = KeyAssignment.from_entries({("1", 1): bv(0x10), ("2", 1): bv(0x40)})
         doc = key_assignment_to_doc(assignment, 8)
         assert doc["kind"] == "key_assignment"
         restored = key_assignment_from_doc(doc)

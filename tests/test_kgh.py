@@ -311,16 +311,15 @@ class TestMaskSet:
 
     def test_mixed_params_rejected(self):
         with pytest.raises(MixedParams):
-            MaskSet(
+            MaskSet.from_vectors(
                 (bv(0x01), bv(0x0001, SchemeParams.binary(16))),
-                P8,
             )
 
     def test_equal_params_need_not_be_identical(self):
         vectors = (bv(0x0F, SchemeParams.binary(8)), bv(0x0F, SchemeParams.binary(8)))
-        assert MaskSet(vectors, SchemeParams.binary(8)).vectors == vectors
+        assert MaskSet.from_vectors(vectors).vectors == vectors
         with pytest.raises(MixedParams):
-            MaskSet(vectors + (bv(0x0000, SchemeParams.binary(16)),), SchemeParams.binary(8))
+            MaskSet.from_vectors(vectors + (bv(0x0000, SchemeParams.binary(16)),))
 
     def test_len(self):
         assert len(MaskSet.from_vectors(bvs([0x0F, 0x0F]))) == 2
@@ -345,12 +344,11 @@ class TestAuthorizedShareSet:
 
     def test_equal_params_need_not_be_identical(self):
         shares = (bv(0x01, SchemeParams.binary(8)), bv(0x02, SchemeParams.binary(8)))
-        made = AuthorizedShareSet(SetRole.MASTER, shares, SchemeParams.binary(8))
+        made = AuthorizedShareSet.from_shares(SetRole.MASTER, shares)
         assert made.shares == shares
         with pytest.raises(MixedParams):
-            AuthorizedShareSet(
+            AuthorizedShareSet.from_shares(
                 SetRole.MASTER, shares + (bv(0x0003, SchemeParams.binary(16)),),
-                SchemeParams.binary(8),
             )
 
 

@@ -125,7 +125,7 @@ class TestRecoverXoredKeys:
         ]
 
     def test_missing_key_is_an_error(self):
-        assignment = KeyAssignment({("1", 1): bv(0x10)})
+        assignment = KeyAssignment.from_entries({("1", 1): bv(0x10)})
         with pytest.raises(MissingKey) as excinfo:
             recover_xored_keys(assignment, 2, 0, dealer_env([]))
         assert (excinfo.value.set_tag, excinfo.value.index) == ("1", 2)
@@ -139,7 +139,7 @@ class TestRecoverXoredKeys:
     def test_missing_key_leaves_no_recovery_rows(self, present, missing):
         env, _, _ = worked_distribution()
         before = len(env.transcript)
-        assignment = KeyAssignment({entry: bv(0x10) for entry in present})
+        assignment = KeyAssignment.from_entries({entry: bv(0x10) for entry in present})
         with pytest.raises(MissingKey) as excinfo:
             recover_xored_keys(assignment, 3, 3, env)
         assert (excinfo.value.set_tag, excinfo.value.index) == missing
@@ -147,9 +147,10 @@ class TestRecoverXoredKeys:
 
     @pytest.mark.parametrize("wide, missing, error", [
         (("2", 3), None, MixedParams),
-        # With two faulty keys, the first in round order decides the error.
+        # A key of another width fails the assignment's construction, so
+        # it decides the error whichever key is missing.
         (("1", 1), ("2", 3), MixedParams),
-        (("2", 3), ("1", 2), MissingKey),
+        (("2", 3), ("1", 2), MixedParams),
     ])
     def test_key_under_other_params_leaves_no_recovery_rows(self, wide, missing, error):
         env, _, assignment = worked_distribution()
@@ -158,7 +159,15 @@ class TestRecoverXoredKeys:
         entries[wide] = ShareVector.from_int(SchemeParams.binary(16), 0x31)
         entries.pop(missing, None)
         with pytest.raises(error):
-            recover_xored_keys(KeyAssignment(entries), 2, 3, env)
+            recover_xored_keys(KeyAssignment.from_entries(entries), 2, 3, env)
+        assert len(env.transcript) == before
+
+    def test_assignment_under_other_params_leaves_no_recovery_rows(self):
+        env, _, _ = worked_distribution()
+        before = len(env.transcript)
+        wide = KeyAssignment({("1", 1): 0x10, ("2", 1): 0x20}, SchemeParams.binary(16))
+        with pytest.raises(MixedParams):
+            recover_xored_keys(wide, 1, 1, env)
         assert len(env.transcript) == before
 
     def test_tampered_contributions_fire_in_seq_order(self):
@@ -173,7 +182,7 @@ class TestRecoverXoredKeys:
         assert env.tamper_fired == [(rules[2], 6), (rules[3], 10), (rules[0], 11)]
 
     def test_single_key_each_side(self):
-        assignment = KeyAssignment({("1", 1): bv(0x0F), ("2", 1): bv(0xF0)})
+        assignment = KeyAssignment.from_entries({("1", 1): bv(0x0F), ("2", 1): bv(0xF0)})
         result = recover_xored_keys(assignment, 1, 1, dealer_env([]))
         assert result.to_int() == 0xFF
 
@@ -188,10 +197,9 @@ class TestVerify:
 
     def test_single_bulletin_bit_flip_is_negative(self):
         env, bulletin, assignment = worked_distribution()
-        flipped = BulletinBoard(
+        flipped = BulletinBoard.from_entries(
             (bv(0x10), bulletin.set1_entries[1]),
             bulletin.set2_entries,
-            bulletin.params,
         )
         result = verify(flipped, assignment, env)
         assert result.verdict is Verdict.NEGATIVE
@@ -200,7 +208,7 @@ class TestVerify:
 
     def test_single_key_bit_flip_is_negative(self):
         env, bulletin, assignment = worked_distribution()
-        tampered = KeyAssignment(
+        tampered = KeyAssignment.from_entries(
             {**assignment.entries, ("2", 2): bv(0x81)}
         )
         result = verify(bulletin, tampered, env)
@@ -224,8 +232,8 @@ class TestVerify:
 
     def test_key_count_must_match_bulletin(self):
         env, bulletin, assignment = worked_distribution()
-        extra = KeyAssignment({**assignment.entries, ("2", 4): bv(0x01)})
-        fewer = KeyAssignment(
+        extra = KeyAssignment.from_entries({**assignment.entries, ("2", 4): bv(0x01)})
+        fewer = KeyAssignment.from_entries(
             {slot: key for slot, key in assignment.entries.items() if slot != ("1", 2)}
         )
         for keys, message in ((extra, "set 2: bulletin has 3 entries, key assignment has 4"),
@@ -237,15 +245,16 @@ class TestVerify:
         """An authorized set holds at least one share, so a bulletin set
         with no entries has nothing to verify, even with no keys for it."""
         env = dealer_env([])
-        one = (bv(0x11),)
+        one = (0x11,)
+        # The bulletin refuses an empty set when it is built, before verify runs.
         cases = [
-            (BulletinBoard((), (), P8), KeyAssignment({}), "set 1"),
-            (BulletinBoard((), one, P8), KeyAssignment({("2", 1): bv(0x10)}), "set 1"),
-            (BulletinBoard(one, (), P8), KeyAssignment({("1", 1): bv(0x10)}), "set 2"),
+            ((), (), {("1", 1): 0x10}, "set 1"),
+            ((), one, {("2", 1): 0x10}, "set 1"),
+            (one, (), {("1", 1): 0x10}, "set 2"),
         ]
-        for bulletin, keys, named in cases:
+        for set1, set2, keys, named in cases:
             with pytest.raises(CardinalityMismatch, match=f"{named}: the bulletin has no entries"):
-                verify(bulletin, keys, env)
+                verify(BulletinBoard(set1, set2, P8), KeyAssignment(keys, P8), env)
         assert len(env.transcript) == 0
 
     def test_bulletin_params_must_match_env(self):
