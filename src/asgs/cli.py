@@ -261,7 +261,7 @@ def _distribute_step(
 ) -> tuple[BulletinBoard, KeyAssignment]:
     bulletin, assignment = distribute_shares_and_keys(set1, set2, out.env)
     out.documents["bulletin.json"] = bulletin_to_doc(bulletin)
-    out.documents["keys.json"] = key_assignment_to_doc(assignment, out.env.params.dimension)
+    out.documents["keys.json"] = key_assignment_to_doc(assignment)
     return bulletin, assignment
 
 
@@ -320,7 +320,7 @@ def _pvss_distribute(
 
 def _pvss_recover_keys(spec: ScenarioSpec, out: RunResult, assignment: KeyAssignment) -> None:
     result = recover_xored_keys(
-        assignment, assignment.count_for("1"), assignment.count_for("2"), out.env
+        assignment, len(assignment.set1_ints), len(assignment.set2_ints), out.env
     )
     out.summary.append(f"xored_keys={encode_vector(result)}")
 

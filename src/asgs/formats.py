@@ -232,136 +232,101 @@ def _decode_list(items: object, params: SchemeParams, context: str) -> tuple[int
 
 
 # ---------------------------------------------------------------------------
-# Share sets and mask sets
+# Result documents: share sets, mask sets, bulletins, key assignments and
+# safe-shares states. Each is the envelope plus one hex list per int column.
 # ---------------------------------------------------------------------------
 
 
+def _write(kind: str, params: SchemeParams, **columns) -> dict:
+    """The document of a result: the envelope and each int column as hex."""
+    bits = params.dimension
+    document = {"version": FORMAT_VERSION, "kind": kind, "bits": bits}
+    document.update((name, _encode_list(ints, bits)) for name, ints in columns.items())
+    return document
+
+
+def _read(document: Mapping, kind: str, *names: str) -> tuple:
+    """``(params, column, ...)`` of a result document: the width from
+    ``bits``, then each named hex list, in order, as packed ints."""
+    params = _document_params(document, kind)
+    return params, *[_decode_list(document.get(name), params, f"{kind}.{name}")
+                     for name in names]
+
+
+def _build(kind: str, constructor, *args):
+    """``constructor(*args)``; the ValueError of a result type's own
+    checks becomes a ParseError of the document kind."""
+    try:
+        return constructor(*args)
+    except ValueError as exc:
+        raise ParseError(f"{kind}: {exc}") from exc
+
+
 def share_set_to_doc(share_set: AuthorizedShareSet) -> dict:
-    return {
-        "version": FORMAT_VERSION,
-        "kind": "share_set",
-        "bits": share_set.params.dimension,
-        "role": share_set.role.value,
-        "shares": _encode_list(share_set.ints, share_set.params.dimension),
-    }
+    return {**_write("share_set", share_set.params, shares=share_set.ints),
+            "role": share_set.role.value}
 
 
 def share_set_from_doc(document: Mapping) -> AuthorizedShareSet:
-    params = _document_params(document, "share_set")
+    params, shares = _read(document, "share_set", "shares")
     try:
         role = SetRole(document.get("role"))
     except ValueError:
         raise ParseError(f"share_set: unknown role tag {document.get('role')!r}") from None
-    shares = _decode_list(document.get("shares"), params, "share_set.shares")
     if not shares:
         raise ParseError("share_set: at least one share required")
     return AuthorizedShareSet(role, shares, params)
 
 
 def mask_set_to_doc(masks: MaskSet) -> dict:
-    return {
-        "version": FORMAT_VERSION,
-        "kind": "mask_set",
-        "bits": masks.params.dimension,
-        "vectors": _encode_list(masks.ints, masks.params.dimension),
-    }
+    return _write("mask_set", masks.params, vectors=masks.ints)
 
 
 def mask_set_from_doc(document: Mapping) -> MaskSet:
-    params = _document_params(document, "mask_set")
-    vectors = _decode_list(document.get("vectors"), params, "mask_set.vectors")
-    try:
-        return MaskSet(vectors, params)
-    except ValueError as exc:
-        raise ParseError(f"mask_set: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Bulletin boards and key assignments
-# ---------------------------------------------------------------------------
+    params, vectors = _read(document, "mask_set", "vectors")
+    return _build("mask_set", MaskSet, vectors, params)
 
 
 def bulletin_to_doc(bulletin: BulletinBoard) -> dict:
-    return {
-        "version": FORMAT_VERSION,
-        "kind": "bulletin",
-        "bits": bulletin.params.dimension,
-        "set1": _encode_list(bulletin.set1_ints, bulletin.params.dimension),
-        "set2": _encode_list(bulletin.set2_ints, bulletin.params.dimension),
-    }
+    return _write("bulletin", bulletin.params, set1=bulletin.set1_ints, set2=bulletin.set2_ints)
 
 
 def bulletin_from_doc(document: Mapping) -> BulletinBoard:
-    params = _document_params(document, "bulletin")
-    sets = []
-    for field in ("set1", "set2"):
-        entries = _decode_list(document.get(field), params, f"bulletin.{field}")
+    params, set1, set2 = _read(document, "bulletin", "set1", "set2")
+    for field, entries in (("set1", set1), ("set2", set2)):
         if not entries:
             raise ParseError(
                 f"bulletin.{field}: empty, but an authorized set holds at least one share"
             )
-        sets.append(entries)
-    return BulletinBoard(sets[0], sets[1], params)
+    return BulletinBoard(set1, set2, params)
 
 
-def key_assignment_to_doc(assignment: KeyAssignment, bits: int) -> dict:
-    keys = {tag: [assignment.key_int(tag, i) for i in range(1, assignment.count_for(tag) + 1)]
-            for tag in ("1", "2")}
-    return {
-        "version": FORMAT_VERSION,
-        "kind": "key_assignment",
-        "bits": bits,
-        "set1": _encode_list(keys["1"], bits),
-        "set2": _encode_list(keys["2"], bits),
-    }
+def key_assignment_to_doc(assignment: KeyAssignment) -> dict:
+    return _write("key_assignment", assignment.params,
+                  set1=assignment.set1_ints, set2=assignment.set2_ints)
 
 
 def key_assignment_from_doc(document: Mapping) -> KeyAssignment:
-    params = _document_params(document, "key_assignment")
-    keys: dict[tuple[str, int], int] = {}
-    for tag, field in (("1", "set1"), ("2", "set2")):
-        column = _decode_list(document.get(field), params, f"key_assignment.{field}")
-        keys.update(zip(zip(repeat(tag), range(1, len(column) + 1)), column))
-    try:
-        return KeyAssignment(keys, params)
-    except ValueError as exc:
-        raise ParseError(f"key_assignment: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Safe-shares state
-# ---------------------------------------------------------------------------
+    params, set1, set2 = _read(document, "key_assignment", "set1", "set2")
+    return _build("key_assignment", KeyAssignment, set1, set2, params)
 
 
 def safe_state_to_doc(state: SafeSharesState) -> dict:
-    bits = state.params.dimension
-    return {
-        "version": FORMAT_VERSION,
-        "kind": "safe_state",
-        "bits": bits,
-        "protected": _encode_list(state.protected_ints, bits),
-        "keys": _encode_list(state.key_ints, bits),
-        "masks": _encode_list(state.masks.ints, bits),
-        "owner_shares": _encode_list(state.owner_share_ints, bits),
-        "assignment": list(state.assignment),
-    }
+    return {**_write("safe_state", state.params, protected=state.protected_ints,
+                     keys=state.key_ints, masks=state.masks.ints,
+                     owner_shares=state.owner_share_ints),
+            "assignment": list(state.assignment)}
 
 
 def safe_state_from_doc(document: Mapping) -> SafeSharesState:
-    params = _document_params(document, "safe_state")
+    params, protected, keys, masks, owner_shares = _read(
+        document, "safe_state", "protected", "keys", "masks", "owner_shares")
     assignment = document.get("assignment")
     if not isinstance(assignment, list) or not all(_is_int(i) for i in assignment):
         raise ParseError("safe_state.assignment: expected a list of integers")
-    protected, keys, masks, owner_shares = (
-        _decode_list(document.get(name), params, f"safe_state.{name}")
-        for name in ("protected", "keys", "masks", "owner_shares")
-    )
-    try:
-        return SafeSharesState(
-            params, protected, keys, MaskSet(masks, params), owner_shares, tuple(assignment)
-        )
-    except ValueError as exc:
-        raise ParseError(f"safe_state: {exc}") from exc
+    masks = _build("safe_state", MaskSet, masks, params)
+    return _build("safe_state", SafeSharesState, params, protected, keys, masks,
+                  owner_shares, tuple(assignment))
 
 
 # ---------------------------------------------------------------------------

@@ -239,12 +239,7 @@ class Transcript:
     :meth:`append` use :class:`Message` values.
     """
 
-    def __init__(
-        self,
-        config: Mapping | None = None,
-        steps: Iterable[Message] = (),
-        params: SchemeParams | None = None,
-    ):
+    def __init__(self, config: Mapping | None = None, params: SchemeParams | None = None):
         self.config: dict = dict(config or {})
         if params is None:
             bits = self.config.get("bits")
@@ -257,8 +252,6 @@ class Transcript:
         self.kinds: list[str] = []
         self.payloads: list[int | bool] = []
         self.element_indices: list[int | None] = []
-        for message in steps:
-            self.append(message)
 
     def append(self, message: Message) -> None:
         payload = message.payload
@@ -346,7 +339,15 @@ _KIND_CLASSES = {
 def _value_class(
     kind: str, sender: Party, recipient: Party, element_index: int | None
 ) -> str:
-    """:func:`classify_message` on a transcript's column values."""
+    """The value class a delivered payload exposes, from the message's
+    column values.
+
+    Mask elements count as ``mask_own`` only when delivered to the
+    participant whose 1-based index matches the recorded element index;
+    every other mask delivery is foreign. A masked share from the dealer
+    is a sealed mask (mask XOR key); from anyone else it is a share
+    blinded by a mask.
+    """
     if kind == KIND_MASKED_SHARE:
         return CLASS_SEALED_MASK if sender.role == ROLE_DEALER else CLASS_MASKED_SHARE
     if kind == KIND_MASK_ELEMENT:
@@ -358,20 +359,6 @@ def _value_class(
             return CLASS_MASK_OWN
         return CLASS_MASK_FOREIGN
     return _KIND_CLASSES.get(kind, CLASS_CONTROL)
-
-
-def classify_message(message: Message) -> str:
-    """Map a delivered message to the value class its payload exposes.
-
-    Mask elements count as ``mask_own`` only when delivered to the
-    participant whose 1-based index matches the recorded element index;
-    every other mask delivery is foreign. A masked share from the dealer
-    is a sealed mask (mask XOR key); from anyone else it is a share
-    blinded by a mask.
-    """
-    return _value_class(
-        message.kind, message.sender, message.recipient, message.element_index
-    )
 
 
 @dataclass(frozen=True)

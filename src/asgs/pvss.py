@@ -6,14 +6,17 @@ whole bulletin together; the participants jointly recover the XOR of
 all keys through the accumulator without exposing any single key. The
 two aggregates coincide exactly when both sets encode the same secret,
 so consistency can be checked without reconstructing anything.
+
+The bulletin and the key assignment have the same shape: one column of
+packed ints per set, position i holding participant i's entry or key.
 """
 
 from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from dataclasses import dataclass
+from functools import reduce
 from itertools import repeat
 from operator import xor
 from typing import Iterable, Mapping
@@ -86,46 +89,46 @@ class BulletinBoard:
 
 @dataclass(frozen=True)
 class KeyAssignment:
-    """Per-participant one-time keys, addressed by (set tag, 1-based index).
-
-    ``ints`` maps each address to a packed int, ``entries`` to a vector;
-    the hash reads only ``params``, since a dict has none. The keys of
-    each set tag are counted once, when the assignment is built:
-    :func:`verify`, the key-assignment writer and the CLI all ask.
+    """Per-participant one-time keys of the two sets, as packed ints:
+    ``set1_ints[i - 1]`` is the key of participant i of set 1, and
+    ``set2_ints`` likewise for set 2. One set may hold no key, but not
+    both. ``entries`` is a fresh ``(set tag, index) → vector`` map on
+    each read.
     """
 
-    ints: Mapping[tuple[str, int], int] = field(hash=False)
+    set1_ints: tuple[int, ...]
+    set2_ints: tuple[int, ...]
     params: SchemeParams
-    _counts: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        check_ints(self.ints.values(), self.params, "a key assignment")
-        # One C-level count per distinct tag: every producer uses the two
-        # tags "1" and "2". collections.Counter's Python-level
-        # constructor would cost more than the count for a small run.
-        tags = [tag for tag, _ in self.ints]
-        object.__setattr__(self, "_counts", {tag: tags.count(tag) for tag in set(tags)})
+        check_ints(self.set1_ints + self.set2_ints, self.params, "a key assignment")
 
     @classmethod
     def from_entries(cls, entries: Mapping[tuple[str, int], ShareVector]) -> KeyAssignment:
-        keys = tuple(entries.values())
-        return cls(dict(zip(entries, to_ints(keys))), vector_params(keys))
+        """The assignment of a ``(set tag, index) → key`` map; the indices
+        of each set run from 1 with no gap."""
+        params = vector_params(tuple(entries.values()))
+        columns: dict[str, dict[int, int]] = {"1": {}, "2": {}}
+        for (tag, index), key in entries.items():
+            if tag not in columns:
+                raise ValueError(f"unknown set tag {tag!r}: a key belongs to set '1' or '2'")
+            columns[tag][index] = key.to_int()
+        set1, set2 = (tuple(map(keys.get, range(1, len(keys) + 1))) for keys in columns.values())
+        if None in set1 + set2:
+            raise ValueError(f"set {'1' if None in set1 else '2'}: a gap in the key indices")
+        return cls(set1, set2, params)
 
-    @cached_property
+    @property
     def entries(self) -> dict[tuple[str, int], ShareVector]:
-        return dict(zip(self.ints, from_ints(self.params, self.ints.values())))
-
-    def key_int(self, set_tag: str, index: int) -> int:
-        try:
-            return self.ints[(set_tag, index)]
-        except KeyError:
-            raise MissingKey(set_tag, index) from None
+        h, g = len(self.set1_ints), len(self.set2_ints)
+        slots = [*zip(repeat("1"), range(1, h + 1)), *zip(repeat("2"), range(1, g + 1))]
+        return dict(zip(slots, from_ints(self.params, self.set1_ints + self.set2_ints)))
 
     def key_for(self, set_tag: str, index: int) -> ShareVector:
-        return ShareVector.from_int(self.params, self.key_int(set_tag, index))
-
-    def count_for(self, set_tag: str) -> int:
-        return self._counts.get(set_tag, 0)
+        column = {"1": self.set1_ints, "2": self.set2_ints}.get(set_tag, ())
+        if not 1 <= index <= len(column):
+            raise MissingKey(set_tag, index)
+        return ShareVector.from_int(self.params, column[index - 1])
 
 
 @dataclass(frozen=True)
@@ -164,9 +167,7 @@ def distribute_shares_and_keys(
     published = [share ^ key for share, key in zip(set1.ints + set2.ints, keys)]
     return (
         BulletinBoard(tuple(published[:split]), tuple(published[split:]), params),
-        KeyAssignment(dict(zip(
-            [*zip(repeat("1"), first), *zip(repeat("2"), second)], delivered
-        )), params),
+        KeyAssignment(tuple(delivered[:split]), tuple(delivered[split:]), params),
     )
 
 
@@ -179,23 +180,27 @@ def recover_xored_keys(
     set 2; a position past a set's cardinality contributes the zero
     vector, and those padding contributions are real messages. The final
     register value is the XOR of all keys, with no single key exposed
-    along the way.
+    along the way. A count above a column's length raises
+    :class:`MissingKey` for the first missing key in round order, and
+    sends nothing.
     """
     _check_params(env, assignment)
     env.note_operation("recover_xored_keys", h=set1_count, g=set2_count)
+    set1, set2 = assignment.set1_ints, assignment.set2_ints
+    # The first missing key in round order: the lower index past a
+    # column's end, set 1's on a tie.
+    missing = [(len(column) + 1, tag) for tag, column, count in
+               (("1", set1, set1_count), ("2", set2, set2_count)) if count > len(column)]
+    if missing:
+        index, tag = min(missing)
+        raise MissingKey(tag, index)
     rounds = range(1, max(set1_count, set2_count) + 1)
     width = 2 * len(rounds)
     # The woven column: round i fills slot 2i - 2 from set 1 and slot
-    # 2i - 1 from set 2; a padding slot holds 0 and a missing key None.
-    key_of = assignment.ints.get
+    # 2i - 1 from set 2; a padding slot holds 0.
     keys = [0] * width
-    keys[0:2 * set1_count:2] = map(key_of, zip(repeat("1"), rounds[:set1_count]))
-    keys[1:2 * set2_count:2] = map(key_of, zip(repeat("2"), rounds[:set2_count]))
-    # Every key is looked up before the first message, so a failed
-    # recovery leaves no rows behind.
-    if None in keys:
-        slot = keys.index(None)
-        raise MissingKey("12"[slot % 2], slot // 2 + 1)
+    keys[0:2 * set1_count:2] = set1[:set1_count]
+    keys[1:2 * set2_count:2] = set2[:set2_count]
     senders = [None] * width
     senders[0::2] = _participants("1", rounds)
     senders[1::2] = _participants("2", rounds)
@@ -218,11 +223,12 @@ def verify(
     """
     _check_params(env, bulletin)
     set1, set2 = bulletin.set1_ints, bulletin.set2_ints
-    for tag, entries in (("1", set1), ("2", set2)):
-        if assignment.count_for(tag) != len(entries):
+    for tag, entries, keys in (("1", set1, assignment.set1_ints),
+                               ("2", set2, assignment.set2_ints)):
+        if len(keys) != len(entries):
             raise CardinalityMismatch(
                 f"set {tag}: bulletin has {len(entries)} entries, "
-                f"key assignment has {assignment.count_for(tag)} keys"
+                f"key assignment has {len(keys)} keys"
             )
     env.note_operation("verify", h=len(set1), g=len(set2))
     encrypted = ShareVector.from_int(env.params, reduce(xor, set1 + set2, 0))

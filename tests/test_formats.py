@@ -1,8 +1,11 @@
 """Hex encoding, fixture files, and JSON document round trips."""
 
 import json
+import random
 import sys
 import tempfile
+from functools import reduce
+from operator import xor
 from pathlib import Path
 
 import pytest
@@ -54,12 +57,13 @@ from asgs.protocol import (
     OWNER,
     Message,
     ProtocolEnv,
+    SafeSharesState,
     Transcript,
     fast_share,
     participant,
     safe_shares,
 )
-from asgs.pvss import BulletinBoard
+from asgs.pvss import BulletinBoard, KeyAssignment
 from helpers import P8, bv, bvs, ints
 
 # Longest int literal json.loads accepts (0: no limit; Python < 3.10.7 has none).
@@ -257,7 +261,7 @@ class TestCanonicalWriter:
             share_set_to_doc(activated),
             mask_set_to_doc(state.masks),
             bulletin_to_doc(bulletin),
-            key_assignment_to_doc(keys, 128),
+            key_assignment_to_doc(keys),
             safe_state_to_doc(state),
             transcript_to_doc(env.transcript),
         ]
@@ -284,7 +288,7 @@ class TestBooleansAreNotIntegers:
             (bulletin_from_doc,
              bulletin_to_doc(BulletinBoard.from_entries(bvs([0x80]), bvs([0x80])))),
             (key_assignment_from_doc,
-             key_assignment_to_doc(KeyAssignment.from_entries({("1", 1): bv(0x80)}), 8)),
+             key_assignment_to_doc(KeyAssignment.from_entries({("1", 1): bv(0x80)}))),
             (safe_state_from_doc, self.safe_state_doc()),
         ):
             with pytest.raises(ParseError, match="bits"):
@@ -346,7 +350,7 @@ class TestPvssDocs:
             env,
         )
         assert bulletin_from_doc(bulletin_to_doc(bulletin)) == bulletin
-        restored = key_assignment_from_doc(key_assignment_to_doc(assignment, 8))
+        restored = key_assignment_from_doc(key_assignment_to_doc(assignment))
         assert restored == assignment
 
     @pytest.mark.parametrize("field", ["set1", "set2"])
@@ -361,7 +365,7 @@ class TestPvssDocs:
         from asgs.pvss import KeyAssignment
 
         assignment = KeyAssignment.from_entries({("1", 1): bv(0x10), ("2", 1): bv(0x40)})
-        doc = key_assignment_to_doc(assignment, 8)
+        doc = key_assignment_to_doc(assignment)
         assert doc["kind"] == "key_assignment"
         restored = key_assignment_from_doc(doc)
         assert restored.key_for("2", 1).to_int() == 0x40
@@ -509,6 +513,60 @@ class TestTranscriptDocs:
                 transcript_from_doc(doc)
 
 
+# Builders of one result per column document kind: ``column(k)`` draws k
+# packed ints at the width, ``n`` is the length drawn for the test.
+def _share_set(draw, params, column, n):
+    return AuthorizedShareSet(draw(st.sampled_from(SetRole)), column(n), params)
+
+
+def _mask_set(draw, params, column, n):
+    head = column(n - 1)
+    return MaskSet((*head, reduce(xor, head, 0)), params)
+
+
+def _bulletin(draw, params, column, n):
+    return BulletinBoard(column(n), column(draw(st.integers(1, 40))), params)
+
+
+def _key_assignment(draw, params, column, n):
+    # One set may hold no key, on either side.
+    keys, other = column(n), column(draw(st.integers(0, 40)))
+    return KeyAssignment(*((keys, other) if draw(st.booleans()) else (other, keys)), params)
+
+
+def _safe_state(draw, params, column, n):
+    keys = column(n)
+    if not reduce(xor, keys, 0):
+        keys = (*keys[:-1], keys[-1] ^ 1)
+    assignment = tuple(draw(st.permutations(range(1, n + 1))))
+    return SafeSharesState(params, column(n), keys, _mask_set(draw, params, column, n),
+                           column(n), assignment)
+
+
+class TestColumnDocuments:
+    """Every result document reads back to the result it was written
+    from, at any width and length, and its text is canonical."""
+
+    @pytest.mark.parametrize("writer, reader, build", [
+        (share_set_to_doc, share_set_from_doc, _share_set),
+        (mask_set_to_doc, mask_set_from_doc, _mask_set),
+        (bulletin_to_doc, bulletin_from_doc, _bulletin),
+        (key_assignment_to_doc, key_assignment_from_doc, _key_assignment),
+        (safe_state_to_doc, safe_state_from_doc, _safe_state),
+    ], ids=lambda value: value.__name__ if callable(value) else None)
+    @given(data=st.data(), bits=st.sampled_from([1, 7, 8, 9, 128, 4096]),
+           n=st.integers(1, 40), seed=st.integers(0, 2**32))
+    def test_round_trip(self, writer, reader, build, data, bits, n, seed):
+        params, rng = SchemeParams.binary(bits), random.Random(seed)
+        result = build(data.draw, params,
+                       lambda k: tuple(rng.getrandbits(bits) for _ in range(k)), n)
+        document = writer(result)
+        text = dumps_document(document)
+        assert text == canonical(document)
+        assert document["bits"] == bits
+        assert reader(json.loads(text)) == result
+
+
 def _valid_documents() -> dict:
     """One valid document of each kind, all from a single fixture run."""
     from asgs.protocol import activate_shares
@@ -524,7 +582,7 @@ def _valid_documents() -> dict:
         share_set_from_doc: share_set_to_doc(activated),
         mask_set_from_doc: mask_set_to_doc(state.masks),
         bulletin_from_doc: bulletin_to_doc(bulletin),
-        key_assignment_from_doc: key_assignment_to_doc(keys, 8),
+        key_assignment_from_doc: key_assignment_to_doc(keys),
         safe_state_from_doc: safe_state_to_doc(state),
         transcript_from_doc: transcript_to_doc(env.transcript),
     }

@@ -3,24 +3,34 @@
 One property per type, over widths 1/8/128/4096 and columns of 1 to 625
 values: the vector classmethod and the int constructor agree, each view
 is ``from_ints`` of its column and is built once, fields are frozen,
-pickle and deepcopy round-trip, and the int constructor rejects an
-empty column, a negative value and a value one bit too wide.
+pickle and deepcopy round-trip to an equal object with an equal hash,
+and the int constructor rejects an empty column, a negative value and a
+value one bit too wide.
 """
 
 import copy
 import pickle
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from functools import reduce
 from operator import xor
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from asgs.kgh import AsgsError, AuthorizedShareSet, MaskSet, SchemeParams, SetRole, from_ints
+from asgs.kgh import (
+    AsgsError,
+    AuthorizedShareSet,
+    MaskSet,
+    MixedParams,
+    SchemeParams,
+    SetRole,
+    ShareVector,
+    from_ints,
+)
 from asgs.protocol import SafeSharesState
-from asgs.pvss import BulletinBoard, KeyAssignment
+from asgs.pvss import BulletinBoard, KeyAssignment, MissingKey
 
 WIDTHS = st.sampled_from([1, 8, 128, 4096])
 LENGTHS = st.integers(1, 625)
@@ -47,15 +57,13 @@ def check_result(made, from_vectors, views, rebuild, column):
     for name, ints in views.items():
         view = getattr(made, name)
         assert view is getattr(made, name)
-        if isinstance(ints, dict):
-            assert view == dict(zip(ints, from_ints(made.params, ints.values())))
-        else:
-            assert view == from_ints(made.params, ints)
-    for name in (*views, "params"):
+        assert view == from_ints(made.params, ints)
+    for name in (*views, *(field.name for field in fields(made))):
         with pytest.raises(FrozenInstanceError):
             setattr(made, name, None)
     for restored in (pickle.loads(pickle.dumps(made)), copy.deepcopy(made)):
         assert restored == made
+        assert hash(restored) == hash(made)
     empty = "must not be empty|no entries|equal length"
     with pytest.raises((ValueError, AsgsError), match=empty):
         rebuild(())
@@ -103,22 +111,35 @@ def test_bulletin_board(bits, count1, count2, seed):
     )
 
 
-@given(WIDTHS, LENGTHS, LENGTHS, SEEDS)
+@given(WIDTHS, st.integers(0, 625), st.integers(0, 625), SEEDS)
 def test_key_assignment(bits, count1, count2, seed):
+    assume(count1 + count2)  # one set may hold no key, but not both
     params = SchemeParams.binary(bits)
-    rng = random.Random(seed)
-    values = draw_ints(rng, bits, count1 + count2)
+    values = draw_ints(random.Random(seed), bits, count1 + count2)
     slots = [("1", i) for i in range(1, count1 + 1)] + [("2", i) for i in range(1, count2 + 1)]
-    ints = dict(zip(slots, values))
-    made = KeyAssignment(ints, params)
-    check_result(
-        made, KeyAssignment.from_entries(dict(zip(slots, from_ints(params, values)))),
-        {"entries": ints},
-        lambda bad: KeyAssignment(ints if bad is None else dict(zip(slots, bad)), params),
-        values,
-    )
-    assert (made.count_for("1"), made.count_for("2")) == (count1, count2)
-    assert made.key_for("2", count2) == made.entries[("2", count2)]
+    entries = dict(zip(slots, from_ints(params, values)))
+
+    def rebuild(bad):
+        column = values if bad is None else bad
+        return KeyAssignment(column[:count1], column[count1:], params)
+
+    made = rebuild(None)
+    check_result(made, KeyAssignment.from_entries(entries), {}, rebuild, values)
+    assert (len(made.set1_ints), len(made.set2_ints)) == (count1, count2)
+    # entries is built afresh on each read, so a write to one reaches nothing.
+    made.entries.clear()
+    assert made.entries == entries
+    assert made.key_for(*slots[-1]) == made.entries[slots[-1]]
+    for tag, count in (("1", count1), ("2", count2)):
+        for index in (0, count + 1):
+            with pytest.raises(MissingKey):
+                made.key_for(tag, index)
+    key, wide = entries[slots[0]], ShareVector.from_int(SchemeParams.binary(bits + 1), 0)
+    for bad in ({**entries, ("3", 1): key}, {**entries, ("2", count2 + 2): key}):
+        with pytest.raises(ValueError, match="unknown set tag|gap"):
+            KeyAssignment.from_entries(bad)
+    with pytest.raises(MixedParams):
+        KeyAssignment.from_entries({**entries, ("2", count2 + 1): wide})
 
 
 @given(WIDTHS, LENGTHS, SEEDS)

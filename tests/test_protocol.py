@@ -59,7 +59,6 @@ from asgs.protocol import (
     VisibilityPolicy,
     activate_shares,
     check_visibility,
-    classify_message,
     default_visibility_policy,
     equal_set_replicate,
     fast_share,
@@ -70,6 +69,7 @@ from asgs.protocol import (
     set_replicate,
     set_replicate_to_bigger,
     set_replicate_to_smaller,
+    _value_class,
 )
 from asgs.pvss import distribute_shares_and_keys, verify
 from helpers import P8, bv, bvs, ints
@@ -182,7 +182,8 @@ class TestMessage:
 
 class TestTranscript:
     def test_iteration_and_length(self):
-        transcript = Transcript(steps=[Message(1, DEALER, OWNER, KIND_KEY_REQUEST, True)])
+        transcript = Transcript()
+        transcript.append(Message(1, DEALER, OWNER, KIND_KEY_REQUEST, True))
         assert len(transcript) == 1
         assert next(iter(transcript)).kind == KIND_KEY_REQUEST
 
@@ -193,7 +194,9 @@ class TestTranscript:
             Message(8, participant("a", 2), DEALER, KIND_IDENTIFICATION, False),
             Message(20, OWNER, ACCUMULATOR, KIND_SECRET, bv(0x00)),
         ]
-        transcript = Transcript(steps=steps)
+        transcript = Transcript()
+        for message in steps:
+            transcript.append(message)
         assert list(transcript) == steps
         assert transcript.params == P8
         assert transcript.seqs == [3, 7, 8, 20]
@@ -209,10 +212,12 @@ class TestTranscript:
 
     def test_payload_under_other_params_is_rejected(self):
         wide = ShareVector.from_int(SchemeParams.binary(16), 0x42)
+        first_payload_fixes_params = Transcript()
+        first_payload_fixes_params.append(Message(1, OWNER, ACCUMULATOR, KIND_SECRET, bv(0x01)))
         for transcript in (
             Transcript(params=P8),
             Transcript({"bits": 8}),
-            Transcript(steps=[Message(1, OWNER, ACCUMULATOR, KIND_SECRET, bv(0x01))]),
+            first_payload_fixes_params,
             ProtocolEnv.seeded(1, 8).transcript,
         ):
             before = len(transcript)
@@ -982,30 +987,34 @@ class TestColumnTamperMatchesRowByRow:
         assert env.tamper_fired == [(rule, 2)]
 
 
+def classify(message: Message) -> str:
+    return _value_class(message.kind, message.sender, message.recipient, message.element_index)
+
+
 class TestClassification:
     def test_secret_class(self):
         message = Message(1, OWNER, ACCUMULATOR, KIND_SECRET, bv(0x01))
-        assert classify_message(message) == CLASS_SECRET
+        assert classify(message) == CLASS_SECRET
 
     def test_mask_own_versus_foreign(self):
         own = Message(1, ACCUMULATOR, participant("2", 2), KIND_MASK_ELEMENT,
                       bv(0x01), element_index=2)
         foreign = Message(2, ACCUMULATOR, participant("2", 2), KIND_MASK_ELEMENT,
                           bv(0x01), element_index=5)
-        assert classify_message(own) == CLASS_MASK_OWN
-        assert classify_message(foreign) == CLASS_MASK_FOREIGN
+        assert classify(own) == CLASS_MASK_OWN
+        assert classify(foreign) == CLASS_MASK_FOREIGN
 
     def test_masked_share_depends_on_sender(self):
         from_dealer = Message(1, DEALER, OWNER, KIND_MASKED_SHARE, bv(0x01))
         from_participant = Message(
             2, participant("2", 1), ACCUMULATOR, KIND_MASKED_SHARE, bv(0x01)
         )
-        assert classify_message(from_dealer) == CLASS_SEALED_MASK
-        assert classify_message(from_participant) == CLASS_MASKED_SHARE
+        assert classify(from_dealer) == CLASS_SEALED_MASK
+        assert classify(from_participant) == CLASS_MASKED_SHARE
 
     def test_control_kinds(self):
         message = Message(1, DEALER, participant("p", 1), "key_request", True)
-        assert classify_message(message) == CLASS_CONTROL
+        assert classify(message) == CLASS_CONTROL
 
 
 class TestVisibility:
@@ -1113,7 +1122,7 @@ class TestVisibility:
         table = policy or default_visibility_policy()
         reference = []
         for message in transcript:
-            value_class = classify_message(message)
+            value_class = classify(message)
             if not table.permits(message.recipient.key, value_class):
                 reference.append(
                     Violation(message.seq, message.recipient.label(), value_class, message.kind)

@@ -56,9 +56,10 @@ class TestDistribute:
         assert ints(bulletin.set2_entries) == [0x44, 0x88, 0x3E]
         assert assignment.key_for("1", 1).to_int() == 0x10
         assert assignment.key_for("2", 3).to_int() == 0x31
-        assert assignment.count_for("1") == 2
-        assert assignment.count_for("2") == 3
-        assert assignment.count_for("3") == 0
+        assert len(assignment.set1_ints) == 2
+        assert len(assignment.set2_ints) == 3
+        with pytest.raises(MissingKey):
+            assignment.key_for("3", 1)
 
     def test_zero_keys_publish_shares_in_clear_with_warning(self):
         env = dealer_env([0x00, 0x00])
@@ -135,6 +136,9 @@ class TestRecoverXoredKeys:
         ([("1", 1), ("2", 1), ("1", 2), ("2", 2), ("1", 3)], ("2", 3)),
         ([("1", 1), ("2", 1), ("2", 2), ("2", 3)], ("1", 2)),
         ([("1", 1), ("1", 2), ("1", 3)], ("2", 1)),
+        # Both sets short: the lower missing index, set 1 on a tie.
+        ([("1", 1), ("2", 1)], ("1", 2)),
+        ([("1", 1), ("1", 2), ("2", 1)], ("2", 2)),
     ])
     def test_missing_key_leaves_no_recovery_rows(self, present, missing):
         env, _, _ = worked_distribution()
@@ -165,7 +169,7 @@ class TestRecoverXoredKeys:
     def test_assignment_under_other_params_leaves_no_recovery_rows(self):
         env, _, _ = worked_distribution()
         before = len(env.transcript)
-        wide = KeyAssignment({("1", 1): 0x10, ("2", 1): 0x20}, SchemeParams.binary(16))
+        wide = KeyAssignment((0x10,), (0x20,), SchemeParams.binary(16))
         with pytest.raises(MixedParams):
             recover_xored_keys(wide, 1, 1, env)
         assert len(env.transcript) == before
@@ -248,13 +252,13 @@ class TestVerify:
         one = (0x11,)
         # The bulletin refuses an empty set when it is built, before verify runs.
         cases = [
-            ((), (), {("1", 1): 0x10}, "set 1"),
-            ((), one, {("2", 1): 0x10}, "set 1"),
-            (one, (), {("1", 1): 0x10}, "set 2"),
+            ((), (), ((0x10,), ()), "set 1"),
+            ((), one, ((), (0x10,)), "set 1"),
+            (one, (), ((0x10,), ()), "set 2"),
         ]
         for set1, set2, keys, named in cases:
             with pytest.raises(CardinalityMismatch, match=f"{named}: the bulletin has no entries"):
-                verify(BulletinBoard(set1, set2, P8), KeyAssignment(keys, P8), env)
+                verify(BulletinBoard(set1, set2, P8), KeyAssignment(*keys, P8), env)
         assert len(env.transcript) == 0
 
     def test_bulletin_params_must_match_env(self):
