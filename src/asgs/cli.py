@@ -155,14 +155,26 @@ class RunResult:
     summary: list[str] = field(default_factory=list)
     exit_code: int = 0
     artifacts: dict[str, Path] = field(default_factory=dict)
+    out_dir: Path = field(init=False)
 
-    def path(self, name: str) -> Path:
-        return Path(self.spec.out_dir) / name
+    def __post_init__(self) -> None:
+        self.out_dir = Path(self.spec.out_dir)
+        text = str(self.out_dir)
+        self._prefix = "" if text == "." else os.path.join(text, "")
+
+    def path(self, name: str) -> str:
+        """``str(self.out_dir / name)``, for summary lines, without
+        building a path."""
+        return self._prefix + name
 
 
 def _build_env(spec: ScenarioSpec, bits: int) -> ProtocolEnv:
     params = SchemeParams.binary(bits)
     rules = tuple(parse_tamper_rule(t) for t in spec.tamper)
+    for k, rule in enumerate(rules):
+        # Two flips of one bit cancel, so a repeated rule is a mistake.
+        if rule in rules[:k]:
+            raise ParseError(f"tamper rule {rule.spec()} given twice")
     if spec.seed is not None and spec.fixtures:
         raise ParseError("--seed and --fixture are mutually exclusive")
     if not spec.fixtures:
@@ -538,7 +550,7 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
             raise ParseError(f"tamper rule {rule.spec()} matched no message")
     texts = {name: dumps_document(doc) for name, doc in result.documents.items()}
     texts["transcript.json"] = dumps_transcript(env.transcript)
-    out_dir = Path(spec.out_dir)
+    out_dir = result.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = result.artifacts
     try:
@@ -566,7 +578,13 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract here wants 1."""
+    """argparse exits 2 on usage errors; the contract here wants 1.
+
+    The tree that :func:`build_parser` returns also holds ``leaves``:
+    each command's own parser, by the words that name it on the
+    command line (``("gen-m",)``, ``("pvss", "verify")``)."""
+
+    leaves: dict[tuple[str, ...], argparse.ArgumentParser]
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -574,11 +592,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     """The argparse tree of :data:`COMMANDS`, built on first use and then
     reused for the rest of the process."""
     # --help shows the user-facing first two paragraphs of the docstring.
     parser = _Parser(prog="asgs", description="\n\n".join(__doc__.split("\n\n")[:2]))
+    parser.leaves = {}
     commands = parser.add_subparsers(dest="command", required=True)
     groups = {}
     for name, command in COMMANDS.items():
@@ -589,12 +608,37 @@ def build_parser() -> argparse.ArgumentParser:
                 groups[group] = group_parser.add_subparsers(dest=f"{group}_command",
                                                             required=True)
             sub = groups[group].add_parser(sub_name, help=command.help)
-            sub.set_defaults(command=name)
+            words = (group, sub_name)
         else:
             sub = commands.add_parser(name, help=command.help)
+            words = (name,)
+        sub.set_defaults(command=name)
         for option in command.options:
             sub.add_argument(option.flag, **option.kwargs)
+        parser.leaves[words] = sub
     return parser
+
+
+def parse_command_line(argv: list[str]) -> argparse.Namespace:
+    """Parse one command line with the parser of the command it names.
+
+    A line that starts with a command's words goes to that command's
+    leaf parser, which is the parser the tree would hand it to. What
+    the leaf leaves over is reported by the tree with argparse's own
+    text, as :meth:`~argparse.ArgumentParser.parse_args` would. Every
+    other line (empty, ``-h``, ``--``, an unknown command, a bare
+    group) goes through the tree, which prints its help and usage
+    errors.
+    """
+    tree = build_parser()
+    words = tuple(argv[:2] if argv[:1] and argv[0] in GROUPS else argv[:1])
+    leaf = tree.leaves.get(words)
+    if leaf is None:
+        return tree.parse_args(argv)
+    args, extras = leaf.parse_known_args(argv[len(words):])
+    if extras:
+        tree.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
@@ -607,6 +651,8 @@ def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
             raise ParseError(
                 f"--fixture wants PARTY:PATH with party in {'/'.join(SOURCE_ROLES)}, got {item!r}"
             )
+        if party in fixtures:
+            raise ParseError(f"--fixture {party} given twice")
         fixtures[party] = path
     values["fixtures"] = fixtures
     for name in ("tamper", "then"):
@@ -616,9 +662,8 @@ def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_command_line(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -65,13 +65,15 @@ class RandSource:
     the given integer: a vector is ``getrandbits(bits)`` taken as its
     packed value (component 1 is the top bit). This generator choice is
     frozen; repeat runs with equal seeds reproduce identical streams.
+    ``rng`` may also be the int seed of that generator, which is then
+    built at the first draw, so a source never drawn from seeds none.
     Fixture mode replays the prepared vectors in order, checks that each
     carries the requested params, and refuses to wrap around.
     """
 
     def __init__(
         self,
-        rng: random.Random | None = None,
+        rng: random.Random | int | None = None,
         values: Sequence[ShareVector] | None = None,
     ) -> None:
         if (rng is None) == (values is None):
@@ -82,7 +84,10 @@ class RandSource:
 
     @classmethod
     def seeded(cls, seed: int) -> RandSource:
-        return cls(rng=random.Random(seed))
+        """The stream of ``random.Random(seed)``. An int seed, which no
+        generator refuses, is kept until the first draw; any other seed
+        builds the generator now, so one it refuses fails here."""
+        return cls(rng=seed if isinstance(seed, int) else random.Random(seed))
 
     @classmethod
     def fixture(cls, values: Iterable[ShareVector]) -> RandSource:
@@ -106,9 +111,11 @@ class RandSource:
             raise ValueError(f"draw count must be >= 0, got {count}")
         values = self._values
         if values is None:
-            assert self._rng is not None
+            rng = self._rng
+            if isinstance(rng, int):
+                rng = self._rng = random.Random(rng)
             self._cursor += count
-            return list(map(self._rng.getrandbits, repeat(params.dimension, count)))
+            return list(map(rng.getrandbits, repeat(params.dimension, count)))
         cursor = self._cursor
         batch = values[cursor:cursor + count]
         if not params_identical(batch, params):

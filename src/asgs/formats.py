@@ -100,7 +100,8 @@ def _is_int(value: object) -> bool:
 
 def _read_text(path: str | Path) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
 

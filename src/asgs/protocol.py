@@ -23,8 +23,8 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import itemgetter, xor
+from itertools import compress, repeat
+from operator import attrgetter, itemgetter, xor
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from asgs.devices import RandSource, derive_stream_seed
@@ -335,6 +335,16 @@ _KIND_CLASSES = {
     KIND_KEY: CLASS_KEY,
 }
 
+# Value class -> the kinds whose messages can have it (see _value_class),
+# for every class but control, which every other kind has.
+_CLASS_KINDS = {
+    CLASS_SEALED_MASK: (KIND_MASKED_SHARE,),
+    CLASS_MASKED_SHARE: (KIND_MASKED_SHARE,),
+    CLASS_MASK_OWN: (KIND_MASK_ELEMENT,),
+    CLASS_MASK_FOREIGN: (KIND_MASK_ELEMENT,),
+    **{value_class: (kind,) for kind, value_class in _KIND_CLASSES.items()},
+}
+
 
 def _value_class(
     kind: str, sender: Party, recipient: Party, element_index: int | None
@@ -374,7 +384,21 @@ class VisibilityPolicy:
     def permits(self, recipient_key: str, value_class: str) -> bool:
         return (recipient_key, value_class) not in self.forbidden
 
+    @functools.cached_property
+    def _flagged(self) -> frozenset[tuple[str, str]] | None:
+        """The (recipient key, kind) pairs whose rows can have a
+        forbidden class, or None when any row can: every unknown kind
+        has class control."""
+        if any(value_class == CLASS_CONTROL for _, value_class in self.forbidden):
+            return None
+        return frozenset(
+            (key, kind)
+            for key, value_class in self.forbidden
+            for kind in _CLASS_KINDS.get(value_class, ())
+        )
 
+
+@functools.cache
 def default_visibility_policy() -> VisibilityPolicy:
     """The confidentiality contract of the honest protocols.
 
@@ -383,6 +407,8 @@ def default_visibility_policy() -> VisibilityPolicy:
     - the owner never receives a mask element or a bare key;
     - a master-set participant never receives a derived share or a
       mask element other than its own.
+
+    Built once per process; a policy is immutable.
     """
     return VisibilityPolicy(
         frozenset(
@@ -420,14 +446,21 @@ def check_visibility(
     """
     policy = policy or default_visibility_policy()
     permits = policy.permits
+    recipients, kinds = transcript.recipients, transcript.kinds
+    rows: Iterable[int] = range(len(transcript))
+    flagged = policy._flagged
+    if flagged is not None:
+        # Only the rows that can have a forbidden class are classified.
+        rows = compress(rows, map(flagged.__contains__,
+                                  zip(map(attrgetter("key"), recipients), kinds)))
     found = []
-    for seq, sender, recipient, kind, element_index in zip(
-        transcript.seqs, transcript.senders, transcript.recipients, transcript.kinds,
-        transcript.element_indices,
-    ):
-        value_class = _value_class(kind, sender, recipient, element_index)
+    for row in rows:
+        recipient, kind = recipients[row], kinds[row]
+        value_class = _value_class(
+            kind, transcript.senders[row], recipient, transcript.element_indices[row]
+        )
         if not permits(recipient.key, value_class):
-            found.append(Violation(seq, recipient.label(), value_class, kind))
+            found.append(Violation(transcript.seqs[row], recipient.label(), value_class, kind))
     return found
 
 
@@ -459,7 +492,7 @@ class ProtocolEnv:
         *,
         tamper_rules: Iterable[TamperRule] = (),
         assignment: Sequence[int] | None = None,
-        assignment_rng: random.Random | None = None,
+        assignment_rng: random.Random | int | None = None,
         identify: Callable[[int], bool] | None = None,
         config: Mapping | None = None,
     ) -> None:
@@ -499,7 +532,8 @@ class ProtocolEnv:
     def seeded(
         cls, seed: int, bits: int = 128, *, tamper_rules: Iterable[TamperRule] = ()
     ) -> ProtocolEnv:
-        """Derive every party's stream from one 64-bit run seed."""
+        """Derive every party's stream from one 64-bit run seed. Each
+        generator is seeded at its first draw."""
         sources = {
             role: RandSource.seeded(derive_stream_seed(seed, role)) for role in SOURCE_ROLES
         }
@@ -508,7 +542,7 @@ class ProtocolEnv:
             sources,
             {"mode": "seeded", "seed": seed},
             tamper_rules=tamper_rules,
-            assignment_rng=random.Random(derive_stream_seed(seed, "assignment")),
+            assignment_rng=derive_stream_seed(seed, "assignment"),
         )
 
     @classmethod
@@ -558,10 +592,12 @@ class ProtocolEnv:
         participant that receives the envelope.
 
         Seeded environments sample without replacement from the
-        assignment stream; fixture environments use the explicit
-        permutation, or identity when none was given.
+        assignment stream (``assignment_rng``, a generator or the int
+        seed of one, built here at the first draw); fixture environments
+        use the explicit permutation, or identity when none was given.
         """
-        if self._assignment_rng is None:
+        rng = self._assignment_rng
+        if rng is None:
             identity = tuple(range(1, count + 1))
             assignment = identity if self._fixed_assignment is None else self._fixed_assignment
             if sorted(assignment) != list(identity):
@@ -569,10 +605,12 @@ class ProtocolEnv:
                     f"assignment {assignment} is not a permutation of 1..{count}"
                 )
             return assignment
+        if isinstance(rng, int):
+            rng = self._assignment_rng = random.Random(rng)
         remaining = list(range(1, count + 1))
         chosen = []
         for _ in range(count):
-            chosen.append(remaining.pop(self._assignment_rng.randrange(len(remaining))))
+            chosen.append(remaining.pop(rng.randrange(len(remaining))))
         return tuple(chosen)
 
     def _tamper(

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from asgs.cli import default_bits, main, parse_tamper_rule
+import asgs.cli as cli
+from asgs.cli import COMMANDS, _spec_from_args, build_parser, default_bits, main, parse_tamper_rule
 from asgs.formats import (
     ParseError,
     dump_document,
@@ -400,6 +401,106 @@ class TestOneProcess:
         assert result.returncode == 0, result.stderr
 
 
+def valid_lines(inputs: dict[str, str]) -> dict[str, list[str]]:
+    """One valid command line per COMMANDS entry; ``inputs`` maps
+    u1, u2, state, bulletin, keys and transcript to document paths."""
+    return {
+        "gen-m": ["gen-m", "--bits", "8", "--n", "3", "--seed", "1"],
+        "set-generate": ["set-generate", "--bits", "8", "--d=2", "--n", "3", "--audit"],
+        "replicate": ["replicate", "--mode", "bigger", "--d", "4", "--in", inputs["u2"]],
+        "fastshare": ["fastshare", "--bits", "8", "--secret", "5a", "--n", "3",
+                      "--tamper", "owner:secret:1:bit:0"],
+        "safeshares": ["safeshares", "--secret=5a", "--bits", "8", "--n", "3", "--seed", "4"],
+        "activate": ["activate", "--state", inputs["state"]],
+        "pvss-distribute": ["pvss", "distribute", "--set1", inputs["u1"],
+                            "--set2", inputs["u2"]],
+        "pvss-recover-keys": ["pvss", "recover-keys", "--keys", inputs["keys"]],
+        "pvss-verify": ["pvss", "verify", "--bulletin", inputs["bulletin"],
+                        "--keys", inputs["keys"]],
+        "simulate": [*TestSimulate.CHAIN, "--then", "replicate-equal"],
+        "audit": ["audit", inputs["transcript"]],
+    }
+
+
+def equivalence_lines(inputs: dict[str, str], out: str) -> list[list[str]]:
+    """Each valid line writing to ``out`` (audit writes nothing), each
+    with six usage errors, and lines that name no command."""
+    lines = []
+    for name, line in valid_lines(inputs).items():
+        words = line[:2] if name.startswith("pvss-") else line[:1]
+        if name != "audit":
+            line = [*line, "--out", out]
+        lines += [
+            line,
+            [*line, "--bogus"],
+            [*line, "extra"],
+            words,
+            [*line, "--n", "x"],
+            [*words, "--", *line[len(words):]],
+            [*words, "-h"],
+        ]
+    return lines + [
+        [], ["-h"], ["--"], ["--", "gen-m", "--n", "2", "--out", out], ["--help", "gen-m"],
+        ["transmogrify"], ["pvss"], ["pvss", "-h"], ["pvss", "bogus"], ["pvss-verify"],
+        ["fastshare", "--se", "5a", "--n", "3", "--out", out],
+        ["gen-m", "--n", "2", "--bits", "8", "--out", out, "--out"],
+    ]
+
+
+def write_inputs(root: Path) -> dict[str, str]:
+    """Documents for the commands that read them, from seeded runs."""
+    for argv, out in (
+        (["set-generate", "--bits", "8", "--d", "2", "--n", "3"], "sets"),
+        (["safeshares", "--bits", "8", "--secret", "5a", "--n", "3"], "safe"),
+    ):
+        assert main([*argv, "--out", str(root / out)]) == 0
+    sets = root / "sets"
+    argv = ["pvss", "distribute", "--set1", str(sets / "u1.json"),
+            "--set2", str(sets / "u2.json"), "--out", str(root / "pvss")]
+    assert main(argv) == 0
+    return {
+        "u1": str(sets / "u1.json"),
+        "u2": str(sets / "u2.json"),
+        "state": str(root / "safe" / "state.json"),
+        "bulletin": str(root / "pvss" / "bulletin.json"),
+        "keys": str(root / "pvss" / "keys.json"),
+        "transcript": str(sets / "transcript.json"),
+    }
+
+
+@pytest.mark.parametrize("out_dir", [".", "", "/", "//", "a/", "./a//b/", "a/./b", "a b"])
+def test_summary_paths_read_as_the_path_would(out_dir):
+    result = cli.RunResult(cli.ScenarioSpec("gen-m", out_dir=out_dir))
+    assert result.path("masks.json") == str(Path(out_dir) / "masks.json")
+
+
+class TestParseEquivalence:
+    """A line that names a command is parsed by that command's parser
+    alone; main answers it as it did when the whole tree parsed it."""
+
+    def test_every_command_has_a_valid_line(self):
+        assert list(valid_lines(dict.fromkeys(
+            ("u1", "u2", "state", "bulletin", "keys", "transcript"), ""))) == list(COMMANDS)
+
+    def test_valid_lines_give_the_tree_spec(self, tmp_path, capsys):
+        inputs = write_inputs(tmp_path)
+        capsys.readouterr()
+        for line in valid_lines(inputs).values():
+            assert _spec_from_args(cli.parse_command_line(line)) == \
+                _spec_from_args(build_parser().parse_args(line)), line
+
+    def test_leaf_and_tree_answer_alike(self, tmp_path, capsys, monkeypatch):
+        inputs = write_inputs(tmp_path)
+        capsys.readouterr()
+        out = str(tmp_path / "out")
+        tree = build_parser()
+        for line in equivalence_lines(inputs, out):
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "parse_command_line", tree.parse_args)
+                want = main(line), capsys.readouterr()
+            assert (main(line), capsys.readouterr()) == want, line
+
+
 class TestAudit:
     def test_honest_transcript_is_clean(self, tmp_path):
         assert run(tmp_path, "fastshare", "--bits", "8", "--secret", "5a",
@@ -499,6 +600,28 @@ class TestUsageErrors:
             assert main([*argv, "--out", str(out)]) == 1
             assert f"error: tamper rule {idle} matched no message" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_tamper_rule_given_twice(self, tmp_path, capsys):
+        owner = write_fixture(tmp_path, "owner.txt", [0x11, 0x22])
+        code = run(tmp_path, "fastshare", "--bits", "8", "--secret", "5a", "--n", "3",
+                   "--fixture", f"owner:{owner}", "--tamper", "owner:secret:1:bit:0",
+                   "--tamper", "owner:secret:1:bit:0")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: tamper rule owner:secret:1:bit:0 given twice\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_fixture_given_twice_for_one_party(self, tmp_path, capsys):
+        first = write_fixture(tmp_path, "a.txt", [0x11, 0x22])
+        second = write_fixture(tmp_path, "b.txt", [0x33, 0x44])
+        code = run(tmp_path, "fastshare", "--bits", "8", "--secret", "5a", "--n", "3",
+                   "--fixture", f"owner:{first}", "--fixture", f"owner:{second}")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --fixture owner given twice\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_tamper_bit_outside_the_payload(self, tmp_path, capsys):
         code = run(tmp_path, "fastshare", "--bits", "8", "--secret", "5a", "--n", "3",

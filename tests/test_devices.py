@@ -146,6 +146,10 @@ class TestRandSourceSeeded:
         for _ in range(10):
             assert vectors_first.next_vector(P8).to_int() == ints_first.next_int(P8)
 
+    def test_refused_seed_fails_at_seeding(self):
+        with pytest.raises(TypeError):
+            RandSource.seeded([1])
+
     def test_direct_construction_is_guarded(self):
         with pytest.raises(ValueError):
             RandSource()
@@ -165,6 +169,17 @@ class TestNextInts:
         ]
         assert batch.consumed == single.consumed == count
         assert batch.next_int(params) == single.next_int(params)
+
+    @given(st.integers(0, 2**64),
+           st.lists(st.tuples(st.integers(1, 300), st.integers(0, 20)), max_size=8))
+    def test_batches_of_any_sizes_are_the_generator_stream(self, seed, batches):
+        """The generator is built at the first draw, from the seed given."""
+        source, reference = RandSource.seeded(seed), random.Random(seed)
+        for bits, count in batches:
+            assert source.next_ints(SchemeParams.binary(bits), count) == [
+                reference.getrandbits(bits) for _ in range(count)
+            ]
+        assert source.consumed == sum(count for _, count in batches)
 
     @given(st.lists(st.integers(0, 0xFF), max_size=20), st.data())
     def test_fixture_batch_is_the_single_draws(self, values, data):

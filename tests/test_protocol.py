@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from asgs.devices import FixtureExhausted
+from asgs.devices import FixtureExhausted, derive_stream_seed
 from asgs.kgh import (
     MAX_DIMENSION,
     AuthorizedShareSet,
@@ -107,6 +107,18 @@ VALUE_CLASSES = [
     CLASS_SECRET, CLASS_OWNER_SHARE, CLASS_PROTECTED_SHARE, CLASS_DERIVED_SHARE,
     CLASS_KEY, CLASS_SEALED_MASK, CLASS_MASKED_SHARE, CLASS_MASK_OWN,
     CLASS_MASK_FOREIGN, CLASS_CONTROL,
+]
+# Kinds a transcript document may carry that the engine never sends;
+# the audit classes them as control.
+UNKNOWN_KINDS = ["ack", "telegram"]
+# (sender, recipient, kind, element_index) of one delivery of each value
+# class that C10_INJECTIONS lacks.
+OTHER_CLASSES = [
+    (ACCUMULATOR, participant("2", 1), KIND_MASK_ELEMENT, 1),
+    (DEALER, OWNER, KIND_MASKED_SHARE, None),
+    (participant("2", 1), ACCUMULATOR, KIND_MASKED_SHARE, 1),
+    (DEALER, participant("2", 1), KIND_KEY_REQUEST, None),
+    (DEALER, participant("2", 1), "ack", None),
 ]
 
 
@@ -626,6 +638,28 @@ class TestEnvironment:
         drawn = env.draw_assignment(6)
         assert sorted(drawn) == [1, 2, 3, 4, 5, 6]
 
+    def test_streams_are_seeded_at_their_first_draw(self, monkeypatch):
+        source_env = ProtocolEnv.seeded(4, 8)
+        state = safe_shares(bv(0x42), 3, source_env)
+        template, master = set_generate_m(2, 3, source_env)
+        bulletin, assignment = distribute_shares_and_keys(template, master, source_env)
+        seeded = []
+
+        class Recorded(random.Random):
+            def __init__(self, seed):
+                seeded.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(random, "Random", Recorded)
+        env = ProtocolEnv.seeded(5, 8)
+        verify(bulletin, assignment, env)
+        activate_shares(state, env)
+        assert seeded == []
+        safe_shares(bv(0x42), 3, env)
+        assert sorted(seeded) == sorted(
+            derive_stream_seed(5, label) for label in ("dealer", "owner", "assignment")
+        )
+
     def test_fixture_assignment_defaults_to_identity(self):
         assert fixture_env().draw_assignment(3) == (1, 2, 3)
 
@@ -1091,10 +1125,10 @@ class TestVisibility:
                     st.tuples(
                         st.sampled_from(PARTIES),
                         st.sampled_from(PARTIES),
-                        st.sampled_from(sorted(MESSAGE_KINDS)),
+                        st.sampled_from(sorted(MESSAGE_KINDS) + UNKNOWN_KINDS),
                         st.one_of(st.none(), st.integers(1, 4)),
                     ),
-                    st.sampled_from(C10_INJECTIONS),
+                    st.sampled_from(C10_INJECTIONS + OTHER_CLASSES),
                 ),
                 st.integers(1, 3),
                 st.integers(0, 0xFF),
@@ -1106,19 +1140,30 @@ class TestVisibility:
             st.builds(
                 VisibilityPolicy,
                 st.frozensets(st.tuples(
-                    st.sampled_from(sorted({party.key for party in PARTIES})),
-                    st.sampled_from(VALUE_CLASSES),
-                )),
+                    st.sampled_from(sorted({party.key for party in PARTIES}) + ["participant:z"]),
+                    # "unseen" is a class that no kind yields.
+                    st.sampled_from(VALUE_CLASSES + ["unseen"]),
+                ), max_size=4),
             ),
         ),
+        st.data(),
     )
-    def test_column_audit_matches_a_per_message_reference(self, steps, policy):
+    def test_column_audit_matches_a_per_message_reference(self, steps, policy, data):
+        """The audit classifies only the rows a policy can flag; it must
+        find what classifying every row finds, in the same order."""
         transcript = Transcript({"bits": 8})
         seq = 0
         for (sender, recipient, kind, element_index), gap, value in steps:
             seq += gap
             payload = bool(value & 1) if kind in CONTROL_KINDS else bv(value)
             transcript.append(Message(seq, sender, recipient, kind, payload, element_index))
+        delivered = sorted({(m.recipient.key, classify(m)) for m in transcript})
+        if policy is not None and delivered:
+            # Forbid some pairs the transcript delivers too, so that any
+            # class a row can have is flagged in some example.
+            policy = VisibilityPolicy(
+                policy.forbidden | data.draw(st.frozensets(st.sampled_from(delivered)))
+            )
         table = policy or default_visibility_policy()
         reference = []
         for message in transcript:
