@@ -625,12 +625,17 @@ def parse_command_line(argv: list[str]) -> argparse.Namespace:
     A line that starts with a command's words goes to that command's
     leaf parser, which is the parser the tree would hand it to. What
     the leaf leaves over is reported by the tree with argparse's own
-    text, as :meth:`~argparse.ArgumentParser.parse_args` would. Every
-    other line (empty, ``-h``, ``--``, an unknown command, a bare
-    group) goes through the tree, which prints its help and usage
-    errors.
+    text, as :meth:`~argparse.ArgumentParser.parse_args` would. A line
+    that starts with ``--`` is rejected here, with the text argparse
+    gives where it takes ``--`` for the command: some argparse versions
+    drop it and run the command after it. Every other line (empty,
+    ``-h``, an unknown command, a bare group) goes through the tree,
+    which prints its help and usage errors.
     """
     tree = build_parser()
+    if argv[:1] == ["--"]:
+        choices = ", ".join(map(repr, dict.fromkeys(words[0] for words in tree.leaves)))
+        tree.error(f"argument command: invalid choice: '--' (choose from {choices})")
     words = tuple(argv[:2] if argv[:1] and argv[0] in GROUPS else argv[:1])
     leaf = tree.leaves.get(words)
     if leaf is None:

@@ -16,7 +16,7 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii as _escape
 from operator import attrgetter, itemgetter, or_, rshift
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from asgs.kgh import (
     AsgsError,
@@ -33,6 +33,8 @@ from asgs.protocol import (
     Party,
     SafeSharesState,
     Transcript,
+    _ROW_TYPES,
+    _rows,
     parse_party,
 )
 from asgs.pvss import BulletinBoard, KeyAssignment
@@ -346,32 +348,49 @@ _label = attrgetter("_label")
 
 
 def dumps_transcript(transcript: Transcript) -> str:
-    """The canonical text of a transcript document, built from the columns.
+    """The canonical text of a transcript document, rendered round by
+    round from the transcript's records.
 
     Only the head goes through :func:`dumps_document`. Each step is a
     %-template; labels and kinds are ASCII words and go in unescaped.
     """
-    if not MESSAGE_KINDS.issuperset(transcript.kinds):
-        raise ValueError(f"unknown message kinds {sorted(set(transcript.kinds) - MESSAGE_KINDS)}")
+    sent_kinds = set()
+    for record in transcript.rounds:
+        sent_kinds.update(_rows(record[3], 1))  # a constant kind once
+    if not MESSAGE_KINDS.issuperset(sent_kinds):
+        raise ValueError(f"unknown message kinds {sorted(sent_kinds - MESSAGE_KINDS)}")
     bits = transcript.config.get("bits")
     head = dumps_document({"version": FORMAT_VERSION, "kind": "transcript", "steps": [],
                            "bits": bits if isinstance(bits, int) else 0,
                            "config": dict(transcript.config)})
-    if not transcript.seqs:
+    if not len(transcript):
         return head
     width = transcript.params.dimension if transcript.params is not None else 0
     padding = -width % 8
     size = (width + padding) // 8
-    payloads = [("01" if p else "00") if type(p) is bool
-                else (p << padding).to_bytes(size, "big").hex() for p in transcript.payloads]
-    indices = transcript.element_indices
-    steps = map(str.__mod__, map({None: _STEP_BARE}.get, indices, repeat(_STEP)), zip(
-        indices, map(_label, transcript.senders), transcript.kinds, payloads,
-        transcript.seqs, map(_label, transcript.recipients),
-    ))
+    steps: list[str] = []
+    for seqs, senders, recipients, kinds, payloads, indices in transcript.rounds:
+        count = len(seqs)
+        if type(indices) in _ROW_TYPES:
+            templates = map({None: _STEP_BARE}.get, indices, repeat(_STEP))
+        else:
+            templates = repeat(_STEP_BARE if indices is None else _STEP, count)
+        steps += map(str.__mod__, templates, zip(
+            _rows(indices, count), _labels(senders, count), _rows(kinds, count),
+            [("01" if p else "00") if type(p) is bool
+             else (p << padding).to_bytes(size, "big").hex() for p in payloads],
+            seqs, _labels(recipients, count),
+        ))
     # "steps" sorts last but for "version", so its "[]" is the last one.
     before, after = head.rsplit('"steps": []', 1)
     return before + '"steps": [\n    ' + ",\n    ".join(steps) + "\n  ]" + after
+
+
+def _labels(parties, count: int) -> Iterable[str]:
+    """The labels of a round's party column."""
+    if type(parties) in _ROW_TYPES:
+        return map(_label, parties)
+    return repeat(parties._label, count)
 
 
 def transcript_to_doc(transcript: Transcript) -> dict:
@@ -401,8 +420,7 @@ def transcript_from_doc(document: Mapping) -> Transcript:
     if not isinstance(steps_doc, list):
         raise ParseError("transcript: missing 'steps' list")
     transcript = Transcript(config, params=params)
-    seqs, senders, recipients = transcript.seqs, transcript.senders, transcript.recipients
-    kinds, payloads, indices = transcript.kinds, transcript.payloads, transcript.element_indices
+    seqs, senders, recipients, kinds, payloads, indices = [], [], [], [], [], []
     parties = _Parties()
     texts, rows = [], []  # vector payload texts and the steps they sit at
     def place(k: int) -> str:
@@ -450,4 +468,7 @@ def transcript_from_doc(document: Mapping) -> Transcript:
         raise ParseError(f"transcript.steps[{i}]: {exc}") from exc
     for row, value in zip(rows, _decode_column(texts, params, place) if texts else ()):
         payloads[row] = value
+    if seqs:
+        # One record: the document's seqs may have gaps.
+        transcript.record(seqs, senders, recipients, kinds, payloads, indices)
     return transcript

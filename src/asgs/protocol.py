@@ -3,10 +3,12 @@ and sharing.
 
 The modeled parties (a dealer, an owner, an automatic accumulator
 device, and indexed share participants) exchange point-to-point messages
-over assumed-secure channels. Every delivery lands in a transcript,
-optional tamper rules mutate payloads in flight, and a visibility policy
-can audit a finished transcript for values that reached a party that
-must never see them.
+over assumed-secure channels, a whole round at a time: a deal of mask
+elements, a relay of blinded shares, a release of keys. Every round
+lands in the transcript as one record, optional tamper rules mutate
+payloads in flight, and a visibility policy can audit a finished
+transcript, round by round, for values that reached a party that must
+never see them.
 
 The engine plays all parties in program order, so a run is a pure
 function of the environment: parameters, per-party randomness, tamper
@@ -23,8 +25,8 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import attrgetter, itemgetter, xor
+from itertools import accumulate, compress, repeat
+from operator import attrgetter, itemgetter, not_, xor
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from asgs.devices import RandSource, derive_stream_seed
@@ -227,14 +229,47 @@ class Message:
         return f"Message({fields})"
 
 
+# The sequence types a round column may take; any other value is one
+# value for every row.
+_ROW_TYPES = (list, tuple, range)
+
+
+def _column(values, count: int) -> Sequence:
+    """A round column of ``count`` rows, as a sequence."""
+    return values if type(values) in _ROW_TYPES else [values] * count
+
+
+def _rows(values, count: int) -> Iterable:
+    """A round column of ``count`` rows, to iterate once."""
+    return values if type(values) in _ROW_TYPES else repeat(values, count)
+
+
+def _row_view(field_index: int) -> property:
+    def column(self: Transcript) -> list:
+        rows: list = []
+        for record in self.rounds:
+            rows += _rows(record[field_index], len(record[0]))
+        return rows
+    return property(column, doc="A fresh list of this field, one value per row.")
+
+
 class Transcript:
     """Ordered record of every delivered message plus the environment
     summary that produced it.
 
-    Columnar: one parallel list per :class:`Message` field, with vector
-    payloads as packed ints under ``params`` and control payloads as
-    bools. ``params`` is the one given, else the binary params of a
-    valid config ``bits`` (so the written document's width matches its
+    A log of rounds: ``rounds`` holds one ``(seqs, senders, recipients,
+    kinds, payloads, element_indices)`` record per round sent, in order.
+    ``seqs`` is a sequence of ints (a ``range`` for a round the engine
+    sent), ``payloads`` a tuple or list with one value per row (packed
+    ints under ``params``, bools for control kinds), and each other
+    column is one value for every row or a list, tuple or range with one
+    per row, as :meth:`ProtocolEnv.deliver_round` takes them. The
+    readers (the writer in :mod:`asgs.formats`, :func:`check_visibility`)
+    read the rounds; the row views (``seqs``, ``senders``, ...) build a
+    fresh list per read, for tests and scripts.
+
+    ``params`` is the one given, else the binary params of a valid
+    config ``bits`` (so the written document's width matches its
     payloads), else those of the first vector appended. Iteration and
     :meth:`append` use :class:`Message` values.
     """
@@ -246,14 +281,32 @@ class Transcript:
             if type(bits) is int and 1 <= bits <= MAX_DIMENSION:
                 params = SchemeParams.binary(bits)
         self.params = params
-        self.seqs: list[int] = []
-        self.senders: list[Party] = []
-        self.recipients: list[Party] = []
-        self.kinds: list[str] = []
-        self.payloads: list[int | bool] = []
-        self.element_indices: list[int | None] = []
+        self.rounds: list[tuple] = []
+        self._length = 0
+
+    seqs = _row_view(0)
+    senders = _row_view(1)
+    recipients = _row_view(2)
+    kinds = _row_view(3)
+    payloads = _row_view(4)
+    element_indices = _row_view(5)
+
+    def record(
+        self,
+        seqs: Sequence[int],
+        senders: Party | Sequence[Party],
+        recipients: Party | Sequence[Party],
+        kinds: str | Sequence[str],
+        payloads: Sequence[int | bool],
+        element_indices: int | None | Sequence[int | None],
+    ) -> None:
+        """Log one round as given: the caller must not change its
+        sequences afterwards."""
+        self.rounds.append((seqs, senders, recipients, kinds, payloads, element_indices))
+        self._length += len(seqs)
 
     def append(self, message: Message) -> None:
+        """Record ``message`` as a one-row round."""
         payload = message.payload
         if type(payload) is not bool:
             params = payload.params
@@ -263,25 +316,23 @@ class Transcript:
                 )
             payload = payload.to_int()
             self.params = self.params or params
-        self.seqs.append(message.seq)
-        self.senders.append(message.sender)
-        self.recipients.append(message.recipient)
-        self.kinds.append(message.kind)
-        self.payloads.append(payload)
-        self.element_indices.append(message.element_index)
+        self.record((message.seq,), message.sender, message.recipient, message.kind,
+                    (payload,), message.element_index)
 
     def __iter__(self) -> Iterator[Message]:
         params = self.params
-        for seq, sender, recipient, kind, payload, element_index in zip(
-            self.seqs, self.senders, self.recipients, self.kinds, self.payloads,
-            self.element_indices,
-        ):
-            if type(payload) is not bool:
-                payload = ShareVector.from_int(params, payload)
-            yield Message(seq, sender, recipient, kind, payload, element_index)
+        for seqs, senders, recipients, kinds, payloads, element_indices in self.rounds:
+            count = len(seqs)
+            for seq, sender, recipient, kind, payload, element_index in zip(
+                seqs, _rows(senders, count), _rows(recipients, count), _rows(kinds, count),
+                payloads, _rows(element_indices, count),
+            ):
+                if type(payload) is not bool:
+                    payload = ShareVector.from_int(params, payload)
+                yield Message(seq, sender, recipient, kind, payload, element_index)
 
     def __len__(self) -> int:
-        return len(self.seqs)
+        return self._length
 
 
 @dataclass(frozen=True)
@@ -385,17 +436,22 @@ class VisibilityPolicy:
         return (recipient_key, value_class) not in self.forbidden
 
     @functools.cached_property
-    def _flagged(self) -> frozenset[tuple[str, str]] | None:
-        """The (recipient key, kind) pairs whose rows can have a
+    def _flagged(self) -> dict[str, frozenset[str]] | None:
+        """Kind -> the recipient keys whose rows of that kind can have a
         forbidden class, or None when any row can: every unknown kind
         has class control."""
         if any(value_class == CLASS_CONTROL for _, value_class in self.forbidden):
             return None
-        return frozenset(
-            (key, kind)
-            for key, value_class in self.forbidden
-            for kind in _CLASS_KINDS.get(value_class, ())
-        )
+        flagged: dict[str, set[str]] = {}
+        for key, value_class in self.forbidden:
+            for kind in _CLASS_KINDS.get(value_class, ()):
+                flagged.setdefault(kind, set()).add(key)
+        return {kind: frozenset(keys) for kind, keys in flagged.items()}
+
+    @functools.cached_property
+    def _flagged_pairs(self) -> frozenset[tuple[str, str]]:
+        """:attr:`_flagged` as (recipient key, kind) pairs."""
+        return frozenset((key, kind) for kind, keys in self._flagged.items() for key in keys)
 
 
 @functools.cache
@@ -436,6 +492,10 @@ class Violation:
     kind: str
 
 
+_key = attrgetter("key")
+_NO_KEYS: frozenset[str] = frozenset()
+
+
 def check_visibility(
     transcript: Transcript, policy: VisibilityPolicy | None = None
 ) -> list[Violation]:
@@ -446,21 +506,39 @@ def check_visibility(
     """
     policy = policy or default_visibility_policy()
     permits = policy.permits
-    recipients, kinds = transcript.recipients, transcript.kinds
-    rows: Iterable[int] = range(len(transcript))
     flagged = policy._flagged
-    if flagged is not None:
-        # Only the rows that can have a forbidden class are classified.
-        rows = compress(rows, map(flagged.__contains__,
-                                  zip(map(attrgetter("key"), recipients), kinds)))
     found = []
-    for row in rows:
-        recipient, kind = recipients[row], kinds[row]
-        value_class = _value_class(
-            kind, transcript.senders[row], recipient, transcript.element_indices[row]
-        )
-        if not permits(recipient.key, value_class):
-            found.append(Violation(transcript.seqs[row], recipient.label(), value_class, kind))
+    for seqs, senders, recipients, kinds, _, element_indices in transcript.rounds:
+        count = len(seqs)
+        selectors: Iterable[bool] | None = None
+        # Only the rows that can have a forbidden class are classified;
+        # a round is skipped when no kind of it flags any recipient.
+        if flagged is None:
+            pass
+        elif type(kinds) in _ROW_TYPES:
+            keys = _NO_KEYS.union(*map(flagged.get, set(kinds), repeat(_NO_KEYS)))
+            if type(recipients) in _ROW_TYPES:
+                if keys.isdisjoint(map(_key, recipients)):
+                    continue
+            elif recipients.key not in keys:
+                continue
+            selectors = map(policy._flagged_pairs.__contains__,
+                            zip(map(_key, _rows(recipients, count)), kinds))
+        elif type(recipients) in _ROW_TYPES:
+            keys = flagged.get(kinds, _NO_KEYS)
+            if keys.isdisjoint(map(_key, recipients)):
+                continue
+            selectors = map(keys.__contains__, map(_key, recipients))
+        elif recipients.key not in flagged.get(kinds, _NO_KEYS):
+            continue
+        rows: Iterable = zip(seqs, _rows(senders, count), _rows(recipients, count),
+                             _rows(kinds, count), _rows(element_indices, count))
+        if selectors is not None:
+            rows = compress(rows, selectors)
+        for seq, sender, recipient, kind, element_index in rows:
+            value_class = _value_class(kind, sender, recipient, element_index)
+            if not permits(recipient.key, value_class):
+                found.append(Violation(seq, recipient.label(), value_class, kind))
     return found
 
 
@@ -614,15 +692,19 @@ class ProtocolEnv:
         return tuple(chosen)
 
     def _tamper(
-        self, senders: Party | Sequence[Party], kind: str, payloads: Sequence, seqs: Sequence
-    ) -> Sequence:
-        """Apply the tamper rules to one column of ``kind`` rows: row i is
-        sent by sender i (``senders`` as :meth:`deliver_round` takes it)
-        with seq ``seqs[i]``. Returns ``payloads`` itself when no rule
-        fires, else a flipped copy."""
-        tampered = payloads
-        fired = self.tamper_fired
-        before = len(fired)
+        self, senders: Party | Sequence[Party], kind: str, payloads: Sequence
+    ) -> tuple[Sequence, Sequence[tuple[TamperRule, int]]]:
+        """Apply the tamper rules to one column of ``kind`` rows, row i
+        sent by sender i (``senders`` as :meth:`deliver_round` takes it).
+
+        Returns the payloads as delivered (``payloads`` itself when no
+        rule fires, else a flipped copy) and the ``(rule, row)`` pairs
+        that fired; the caller passes them to :meth:`_note_fired` once
+        it knows the seq of each row.
+        """
+        if not self._tamper_groups:
+            return payloads, ()
+        tampered, fired = payloads, []
         for (label, rule_kind), rules in self._tamper_groups.items():
             if rule_kind != kind:
                 continue
@@ -636,11 +718,14 @@ class ProtocolEnv:
                     if tampered is payloads:
                         tampered = list(payloads)
                     tampered[row] ^= mask
-                    fired.append((rule, seqs[row]))
-        if len(fired) > before:
-            # Stable, so two rules on one row stay in rule order.
-            fired.sort(key=itemgetter(1))
-        return tampered
+                    fired.append((rule, row))
+        return tampered, fired
+
+    def _note_fired(self, fired: Sequence[tuple[TamperRule, int]], seqs: Sequence[int]) -> None:
+        """Record each fired ``(rule, row)`` with ``seqs[row]``."""
+        self.tamper_fired += [(rule, seqs[row]) for rule, row in fired]
+        # Stable, so two rules on one row stay in rule order.
+        self.tamper_fired.sort(key=itemgetter(1))
 
     def deliver(
         self,
@@ -650,25 +735,11 @@ class ProtocolEnv:
         payload: int | bool,
         element_index: int | None = None,
     ) -> int | bool:
-        """Send one message (a packed int, or a bool for control kinds),
-        after tampering, and record the delivery.
-
-        Returns the payload as the recipient saw it; engine code must
-        compute with the returned value, never the original.
-        """
-        transcript = self.transcript
-        seqs = transcript.seqs
-        # The seq is the message's 1-based position, so it always increases.
-        seq = len(seqs) + 1
-        if self.tamper_rules:
-            payload = self._tamper(sender, kind, (payload,), (seq,))[0]
-        seqs.append(seq)
-        transcript.senders.append(sender)
-        transcript.recipients.append(recipient)
-        transcript.kinds.append(kind)
-        transcript.payloads.append(payload)
-        transcript.element_indices.append(element_index)
-        return payload
+        """Send one message as a one-row :meth:`deliver_round` and return
+        its payload as delivered. No operation calls it: it stays for
+        callers outside the engine, among them the benchmark's span list
+        (``perfbench/spans.py``), which wraps it by name."""
+        return self.deliver_round(sender, recipient, kind, [payload], element_index)[0]
 
     def deliver_round(
         self,
@@ -676,30 +747,28 @@ class ProtocolEnv:
         recipients: Party | Sequence[Party],
         kind: str,
         payloads: Sequence[int],
-        element_indices: Sequence[int] | None = None,
+        element_indices: int | Sequence[int] | None = None,
     ) -> Sequence[int]:
-        """Send one round of ``kind`` vector messages: row i carries
-        ``payloads[i]`` from sender i to recipient i with element index i.
+        """Send one round of ``kind`` messages: row i carries
+        ``payloads[i]`` (a packed int, or a bool for a control kind) from
+        sender i to recipient i with element index i.
 
         ``senders``, ``recipients`` and ``element_indices`` each take one
         value for every row (None: no element index) or a list, tuple or
         range with one per row. The round is tampered as one column and
-        appended as one block; the transcript and the tamper rules see
-        exactly what :meth:`deliver` called row by row would produce.
+        logged as one record, which keeps a tuple of the delivered
+        payloads, so the caller may grow the list it gets back.
         Returns the payloads as delivered, ``payloads`` itself unless a
-        rule fired.
+        rule fired; engine code must compute with them, never the
+        original.
         """
-        count = len(payloads)
         transcript = self.transcript
-        seqs = transcript.seqs
-        first = len(seqs) + 1
-        payloads = self._tamper(senders, kind, payloads, range(first, first + count))
-        seqs.extend(range(first, first + count))
-        transcript.senders.extend(_column(senders, count))
-        transcript.recipients.extend(_column(recipients, count))
-        transcript.kinds.extend([kind] * count)
-        transcript.payloads.extend(payloads)
-        transcript.element_indices.extend(_column(element_indices, count))
+        first = transcript._length + 1
+        seqs = range(first, first + len(payloads))
+        payloads, fired = self._tamper(senders, kind, payloads)
+        if fired:
+            self._note_fired(fired, seqs)
+        transcript.record(seqs, senders, recipients, kind, tuple(payloads), element_indices)
         return payloads
 
     def relay_round(
@@ -721,38 +790,90 @@ class ProtocolEnv:
         :meth:`deliver_round` takes.
 
         The inbound column is tampered first, so each forward carries the
-        value the relay was delivered, then the forward column; one woven
-        block is appended. Both callers have ``kind != forward_kind``, so
-        the two columns' occurrence counts are independent.
+        value the relay was delivered, then the forward column; the round
+        is logged as one woven record. Both callers have ``kind !=
+        forward_kind``, so the two columns' occurrence counts are
+        independent.
 
         Returns the received and the forwarded payloads as delivered.
         """
         count, relayed = len(payloads), len(operands)
         transcript = self.transcript
-        seqs = transcript.seqs
-        first = len(seqs) + 1
-        woven = first + 2 * relayed
-        inbound_seqs = [*range(first, woven, 2), *range(woven, first + count + relayed)]
-        received = self._tamper(senders, kind, payloads, inbound_seqs)
+        first = transcript._length + 1
+        received, inbound_fired = self._tamper(senders, kind, payloads)
         forwarded = [value ^ operand for value, operand in zip(received, operands)]
-        forwarded = self._tamper(relay, forward_kind, forwarded, range(first + 1, woven, 2))
-        seqs.extend(range(first, first + count + relayed))
-        transcript.senders.extend(_weave(senders, relay, count, relayed))
-        transcript.recipients.extend(_weave(relay, recipients, count, relayed))
-        transcript.kinds.extend(_weave(kind, forward_kind, count, relayed))
-        transcript.payloads.extend(_weave(received, forwarded, count, relayed))
-        transcript.element_indices.extend(_weave(None, forward_indices, count, relayed))
+        forwarded, forward_fired = self._tamper(relay, forward_kind, forwarded)
+        seqs = range(first, first + count + relayed)
+        if inbound_fired or forward_fired:
+            # Inbound row i sits at 2i while it is relayed, then at
+            # i + relayed; forward row i at 2i + 1.
+            self._note_fired([(rule, 2 * row if row < relayed else row + relayed)
+                              for rule, row in inbound_fired]
+                             + [(rule, 2 * row + 1) for rule, row in forward_fired], seqs)
+        transcript.record(
+            seqs,
+            _weave(senders, relay, count, relayed),
+            _weave(relay, recipients, count, relayed),
+            _weave(kind, forward_kind, count, relayed),
+            _weave(received, forwarded, count, relayed),
+            _weave(None, forward_indices, count, relayed),
+        )
         return received, forwarded
 
+    def activation_round(
+        self, holders: Sequence[Party], claims: Sequence[bool], keys: Sequence[int]
+    ) -> tuple[Sequence[bool], Sequence[int]]:
+        """Send the activation round: for each i in order, the dealer's
+        key request to ``holders[i]``, that holder's identification
+        ``claims[i]`` to the dealer, and, when the identification
+        arrived true, ``keys[i]`` to the holder with element index
+        i + 1, logged as one woven record.
 
-# The sequence types a round column may take; any other value is one
-# value for every row.
-_ROW_TYPES = (list, tuple, range)
-
-
-def _column(values, count: int) -> Sequence:
-    """A round column of ``count`` rows."""
-    return values if type(values) in _ROW_TYPES else [values] * count
+        The identification column is tampered first, because its
+        delivered values decide which keys are sent, then the request
+        column, then the column of the keys sent. Returns the
+        identifications as delivered and the keys as delivered, one per
+        identification that arrived true.
+        """
+        count = len(holders)
+        passed, fired = self._tamper(holders, KIND_IDENTIFICATION, claims)
+        requests, request_fired = self._tamper(DEALER, KIND_KEY_REQUEST, [True] * count)
+        everyone = all(passed)
+        served = range(count) if everyone else list(compress(range(count), passed))
+        released, key_fired = self._tamper(
+            DEALER, KIND_KEY, keys if everyone else [keys[i] for i in served]
+        )
+        # Three rows per index: request, identification, key.
+        rows = 3 * count
+        senders, recipients = [DEALER] * rows, [DEALER] * rows
+        senders[1::3] = recipients[0::3] = recipients[2::3] = holders
+        payloads = [None] * rows
+        payloads[0::3], payloads[1::3] = requests, passed
+        indices = [None] * rows
+        indices[2::3] = range(1, count + 1)
+        columns = [senders, recipients, [KIND_KEY_REQUEST, KIND_IDENTIFICATION, KIND_KEY] * count,
+                   payloads, indices]
+        position: Sequence[int] = range(rows)
+        if everyone:
+            payloads[2::3] = released
+        else:
+            # Drop the key rows of the identifications that arrived false.
+            for index, key in zip(served, released):
+                payloads[3 * index + 2] = key
+            kept = [True] * rows
+            kept[2::3] = passed
+            columns = [list(compress(column, kept)) for column in columns]
+            position = list(accumulate(kept, initial=0))
+        first = self.transcript._length + 1
+        seqs = range(first, first + len(columns[0]))
+        if fired or request_fired or key_fired:
+            # position[p] is where the row at 3-per-index position p landed.
+            self._note_fired([(rule, position[3 * row]) for rule, row in request_fired]
+                             + [(rule, position[3 * row + 1]) for rule, row in fired]
+                             + [(rule, position[3 * served[row] + 2]) for rule, row in key_fired],
+                             seqs)
+        self.transcript.record(seqs, *columns)
+        return passed, released
 
 
 def _weave(inbound, forwarded, count: int, relayed: int) -> list:
@@ -974,13 +1095,10 @@ def set_replicate_to_smaller(
     derived, rest = _replicate_rounds(
         masks, master.ints, env, keep=target_count - 1
     )
-    derived.append(env.deliver(
-        ACCUMULATOR,
-        participant(SetRole.DERIVED.value, target_count),
-        KIND_DERIVED_SHARE,
-        functools.reduce(xor, rest, 0),
-        target_count,
-    ))
+    derived += env.deliver_round(
+        ACCUMULATOR, participant(SetRole.DERIVED.value, target_count), KIND_DERIVED_SHARE,
+        [functools.reduce(xor, rest, 0)], target_count,
+    )
     return _share_set(SetRole.DERIVED, env.params, derived)
 
 
@@ -994,7 +1112,7 @@ def _fast_share_rounds(secret: int, count: int, env: ProtocolEnv) -> list[int]:
     shares = env.source(ROLE_OWNER).next_ints(env.params, count - 1)
     delivered = env.deliver_round(OWNER, ACCUMULATOR, KIND_OWNER_SHARE, shares, range(1, count))
     register = functools.reduce(xor, delivered, 0)
-    shares.append(register ^ env.deliver(OWNER, ACCUMULATOR, KIND_SECRET, secret))
+    shares.append(register ^ env.deliver_round(OWNER, ACCUMULATOR, KIND_SECRET, [secret])[0])
     return shares
 
 
@@ -1078,25 +1196,24 @@ def activate_shares(state: SafeSharesState, env: ProtocolEnv) -> AuthorizedShare
     combines to the original secret for every envelope assignment,
     because the keys embedded at pre-positioning and the keys released
     here cancel pairwise.
+
+    The whole exchange is one round (:meth:`ProtocolEnv.activation_round`),
+    so the predicate runs for every index, in order, before any message
+    is sent: a predicate that raises leaves no activation row behind.
     """
     _check_params(env, state)
     count = len(state.protected_ints)
     env.note_operation("activate_shares", n=count)
-    identify = env.identify or (lambda index: True)
-    keys, protected = state.key_ints, state.protected_ints
-    activated: dict[int, int] = {}
-    pending: list[int] = []
-    protected_tag = SetRole.PROTECTED.value
-    for i in range(1, count + 1):
-        holder = participant(protected_tag, i)
-        env.deliver(DEALER, holder, KIND_KEY_REQUEST, True)
-        passed = env.deliver(holder, DEALER, KIND_IDENTIFICATION, bool(identify(i)))
-        if not passed:
-            pending.append(i)
-            continue
-        activated[i] = protected[i - 1] ^ env.deliver(DEALER, holder, KIND_KEY, keys[i - 1], i)
-    if pending:
-        raise IdentificationFailed(
-            pending, dict(zip(activated, from_ints(env.params, activated.values())))
-        )
-    return _share_set(SetRole.ACTIVATED, env.params, activated.values())
+    indices = range(1, count + 1)
+    identify = env.identify
+    claims = [True] * count if identify is None else [bool(identify(i)) for i in indices]
+    passed, released = env.activation_round(
+        _participants(SetRole.PROTECTED.value, indices), claims, state.key_ints
+    )
+    activated = map(xor, compress(state.protected_ints, passed), released)
+    if all(passed):
+        return _share_set(SetRole.ACTIVATED, env.params, activated)
+    raise IdentificationFailed(
+        list(compress(indices, map(not_, passed))),
+        dict(zip(compress(indices, passed), from_ints(env.params, activated))),
+    )

@@ -440,7 +440,7 @@ def equivalence_lines(inputs: dict[str, str], out: str) -> list[list[str]]:
             [*words, "-h"],
         ]
     return lines + [
-        [], ["-h"], ["--"], ["--", "gen-m", "--n", "2", "--out", out], ["--help", "gen-m"],
+        [], ["-h"], ["--help", "gen-m"],
         ["transmogrify"], ["pvss"], ["pvss", "-h"], ["pvss", "bogus"], ["pvss-verify"],
         ["fastshare", "--se", "5a", "--n", "3", "--out", out],
         ["gen-m", "--n", "2", "--bits", "8", "--out", out, "--out"],
@@ -549,6 +549,21 @@ class TestAudit:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("line", [["--"], ["--", "gen-m", "--n", "2"], ["--", "-h"]])
+    def test_a_leading_double_dash_is_not_a_command(self, tmp_path, monkeypatch, capsys, line):
+        # Some argparse versions drop a leading "--" before a subcommand
+        # and would run gen-m here, writing into the working directory.
+        monkeypatch.chdir(tmp_path)
+        assert main(line) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: asgs [-h]\n")
+        assert captured.err.endswith(
+            "asgs: error: argument command: invalid choice: '--' (choose from 'gen-m', "
+            "'set-generate', 'replicate', 'fastshare', 'safeshares', 'activate', 'pvss', "
+            "'simulate', 'audit')\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_required_option(self, tmp_path, capsys):
         code = run(tmp_path, "fastshare", "--bits", "8", "--n", "3")
         assert code == 1

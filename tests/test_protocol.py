@@ -18,6 +18,7 @@ from asgs.kgh import (
     SetRole,
     ShareVector,
     combine,
+    mask_ints,
 )
 from asgs.protocol import (
     ACCUMULATOR,
@@ -917,8 +918,9 @@ class TestTamperInRounds:
 
 class RowByRowEnv(ProtocolEnv):
     """Reference for the round engine, for tests only: every round is
-    sent through :meth:`deliver` row by row, and each row is tampered as
-    it is sent, counting rows per (sender label, kind)."""
+    sent through :meth:`deliver` row by row, each row is tampered as it
+    is sent, counting rows per (sender label, kind), and each row is
+    logged as a one-row record."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -933,9 +935,7 @@ class RowByRowEnv(ProtocolEnv):
             if (rule.party, rule.kind, rule.occurrence) == (*key, self.row_counts[key]):
                 payload = (not payload) if type(payload) is bool else payload ^ (1 << rule.bit)
                 self.tamper_fired.append((rule, seq))
-        row = (seq, sender, recipient, kind, payload, element_index)
-        for column, value in zip(transcript_columns(transcript), row):
-            column.append(value)
+        transcript.record((seq,), sender, recipient, kind, (payload,), element_index)
         return payload
 
     def deliver_round(self, senders, recipients, kind, payloads, element_indices=None):
@@ -959,6 +959,15 @@ class RowByRowEnv(ProtocolEnv):
                     forward_indices[i],
                 ))
         return received, forwarded
+
+    def activation_round(self, holders, claims, keys):
+        passed, released = [], []
+        for index, (holder, claim, key) in enumerate(zip(holders, claims, keys), 1):
+            self.deliver(DEALER, holder, KIND_KEY_REQUEST, True)
+            passed.append(self.deliver(holder, DEALER, KIND_IDENTIFICATION, claim))
+            if passed[-1]:
+                released.append(self.deliver(DEALER, holder, KIND_KEY, key, index))
+        return passed, released
 
 
 def per_row(values, count):
@@ -992,8 +1001,30 @@ def tamper_chain(env, n):
     return outputs, transcript_columns(env.transcript), env.tamper_fired
 
 
+def activation_chain(env, n):
+    """Pre-position and activate ``n`` shares, then activate them again:
+    the second activation's occurrences count on from the first's."""
+    state = safe_shares(ShareVector.from_int(env.params, 0xBEEF), n, env)
+    outputs = []
+    for _ in range(2):
+        try:
+            outputs.append(activate_shares(state, env).shares)
+        except IdentificationFailed as failure:
+            outputs.append((failure.pending, failure.activated))
+    return outputs, transcript_columns(env.transcript), env.tamper_fired
+
+
+def draw_rules(data, targets, count):
+    rules = []
+    for _ in range(count):
+        label, kind = data.draw(st.sampled_from(targets))
+        bit = data.draw(st.just(0) if kind in CONTROL_KINDS else st.integers(0, 15))
+        rules.append(TamperRule(label, kind, data.draw(st.integers(1, 4)), bit))
+    return rules
+
+
 class TestColumnTamperMatchesRowByRow:
-    """Rounds are tampered column by column and appended as one block;
+    """Rounds are tampered column by column and logged as one record;
     :class:`RowByRowEnv` sends the same rounds one row at a time."""
 
     @given(st.integers(1, 5), st.integers(0, 2**31), st.data())
@@ -1002,13 +1033,27 @@ class TestColumnTamperMatchesRowByRow:
         tamper_chain(honest, n)
         targets = sorted({(sender.label(), kind) for sender, kind
                           in zip(honest.transcript.senders, honest.transcript.kinds)})
-        rules = []
-        for _ in range(data.draw(st.integers(1, 4))):
-            label, kind = data.draw(st.sampled_from(targets))
-            bit = data.draw(st.just(0) if kind in CONTROL_KINDS else st.integers(0, 15))
-            rules.append(TamperRule(label, kind, data.draw(st.integers(1, 4)), bit))
+        rules = draw_rules(data, targets, data.draw(st.integers(1, 4)))
         assert (tamper_chain(ProtocolEnv.seeded(seed, 16, tamper_rules=rules), n)
                 == tamper_chain(RowByRowEnv.seeded(seed, 16, tamper_rules=rules), n))
+
+    @given(st.integers(1, 6), st.integers(0, 2**31), st.data())
+    def test_tampered_activation(self, n, seed, data):
+        # Rules on the requests, the identifications (which decide the
+        # keys sent) and the keys, with a predicate that fails some
+        # indices; the outputs include IdentificationFailed's pending
+        # and activated.
+        holders = [f"pp-{i}" for i in range(1, n + 1)]
+        targets = [("dealer", KIND_KEY_REQUEST), ("dealer", KIND_KEY),
+                   *((label, KIND_IDENTIFICATION) for label in holders)]
+        rules = draw_rules(data, targets, data.draw(st.integers(0, 4)))
+        failing = data.draw(st.sets(st.integers(1, n)))
+        runs = []
+        for env_type in (ProtocolEnv, RowByRowEnv):
+            env = env_type.seeded(seed, 16, tamper_rules=rules)
+            env.identify = lambda index: index not in failing
+            runs.append(activation_chain(env, n))
+        assert runs[0] == runs[1]
 
     def test_a_tampered_round_leaves_the_callers_payloads_unchanged(self):
         rule = TamperRule("accumulator", KIND_MASK_ELEMENT, 2, 0)
@@ -1020,9 +1065,105 @@ class TestColumnTamperMatchesRowByRow:
         assert env.transcript.payloads == delivered
         assert env.tamper_fired == [(rule, 2)]
 
+    @pytest.mark.parametrize("rules", [(), (TamperRule("accumulator", KIND_MASK_ELEMENT, 2, 0),)])
+    def test_growing_the_returned_list_leaves_the_round_unchanged(self, rules):
+        env = ProtocolEnv.seeded(1, 8, tamper_rules=rules)
+        delivered = env.deliver_round(ACCUMULATOR, OWNER, KIND_MASK_ELEMENT, [0x10, 0x20])
+        recorded = env.transcript.payloads
+        delivered.append(0x30)
+        delivered[0] ^= 0xFF
+        assert env.transcript.payloads == recorded
+        assert len(env.transcript) == 2
+
+    def test_operations_that_grow_their_rounds_record_what_was_sent(self):
+        # fast_share appends the last share to the owner-share round's
+        # list, and the replications add to the derived-share list that
+        # the relay round returned.
+        env = ProtocolEnv.seeded(3, 8)
+        shares = fast_share(bv(0x5A), 4, env).ints
+        smaller = set_replicate_to_smaller(AuthorizedShareSet.from_shares(
+            SetRole.MASTER, bvs([1, 2, 3, 4])), 2, env)
+        bigger = set_replicate_to_bigger(smaller, 5, env)
+        transcript = env.transcript
+        rows = collections.Counter(transcript.kinds)
+        assert rows == {KIND_OWNER_SHARE: 3, KIND_SECRET: 1, KIND_MASK_ELEMENT: 6,
+                        KIND_MASKED_SHARE: 6, KIND_DERIVED_SHARE: 7}
+        assert len(transcript) == sum(rows.values())
+        derived = [payload for kind, payload in zip(transcript.kinds, transcript.payloads)
+                   if kind == KIND_DERIVED_SHARE]
+        assert derived == [*smaller.ints, *bigger.ints]
+        owner_shares = [payload for kind, payload in zip(transcript.kinds, transcript.payloads)
+                        if kind == KIND_OWNER_SHARE]
+        assert owner_shares == list(shares[:3])
+
 
 def classify(message: Message) -> str:
     return _value_class(message.kind, message.sender, message.recipient, message.element_index)
+
+
+# Transcript rows per operation, in closed form (the table in the
+# README): d template and n master shares, target t, h and g shares in
+# the two pvss sets, and the identifications that pass.
+ROWS = {
+    "set_generate_m": lambda d, n: d + n,
+    "set_replicate": lambda n: 3 * n,
+    "equal_set_replicate": lambda n: 3 * n,
+    "set_replicate_to_bigger": lambda n, t: 2 * n + t,
+    "set_replicate_to_smaller": lambda n, t: 2 * n + t,
+    "fast_share": lambda n: n,
+    "safe_shares": lambda n: 3 * n,
+    "activate_shares": lambda n, passed: 2 * n + passed,
+    "distribute_shares_and_keys": lambda h, g: h + g,
+    "verify": lambda h, g: 2 * max(h, g),
+}
+
+
+class TestCommunicationCost:
+    @pytest.mark.parametrize("d", [1, 2, 3, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_rows_per_operation(self, d, n):
+        env = ProtocolEnv.seeded(100 * d + n, 8)
+
+        def rows(operation, *args):
+            before = len(env.transcript)
+            try:
+                result = operation(*args, env)
+            except IdentificationFailed:
+                result = None
+            return result, len(env.transcript) - before
+
+        (template, master), sent = rows(set_generate_m, d, n)
+        assert sent == ROWS["set_generate_m"](d, n)
+        assert rows(equal_set_replicate, master)[1] == ROWS["equal_set_replicate"](n)
+        masks = MaskSet(mask_ints(2 * n, env.source("accumulator"), P8), P8)
+        assert rows(set_replicate, masks, master)[1] == ROWS["set_replicate"](n)
+        assert (rows(set_replicate_to_bigger, master, n + d)[1]
+                == ROWS["set_replicate_to_bigger"](n, n + d))
+        for t in range(1, n):
+            assert (rows(set_replicate_to_smaller, master, t)[1]
+                    == ROWS["set_replicate_to_smaller"](n, t))
+        assert rows(fast_share, bv(0x5A), n)[1] == ROWS["fast_share"](n)
+        state, sent = rows(safe_shares, bv(0x5A), n)
+        assert sent == ROWS["safe_shares"](n)
+        env.identify = lambda index: index % d != 0
+        passed = sum(index % d != 0 for index in range(1, n + 1))
+        assert rows(activate_shares, state)[1] == ROWS["activate_shares"](n, passed)
+        (bulletin, keys), sent = rows(distribute_shares_and_keys, template, master)
+        assert sent == ROWS["distribute_shares_and_keys"](d, n)
+        assert rows(verify, bulletin, keys)[1] == ROWS["verify"](d, n)
+
+    def test_the_scaling_sweep_counts(self):
+        # The msgs column of scripts/scaling_sweep.py at n = 10^4, from
+        # each case's sizes.
+        n = 10**4
+        assert [
+            ROWS["set_generate_m"](n, n),
+            ROWS["equal_set_replicate"](n),
+            ROWS["set_replicate_to_bigger"](n, 2 * n),
+            ROWS["set_replicate_to_smaller"](n, n // 2),
+            ROWS["safe_shares"](n) + ROWS["activate_shares"](n, n),
+            ROWS["distribute_shares_and_keys"](n, n) + ROWS["verify"](n, n),
+        ] == [20_000, 30_000, 40_000, 25_000, 60_000, 40_000]
 
 
 class TestClassification:
