@@ -22,9 +22,11 @@ any delivery of these honest runs.
 With ``--cli`` it runs the CLI cold instead: for each n and width, a
 chain of seven commands (set-generate, replicate, pvss distribute and
 verify, safeshares, activate, audit), one subprocess each, in sequence.
-It prints each command's wall time, that time minus the start of a bare
-interpreter (``python -c pass``, median of five), and the bytes of the
-artifacts it wrote, and exits 1 if any command exits nonzero.
+Its header gives the cold ``import asgs.cli`` time: the median of five
+``python -c "import asgs.cli"`` runs minus the start of a bare
+interpreter (``python -c pass``, median of five). It prints each
+command's wall time, that time minus the bare start, and the bytes of
+the artifacts it wrote, and exits 1 if any command exits nonzero.
 
     PYTHONPATH=src python3 scripts/scaling_sweep.py
     PYTHONPATH=src python3 scripts/scaling_sweep.py --sizes 10 1000 --widths 128
@@ -269,9 +271,14 @@ def cli_sweep(sizes, widths, seed):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    bare = statistics.median(wall_ms([sys.executable, "-c", "pass"], env)[0] for _ in range(5))
+    def median_ms(code):
+        return statistics.median(wall_ms([sys.executable, "-c", code], env)[0] for _ in range(5))
+
+    bare = median_ms("pass")
     print(f"python {platform.python_version()}, cold CLI: one subprocess per command; "
           f"net_ms is wall_ms minus a bare interpreter start ({bare:.1f} ms)")
+    print(f"cold import asgs.cli: {median_ms('import asgs.cli') - bare:.1f} ms "
+          "above a bare interpreter start (median of five)")
     print(f"{'command':<16} {'n':>6} {'bits':>5} {'wall_ms':>10} {'net_ms':>10} "
           f"{'artifact_bytes':>14}  exit")
     failures = 0

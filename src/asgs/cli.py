@@ -28,7 +28,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -117,14 +116,18 @@ def parse_tamper_rule(text: str) -> TamperRule:
     return rule
 
 
-@dataclass
 class ScenarioSpec:
-    """One fully described run: command, parameters, randomness, outputs."""
+    """One fully described run: command, parameters, randomness, outputs.
+
+    Built by keyword: a field left out reads its default below, and
+    ``fixtures`` starts as a fresh empty dict. Specs are equal when all
+    their fields are.
+    """
 
     command: str
     bits: int | None = None
     seed: int | None = None
-    fixtures: dict[str, str] = field(default_factory=dict)
+    fixtures: dict[str, str]
     out_dir: str = "."
     audit: bool = False
     tamper: tuple[str, ...] = ()
@@ -142,23 +145,41 @@ class ScenarioSpec:
     start: str | None = None
     then: tuple[str, ...] = ()
 
+    def __init__(self, command: str, **fields) -> None:
+        unknown = fields.keys() - SPEC_FIELDS
+        if unknown:
+            raise TypeError(f"ScenarioSpec got unexpected fields {sorted(unknown)}")
+        self.command = command
+        self.fixtures = {}
+        self.__dict__.update(fields)
 
-@dataclass
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ScenarioSpec:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in SPEC_FIELDS)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in SPEC_FIELDS)
+        return f"ScenarioSpec({fields})"
+
+
+# The field names, in the order declared above.
+SPEC_FIELDS = tuple(ScenarioSpec.__annotations__)
+
+
 class RunResult:
     """What one command produced. A handler fills in ``documents``,
     ``summary`` and ``exit_code``; :func:`run_scenario` writes the
     documents and records where in ``artifacts``."""
 
-    spec: ScenarioSpec
-    env: ProtocolEnv | None = None
-    documents: dict[str, dict] = field(default_factory=dict)
-    summary: list[str] = field(default_factory=list)
-    exit_code: int = 0
-    artifacts: dict[str, Path] = field(default_factory=dict)
-    out_dir: Path = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.out_dir = Path(self.spec.out_dir)
+    def __init__(self, spec: ScenarioSpec) -> None:
+        self.spec = spec
+        self.env: ProtocolEnv | None = None
+        self.documents: dict[str, dict] = {}
+        self.summary: list[str] = []
+        self.exit_code = 0
+        self.artifacts: dict[str, Path] = {}
+        self.out_dir = Path(spec.out_dir)
         text = str(self.out_dir)
         self._prefix = "" if text == "." else os.path.join(text, "")
 
@@ -537,6 +558,8 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
             path = _require(getattr(spec, option.dest), option.flag)
             document = load_document(path, option.kind)
             decoded.append(globals()[f"{option.kind}_from_doc"](document))
+            if "bits" not in document:
+                raise ParseError(f"{path}: missing 'bits'")
             widths.append(document["bits"])
     result = RunResult(spec)
     if spec.command == "audit":
@@ -662,8 +685,7 @@ def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
     values["fixtures"] = fixtures
     for name in ("tamper", "then"):
         values[name] = tuple(values.get(name, ()))
-    return ScenarioSpec(**{f.name: values[f.name] for f in fields(ScenarioSpec)
-                           if f.name in values})
+    return ScenarioSpec(**{name: values[name] for name in SPEC_FIELDS if name in values})
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, reduce
 from itertools import repeat
 from operator import attrgetter, is_, xor
@@ -43,21 +42,60 @@ class IndexOutOfRange(AsgsError):
 MAX_DIMENSION = 1 << 16
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class Frozen:
+    """Base of the immutable value types.
+
+    A subclass names its fields, ``class T(Frozen, fields=("a", "b"))``.
+    Its ``__init__`` stores each field, and their tuple as ``_values``,
+    through ``self.__dict__``, since assigning or deleting an attribute
+    raises :class:`dataclasses.FrozenInstanceError`. Instances are equal
+    when they are of one class with equal ``_values``, hash by them, and
+    print as ``T(a=..., b=...)``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, fields: tuple[str, ...] = (), **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if fields:
+            cls._fields = fields
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class SchemeParams(Frozen, fields=("dimension",)):
     """Algebra parameters: the bit width of every vector.
 
     Vectors behave like l-bit strings under XOR, with l = ``dimension``
     in ``1..MAX_DIMENSION``.
     """
 
-    dimension: int
-
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if self.dimension > MAX_DIMENSION:
-            raise ValueError(f"dimension must be <= {MAX_DIMENSION}, got {self.dimension}")
+    def __init__(self, dimension: int) -> None:
+        if dimension < 1:
+            raise ValueError(f"dimension must be >= 1, got {dimension}")
+        if dimension > MAX_DIMENSION:
+            raise ValueError(f"dimension must be <= {MAX_DIMENSION}, got {dimension}")
+        d = self.__dict__
+        d["dimension"], d["_values"] = dimension, (dimension,)
 
     @classmethod
     def binary(cls, bits: int = 128) -> SchemeParams:
@@ -65,7 +103,7 @@ class SchemeParams:
         return cls(bits)
 
 
-class ShareVector:
+class ShareVector(Frozen):
     """One l-bit vector, the unit every protocol value is made of.
 
     It is stored as one unsigned int of ``dimension`` bits with
@@ -140,12 +178,6 @@ class ShareVector:
 
     def __repr__(self) -> str:
         return f"ShareVector(params={self.params!r}, components={self.components!r})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return ShareVector.from_int, (self.params, self._data)
@@ -238,17 +270,14 @@ class SetRole(enum.Enum):
     ACTIVATED = "a"
 
 
-@dataclass(frozen=True)
-class AuthorizedShareSet:
+class AuthorizedShareSet(Frozen, fields=("role", "ints", "params")):
     """An ordered set of shares that jointly recover one secret, held as
     packed ints; ``shares`` is their vector view."""
 
-    role: SetRole
-    ints: tuple[int, ...]
-    params: SchemeParams
-
-    def __post_init__(self) -> None:
-        check_ints(self.ints, self.params, "an authorized set")
+    def __init__(self, role: SetRole, ints: tuple[int, ...], params: SchemeParams) -> None:
+        check_ints(ints, params, "an authorized set")
+        d = self.__dict__
+        d["role"], d["ints"], d["params"] = d["_values"] = role, ints, params
 
     @classmethod
     def from_shares(
@@ -263,18 +292,16 @@ class AuthorizedShareSet:
         return len(self.ints)
 
 
-@dataclass(frozen=True)
-class MaskSet:
+class MaskSet(Frozen, fields=("ints", "params")):
     """An ordered set of vectors whose group sum is the zero vector, held
     as packed ints; ``vectors`` is their vector view."""
 
-    ints: tuple[int, ...]
-    params: SchemeParams
-
-    def __post_init__(self) -> None:
-        check_ints(self.ints, self.params, "a mask set")
-        if reduce(xor, self.ints, 0):
+    def __init__(self, ints: tuple[int, ...], params: SchemeParams) -> None:
+        check_ints(ints, params, "a mask set")
+        if reduce(xor, ints, 0):
             raise ValueError("mask set elements must combine to the zero vector")
+        d = self.__dict__
+        d["ints"], d["params"] = d["_values"] = ints, params
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[ShareVector]) -> MaskSet:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
 from itertools import accumulate, compress, repeat
 from operator import attrgetter, itemgetter, not_, xor
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -34,6 +33,7 @@ from asgs.kgh import (
     MAX_DIMENSION,
     AsgsError,
     AuthorizedShareSet,
+    Frozen,
     MaskSet,
     MixedParams,
     SchemeParams,
@@ -112,8 +112,7 @@ class IdentificationFailed(AsgsError):
         )
 
 
-@dataclass(frozen=True)
-class Party:
+class Party(Frozen, fields=("role", "set_tag", "index")):
     """One modeled protocol party; participants carry a set tag and index.
 
     The role is a ``ROLE_*`` name and a set tag non-empty ASCII
@@ -124,28 +123,22 @@ class Party:
     message; they take no part in equality or hashing.
     """
 
-    role: str
-    set_tag: str | None = None
-    index: int | None = None
-    key: str = field(init=False, repr=False, compare=False)
-    _label: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.role == ROLE_PARTICIPANT:
-            tag = self.set_tag
-            if not (isinstance(tag, str) and tag.isascii() and tag.isalnum()):
-                raise ValueError(f"set tag must be non-empty ASCII [0-9A-Za-z], got {tag!r}")
-            if self.index is None or self.index < 1:
+    def __init__(self, role: str, set_tag: str | None = None, index: int | None = None) -> None:
+        if role == ROLE_PARTICIPANT:
+            if not (isinstance(set_tag, str) and set_tag.isascii() and set_tag.isalnum()):
+                raise ValueError(f"set tag must be non-empty ASCII [0-9A-Za-z], got {set_tag!r}")
+            if index is None or index < 1:
                 raise ValueError("participants need a set tag and a 1-based index")
-            key, label = f"participant:{self.set_tag}", f"p{self.set_tag}-{self.index}"
-        elif self.role not in (ROLE_DEALER, ROLE_OWNER, ROLE_ACCUMULATOR):
-            raise ValueError(f"unknown role {self.role!r}")
-        elif self.set_tag is not None or self.index is not None:
-            raise ValueError(f"{self.role} carries no set tag or index")
+            key, label = f"participant:{set_tag}", f"p{set_tag}-{index}"
+        elif role not in (ROLE_DEALER, ROLE_OWNER, ROLE_ACCUMULATOR):
+            raise ValueError(f"unknown role {role!r}")
+        elif set_tag is not None or index is not None:
+            raise ValueError(f"{role} carries no set tag or index")
         else:
-            key = label = self.role
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_label", label)
+            key = label = role
+        d = self.__dict__
+        d["role"], d["set_tag"], d["index"] = d["_values"] = role, set_tag, index
+        d["key"], d["_label"] = key, label
 
     def label(self) -> str:
         """Compact document form: dealer | owner | accumulator | p<set>-<index>."""
@@ -335,8 +328,7 @@ class Transcript:
         return self._length
 
 
-@dataclass(frozen=True)
-class TamperRule:
+class TamperRule(Frozen, fields=("party", "kind", "occurrence", "bit")):
     """Flip one bit of the occurrence-th ``kind`` message sent by ``party``.
 
     ``party`` is a party label as produced by :meth:`Party.label`;
@@ -344,19 +336,17 @@ class TamperRule:
     :class:`ProtocolEnv` checks the bit against its payload width.
     """
 
-    party: str
-    kind: str
-    occurrence: int
-    bit: int
-
-    def __post_init__(self) -> None:
-        parse_party(self.party)
-        if self.kind not in MESSAGE_KINDS:
-            raise ValueError(f"unknown message kind {self.kind!r}")
-        if self.occurrence < 1:
+    def __init__(self, party: str, kind: str, occurrence: int, bit: int) -> None:
+        parse_party(party)
+        if kind not in MESSAGE_KINDS:
+            raise ValueError(f"unknown message kind {kind!r}")
+        if occurrence < 1:
             raise ValueError("occurrence counts from 1")
-        if self.bit < 0:
+        if bit < 0:
             raise ValueError("bit index must be >= 0")
+        d = self.__dict__
+        d["party"], d["kind"], d["occurrence"], d["bit"] = d["_values"] = (
+            party, kind, occurrence, bit)
 
     def spec(self) -> str:
         return f"{self.party}:{self.kind}:{self.occurrence}:bit:{self.bit}"
@@ -422,15 +412,16 @@ def _value_class(
     return _KIND_CLASSES.get(kind, CLASS_CONTROL)
 
 
-@dataclass(frozen=True)
-class VisibilityPolicy:
+class VisibilityPolicy(Frozen, fields=("forbidden",)):
     """Which (recipient, value class) pairs a transcript may contain.
 
     The table is total: any pair not in ``forbidden`` is permitted, so
     auditing never fails on an unknown kind.
     """
 
-    forbidden: frozenset[tuple[str, str]]
+    def __init__(self, forbidden: frozenset[tuple[str, str]]) -> None:
+        d = self.__dict__
+        d["forbidden"], d["_values"] = forbidden, (forbidden,)
 
     def permits(self, recipient_key: str, value_class: str) -> bool:
         return (recipient_key, value_class) not in self.forbidden
@@ -482,14 +473,13 @@ def default_visibility_policy() -> VisibilityPolicy:
     )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Frozen, fields=("seq", "recipient", "value_class", "kind")):
     """One forbidden delivery found by a visibility audit."""
 
-    seq: int
-    recipient: str
-    value_class: str
-    kind: str
+    def __init__(self, seq: int, recipient: str, value_class: str, kind: str) -> None:
+        d = self.__dict__
+        d["seq"], d["recipient"], d["value_class"], d["kind"] = d["_values"] = (
+            seq, recipient, value_class, kind)
 
 
 _key = attrgetter("key")
@@ -892,8 +882,8 @@ def _weave(inbound, forwarded, count: int, relayed: int) -> list:
     return column
 
 
-@dataclass(frozen=True)
-class SafeSharesState:
+class SafeSharesState(Frozen, fields=("params", "protected_ints", "key_ints", "masks",
+                                    "owner_share_ints", "assignment")):
     """Outcome of pre-positioning: everything each party is left holding.
 
     ``protected`` (the vector view of ``protected_ints``) is ordered by
@@ -902,25 +892,22 @@ class SafeSharesState:
     The keys are the dealer's, ordered by original index.
     """
 
-    params: SchemeParams
-    protected_ints: tuple[int, ...]
-    key_ints: tuple[int, ...]
-    masks: MaskSet
-    owner_share_ints: tuple[int, ...]
-    assignment: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        count = len(self.protected_ints)
-        if not (
-            len(self.key_ints) == len(self.masks) == len(self.owner_share_ints) == count
-        ):
+    def __init__(self, params: SchemeParams, protected_ints: tuple[int, ...],
+                 key_ints: tuple[int, ...], masks: MaskSet,
+                 owner_share_ints: tuple[int, ...], assignment: tuple[int, ...]) -> None:
+        count = len(protected_ints)
+        if not len(key_ints) == len(masks) == len(owner_share_ints) == count:
             raise ValueError("all per-share sequences must have equal length")
-        if sorted(self.assignment) != list(range(1, count + 1)):
+        if sorted(assignment) != list(range(1, count + 1)):
             raise ValueError("assignment must be a permutation of participant indices")
-        if not functools.reduce(xor, self.key_ints, 0):
+        if not functools.reduce(xor, key_ints, 0):
             raise ValueError("key set must not cancel to zero")
-        for column in (self.protected_ints, self.key_ints, self.owner_share_ints):
-            check_ints(column, self.params, "a safe-shares column")
+        for column in (protected_ints, key_ints, owner_share_ints):
+            check_ints(column, params, "a safe-shares column")
+        d = self.__dict__
+        d["params"], d["protected_ints"], d["key_ints"] = params, protected_ints, key_ints
+        d["masks"], d["owner_share_ints"], d["assignment"] = masks, owner_share_ints, assignment
+        d["_values"] = (params, protected_ints, key_ints, masks, owner_share_ints, assignment)
 
     protected = vector_view("protected_ints")
     keys = vector_view("key_ints")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
 from operator import xor
@@ -24,6 +23,7 @@ from typing import Iterable, Mapping
 from asgs.kgh import (
     AsgsError,
     AuthorizedShareSet,
+    Frozen,
     SchemeParams,
     ShareVector,
     check_ints,
@@ -58,23 +58,21 @@ class Verdict(enum.Enum):
     NEGATIVE = "NEGATIVE"
 
 
-@dataclass(frozen=True)
-class BulletinBoard:
+class BulletinBoard(Frozen, fields=("set1_ints", "set2_ints", "params")):
     """Published encrypted shares of the two sets under comparison, as
     packed ints; ``set1_entries`` and ``set2_entries`` are their vector
     views. An authorized set holds at least one share, so neither is empty.
     """
 
-    set1_ints: tuple[int, ...]
-    set2_ints: tuple[int, ...]
-    params: SchemeParams
-
-    def __post_init__(self) -> None:
-        for tag, column in (("1", self.set1_ints), ("2", self.set2_ints)):
+    def __init__(self, set1_ints: tuple[int, ...], set2_ints: tuple[int, ...],
+                 params: SchemeParams) -> None:
+        for tag, column in (("1", set1_ints), ("2", set2_ints)):
             if not column:
                 raise CardinalityMismatch(f"set {tag}: the bulletin has no entries, "
                                           "but an authorized set holds at least one share")
-            check_ints(column, self.params, f"bulletin set {tag}")
+            check_ints(column, params, f"bulletin set {tag}")
+        d = self.__dict__
+        d["set1_ints"], d["set2_ints"], d["params"] = d["_values"] = set1_ints, set2_ints, params
 
     @classmethod
     def from_entries(
@@ -87,8 +85,7 @@ class BulletinBoard:
     set2_entries = vector_view("set2_ints")
 
 
-@dataclass(frozen=True)
-class KeyAssignment:
+class KeyAssignment(Frozen, fields=("set1_ints", "set2_ints", "params")):
     """Per-participant one-time keys of the two sets, as packed ints:
     ``set1_ints[i - 1]`` is the key of participant i of set 1, and
     ``set2_ints`` likewise for set 2. One set may hold no key, but not
@@ -96,12 +93,11 @@ class KeyAssignment:
     each read.
     """
 
-    set1_ints: tuple[int, ...]
-    set2_ints: tuple[int, ...]
-    params: SchemeParams
-
-    def __post_init__(self) -> None:
-        check_ints(self.set1_ints + self.set2_ints, self.params, "a key assignment")
+    def __init__(self, set1_ints: tuple[int, ...], set2_ints: tuple[int, ...],
+                 params: SchemeParams) -> None:
+        check_ints(set1_ints + set2_ints, params, "a key assignment")
+        d = self.__dict__
+        d["set1_ints"], d["set2_ints"], d["params"] = d["_values"] = set1_ints, set2_ints, params
 
     @classmethod
     def from_entries(cls, entries: Mapping[tuple[str, int], ShareVector]) -> KeyAssignment:
@@ -131,11 +127,12 @@ class KeyAssignment:
         return ShareVector.from_int(self.params, column[index - 1])
 
 
-@dataclass(frozen=True)
-class VerificationResult:
-    verdict: Verdict
-    xored_keys: ShareVector
-    xored_encrypted_shares: ShareVector
+class VerificationResult(Frozen, fields=("verdict", "xored_keys", "xored_encrypted_shares")):
+    def __init__(self, verdict: Verdict, xored_keys: ShareVector,
+                 xored_encrypted_shares: ShareVector) -> None:
+        d = self.__dict__
+        d["verdict"], d["xored_keys"], d["xored_encrypted_shares"] = d["_values"] = (
+            verdict, xored_keys, xored_encrypted_shares)
 
 
 def distribute_shares_and_keys(

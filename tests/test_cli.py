@@ -474,6 +474,28 @@ def test_summary_paths_read_as_the_path_would(out_dir):
     assert result.path("masks.json") == str(Path(out_dir) / "masks.json")
 
 
+class TestScenarioSpec:
+    def test_fields_left_out_read_their_defaults(self):
+        spec = cli.ScenarioSpec("gen-m", bits=8)
+        assert (spec.command, spec.bits, spec.seed, spec.out_dir, spec.then) == \
+            ("gen-m", 8, None, ".", ())
+        assert spec == cli.ScenarioSpec(command="gen-m", bits=8, seed=None)
+        assert spec != cli.ScenarioSpec("gen-m", bits=16)
+        assert spec.fixtures == {} and spec.fixtures is not cli.ScenarioSpec("gen-m").fixtures
+
+    def test_unknown_field_is_a_type_error(self):
+        with pytest.raises(TypeError, match="bogus"):
+            cli.ScenarioSpec("gen-m", bogus=1)
+
+    def test_repr_names_every_field(self):
+        text = repr(cli.ScenarioSpec("gen-m", n=4))
+        assert text.startswith("ScenarioSpec(command='gen-m', bits=None, seed=None, fixtures={}")
+        assert text.endswith("n=4, d=None, secret_hex=None, mode=None, in_path=None, "
+                             "state_path=None, set1_path=None, set2_path=None, "
+                             "bulletin_path=None, keys_path=None, transcript_path=None, "
+                             "start=None, then=())")
+
+
 class TestParseEquivalence:
     """A line that names a command is parsed by that command's parser
     alone; main answers it as it did when the whole tree parsed it."""
@@ -528,6 +550,18 @@ class TestAudit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: transcript.steps[0]: unrecognized party label 'p\"x-1'\n"
+
+    def test_transcript_without_bits_is_a_usage_error(self, tmp_path, capsys):
+        assert run(tmp_path, "fastshare", "--bits", "8", "--secret", "5a",
+                   "--n", "3", "--seed", "2") == 0
+        doc = load_document(tmp_path / "out" / "transcript.json", "transcript")
+        del doc["bits"]
+        path = dump_document(doc, tmp_path / "no-bits.json")
+        capsys.readouterr()
+        assert main(["audit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: missing 'bits'\n"
 
     @pytest.mark.parametrize("value", [
         pytest.param("[" * 100_000 + "]" * 100_000, id="deep"),

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run to completion with small arguments."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,22 +23,27 @@ def run_script(name, *args):
 
 
 @pytest.mark.parametrize(
-    "name, args, code",
+    "name, args, code, printed",
     [
-        pytest.param("demo_end_to_end.py", (), 0, id="demo"),
-        pytest.param("demo_end_to_end.py", ("--tamper-bit", "0"), 2, id="demo-tampered"),
+        pytest.param("demo_end_to_end.py", (), 0, None, id="demo"),
+        pytest.param("demo_end_to_end.py", ("--tamper-bit", "0"), 2, None, id="demo-tampered"),
         pytest.param("freshness_stats.py",
-                     ("--chains", "3", "--steps", "2", "--widths", "8", "16"), 0,
+                     ("--chains", "3", "--steps", "2", "--widths", "8", "16"), 0, None,
                      id="freshness"),
-        pytest.param("pvss_sweep.py", ("--max-size", "2", "--trials", "4"), 0,
+        pytest.param("pvss_sweep.py", ("--max-size", "2", "--trials", "4"), 0, None,
                      id="pvss-sweep"),
         pytest.param("scaling_sweep.py",
-                     ("--sizes", "2", "5", "--widths", "8", "--repeat", "1"), 0,
+                     ("--sizes", "2", "5", "--widths", "8", "--repeat", "1"), 0, None,
                      id="scaling-sweep"),
         pytest.param("scaling_sweep.py", ("--cli", "--sizes", "2", "--widths", "12"), 0,
+                     r"(?m)^cold import asgs\.cli: -?\d+\.\d ms above a bare interpreter start",
                      id="scaling-sweep-cli"),
     ],
 )
-def test_exit_code(name, args, code):
+def test_exit_code(name, args, code, printed):
+    """Each script exits with ``code`` and, where given, prints a line
+    matching ``printed``."""
     result = run_script(name, *args)
     assert result.returncode == code, result.stderr
+    if printed is not None:
+        assert re.search(printed, result.stdout), result.stdout
