@@ -12,8 +12,10 @@ writing its text (``dumps_transcript``), reading the parsed document
 back (``transcript_from_doc``) and auditing it (``check_visibility``).
 It prints the median times over the repeats, which follow one untimed
 engine run and view read and so are warm figures, the engine/oracle ratio,
-the view time (``view_ms``), the transcript length (``msgs``) and the engine time per message
-(``engine_us_per_msg``), and exits 1 if any engine output differs from
+the view time (``view_ms``), the transcript length (``msgs``), the engine time per message
+(``engine_us_per_msg``) and ``total_ms``, the sum of the engine, ``dumps_ms`` and
+``audit_ms`` medians (so a cost moved from the engine into a reader shows in the same row),
+and exits 1 if any engine output differs from
 the oracle's, any transcript text differs from ``json.dumps(doc,
 sort_keys=True, indent=2) + "\\n"`` of the document it parses to, the
 transcript read back differs from the one written, or the audit flags
@@ -322,7 +324,7 @@ def main():
     print(f"python {platform.python_version()}, median of {args.repeat} runs per cell")
     print(f"{'operation':<34} {'n':>6} {'bits':>5} {'engine_ms':>10} "
           f"{'oracle_ms':>10} {'ratio':>7} {'view_ms':>9} {'msgs':>6} {'engine_us_per_msg':>17} "
-          f"{'dumps_ms':>9} {'from_doc_ms':>11} {'audit_ms':>9}  match  text")
+          f"{'dumps_ms':>9} {'from_doc_ms':>11} {'audit_ms':>9} {'total_ms':>9}  match  text")
     mismatches = 0
     with warnings.catch_warnings():
         # Narrow widths can draw a zero one-time key; pvss warns about it.
@@ -338,7 +340,8 @@ def main():
                     print(f"{name:<34} {n:>6} {bits:>5} {ms['engine']:>10.3f} "
                           f"{ms['oracle']:>10.3f} {ratio:>7.1f} {ms['views']:>9.3f} {msgs:>6} "
                           f"{ms['engine'] * 1000 / msgs:>17.3f} {ms['dumps']:>9.3f} "
-                          f"{ms['from_doc']:>11.3f} {ms['audit']:>9.3f}  "
+                          f"{ms['from_doc']:>11.3f} {ms['audit']:>9.3f} "
+                          f"{ms['engine'] + ms['dumps'] + ms['audit']:>9.3f}  "
                           f"{'yes' if match else 'NO':<5}  "
                           f"{'yes' if canonical else 'NO'}")
     print(f"\nmismatches: {mismatches}")

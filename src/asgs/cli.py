@@ -560,7 +560,14 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
             decoded.append(globals()[f"{option.kind}_from_doc"](document))
             if "bits" not in document:
                 raise ParseError(f"{path}: missing 'bits'")
-            widths.append(document["bits"])
+            bits = document["bits"]
+            if option.kind == "transcript":  # the writer's: config.bits if an int, else 0
+                written = decoded[-1].config.get("bits")
+                written = written if isinstance(written, int) else 0
+                if type(bits) is not type(written) or bits != written:
+                    raise ParseError(
+                        f"{path}: 'bits' is {bits!r}, but its config gives {written!r}")
+            widths.append(bits)
     result = RunResult(spec)
     if spec.command == "audit":
         handler(spec, result, *decoded)

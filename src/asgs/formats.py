@@ -34,7 +34,9 @@ from asgs.protocol import (
     SafeSharesState,
     Transcript,
     _ROW_TYPES,
+    _parts,
     _rows,
+    _weave,
     parse_party,
 )
 from asgs.pvss import BulletinBoard, KeyAssignment
@@ -353,10 +355,11 @@ def dumps_transcript(transcript: Transcript) -> str:
 
     Only the head goes through :func:`dumps_document`. Each step is a
     %-template; labels and kinds are ASCII words and go in unescaped.
+    The two parts of a round are rendered apart and their steps woven.
     """
-    sent_kinds = set()
-    for record in transcript.rounds:
-        sent_kinds.update(_rows(record[3], 1))  # a constant kind once
+    rounds = [_parts(record) for record in transcript.rounds]
+    # A constant kind once.
+    sent_kinds = {kind for parts in rounds for part in parts for kind in _rows(part[3], 1)}
     if not MESSAGE_KINDS.issuperset(sent_kinds):
         raise ValueError(f"unknown message kinds {sorted(sent_kinds - MESSAGE_KINDS)}")
     bits = transcript.config.get("bits")
@@ -369,18 +372,25 @@ def dumps_transcript(transcript: Transcript) -> str:
     padding = -width % 8
     size = (width + padding) // 8
     steps: list[str] = []
-    for seqs, senders, recipients, kinds, payloads, indices in transcript.rounds:
-        count = len(seqs)
-        if type(indices) in _ROW_TYPES:
-            templates = map({None: _STEP_BARE}.get, indices, repeat(_STEP))
+    for parts in rounds:
+        texts = []
+        for seqs, senders, recipients, kinds, payloads, indices in parts:
+            count = len(seqs)
+            if type(indices) in _ROW_TYPES:
+                templates = map({None: _STEP_BARE}.get, indices, repeat(_STEP))
+            else:
+                templates = repeat(_STEP_BARE if indices is None else _STEP, count)
+            texts.append(map(str.__mod__, templates, zip(
+                _rows(indices, count), _labels(senders, count), _rows(kinds, count),
+                [("01" if p else "00") if type(p) is bool
+                 else (p << padding).to_bytes(size, "big").hex() for p in payloads],
+                seqs, _labels(recipients, count),
+            )))
+        if len(texts) == 1:
+            steps += texts[0]
         else:
-            templates = repeat(_STEP_BARE if indices is None else _STEP, count)
-        steps += map(str.__mod__, templates, zip(
-            _rows(indices, count), _labels(senders, count), _rows(kinds, count),
-            [("01" if p else "00") if type(p) is bool
-             else (p << padding).to_bytes(size, "big").hex() for p in payloads],
-            seqs, _labels(recipients, count),
-        ))
+            first, second = map(list, texts)
+            steps += _weave(first, second, len(first), len(second))
     # "steps" sorts last but for "version", so its "[]" is the last one.
     before, after = head.rsplit('"steps": []', 1)
     return before + '"steps": [\n    ' + ",\n    ".join(steps) + "\n  ]" + after

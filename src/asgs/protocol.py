@@ -241,7 +241,7 @@ def _row_view(field_index: int) -> property:
     def column(self: Transcript) -> list:
         rows: list = []
         for record in self.rounds:
-            rows += _rows(record[field_index], len(record[0]))
+            rows += _rows(_woven(record)[field_index], len(record[0]))
         return rows
     return property(column, doc="A fresh list of this field, one value per row.")
 
@@ -256,10 +256,11 @@ class Transcript:
     sent), ``payloads`` a tuple or list with one value per row (packed
     ints under ``params``, bools for control kinds), and each other
     column is one value for every row or a list, tuple or range with one
-    per row, as :meth:`ProtocolEnv.deliver_round` takes them. The
-    readers (the writer in :mod:`asgs.formats`, :func:`check_visibility`)
-    read the rounds; the row views (``seqs``, ``senders``, ...) build a
-    fresh list per read, for tests and scripts.
+    per row, as :meth:`ProtocolEnv.deliver_round` takes them. A round of
+    two parts is ``(seqs, first, second)`` (:meth:`ProtocolEnv.deliver_parts`).
+    The readers (the writer in :mod:`asgs.formats`, :func:`check_visibility`)
+    read each part as it is; the row views (``seqs``, ``senders``, ...)
+    and iteration weave one round at a time per read and keep nothing.
 
     ``params`` is the one given, else the binary params of a valid
     config ``bits`` (so the written document's width matches its
@@ -284,18 +285,10 @@ class Transcript:
     payloads = _row_view(4)
     element_indices = _row_view(5)
 
-    def record(
-        self,
-        seqs: Sequence[int],
-        senders: Party | Sequence[Party],
-        recipients: Party | Sequence[Party],
-        kinds: str | Sequence[str],
-        payloads: Sequence[int | bool],
-        element_indices: int | None | Sequence[int | None],
-    ) -> None:
-        """Log one round as given: the caller must not change its
-        sequences afterwards."""
-        self.rounds.append((seqs, senders, recipients, kinds, payloads, element_indices))
+    def record(self, seqs: Sequence[int], *columns) -> None:
+        """Log one round as given, ``columns`` as its five columns or its
+        two parts: the caller must not change its sequences afterwards."""
+        self.rounds.append((seqs, *columns))
         self._length += len(seqs)
 
     def append(self, message: Message) -> None:
@@ -314,7 +307,8 @@ class Transcript:
 
     def __iter__(self) -> Iterator[Message]:
         params = self.params
-        for seqs, senders, recipients, kinds, payloads, element_indices in self.rounds:
+        for record in self.rounds:
+            seqs, senders, recipients, kinds, payloads, element_indices = _woven(record)
             count = len(seqs)
             for seq, sender, recipient, kind, payload, element_index in zip(
                 seqs, _rows(senders, count), _rows(recipients, count), _rows(kinds, count),
@@ -492,43 +486,49 @@ def check_visibility(
     """Audit a transcript against a visibility policy.
 
     Returns one violation per message whose recipient is not permitted
-    to see the message's value class; an honest run yields none.
+    to see the message's value class, in seq order; an honest run
+    yields none. Each part of a two-part round is audited as it is.
     """
     policy = policy or default_visibility_policy()
     permits = policy.permits
     flagged = policy._flagged
     found = []
-    for seqs, senders, recipients, kinds, _, element_indices in transcript.rounds:
-        count = len(seqs)
-        selectors: Iterable[bool] | None = None
-        # Only the rows that can have a forbidden class are classified;
-        # a round is skipped when no kind of it flags any recipient.
-        if flagged is None:
-            pass
-        elif type(kinds) in _ROW_TYPES:
-            keys = _NO_KEYS.union(*map(flagged.get, set(kinds), repeat(_NO_KEYS)))
-            if type(recipients) in _ROW_TYPES:
+    for record in transcript.rounds:
+        parts = _parts(record)
+        start = len(found)
+        for seqs, senders, recipients, kinds, payloads, element_indices in parts:
+            count = len(payloads)
+            selectors: Iterable[bool] | None = None
+            # Only the rows that can have a forbidden class are classified;
+            # a part is skipped when no kind of it flags any recipient.
+            if flagged is None:
+                pass
+            elif type(kinds) in _ROW_TYPES:
+                keys = _NO_KEYS.union(*map(flagged.get, set(kinds), repeat(_NO_KEYS)))
+                if type(recipients) in _ROW_TYPES:
+                    if keys.isdisjoint(map(_key, recipients)):
+                        continue
+                elif recipients.key not in keys:
+                    continue
+                selectors = map(policy._flagged_pairs.__contains__,
+                                zip(map(_key, _rows(recipients, count)), kinds))
+            elif type(recipients) in _ROW_TYPES:
+                keys = flagged.get(kinds, _NO_KEYS)
                 if keys.isdisjoint(map(_key, recipients)):
                     continue
-            elif recipients.key not in keys:
+                selectors = map(keys.__contains__, map(_key, recipients))
+            elif recipients.key not in flagged.get(kinds, _NO_KEYS):
                 continue
-            selectors = map(policy._flagged_pairs.__contains__,
-                            zip(map(_key, _rows(recipients, count)), kinds))
-        elif type(recipients) in _ROW_TYPES:
-            keys = flagged.get(kinds, _NO_KEYS)
-            if keys.isdisjoint(map(_key, recipients)):
-                continue
-            selectors = map(keys.__contains__, map(_key, recipients))
-        elif recipients.key not in flagged.get(kinds, _NO_KEYS):
-            continue
-        rows: Iterable = zip(seqs, _rows(senders, count), _rows(recipients, count),
-                             _rows(kinds, count), _rows(element_indices, count))
-        if selectors is not None:
-            rows = compress(rows, selectors)
-        for seq, sender, recipient, kind, element_index in rows:
-            value_class = _value_class(kind, sender, recipient, element_index)
-            if not permits(recipient.key, value_class):
-                found.append(Violation(seq, recipient.label(), value_class, kind))
+            rows: Iterable = zip(seqs, _rows(senders, count), _rows(recipients, count),
+                                 _rows(kinds, count), _rows(element_indices, count))
+            if selectors is not None:
+                rows = compress(rows, selectors)
+            for seq, sender, recipient, kind, element_index in rows:
+                value_class = _value_class(kind, sender, recipient, element_index)
+                if not permits(recipient.key, value_class):
+                    found.append(Violation(seq, recipient.label(), value_class, kind))
+        if len(found) - start > 1 and len(parts) == 2:
+            found[start:] = sorted(found[start:], key=attrgetter("seq"))
     return found
 
 
@@ -761,15 +761,38 @@ class ProtocolEnv:
         transcript.record(seqs, senders, recipients, kind, tuple(payloads), element_indices)
         return payloads
 
+    def deliver_parts(self, first: tuple, second: tuple) -> tuple[Sequence, Sequence]:
+        """Send one round of two parts, each ``(senders, recipients, kind,
+        payloads, element_indices)`` in the forms :meth:`deliver_round`
+        takes: row i of the second part follows row i of the first, whose
+        rows past the second's length come last. The second part's
+        payloads may be a function of the first part's as delivered.
+
+        The first part is tampered, then the second, and fired rules are
+        noted at their woven seqs. The round is logged as ``(seqs, first,
+        second)`` with payload tuples taken here, so the caller may grow
+        the lists it gets back: each part's payloads as delivered.
+        """
+        senders, recipients, kind, payloads, indices = first
+        one, one_fired = self._tamper(senders, kind, payloads)
+        senders2, recipients2, kind2, payloads2, indices2 = second
+        two, two_fired = self._tamper(
+            senders2, kind2, payloads2(one) if callable(payloads2) else payloads2)
+        start, paired = self.transcript._length + 1, len(two)
+        seqs = range(start, start + len(one) + paired)
+        if one_fired or two_fired:
+            # Row i of the first part sits at 2i while it is paired, then
+            # at i + paired; row i of the second at 2i + 1.
+            self._note_fired([(rule, 2 * row if row < paired else row + paired)
+                              for rule, row in one_fired]
+                             + [(rule, 2 * row + 1) for rule, row in two_fired], seqs)
+        self.transcript.record(seqs, (senders, recipients, kind, tuple(one), indices),
+                               (senders2, recipients2, kind2, tuple(two), indices2))
+        return one, two
+
     def relay_round(
-        self,
-        senders: Party | Sequence[Party],
-        relay: Party,
-        kind: str,
-        payloads: Sequence[int],
-        recipients: Sequence[Party],
-        forward_kind: str,
-        operands: Sequence[int],
+        self, senders: Party | Sequence[Party], relay: Party, kind: str, payloads: Sequence[int],
+        recipients: Sequence[Party], forward_kind: str, operands: Sequence[int],
         forward_indices: Sequence[int],
     ) -> tuple[Sequence[int], list[int]]:
         """Send ``payloads`` to ``relay`` as ``kind`` messages; the relay
@@ -779,36 +802,19 @@ class ProtocolEnv:
         the message it came in on. ``senders`` takes the forms
         :meth:`deliver_round` takes.
 
-        The inbound column is tampered first, so each forward carries the
-        value the relay was delivered, then the forward column; the round
-        is logged as one woven record. Both callers have ``kind !=
-        forward_kind``, so the two columns' occurrence counts are
+        A two-part round (:meth:`deliver_parts`): the inbound part is
+        tampered first, so each forward carries the value the relay was
+        delivered, then the forwards. Both callers have ``kind !=
+        forward_kind``, so the two parts' occurrence counts are
         independent.
 
         Returns the received and the forwarded payloads as delivered.
         """
-        count, relayed = len(payloads), len(operands)
-        transcript = self.transcript
-        first = transcript._length + 1
-        received, inbound_fired = self._tamper(senders, kind, payloads)
-        forwarded = [value ^ operand for value, operand in zip(received, operands)]
-        forwarded, forward_fired = self._tamper(relay, forward_kind, forwarded)
-        seqs = range(first, first + count + relayed)
-        if inbound_fired or forward_fired:
-            # Inbound row i sits at 2i while it is relayed, then at
-            # i + relayed; forward row i at 2i + 1.
-            self._note_fired([(rule, 2 * row if row < relayed else row + relayed)
-                              for rule, row in inbound_fired]
-                             + [(rule, 2 * row + 1) for rule, row in forward_fired], seqs)
-        transcript.record(
-            seqs,
-            _weave(senders, relay, count, relayed),
-            _weave(relay, recipients, count, relayed),
-            _weave(kind, forward_kind, count, relayed),
-            _weave(received, forwarded, count, relayed),
-            _weave(None, forward_indices, count, relayed),
+        return self.deliver_parts(
+            (senders, relay, kind, payloads, None),
+            (relay, recipients, forward_kind,
+             lambda received: list(map(xor, received, operands)), forward_indices),
         )
-        return received, forwarded
 
     def activation_round(
         self, holders: Sequence[Party], claims: Sequence[bool], keys: Sequence[int]
@@ -867,7 +873,7 @@ class ProtocolEnv:
 
 
 def _weave(inbound, forwarded, count: int, relayed: int) -> list:
-    """A relay round's column: inbound rows ``0..relayed-1``, each
+    """A two-part round's column: inbound rows ``0..relayed-1``, each
     followed by its forward, then inbound rows ``relayed..count-1``.
     A forwarded sequence holds exactly ``relayed`` rows."""
     inbound_rows = type(inbound) in _ROW_TYPES
@@ -880,6 +886,25 @@ def _weave(inbound, forwarded, count: int, relayed: int) -> list:
     if count > relayed:
         column += inbound[relayed:] if inbound_rows else [inbound] * (count - relayed)
     return column
+
+
+def _woven(record: tuple) -> tuple:
+    """A round record as six columns, a two-part one woven row by row."""
+    if len(record) == 6:
+        return record
+    seqs, first, second = record
+    return (seqs, *map(_weave, first, second, repeat(len(first[3])), repeat(len(second[3]))))
+
+
+def _parts(record: tuple) -> tuple[tuple, ...]:
+    """A round record's parts, each as six columns with its own seqs."""
+    if len(record) == 6:
+        return (record,)
+    seqs, first, second = record
+    paired = len(second[3])
+    if len(first[3]) == paired:
+        return (seqs[::2], *first), (seqs[1::2], *second)
+    return ([*seqs[:2 * paired:2], *seqs[2 * paired:]], *first), (seqs[1:2 * paired:2], *second)
 
 
 class SafeSharesState(Frozen, fields=("params", "protected_ints", "key_ints", "masks",
@@ -999,7 +1024,7 @@ def _replicate_rounds(
     dealt = env.deliver_round(ACCUMULATOR, holders, KIND_MASK_ELEMENT, masks[:n], indices)
     received, derived = env.relay_round(
         holders, ACCUMULATOR, KIND_MASKED_SHARE,
-        [share ^ mask for share, mask in zip(shares, dealt)],
+        list(map(xor, shares, dealt)),
         _participants(SetRole.DERIVED.value, indices[:keep]), KIND_DERIVED_SHARE,
         masks[n:n + keep], indices[:keep],
     )
@@ -1157,7 +1182,7 @@ def safe_shares(
     keys.append(key)
     protected_tag = SetRole.PROTECTED.value
     _, envelopes = env.relay_round(
-        DEALER, OWNER, KIND_MASKED_SHARE, [mask ^ key for mask, key in zip(masks, keys)],
+        DEALER, OWNER, KIND_MASKED_SHARE, list(map(xor, masks, keys)),
         [participant(protected_tag, target) for target in assignment], KIND_ENVELOPE_SHARE,
         owner_shares, assignment,
     )

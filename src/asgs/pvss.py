@@ -161,7 +161,7 @@ def distribute_shares_and_keys(
                     stacklevel=2,
                 )
     delivered = env.deliver_round(DEALER, holders, KIND_KEY, keys, [*first, *second])
-    published = [share ^ key for share, key in zip(set1.ints + set2.ints, keys)]
+    published = list(map(xor, set1.ints + set2.ints, keys))
     return (
         BulletinBoard(tuple(published[:split]), tuple(published[split:]), params),
         KeyAssignment(tuple(delivered[:split]), tuple(delivered[split:]), params),
@@ -177,12 +177,16 @@ def recover_xored_keys(
     set 2; a position past a set's cardinality contributes the zero
     vector, and those padding contributions are real messages. The final
     register value is the XOR of all keys, with no single key exposed
-    along the way. A count above a column's length raises
-    :class:`MissingKey` for the first missing key in round order, and
-    sends nothing.
+    along the way. It is one round of two parts
+    (:meth:`ProtocolEnv.deliver_parts`), set 1's then set 2's, padding
+    included. A count that is not an int >= 0 raises ``ValueError``; one
+    above a column's length raises :class:`MissingKey` for the first
+    missing key in round order. Either notes and sends nothing.
     """
+    for tag, count in (("1", set1_count), ("2", set2_count)):
+        if type(count) is not int or count < 0:
+            raise ValueError(f"set {tag}: a key count must be an int >= 0, got {count!r}")
     _check_params(env, assignment)
-    env.note_operation("recover_xored_keys", h=set1_count, g=set2_count)
     set1, set2 = assignment.set1_ints, assignment.set2_ints
     # The first missing key in round order: the lower index past a
     # column's end, set 1's on a tie.
@@ -191,21 +195,15 @@ def recover_xored_keys(
     if missing:
         index, tag = min(missing)
         raise MissingKey(tag, index)
+    env.note_operation("recover_xored_keys", h=set1_count, g=set2_count)
     rounds = range(1, max(set1_count, set2_count) + 1)
-    width = 2 * len(rounds)
-    # The woven column: round i fills slot 2i - 2 from set 1 and slot
-    # 2i - 1 from set 2; a padding slot holds 0.
-    keys = [0] * width
-    keys[0:2 * set1_count:2] = set1[:set1_count]
-    keys[1:2 * set2_count:2] = set2[:set2_count]
-    senders = [None] * width
-    senders[0::2] = _participants("1", rounds)
-    senders[1::2] = _participants("2", rounds)
-    indices = [None] * width
-    indices[0::2] = rounds
-    indices[1::2] = rounds
-    delivered = env.deliver_round(senders, ACCUMULATOR, KIND_KEY, keys, indices)
-    return ShareVector.from_int(env.params, reduce(xor, delivered, 0))
+    first, second = env.deliver_parts(
+        (_participants("1", rounds), ACCUMULATOR, KIND_KEY,
+         set1[:set1_count] + (0,) * (len(rounds) - set1_count), rounds),
+        (_participants("2", rounds), ACCUMULATOR, KIND_KEY,
+         set2[:set2_count] + (0,) * (len(rounds) - set2_count), rounds),
+    )
+    return ShareVector.from_int(env.params, reduce(xor, second, reduce(xor, first, 0)))
 
 
 def verify(

@@ -6,6 +6,7 @@ from typing import Sequence
 
 from asgs.devices import RandSource
 from asgs.kgh import SchemeParams, ShareVector
+from asgs.protocol import ProtocolEnv
 
 P8 = SchemeParams.binary(8)
 
@@ -24,3 +25,26 @@ def fixture_source(values: Sequence[int], params: SchemeParams = P8) -> RandSour
 
 def ints(vectors) -> list[int]:
     return [v.to_int() for v in vectors]
+
+
+def per_row(values, count: int) -> list:
+    """A round column as one value per row."""
+    return list(values) if isinstance(values, (list, tuple, range)) else [values] * count
+
+
+class EagerWeaveEnv(ProtocolEnv):
+    """Reference for two-part rounds, for tests only: each is sent and
+    tampered as the engine sends it, then logged as one six-column
+    record woven row by row when it is sent, the record that relay and
+    key-recovery rounds had before they were logged as two parts."""
+
+    def deliver_parts(self, first, second):
+        delivered = super().deliver_parts(first, second)
+        seqs, first, second = self.transcript.rounds.pop()
+        count, paired = len(first[3]), len(second[3])
+        columns = []
+        for one, two in zip(first, second):
+            one, two = per_row(one, count), per_row(two, paired)
+            columns.append([value for pair in zip(one, two) for value in pair] + one[paired:])
+        self.transcript.rounds.append((seqs, *columns))
+        return delivered

@@ -13,6 +13,7 @@ from asgs.cli import COMMANDS, _spec_from_args, build_parser, default_bits, main
 from asgs.formats import (
     ParseError,
     dump_document,
+    dumps_transcript,
     load_document,
     transcript_to_doc,
 )
@@ -562,6 +563,36 @@ class TestAudit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: missing 'bits'\n"
+
+    @pytest.mark.parametrize("bits", ["128", 1_000_000, True, 128.0])
+    def test_transcript_bits_other_than_written_is_a_usage_error(self, tmp_path, capsys, bits):
+        # The writer puts config.bits there; anything else is refused.
+        assert run(tmp_path, "fastshare", "--bits", "128", "--secret", "5a" * 16,
+                   "--n", "3", "--seed", "2") == 0
+        doc = load_document(tmp_path / "out" / "transcript.json", "transcript")
+        assert (doc["bits"], doc["config"]["bits"]) == (128, 128)
+        doc["bits"] = bits
+        path = dump_document(doc, tmp_path / "other-bits.json")
+        capsys.readouterr()
+        assert main(["audit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: 'bits' is {bits!r}, but its config gives 128\n"
+
+    def test_transcript_without_integer_config_bits_needs_bits_0(self, tmp_path, capsys):
+        # With no integer config.bits the writer puts 0, and only 0 reads back.
+        transcript = Transcript({"bits": "wide"})
+        path = tmp_path / "t.json"
+        path.write_text(dumps_transcript(transcript))
+        assert load_document(path, "transcript")["bits"] == 0
+        capsys.readouterr()
+        assert main(["audit", str(path)]) == 0
+        assert capsys.readouterr().out == "no visibility violations\n"
+        doc = load_document(path, "transcript")
+        doc["bits"] = 128
+        dump_document(doc, path)
+        assert main(["audit", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: 'bits' is 128, but its config gives 0\n"
 
     @pytest.mark.parametrize("value", [
         pytest.param("[" * 100_000 + "]" * 100_000, id="deep"),

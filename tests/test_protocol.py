@@ -1,6 +1,7 @@
 """Protocol engine: generation, replication, pre-positioning, auditing."""
 
 import collections
+import copy
 import random
 
 import pytest
@@ -50,7 +51,9 @@ from asgs.protocol import (
     KeyRegenerationExhausted,
     Message,
     OWNER,
+    ROLE_ACCUMULATOR,
     ROLE_DEALER,
+    ROLE_OWNER,
     ROLE_PARTICIPANT,
     Party,
     ProtocolEnv,
@@ -72,8 +75,9 @@ from asgs.protocol import (
     set_replicate_to_smaller,
     _value_class,
 )
-from asgs.pvss import distribute_shares_and_keys, verify
-from helpers import P8, bv, bvs, ints
+from asgs.formats import dumps_transcript
+from asgs.pvss import KeyAssignment, distribute_shares_and_keys, recover_xored_keys, verify
+from helpers import P8, EagerWeaveEnv, bv, bvs, ints, per_row
 
 
 def fixture_env(dealer=None, owner=None, accumulator=None, params=P8, **kwargs):
@@ -960,6 +964,17 @@ class RowByRowEnv(ProtocolEnv):
                 ))
         return received, forwarded
 
+    def deliver_parts(self, first, second):
+        # Key recovery's two parts; the relays go through relay_round.
+        parts = [[per_row(column, len(part[3])) for column in part] for part in (first, second)]
+        delivered = ([], [])
+        for i in range(len(first[3])):
+            for (senders, recipients, kinds, payloads, indices), out in zip(parts, delivered):
+                if i < len(payloads):
+                    out.append(self.deliver(senders[i], recipients[i], kinds[i], payloads[i],
+                                            indices[i]))
+        return delivered
+
     def activation_round(self, holders, claims, keys):
         passed, released = [], []
         for index, (holder, claim, key) in enumerate(zip(holders, claims, keys), 1):
@@ -968,10 +983,6 @@ class RowByRowEnv(ProtocolEnv):
             if passed[-1]:
                 released.append(self.deliver(DEALER, holder, KIND_KEY, key, index))
         return passed, released
-
-
-def per_row(values, count):
-    return values if isinstance(values, (list, tuple, range)) else [values] * count
 
 
 def transcript_columns(transcript):
@@ -1095,6 +1106,113 @@ class TestColumnTamperMatchesRowByRow:
         owner_shares = [payload for kind, payload in zip(transcript.kinds, transcript.payloads)
                         if kind == KIND_OWNER_SHARE]
         assert owner_shares == list(shares[:3])
+
+
+# Flags rows in both parts of every two-part round the engine sends, so
+# that the order of a round's violations depends on how its parts
+# interleave.
+BOTH_PARTS_POLICY = VisibilityPolicy(frozenset({
+    (ROLE_ACCUMULATOR, CLASS_MASKED_SHARE),
+    ("participant:3", CLASS_DERIVED_SHARE),
+    (ROLE_OWNER, CLASS_SEALED_MASK),
+    ("participant:p", CLASS_PROTECTED_SHARE),
+    (ROLE_ACCUMULATOR, CLASS_KEY),
+}))
+
+
+def two_part_chain(env, n, target, h, g):
+    """Every kind of two-part round: the relays of ``safe_shares`` (n
+    rows a part), of an equal replication of n + 1 shares and of one to
+    ``target`` shares (its leftover inbound rows last), key recovery of
+    h and g contributions (either set padded), then a relay of no rows
+    and one of one row."""
+    outputs = [safe_shares(ShareVector.from_int(env.params, 0xBEEF), n, env).protected_ints]
+    master = AuthorizedShareSet(SetRole.MASTER, tuple(range(1, n + 2)), env.params)
+    outputs.append(equal_set_replicate(master, env).ints)
+    outputs.append(set_replicate_to_smaller(master, target, env).ints)
+    keys = KeyAssignment(tuple(range(0x10, 0x10 + max(h, 1))),
+                         tuple(range(0x30, 0x30 + max(g, 1))), env.params)
+    outputs.append(recover_xored_keys(keys, h, g, env))
+    outputs.append(env.relay_round((), ACCUMULATOR, KIND_MASKED_SHARE, [], (),
+                                   KIND_DERIVED_SHARE, [], ()))
+    outputs.append(env.relay_round(participant("2", 1), ACCUMULATOR, KIND_MASKED_SHARE, [0x5A],
+                                   (participant("3", 1),), KIND_DERIVED_SHARE, [0x0F], (1,)))
+    return outputs
+
+
+def read_all(env):
+    """What every reader makes of the environment's transcript."""
+    transcript = env.transcript
+    return (transcript_columns(transcript), list(transcript), dumps_transcript(transcript),
+            check_visibility(transcript), check_visibility(transcript, BOTH_PARTS_POLICY),
+            env.tamper_fired)
+
+
+class TestTwoPartRounds:
+    """A relay or key-recovery round is logged as its two parts; every
+    reader sees the rows an eagerly woven record holds."""
+
+    @given(st.integers(1, 4), st.integers(0, 2**31), st.integers(0, 3), st.integers(0, 3),
+           st.data())
+    def test_readers_match_the_eager_woven_reference(self, n, seed, h, g, data):
+        target = data.draw(st.integers(1, n))
+        honest = ProtocolEnv.seeded(seed, 16)
+        two_part_chain(honest, n, target, h, g)
+        transcript = honest.transcript
+        # The seqs of the two-part rounds' rows, in either part.
+        seqs = [seq for record in transcript.rounds if len(record) == 3 for seq in record[0]]
+        seq = data.draw(st.sampled_from(seqs))
+        row = transcript.seqs.index(seq)
+        sender, kind = transcript.senders[row].label(), transcript.kinds[row]
+        occurrence = sum(1 for s, k in zip(transcript.senders[:row + 1], transcript.kinds)
+                         if (s.label(), k) == (sender, kind))
+        rule = TamperRule(sender, kind, occurrence, data.draw(st.integers(0, 15)))
+        for rules in ((), (rule,)):
+            runs = []
+            for env_type in (ProtocolEnv, EagerWeaveEnv):
+                env = env_type.seeded(seed, 16, tamper_rules=rules)
+                runs.append((two_part_chain(env, n, target, h, g), read_all(env)))
+            assert runs[0] == runs[1]
+            assert runs[0][1][-1] == [(rule, seq) for rule in rules]
+
+    def test_both_parts_flag_in_seq_order(self):
+        env = ProtocolEnv.seeded(3, 16)
+        two_part_chain(env, 2, 2, 1, 3)
+        violations = check_visibility(env.transcript, BOTH_PARTS_POLICY)
+        assert [v.seq for v in violations] == sorted(v.seq for v in violations)
+        # Key recovery, 3 rounds: set 1's row and padding alternate with set 2's.
+        recovery = [v for v in violations if v.kind == KIND_KEY]
+        assert [v.seq - recovery[0].seq for v in recovery] == list(range(6))
+
+    @pytest.mark.parametrize("rules", [
+        (), (TamperRule("p2-1", KIND_MASKED_SHARE, 1, 0),),
+        (TamperRule("accumulator", KIND_DERIVED_SHARE, 2, 3),),
+    ])
+    def test_growing_the_relay_rounds_lists_leaves_the_round_unchanged(self, rules):
+        env = ProtocolEnv.seeded(1, 8, tamper_rules=rules)
+        holders = (participant("2", 1), participant("2", 2), participant("2", 3))
+        payloads = [0x10, 0x20, 0x30]
+        received, forwarded = env.relay_round(
+            holders, ACCUMULATOR, KIND_MASKED_SHARE, payloads,
+            (participant("3", 1), participant("3", 2)), KIND_DERIVED_SHARE, [0x01, 0x02], (1, 2))
+        recorded = read_all(env)
+        for grown in (received, forwarded, payloads):
+            grown.append(0x40)
+            grown[0] ^= 0xFF
+        assert read_all(env) == recorded
+        assert len(env.transcript) == 5
+
+    def test_reading_twice_changes_nothing(self):
+        env = ProtocolEnv.seeded(7, 16, tamper_rules=(TamperRule("p1-2", KIND_KEY, 1, 4),))
+        two_part_chain(env, 3, 2, 2, 3)
+        transcript = env.transcript
+        records = list(transcript.rounds)
+        recorded = copy.deepcopy(records)
+        first = read_all(env)
+        assert read_all(env) == first
+        assert transcript.rounds == recorded
+        assert all(a is b for a, b in zip(transcript.rounds, records))
+        assert len(transcript.rounds) == len(records)
 
 
 def classify(message: Message) -> str:

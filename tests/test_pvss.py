@@ -1,5 +1,7 @@
 """Public consistency checking: bulletin, key recovery, verdicts."""
 
+import functools
+import operator
 import random
 
 import pytest
@@ -142,12 +144,12 @@ class TestRecoverXoredKeys:
     ])
     def test_missing_key_leaves_no_recovery_rows(self, present, missing):
         env, _, _ = worked_distribution()
-        before = len(env.transcript)
+        before = len(env.transcript), len(env.transcript.config["operations"])
         assignment = KeyAssignment.from_entries({entry: bv(0x10) for entry in present})
         with pytest.raises(MissingKey) as excinfo:
             recover_xored_keys(assignment, 3, 3, env)
         assert (excinfo.value.set_tag, excinfo.value.index) == missing
-        assert len(env.transcript) == before
+        assert (len(env.transcript), len(env.transcript.config["operations"])) == before
 
     @pytest.mark.parametrize("wide, missing, error", [
         (("2", 3), None, MixedParams),
@@ -184,6 +186,41 @@ class TestRecoverXoredKeys:
         # rule on occurrence 2 never fires.
         assert result.to_int() == 0xC1 ^ 0x02 ^ 0x01 ^ 0x08
         assert env.tamper_fired == [(rules[2], 6), (rules[3], 10), (rules[0], 11)]
+
+    @pytest.mark.parametrize("set1_count, set2_count, named", [
+        (-1, 2, "set 1: a key count must be an int >= 0, got -1"),
+        (2, -3, "set 2: a key count must be an int >= 0, got -3"),
+        (True, 1, "set 1: a key count must be an int >= 0, got True"),
+        (1, False, "set 2: a key count must be an int >= 0, got False"),
+        (2.0, 1, "set 1: a key count must be an int >= 0, got 2.0"),
+    ])
+    def test_bad_count_is_rejected_before_anything_is_noted(self, set1_count, set2_count,
+                                                              named):
+        # A negative count used to die in a slice assignment, and True
+        # counted as 1, both after the operation was noted.
+        env, _, assignment = worked_distribution()
+        before = len(env.transcript), len(env.transcript.config["operations"])
+        with pytest.raises(ValueError) as excinfo:
+            recover_xored_keys(assignment, set1_count, set2_count, env)
+        assert str(excinfo.value) == named
+        assert (len(env.transcript), len(env.transcript.config["operations"])) == before
+
+    @pytest.mark.parametrize("set1_count, set2_count", [(0, 3), (2, 0), (0, 0)])
+    def test_a_zero_count_sends_padding_only(self, set1_count, set2_count):
+        env, _, assignment = worked_distribution()
+        before = len(env.transcript)
+        result = recover_xored_keys(assignment, set1_count, set2_count, env)
+        keys = assignment.set1_ints[:set1_count] + assignment.set2_ints[:set2_count]
+        assert result.to_int() == functools.reduce(operator.xor, keys, 0)
+        rows = list(env.transcript)[before:]
+        width = max(set1_count, set2_count)
+        assert len(rows) == 2 * width
+        assert [(m.sender.label(), m.payload.to_int()) for m in rows] == [
+            (f"p{tag}-{index}", column[index - 1] if index <= count else 0)
+            for index in range(1, width + 1)
+            for tag, column, count in (("1", assignment.set1_ints, set1_count),
+                                       ("2", assignment.set2_ints, set2_count))
+        ]
 
     def test_single_key_each_side(self):
         assignment = KeyAssignment.from_entries({("1", 1): bv(0x0F), ("2", 1): bv(0xF0)})

@@ -33,7 +33,9 @@ def run_script(name, *args):
         pytest.param("pvss_sweep.py", ("--max-size", "2", "--trials", "4"), 0, None,
                      id="pvss-sweep"),
         pytest.param("scaling_sweep.py",
-                     ("--sizes", "2", "5", "--widths", "8", "--repeat", "1"), 0, None,
+                     ("--sizes", "2", "5", "--widths", "8", "--repeat", "1"), 0,
+                     r"(?m)^operation .* audit_ms +total_ms +match +text$"
+                     r"(\n.* +\d+\.\d{3} +\d+\.\d{3} +yes +yes$)+",
                      id="scaling-sweep"),
         pytest.param("scaling_sweep.py", ("--cli", "--sizes", "2", "--widths", "12"), 0,
                      r"(?m)^cold import asgs\.cli: -?\d+\.\d ms above a bare interpreter start",
