@@ -198,6 +198,8 @@ def _build_env(spec: ScenarioSpec, bits: int) -> ProtocolEnv:
             raise ParseError(f"tamper rule {rule.spec()} given twice")
     if spec.seed is not None and spec.fixtures:
         raise ParseError("--seed and --fixture are mutually exclusive")
+    if spec.seed is not None and not 0 <= spec.seed < 1 << 64:
+        raise ParseError(f"--seed {spec.seed} is outside 0..2^64-1")
     if not spec.fixtures:
         # Runs stay reproducible when neither flag is given: seed 0.
         return ProtocolEnv.seeded(spec.seed if spec.seed is not None else 0, bits,

@@ -34,9 +34,8 @@ from asgs.protocol import (
     SafeSharesState,
     Transcript,
     _ROW_TYPES,
-    _parts,
+    _in_seq_order,
     _rows,
-    _weave,
     parse_party,
 )
 from asgs.pvss import BulletinBoard, KeyAssignment
@@ -350,16 +349,16 @@ _label = attrgetter("_label")
 
 
 def dumps_transcript(transcript: Transcript) -> str:
-    """The canonical text of a transcript document, rendered round by
-    round from the transcript's records.
+    """The canonical text of a transcript document, rendered part by
+    part from the transcript's rounds.
 
     Only the head goes through :func:`dumps_document`. Each step is a
     %-template; labels and kinds are ASCII words and go in unescaped.
-    The two parts of a round are rendered apart and their steps woven.
+    The parts of a round are rendered apart and their steps put in seq
+    order.
     """
-    rounds = [_parts(record) for record in transcript.rounds]
     # A constant kind once.
-    sent_kinds = {kind for parts in rounds for part in parts for kind in _rows(part[3], 1)}
+    sent_kinds = {kind for parts in transcript.rounds for part in parts for kind in _rows(part[3], 1)}
     if not MESSAGE_KINDS.issuperset(sent_kinds):
         raise ValueError(f"unknown message kinds {sorted(sent_kinds - MESSAGE_KINDS)}")
     bits = transcript.config.get("bits")
@@ -371,26 +370,24 @@ def dumps_transcript(transcript: Transcript) -> str:
     width = transcript.params.dimension if transcript.params is not None else 0
     padding = -width % 8
     size = (width + padding) // 8
-    steps: list[str] = []
-    for parts in rounds:
-        texts = []
-        for seqs, senders, recipients, kinds, payloads, indices in parts:
-            count = len(seqs)
-            if type(indices) in _ROW_TYPES:
-                templates = map({None: _STEP_BARE}.get, indices, repeat(_STEP))
-            else:
-                templates = repeat(_STEP_BARE if indices is None else _STEP, count)
-            texts.append(map(str.__mod__, templates, zip(
-                _rows(indices, count), _labels(senders, count), _rows(kinds, count),
-                [("01" if p else "00") if type(p) is bool
-                 else (p << padding).to_bytes(size, "big").hex() for p in payloads],
-                seqs, _labels(recipients, count),
-            )))
-        if len(texts) == 1:
-            steps += texts[0]
+
+    def texts(part: tuple) -> Iterable[str]:
+        seqs, senders, recipients, kinds, payloads, indices = part
+        count = len(seqs)
+        if type(indices) in _ROW_TYPES:
+            templates = map({None: _STEP_BARE}.get, indices, repeat(_STEP))
         else:
-            first, second = map(list, texts)
-            steps += _weave(first, second, len(first), len(second))
+            templates = repeat(_STEP_BARE if indices is None else _STEP, count)
+        return map(str.__mod__, templates, zip(
+            _rows(indices, count), _labels(senders, count), _rows(kinds, count),
+            [("01" if p else "00") if type(p) is bool
+             else (p << padding).to_bytes(size, "big").hex() for p in payloads],
+            seqs, _labels(recipients, count),
+        ))
+
+    steps: list[str] = []
+    for parts in transcript.rounds:
+        steps += _in_seq_order(parts, texts)
     # "steps" sorts last but for "version", so its "[]" is the last one.
     before, after = head.rsplit('"steps": []', 1)
     return before + '"steps": [\n    ' + ",\n    ".join(steps) + "\n  ]" + after
@@ -479,6 +476,6 @@ def transcript_from_doc(document: Mapping) -> Transcript:
     for row, value in zip(rows, _decode_column(texts, params, place) if texts else ()):
         payloads[row] = value
     if seqs:
-        # One record: the document's seqs may have gaps.
-        transcript.record(seqs, senders, recipients, kinds, payloads, indices)
+        # One round of one part: the document's seqs may have gaps.
+        transcript.record((seqs, senders, recipients, kinds, payloads, indices))
     return transcript

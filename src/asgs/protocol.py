@@ -5,7 +5,7 @@ The modeled parties (a dealer, an owner, an automatic accumulator
 device, and indexed share participants) exchange point-to-point messages
 over assumed-secure channels, a whole round at a time: a deal of mask
 elements, a relay of blinded shares, a release of keys. Every round
-lands in the transcript as one record, optional tamper rules mutate
+lands in the transcript as its parts, optional tamper rules mutate
 payloads in flight, and a visibility policy can audit a finished
 transcript, round by round, for values that reached a party that must
 never see them.
@@ -227,21 +227,34 @@ class Message:
 _ROW_TYPES = (list, tuple, range)
 
 
-def _column(values, count: int) -> Sequence:
-    """A round column of ``count`` rows, as a sequence."""
-    return values if type(values) in _ROW_TYPES else [values] * count
-
-
 def _rows(values, count: int) -> Iterable:
     """A round column of ``count`` rows, to iterate once."""
     return values if type(values) in _ROW_TYPES else repeat(values, count)
 
 
+def _in_seq_order(parts: tuple, values_of: Callable[[tuple], Iterable]) -> Iterable:
+    """``values_of(part)`` for each of a round's parts, one value per row,
+    in seq order: a one-part round's as they come, else placed by
+    extended-slice assignment for a ``range`` of seqs, row by row for a list."""
+    if len(parts) == 1:
+        return values_of(parts[0])
+    first = min([part[0][0] for part in parts if part[0]], default=0)
+    ordered = [None] * sum([len(part[0]) for part in parts])
+    for part in parts:
+        seqs = part[0]
+        if type(seqs) is range:
+            ordered[seqs.start - first:seqs.stop - first:seqs.step] = values_of(part)
+        else:
+            for seq, value in zip(seqs, values_of(part)):
+                ordered[seq - first] = value
+    return ordered
+
+
 def _row_view(field_index: int) -> property:
     def column(self: Transcript) -> list:
         rows: list = []
-        for record in self.rounds:
-            rows += _rows(_woven(record)[field_index], len(record[0]))
+        for parts in self.rounds:
+            rows += _in_seq_order(parts, lambda part: _rows(part[field_index], len(part[0])))
         return rows
     return property(column, doc="A fresh list of this field, one value per row.")
 
@@ -250,17 +263,17 @@ class Transcript:
     """Ordered record of every delivered message plus the environment
     summary that produced it.
 
-    A log of rounds: ``rounds`` holds one ``(seqs, senders, recipients,
-    kinds, payloads, element_indices)`` record per round sent, in order.
-    ``seqs`` is a sequence of ints (a ``range`` for a round the engine
-    sent), ``payloads`` a tuple or list with one value per row (packed
-    ints under ``params``, bools for control kinds), and each other
-    column is one value for every row or a list, tuple or range with one
-    per row, as :meth:`ProtocolEnv.deliver_round` takes them. A round of
-    two parts is ``(seqs, first, second)`` (:meth:`ProtocolEnv.deliver_parts`).
-    The readers (the writer in :mod:`asgs.formats`, :func:`check_visibility`)
-    read each part as it is; the row views (``seqs``, ``senders``, ...)
-    and iteration weave one round at a time per read and keep nothing.
+    A log of rounds: ``rounds`` holds one tuple of parts per round sent,
+    in order, each part ``(seqs, senders, recipients, kinds, payloads,
+    element_indices)`` with its own seqs. A plain round is one part, a
+    relay round or key recovery two, activation three. ``seqs`` is a
+    sequence of ints (a ``range`` for a part the engine sent, unless an
+    identification arrived false), ``payloads`` a tuple or list with one
+    value per row (packed ints under ``params``, bools for control
+    kinds), and each other column is one value for every row or a list,
+    tuple or range with one per row, as :meth:`ProtocolEnv.deliver_round`
+    takes them. Readers read each part as it is; the row views and
+    iteration put a round's rows in seq order per read and keep nothing.
 
     ``params`` is the one given, else the binary params of a valid
     config ``bits`` (so the written document's width matches its
@@ -285,11 +298,11 @@ class Transcript:
     payloads = _row_view(4)
     element_indices = _row_view(5)
 
-    def record(self, seqs: Sequence[int], *columns) -> None:
-        """Log one round as given, ``columns`` as its five columns or its
-        two parts: the caller must not change its sequences afterwards."""
-        self.rounds.append((seqs, *columns))
-        self._length += len(seqs)
+    def record(self, *parts: tuple) -> None:
+        """Log one round of ``parts`` as given; the caller must not change them."""
+        self.rounds.append(parts)
+        for part in parts:
+            self._length += len(part[0])
 
     def append(self, message: Message) -> None:
         """Record ``message`` as a one-row round."""
@@ -302,21 +315,24 @@ class Transcript:
                 )
             payload = payload.to_int()
             self.params = self.params or params
-        self.record((message.seq,), message.sender, message.recipient, message.kind,
-                    (payload,), message.element_index)
+        self.record(((message.seq,), message.sender, message.recipient, message.kind,
+                     (payload,), message.element_index))
 
     def __iter__(self) -> Iterator[Message]:
+        for parts in self.rounds:
+            yield from _in_seq_order(parts, self._messages)
+
+    def _messages(self, part: tuple) -> Iterator[Message]:
         params = self.params
-        for record in self.rounds:
-            seqs, senders, recipients, kinds, payloads, element_indices = _woven(record)
-            count = len(seqs)
-            for seq, sender, recipient, kind, payload, element_index in zip(
-                seqs, _rows(senders, count), _rows(recipients, count), _rows(kinds, count),
-                payloads, _rows(element_indices, count),
-            ):
-                if type(payload) is not bool:
-                    payload = ShareVector.from_int(params, payload)
-                yield Message(seq, sender, recipient, kind, payload, element_index)
+        seqs, senders, recipients, kinds, payloads, element_indices = part
+        count = len(seqs)
+        for seq, sender, recipient, kind, payload, element_index in zip(
+            seqs, _rows(senders, count), _rows(recipients, count), _rows(kinds, count),
+            payloads, _rows(element_indices, count),
+        ):
+            if type(payload) is not bool:
+                payload = ShareVector.from_int(params, payload)
+            yield Message(seq, sender, recipient, kind, payload, element_index)
 
     def __len__(self) -> int:
         return self._length
@@ -487,14 +503,13 @@ def check_visibility(
 
     Returns one violation per message whose recipient is not permitted
     to see the message's value class, in seq order; an honest run
-    yields none. Each part of a two-part round is audited as it is.
+    yields none. Each part of a round is audited as it is.
     """
     policy = policy or default_visibility_policy()
     permits = policy.permits
     flagged = policy._flagged
     found = []
-    for record in transcript.rounds:
-        parts = _parts(record)
+    for parts in transcript.rounds:
         start = len(found)
         for seqs, senders, recipients, kinds, payloads, element_indices in parts:
             count = len(payloads)
@@ -527,7 +542,7 @@ def check_visibility(
                 value_class = _value_class(kind, sender, recipient, element_index)
                 if not permits(recipient.key, value_class):
                     found.append(Violation(seq, recipient.label(), value_class, kind))
-        if len(found) - start > 1 and len(parts) == 2:
+        if len(found) - start > 1:
             found[start:] = sorted(found[start:], key=attrgetter("seq"))
     return found
 
@@ -698,7 +713,7 @@ class ProtocolEnv:
         for (label, rule_kind), rules in self._tamper_groups.items():
             if rule_kind != kind:
                 continue
-            column = _column(senders, len(payloads))
+            column = senders if type(senders) in _ROW_TYPES else [senders] * len(payloads)
             rows = [row for row, sender in enumerate(column) if sender.label() == label]
             seen = self._tamper_counts[label, kind]
             self._tamper_counts[label, kind] = seen + len(rows)
@@ -713,9 +728,10 @@ class ProtocolEnv:
 
     def _note_fired(self, fired: Sequence[tuple[TamperRule, int]], seqs: Sequence[int]) -> None:
         """Record each fired ``(rule, row)`` with ``seqs[row]``."""
-        self.tamper_fired += [(rule, seqs[row]) for rule, row in fired]
-        # Stable, so two rules on one row stay in rule order.
-        self.tamper_fired.sort(key=itemgetter(1))
+        if fired:
+            self.tamper_fired += [(rule, seqs[row]) for rule, row in fired]
+            # Stable, so two rules on one row stay in rule order.
+            self.tamper_fired.sort(key=itemgetter(1))
 
     def deliver(
         self,
@@ -746,7 +762,7 @@ class ProtocolEnv:
         ``senders``, ``recipients`` and ``element_indices`` each take one
         value for every row (None: no element index) or a list, tuple or
         range with one per row. The round is tampered as one column and
-        logged as one record, which keeps a tuple of the delivered
+        logged as one part, which keeps a tuple of the delivered
         payloads, so the caller may grow the list it gets back.
         Returns the payloads as delivered, ``payloads`` itself unless a
         rule fired; engine code must compute with them, never the
@@ -756,38 +772,37 @@ class ProtocolEnv:
         first = transcript._length + 1
         seqs = range(first, first + len(payloads))
         payloads, fired = self._tamper(senders, kind, payloads)
-        if fired:
-            self._note_fired(fired, seqs)
-        transcript.record(seqs, senders, recipients, kind, tuple(payloads), element_indices)
+        self._note_fired(fired, seqs)
+        transcript.record((seqs, senders, recipients, kind, tuple(payloads), element_indices))
         return payloads
 
     def deliver_parts(self, first: tuple, second: tuple) -> tuple[Sequence, Sequence]:
-        """Send one round of two parts, each ``(senders, recipients, kind,
-        payloads, element_indices)`` in the forms :meth:`deliver_round`
-        takes: row i of the second part follows row i of the first, whose
-        rows past the second's length come last. The second part's
-        payloads may be a function of the first part's as delivered.
+        """Send one round of two parts of equal length, each ``(senders,
+        recipients, kind, payloads, element_indices)`` in the forms
+        :meth:`deliver_round` takes: row i of the second part follows row
+        i of the first. The second part's payloads may be a function of
+        the first part's as delivered; parts of unequal length raise
+        ``ValueError`` and log nothing.
 
-        The first part is tampered, then the second, and fired rules are
-        noted at their woven seqs. The round is logged as ``(seqs, first,
-        second)`` with payload tuples taken here, so the caller may grow
-        the lists it gets back: each part's payloads as delivered.
+        The first part is tampered, then the second. The round is logged
+        as those two parts, each with its own seqs and a payload tuple
+        taken here, so the caller may grow the lists it gets back: each
+        part's payloads as delivered.
         """
         senders, recipients, kind, payloads, indices = first
         one, one_fired = self._tamper(senders, kind, payloads)
         senders2, recipients2, kind2, payloads2, indices2 = second
         two, two_fired = self._tamper(
             senders2, kind2, payloads2(one) if callable(payloads2) else payloads2)
-        start, paired = self.transcript._length + 1, len(two)
-        seqs = range(start, start + len(one) + paired)
-        if one_fired or two_fired:
-            # Row i of the first part sits at 2i while it is paired, then
-            # at i + paired; row i of the second at 2i + 1.
-            self._note_fired([(rule, 2 * row if row < paired else row + paired)
-                              for rule, row in one_fired]
-                             + [(rule, 2 * row + 1) for rule, row in two_fired], seqs)
-        self.transcript.record(seqs, (senders, recipients, kind, tuple(one), indices),
-                               (senders2, recipients2, kind2, tuple(two), indices2))
+        if len(two) != len(one):
+            raise ValueError(f"a round's two parts need equal lengths, got {len(one)}, {len(two)}")
+        start = self.transcript._length + 1
+        stop = start + 2 * len(one)
+        seqs, seqs2 = range(start, stop, 2), range(start + 1, stop, 2)
+        self._note_fired(one_fired, seqs)
+        self._note_fired(two_fired, seqs2)
+        self.transcript.record((seqs, senders, recipients, kind, tuple(one), indices),
+                               (seqs2, senders2, recipients2, kind2, tuple(two), indices2))
         return one, two
 
     def relay_round(
@@ -796,11 +811,10 @@ class ProtocolEnv:
         forward_indices: Sequence[int],
     ) -> tuple[Sequence[int], list[int]]:
         """Send ``payloads`` to ``relay`` as ``kind`` messages; the relay
-        forwards each of the first ``len(operands)`` values it received,
-        XOR ``operands[i]``, to ``recipients[i]`` as a ``forward_kind``
-        message with element index ``forward_indices[i]``, right after
-        the message it came in on. ``senders`` takes the forms
-        :meth:`deliver_round` takes.
+        forwards each value it received, XOR ``operands[i]``, to
+        ``recipients[i]`` as a ``forward_kind`` message with element
+        index ``forward_indices[i]``, right after the message it came in
+        on. ``senders`` takes the forms :meth:`deliver_round` takes.
 
         A two-part round (:meth:`deliver_parts`): the inbound part is
         tampered first, so each forward carries the value the relay was
@@ -823,7 +837,8 @@ class ProtocolEnv:
         key request to ``holders[i]``, that holder's identification
         ``claims[i]`` to the dealer, and, when the identification
         arrived true, ``keys[i]`` to the holder with element index
-        i + 1, logged as one woven record.
+        i + 1. It is logged as three parts: the requests, the
+        identifications and the keys sent.
 
         The identification column is tampered first, because its
         delivered values decide which keys are sent, then the request
@@ -834,77 +849,24 @@ class ProtocolEnv:
         count = len(holders)
         passed, fired = self._tamper(holders, KIND_IDENTIFICATION, claims)
         requests, request_fired = self._tamper(DEALER, KIND_KEY_REQUEST, [True] * count)
-        everyone = all(passed)
-        served = range(count) if everyone else list(compress(range(count), passed))
-        released, key_fired = self._tamper(
-            DEALER, KIND_KEY, keys if everyone else [keys[i] for i in served]
-        )
-        # Three rows per index: request, identification, key.
-        rows = 3 * count
-        senders, recipients = [DEALER] * rows, [DEALER] * rows
-        senders[1::3] = recipients[0::3] = recipients[2::3] = holders
-        payloads = [None] * rows
-        payloads[0::3], payloads[1::3] = requests, passed
-        indices = [None] * rows
-        indices[2::3] = range(1, count + 1)
-        columns = [senders, recipients, [KIND_KEY_REQUEST, KIND_IDENTIFICATION, KIND_KEY] * count,
-                   payloads, indices]
-        position: Sequence[int] = range(rows)
-        if everyone:
-            payloads[2::3] = released
+        start = self.transcript._length + 1
+        recipients, indices = holders, range(1, count + 1)
+        if all(passed):
+            seqs = [range(start + k, start + 3 * count, 3) for k in range(3)]
         else:
-            # Drop the key rows of the identifications that arrived false.
-            for index, key in zip(served, released):
-                payloads[3 * index + 2] = key
-            kept = [True] * rows
-            kept[2::3] = passed
-            columns = [list(compress(column, kept)) for column in columns]
-            position = list(accumulate(kept, initial=0))
-        first = self.transcript._length + 1
-        seqs = range(first, first + len(columns[0]))
-        if fired or request_fired or key_fired:
-            # position[p] is where the row at 3-per-index position p landed.
-            self._note_fired([(rule, position[3 * row]) for rule, row in request_fired]
-                             + [(rule, position[3 * row + 1]) for rule, row in fired]
-                             + [(rule, position[3 * served[row] + 2]) for rule, row in key_fired],
-                             seqs)
-        self.transcript.record(seqs, *columns)
+            # An index whose identification arrived false takes two rows.
+            asked = list(accumulate(passed[:-1], lambda seq, ok: seq + 2 + ok, initial=start))
+            seqs = asked, [seq + 1 for seq in asked], [seq + 2 for seq in compress(asked, passed)]
+            recipients, keys, indices = (list(compress(column, passed))
+                                         for column in (holders, keys, indices))
+        released, key_fired = self._tamper(DEALER, KIND_KEY, keys)
+        for rows, part_seqs in zip((request_fired, fired, key_fired), seqs):
+            self._note_fired(rows, part_seqs)
+        self.transcript.record(
+            (seqs[0], DEALER, holders, KIND_KEY_REQUEST, tuple(requests), None),
+            (seqs[1], holders, DEALER, KIND_IDENTIFICATION, tuple(passed), None),
+            (seqs[2], DEALER, recipients, KIND_KEY, tuple(released), indices))
         return passed, released
-
-
-def _weave(inbound, forwarded, count: int, relayed: int) -> list:
-    """A two-part round's column: inbound rows ``0..relayed-1``, each
-    followed by its forward, then inbound rows ``relayed..count-1``.
-    A forwarded sequence holds exactly ``relayed`` rows."""
-    inbound_rows = type(inbound) in _ROW_TYPES
-    forwarded_rows = type(forwarded) in _ROW_TYPES
-    column = [None if inbound_rows else inbound, None if forwarded_rows else forwarded] * relayed
-    if inbound_rows:
-        column[::2] = inbound[:relayed]
-    if forwarded_rows:
-        column[1::2] = forwarded
-    if count > relayed:
-        column += inbound[relayed:] if inbound_rows else [inbound] * (count - relayed)
-    return column
-
-
-def _woven(record: tuple) -> tuple:
-    """A round record as six columns, a two-part one woven row by row."""
-    if len(record) == 6:
-        return record
-    seqs, first, second = record
-    return (seqs, *map(_weave, first, second, repeat(len(first[3])), repeat(len(second[3]))))
-
-
-def _parts(record: tuple) -> tuple[tuple, ...]:
-    """A round record's parts, each as six columns with its own seqs."""
-    if len(record) == 6:
-        return (record,)
-    seqs, first, second = record
-    paired = len(second[3])
-    if len(first[3]) == paired:
-        return (seqs[::2], *first), (seqs[1::2], *second)
-    return ([*seqs[:2 * paired:2], *seqs[2 * paired:]], *first), (seqs[1:2 * paired:2], *second)
 
 
 class SafeSharesState(Frozen, fields=("params", "protected_ints", "key_ints", "masks",
@@ -1010,25 +972,28 @@ def _replicate_rounds(
     keep: int | None = None,
 ) -> tuple[list[int], list[int]]:
     """The two message rounds of replication: each of the n source
-    holders blinds its share with its own mask element and hands it to
-    the accumulator, which strips the first ``keep`` (default n) with
-    element n + i on the way to the new holders.
+    holders blinds its share with its own mask element, and the first
+    ``keep`` (default n) hand theirs to the accumulator, which strips
+    each with element n + i on the way to the new holders.
 
-    Returns the re-dealt shares and the blinded shares the accumulator
-    received but did not re-deal.
+    Returns the re-dealt shares and the blinded shares of holders
+    ``keep + 1..n``, which are not sent.
     """
     n = len(shares)
     keep = n if keep is None else keep
     indices = range(1, n + 1)
-    holders = _participants(SetRole.MASTER.value, indices)
-    dealt = env.deliver_round(ACCUMULATOR, holders, KIND_MASK_ELEMENT, masks[:n], indices)
-    received, derived = env.relay_round(
-        holders, ACCUMULATOR, KIND_MASKED_SHARE,
-        list(map(xor, shares, dealt)),
-        _participants(SetRole.DERIVED.value, indices[:keep]), KIND_DERIVED_SHARE,
-        masks[n:n + keep], indices[:keep],
+    dealt = env.deliver_round(ACCUMULATOR, _participants(SetRole.MASTER.value, indices),
+                              KIND_MASK_ELEMENT, masks[:n], indices)
+    # A tuple, so the relay logs it without a copy.
+    blinded = tuple(map(xor, shares, dealt))
+    relayed = indices[:keep]
+    _, derived = env.relay_round(
+        _participants(SetRole.MASTER.value, relayed), ACCUMULATOR, KIND_MASKED_SHARE,
+        blinded[:keep],
+        _participants(SetRole.DERIVED.value, relayed), KIND_DERIVED_SHARE,
+        masks[n:n + keep], relayed,
     )
-    return derived, received[keep:]
+    return derived, blinded[keep:]
 
 
 def set_replicate(
@@ -1093,8 +1058,8 @@ def set_replicate_to_smaller(
     """Replicate a share set into a strictly smaller (nonempty) one.
 
     The first target_count - 1 derived shares are produced as usual;
-    the accumulator combines the blinded remainder of the source set
-    into the single last share.
+    the accumulator combines the blinded remainder of the source set,
+    handed in as a round of its own, into the single last share.
     """
     _check_params(env, master)
     n = len(master)
@@ -1104,9 +1069,9 @@ def set_replicate_to_smaller(
         )
     env.note_operation("set_replicate_to_smaller", n=n, d=target_count)
     masks = mask_ints(n + target_count - 1, env.source(ROLE_ACCUMULATOR), env.params)
-    derived, rest = _replicate_rounds(
-        masks, master.ints, env, keep=target_count - 1
-    )
+    derived, rest = _replicate_rounds(masks, master.ints, env, keep=target_count - 1)
+    rest = env.deliver_round(_participants(SetRole.MASTER.value, range(target_count, n + 1)),
+                             ACCUMULATOR, KIND_MASKED_SHARE, rest)
     derived += env.deliver_round(
         ACCUMULATOR, participant(SetRole.DERIVED.value, target_count), KIND_DERIVED_SHARE,
         [functools.reduce(xor, rest, 0)], target_count,

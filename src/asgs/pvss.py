@@ -177,11 +177,12 @@ def recover_xored_keys(
     set 2; a position past a set's cardinality contributes the zero
     vector, and those padding contributions are real messages. The final
     register value is the XOR of all keys, with no single key exposed
-    along the way. It is one round of two parts
-    (:meth:`ProtocolEnv.deliver_parts`), set 1's then set 2's, padding
-    included. A count that is not an int >= 0 raises ``ValueError``; one
-    above a column's length raises :class:`MissingKey` for the first
-    missing key in round order. Either notes and sends nothing.
+    along the way. It is one round of two equal parts with their own
+    seqs (:meth:`ProtocolEnv.deliver_parts`), set 1's contributions and
+    then set 2's, padding included. A count that is not an int >= 0
+    raises ``ValueError``; one above a column's length raises
+    :class:`MissingKey` for the first missing key in round order.
+    Either notes and sends nothing.
     """
     for tag, count in (("1", set1_count), ("2", set2_count)):
         if type(count) is not int or count < 0:

@@ -34,17 +34,17 @@ def per_row(values, count: int) -> list:
 
 class EagerWeaveEnv(ProtocolEnv):
     """Reference for two-part rounds, for tests only: each is sent and
-    tampered as the engine sends it, then logged as one six-column
-    record woven row by row when it is sent, the record that relay and
+    tampered as the engine sends it, then logged as a one-part round
+    woven row by row when it is sent, the record that relay and
     key-recovery rounds had before they were logged as two parts."""
 
     def deliver_parts(self, first, second):
         delivered = super().deliver_parts(first, second)
-        seqs, first, second = self.transcript.rounds.pop()
-        count, paired = len(first[3]), len(second[3])
-        columns = []
-        for one, two in zip(first, second):
-            one, two = per_row(one, count), per_row(two, paired)
-            columns.append([value for pair in zip(one, two) for value in pair] + one[paired:])
-        self.transcript.rounds.append((seqs, *columns))
+        first, second = self.transcript.rounds.pop()
+        count = len(first[0])
+        columns = [range(first[0].start, second[0].stop)] if count else [()]
+        for one, two in zip(first[1:], second[1:]):
+            one, two = per_row(one, count), per_row(two, count)
+            columns.append([value for pair in zip(one, two) for value in pair])
+        self.transcript.rounds.append((tuple(columns),))
         return delivered

@@ -645,6 +645,22 @@ class TestUsageErrors:
         assert code == 1
         assert "mutually exclusive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_rejected(self, tmp_path, capsys, seed):
+        code = run(tmp_path, "fastshare", "--bits", "8", "--secret", "5a",
+                   "--n", "2", "--seed", str(seed))
+        assert code == 1
+        assert f"error: --seed {seed} " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_either_end_of_64_bits_runs(self, tmp_path, capsys, seed):
+        assert run(tmp_path, "fastshare", "--bits", "8", "--secret", "5a",
+                   "--n", "2", "--seed", str(seed)) == 0
+        capsys.readouterr()
+        config = json.loads((tmp_path / "out" / "transcript.json").read_text())["config"]
+        assert config["randomness"] == {"mode": "seeded", "seed": seed}
+
     def test_fixture_without_colon(self, tmp_path, capsys):
         code = run(tmp_path, "fastshare", "--bits", "8", "--secret", "5a",
                    "--n", "3", "--fixture", "ownerdraws.txt")

@@ -939,7 +939,7 @@ class RowByRowEnv(ProtocolEnv):
             if (rule.party, rule.kind, rule.occurrence) == (*key, self.row_counts[key]):
                 payload = (not payload) if type(payload) is bool else payload ^ (1 << rule.bit)
                 self.tamper_fired.append((rule, seq))
-        transcript.record((seq,), sender, recipient, kind, (payload,), element_index)
+        transcript.record(((seq,), sender, recipient, kind, (payload,), element_index))
         return payload
 
     def deliver_round(self, senders, recipients, kind, payloads, element_indices=None):
@@ -1053,7 +1053,8 @@ class TestColumnTamperMatchesRowByRow:
         # Rules on the requests, the identifications (which decide the
         # keys sent) and the keys, with a predicate that fails some
         # indices; the outputs include IdentificationFailed's pending
-        # and activated.
+        # and activated, and every reader must see the rows that the
+        # row-by-row reference logs, the audits included.
         holders = [f"pp-{i}" for i in range(1, n + 1)]
         targets = [("dealer", KIND_KEY_REQUEST), ("dealer", KIND_KEY),
                    *((label, KIND_IDENTIFICATION) for label in holders)]
@@ -1063,7 +1064,8 @@ class TestColumnTamperMatchesRowByRow:
         for env_type in (ProtocolEnv, RowByRowEnv):
             env = env_type.seeded(seed, 16, tamper_rules=rules)
             env.identify = lambda index: index not in failing
-            runs.append(activation_chain(env, n))
+            runs.append((activation_chain(env, n), read_all(env),
+                         check_visibility(env.transcript, ACTIVATION_POLICY)))
         assert runs[0] == runs[1]
 
     def test_a_tampered_round_leaves_the_callers_payloads_unchanged(self):
@@ -1120,6 +1122,14 @@ BOTH_PARTS_POLICY = VisibilityPolicy(frozenset({
 }))
 
 
+# Flags the key rows of activation and, through a control-class pair,
+# its identifications, which makes the audit classify every row.
+ACTIVATION_POLICY = VisibilityPolicy(frozenset({
+    ("participant:p", CLASS_KEY),
+    (ROLE_DEALER, CLASS_CONTROL),
+}))
+
+
 def two_part_chain(env, n, target, h, g):
     """Every kind of two-part round: the relays of ``safe_shares`` (n
     rows a part), of an equal replication of n + 1 shares and of one to
@@ -1160,7 +1170,8 @@ class TestTwoPartRounds:
         two_part_chain(honest, n, target, h, g)
         transcript = honest.transcript
         # The seqs of the two-part rounds' rows, in either part.
-        seqs = [seq for record in transcript.rounds if len(record) == 3 for seq in record[0]]
+        seqs = [seq for parts in transcript.rounds if len(parts) == 2
+                for part in parts for seq in part[0]]
         seq = data.draw(st.sampled_from(seqs))
         row = transcript.seqs.index(seq)
         sender, kind = transcript.senders[row].label(), transcript.kinds[row]
@@ -1194,13 +1205,24 @@ class TestTwoPartRounds:
         payloads = [0x10, 0x20, 0x30]
         received, forwarded = env.relay_round(
             holders, ACCUMULATOR, KIND_MASKED_SHARE, payloads,
-            (participant("3", 1), participant("3", 2)), KIND_DERIVED_SHARE, [0x01, 0x02], (1, 2))
+            (participant("3", 1), participant("3", 2), participant("3", 3)), KIND_DERIVED_SHARE,
+            [0x01, 0x02, 0x03], (1, 2, 3))
         recorded = read_all(env)
         for grown in (received, forwarded, payloads):
             grown.append(0x40)
             grown[0] ^= 0xFF
         assert read_all(env) == recorded
-        assert len(env.transcript) == 5
+        assert len(env.transcript) == 6
+
+    def test_parts_of_unequal_length_are_refused(self):
+        # A relay forwards every value it receives; leftover inbound rows
+        # are a round of their own.
+        env = ProtocolEnv.seeded(1, 8)
+        holders = (participant("2", 1), participant("2", 2))
+        with pytest.raises(ValueError, match="equal lengths, got 2, 1"):
+            env.relay_round(holders, ACCUMULATOR, KIND_MASKED_SHARE, [0x10, 0x20],
+                            (participant("3", 1),), KIND_DERIVED_SHARE, [0x01], (1,))
+        assert env.transcript.rounds == [] and len(env.transcript) == 0
 
     def test_reading_twice_changes_nothing(self):
         env = ProtocolEnv.seeded(7, 16, tamper_rules=(TamperRule("p1-2", KIND_KEY, 1, 4),))
@@ -1213,6 +1235,34 @@ class TestTwoPartRounds:
         assert transcript.rounds == recorded
         assert all(a is b for a, b in zip(transcript.rounds, records))
         assert len(transcript.rounds) == len(records)
+
+
+class TestRoundShape:
+    """Every round is a tuple of parts, each with its own seqs."""
+
+    @pytest.mark.parametrize("failing, rules", [
+        ((), ()),
+        ((2,), ()),
+        ((), (TamperRule("pp-1", KIND_IDENTIFICATION, 1, 0),)),
+    ], ids=["honest", "failed-identification", "tampered-identification"])
+    def test_parts_share_out_the_rounds_seqs(self, failing, rules):
+        env = ProtocolEnv.seeded(9, 16, tamper_rules=rules)
+        env.identify = lambda index: index not in failing
+        tamper_chain(env, 3)
+        next_seq, failed_rounds = 1, 0
+        for parts in env.transcript.rounds:
+            # Disjoint, and together exactly the next seqs.
+            seqs = sorted(seq for part in parts for seq in part[0])
+            assert seqs == list(range(next_seq, next_seq + len(seqs)))
+            next_seq += len(seqs)
+            failed = parts[0][3] == KIND_KEY_REQUEST and not all(parts[1][4])
+            failed_rounds += failed
+            for part in parts:
+                assert len(part[0]) == len(part[4])
+                # No seq list is built at send time but for a failed activation.
+                assert (type(part[0]) is range) is not failed
+        assert next_seq == len(env.transcript) + 1
+        assert failed_rounds == (1 if failing or rules else 0)
 
 
 def classify(message: Message) -> str:

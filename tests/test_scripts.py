@@ -40,6 +40,11 @@ def run_script(name, *args):
         pytest.param("scaling_sweep.py", ("--cli", "--sizes", "2", "--widths", "12"), 0,
                      r"(?m)^cold import asgs\.cli: -?\d+\.\d ms above a bare interpreter start",
                      id="scaling-sweep-cli"),
+        pytest.param("ab.py", ("--parent", str(ROOT), "--change", str(ROOT),
+                               "--rounds", "2", "--calls", "1"), 0,
+                     r"(?m)^chain +rounds +median +q1 +q3 +wins$"
+                     r"(\n(narrow|wide|cli) +2( +\d+\.\d{3}){3} +[0-2]/2$){3}",
+                     id="ab"),
     ],
 )
 def test_exit_code(name, args, code, printed):
