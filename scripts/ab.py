@@ -10,23 +10,35 @@ alternates by round), and the round's ratio is the change's time over
 the parent's. Per chain it prints the median ratio, its quartiles and
 the rounds the change won (ratio below 1).
 
+Where a tree's modules sit in memory moves one process's ratios by a
+percent or two. ``--processes N`` (N > 1) therefore runs the rounds in N
+fresh child processes, which import the parent first and the change
+first in turn, and prints per chain the median of the children's
+medians and their min and max.
+
 Chains:
   narrow  perfbench's 16-bit library chain (its own timed interval)
   wide    perfbench's 4096-bit library chain (its own timed interval)
   cli     safe_shares(32) + activate_shares + check_visibility +
           dumps_transcript at 128 bits
+  codec   dumps_transcript, then transcript_from_doc of the parsed text,
+          on one set_generate_m(1000, 1000) transcript at 128 bits,
+          built once per tree outside the timed call
 
 The scenarios come from ``perfbench/workloads.py``, imported read-only.
 Run from the repository root:
 
-    python scripts/ab.py --parent ../parent --change . --rounds 30
+    python scripts/ab.py --parent ../parent --change . --rounds 30 --processes 5
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import importlib
+import json
+import multiprocessing
 import statistics
 import sys
 import time
@@ -93,11 +105,33 @@ def cli_chain(index: int) -> int:
     return time.perf_counter_ns() - start
 
 
+@functools.cache
+def codec_transcript(protocol) -> object:
+    """A tree's ``set_generate_m(1000, 1000)`` transcript at 128 bits,
+    built once per tree (keyed by its ``asgs.protocol`` module)."""
+    env = protocol.ProtocolEnv.seeded(0, 128)
+    protocol.set_generate_m(1000, 1000, env)
+    return env.transcript
+
+
+def codec_chain(index: int) -> int:
+    """The transcript writer and reader on 2000 rows at 128 bits."""
+    formats = sys.modules["asgs.formats"]
+    transcript = codec_transcript(sys.modules["asgs.protocol"])
+    start = time.perf_counter_ns()
+    formats.transcript_from_doc(json.loads(formats.dumps_transcript(transcript)))
+    return time.perf_counter_ns() - start
+
+
 CHAINS = {
     "narrow": library_chain(workloads.Narrow(ROOT)),
     "wide": library_chain(workloads.Wide(ROOT)),
     "cli": cli_chain,
+    "codec": codec_chain,
 }
+
+
+SIDES = ("parent", "change")
 
 
 def paired(trees: dict, order: tuple[str, str], chain, indices: range) -> dict[str, int]:
@@ -112,37 +146,60 @@ def paired(trees: dict, order: tuple[str, str], chain, indices: range) -> dict[s
     return times
 
 
+def run_rounds(parent: Path, change: Path, rounds: int, calls: int,
+               imported: tuple[str, str] = SIDES) -> dict[str, list[float]]:
+    """Each chain's change/parent ratio per round, the trees imported in
+    the order ``imported`` names them."""
+    warnings.simplefilter("ignore")  # the zero-key warning of 16-bit pvss runs
+    paths = {"parent": parent, "change": change}
+    trees = {side: load_tree(paths[side]) for side in imported}
+    ratios: dict[str, list[float]] = {name: [] for name in CHAINS}
+    for chain in CHAINS.values():  # one warm-up call per tree
+        paired(trees, imported, chain, range(1))
+    for round_index in range(rounds):
+        indices = range(round_index * calls, (round_index + 1) * calls)
+        order = SIDES if round_index % 2 == 0 else SIDES[::-1]
+        for name, chain in CHAINS.items():
+            times = paired(trees, order, chain, indices)
+            ratios[name].append(times["change"] / times["parent"])
+    _clear()
+    return ratios
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="tree timed as the parent")
     parser.add_argument("--change", type=Path, required=True, help="tree timed as the change")
     parser.add_argument("--rounds", type=int, default=30, help="paired rounds per chain")
     parser.add_argument("--calls", type=int, default=10, help="calls per tree per round")
+    parser.add_argument("--processes", type=int, default=1,
+                        help="fresh child processes to run the rounds in (default 1: this one)")
     args = parser.parse_args(argv)
-    if args.rounds < 1 or args.calls < 1:
-        parser.error("--rounds and --calls must be >= 1")
+    if args.rounds < 1 or args.calls < 1 or args.processes < 1:
+        parser.error("--rounds, --calls and --processes must be >= 1")
     for tree in (args.parent, args.change):
         if not (tree / "src" / "asgs" / "__init__.py").is_file():
             parser.error(f"{tree} holds no src/asgs package")
-    warnings.simplefilter("ignore")  # the zero-key warning of 16-bit pvss runs
-    trees = {"parent": load_tree(args.parent), "change": load_tree(args.change)}
-    ratios: dict[str, list[float]] = {name: [] for name in CHAINS}
-    for chain in CHAINS.values():  # one warm-up call per tree
-        paired(trees, tuple(trees), chain, range(1))
-    for round_index in range(args.rounds):
-        indices = range(round_index * args.calls, (round_index + 1) * args.calls)
-        order = ("parent", "change") if round_index % 2 == 0 else ("change", "parent")
-        for name, chain in CHAINS.items():
-            times = paired(trees, order, chain, indices)
-            ratios[name].append(times["change"] / times["parent"])
-    _clear()
-    print(f"{'chain':<8} {'rounds':>6} {'median':>7} {'q1':>7} {'q3':>7} {'wins':>7}")
-    for name, values in ratios.items():
-        q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                          if len(values) > 1 else values * 3)
-        wins = sum(value < 1 for value in values)
-        print(f"{name:<8} {len(values):>6} {median:>7.3f} {q1:>7.3f} {q3:>7.3f} "
-              f"{f'{wins}/{len(values)}':>7}")
+    rounds = (args.parent, args.change, args.rounds, args.calls)
+    if args.processes == 1:
+        print(f"{'chain':<8} {'rounds':>6} {'median':>7} {'q1':>7} {'q3':>7} {'wins':>7}")
+        for name, values in run_rounds(*rounds).items():
+            q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                              if len(values) > 1 else values * 3)
+            wins = sum(value < 1 for value in values)
+            print(f"{name:<8} {len(values):>6} {median:>7.3f} {q1:>7.3f} {q3:>7.3f} "
+                  f"{f'{wins}/{len(values)}':>7}")
+        return 0
+    # One fresh spawned process per run, importing the parent first in
+    # every other one.
+    with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
+        runs = [pool.apply(run_rounds, (*rounds, SIDES if child % 2 == 0 else SIDES[::-1]))
+                for child in range(args.processes)]
+    print(f"{'chain':<8} {'procs':>6} {'median':>7} {'min':>7} {'max':>7}")
+    for name in CHAINS:
+        medians = [statistics.median(run[name]) for run in runs]
+        print(f"{name:<8} {len(medians):>6} {statistics.median(medians):>7.3f} "
+              f"{min(medians):>7.3f} {max(medians):>7.3f}")
     return 0
 
 

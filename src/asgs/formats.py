@@ -426,7 +426,7 @@ def transcript_from_doc(document: Mapping) -> Transcript:
     steps_doc = document.get("steps")
     if not isinstance(steps_doc, list):
         raise ParseError("transcript: missing 'steps' list")
-    transcript = Transcript(config, params=params)
+    transcript = Transcript(config)
     seqs, senders, recipients, kinds, payloads, indices = [], [], [], [], [], []
     parties = _Parties()
     texts, rows = [], []  # vector payload texts and the steps they sit at

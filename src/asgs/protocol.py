@@ -178,48 +178,17 @@ def parse_party(label: str) -> Party:
     raise ValueError(f"unrecognized party label {label!r}")
 
 
-class Message:
-    """One delivered payload. ``element_index`` records, for mask and
-    share deliveries, which 1-based element the payload is.
+class Message(Frozen, fields=("seq", "sender", "recipient", "kind", "payload",
+                              "element_index")):
+    """One delivered payload, the per-message view of a :class:`Transcript`
+    row. ``element_index`` records, for mask and share deliveries, which
+    1-based element the payload is."""
 
-    It is the per-message view of a :class:`Transcript` row. Two
-    messages are equal when all their fields are; a message is never
-    equal to a tuple and cannot be indexed.
-    """
-
-    __slots__ = ("seq", "sender", "recipient", "kind", "payload", "element_index")
-
-    def __init__(
-        self,
-        seq: int,
-        sender: Party,
-        recipient: Party,
-        kind: str,
-        payload: ShareVector | bool,
-        element_index: int | None = None,
-    ) -> None:
-        self.seq = seq
-        self.sender = sender
-        self.recipient = recipient
-        self.kind = kind
-        self.payload = payload
-        self.element_index = element_index
-
-    def _astuple(self) -> tuple:
-        return (self.seq, self.sender, self.recipient, self.kind, self.payload,
-                self.element_index)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Message):
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"Message({fields})"
+    def __init__(self, seq: int, sender: Party, recipient: Party, kind: str,
+                 payload: ShareVector | bool, element_index: int | None = None) -> None:
+        d = self.__dict__
+        d["_values"] = values = (seq, sender, recipient, kind, payload, element_index)
+        d["seq"], d["sender"], d["recipient"], d["kind"], d["payload"], d["element_index"] = values
 
 
 # The sequence types a round column may take; any other value is one
@@ -275,19 +244,17 @@ class Transcript:
     takes them. Readers read each part as it is; the row views and
     iteration put a round's rows in seq order per read and keep nothing.
 
-    ``params`` is the one given, else the binary params of a valid
-    config ``bits`` (so the written document's width matches its
-    payloads), else those of the first vector appended. Iteration and
-    :meth:`append` use :class:`Message` values.
+    A transcript's width is its config's: ``params`` is the binary params
+    of ``config["bits"]`` when that is an int in 1..MAX_DIMENSION, else
+    None. :meth:`record` is the only write, and iteration yields
+    :class:`Message` values with vector payloads under ``params``.
     """
 
-    def __init__(self, config: Mapping | None = None, params: SchemeParams | None = None):
+    def __init__(self, config: Mapping | None = None):
         self.config: dict = dict(config or {})
-        if params is None:
-            bits = self.config.get("bits")
-            if type(bits) is int and 1 <= bits <= MAX_DIMENSION:
-                params = SchemeParams.binary(bits)
-        self.params = params
+        bits = self.config.get("bits")
+        valid = type(bits) is int and 1 <= bits <= MAX_DIMENSION
+        self.params = SchemeParams.binary(bits) if valid else None
         self.rounds: list[tuple] = []
         self._length = 0
 
@@ -304,35 +271,12 @@ class Transcript:
         for part in parts:
             self._length += len(part[0])
 
-    def append(self, message: Message) -> None:
-        """Record ``message`` as a one-row round."""
-        payload = message.payload
-        if type(payload) is not bool:
-            params = payload.params
-            if self.params is not None and params is not self.params and params != self.params:
-                raise MixedParams(
-                    f"transcript holds payloads under {self.params}, got one under {params}"
-                )
-            payload = payload.to_int()
-            self.params = self.params or params
-        self.record(((message.seq,), message.sender, message.recipient, message.kind,
-                     (payload,), message.element_index))
-
     def __iter__(self) -> Iterator[Message]:
-        for parts in self.rounds:
-            yield from _in_seq_order(parts, self._messages)
-
-    def _messages(self, part: tuple) -> Iterator[Message]:
         params = self.params
-        seqs, senders, recipients, kinds, payloads, element_indices = part
-        count = len(seqs)
-        for seq, sender, recipient, kind, payload, element_index in zip(
-            seqs, _rows(senders, count), _rows(recipients, count), _rows(kinds, count),
-            payloads, _rows(element_indices, count),
-        ):
-            if type(payload) is not bool:
-                payload = ShareVector.from_int(params, payload)
-            yield Message(seq, sender, recipient, kind, payload, element_index)
+        payloads = (payload if type(payload) is bool else ShareVector.from_int(params, payload)
+                    for payload in self.payloads)
+        return map(Message, self.seqs, self.senders, self.recipients, self.kinds, payloads,
+                   self.element_indices)
 
     def __len__(self) -> int:
         return self._length
@@ -561,10 +505,10 @@ class ProtocolEnv:
     transcript under construction.
 
     The transcript ``config`` summarises the run and is built here, once:
-    ``bits`` from ``params``, ``randomness`` as given (``{"mode":
-    "seeded", "seed": ...}`` or ``{"mode": "fixture", "parties":
-    [...]}``), ``tamper`` as the spec of each rule, and then the entries
-    of ``config``, which are merged last.
+    ``randomness`` as given (``{"mode": "seeded", "seed": ...}`` or
+    ``{"mode": "fixture", "parties": [...]}``), ``tamper`` as the spec of
+    each rule, then the entries of ``config``, and last ``bits`` from
+    ``params``, so the transcript's width is always the environment's.
     """
 
     def __init__(
@@ -603,12 +547,11 @@ class ProtocolEnv:
         self.identify = identify
         self.transcript = Transcript(
             {
-                "bits": params.dimension,
                 "randomness": randomness,
                 "tamper": [rule.spec() for rule in self.tamper_rules],
                 **(config or {}),
-            },
-            params=params,
+                "bits": params.dimension,
+            }
         )
 
     @classmethod
@@ -780,14 +723,22 @@ class ProtocolEnv:
         """Send one round of two parts of equal length, each ``(senders,
         recipients, kind, payloads, element_indices)`` in the forms
         :meth:`deliver_round` takes: row i of the second part follows row
-        i of the first. The second part's payloads may be a function of
-        the first part's as delivered; parts of unequal length raise
-        ``ValueError`` and log nothing.
+        i of the first. Parts of unequal length raise ``ValueError`` and
+        log nothing.
 
-        The first part is tampered, then the second. The round is logged
-        as those two parts, each with its own seqs and a payload tuple
-        taken here, so the caller may grow the lists it gets back: each
-        part's payloads as delivered.
+        The second part's payloads may be a function of the first part's
+        as delivered. That is how a relay forwards: each value the relay
+        was delivered, XOR an operand, goes on right after the row it
+        came in on (blinded share -> derived share at the accumulator,
+        sealed mask -> envelope share at the owner). The first part is
+        tampered, then the second, so each forward carries the value the
+        relay was delivered. The parts of every round the engine sends
+        differ in sender or kind, so their occurrence counts are
+        independent.
+
+        The round is logged as those two parts, each with its own seqs
+        and a payload tuple taken here, so the caller may grow the lists
+        it gets back: each part's payloads as delivered.
         """
         senders, recipients, kind, payloads, indices = first
         one, one_fired = self._tamper(senders, kind, payloads)
@@ -804,31 +755,6 @@ class ProtocolEnv:
         self.transcript.record((seqs, senders, recipients, kind, tuple(one), indices),
                                (seqs2, senders2, recipients2, kind2, tuple(two), indices2))
         return one, two
-
-    def relay_round(
-        self, senders: Party | Sequence[Party], relay: Party, kind: str, payloads: Sequence[int],
-        recipients: Sequence[Party], forward_kind: str, operands: Sequence[int],
-        forward_indices: Sequence[int],
-    ) -> tuple[Sequence[int], list[int]]:
-        """Send ``payloads`` to ``relay`` as ``kind`` messages; the relay
-        forwards each value it received, XOR ``operands[i]``, to
-        ``recipients[i]`` as a ``forward_kind`` message with element
-        index ``forward_indices[i]``, right after the message it came in
-        on. ``senders`` takes the forms :meth:`deliver_round` takes.
-
-        A two-part round (:meth:`deliver_parts`): the inbound part is
-        tampered first, so each forward carries the value the relay was
-        delivered, then the forwards. Both callers have ``kind !=
-        forward_kind``, so the two parts' occurrence counts are
-        independent.
-
-        Returns the received and the forwarded payloads as delivered.
-        """
-        return self.deliver_parts(
-            (senders, relay, kind, payloads, None),
-            (relay, recipients, forward_kind,
-             lambda received: list(map(xor, received, operands)), forward_indices),
-        )
 
     def activation_round(
         self, holders: Sequence[Party], claims: Sequence[bool], keys: Sequence[int]
@@ -987,11 +913,11 @@ def _replicate_rounds(
     # A tuple, so the relay logs it without a copy.
     blinded = tuple(map(xor, shares, dealt))
     relayed = indices[:keep]
-    _, derived = env.relay_round(
-        _participants(SetRole.MASTER.value, relayed), ACCUMULATOR, KIND_MASKED_SHARE,
-        blinded[:keep],
-        _participants(SetRole.DERIVED.value, relayed), KIND_DERIVED_SHARE,
-        masks[n:n + keep], relayed,
+    _, derived = env.deliver_parts(
+        (_participants(SetRole.MASTER.value, relayed), ACCUMULATOR, KIND_MASKED_SHARE,
+         blinded[:keep], None),
+        (ACCUMULATOR, _participants(SetRole.DERIVED.value, relayed), KIND_DERIVED_SHARE,
+         lambda received: list(map(xor, received, masks[n:n + keep])), relayed),
     )
     return derived, blinded[keep:]
 
@@ -1146,22 +1072,16 @@ def safe_shares(
         )
     keys.append(key)
     protected_tag = SetRole.PROTECTED.value
-    _, envelopes = env.relay_round(
-        DEALER, OWNER, KIND_MASKED_SHARE, list(map(xor, masks, keys)),
-        [participant(protected_tag, target) for target in assignment], KIND_ENVELOPE_SHARE,
-        owner_shares, assignment,
+    _, envelopes = env.deliver_parts(
+        (DEALER, OWNER, KIND_MASKED_SHARE, list(map(xor, masks, keys)), None),
+        (OWNER, [participant(protected_tag, target) for target in assignment],
+         KIND_ENVELOPE_SHARE, lambda sealed: list(map(xor, sealed, owner_shares)), assignment),
     )
     protected = [0] * count
     for target, envelope in zip(assignment, envelopes):
         protected[target - 1] = envelope
-    return SafeSharesState(
-        params=params,
-        protected_ints=tuple(protected),
-        key_ints=tuple(keys),
-        masks=MaskSet(tuple(masks), params),
-        owner_share_ints=tuple(owner_shares),
-        assignment=assignment,
-    )
+    return SafeSharesState(params, tuple(protected), tuple(keys), MaskSet(tuple(masks), params),
+                           tuple(owner_shares), assignment)
 
 
 def activate_shares(state: SafeSharesState, env: ProtocolEnv) -> AuthorizedShareSet:

@@ -6,7 +6,7 @@ from typing import Sequence
 
 from asgs.devices import RandSource
 from asgs.kgh import SchemeParams, ShareVector
-from asgs.protocol import ProtocolEnv
+from asgs.protocol import Message, ProtocolEnv, Transcript
 
 P8 = SchemeParams.binary(8)
 
@@ -25,6 +25,13 @@ def fixture_source(values: Sequence[int], params: SchemeParams = P8) -> RandSour
 
 def ints(vectors) -> list[int]:
     return [v.to_int() for v in vectors]
+
+
+def append(transcript: Transcript, message: Message) -> None:
+    """Record ``message`` as a one-row round."""
+    payload = message.payload if type(message.payload) is bool else message.payload.to_int()
+    transcript.record(((message.seq,), message.sender, message.recipient, message.kind,
+                       (payload,), message.element_index))
 
 
 def per_row(values, count: int) -> list:

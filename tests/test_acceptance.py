@@ -60,7 +60,7 @@ from asgs.pvss import (
 )
 
 import oracles
-from helpers import P8, bv, bvs, ints
+from helpers import P8, append, bv, bvs, ints
 
 
 RESULTS: list[str] = []
@@ -408,11 +408,10 @@ def test_c10_visibility():
     for sender, recipient, kind, element_index, value_class in injections:
         replay = Transcript(dict(base_env.transcript.config))
         for message in base_env.transcript:
-            replay.append(message)
+            append(replay, message)
         seq = list(base_env.transcript)[-1].seq + 1
-        replay.append(
-            Message(seq, sender, recipient, kind, bv(0x42), element_index=element_index)
-        )
+        append(replay,
+               Message(seq, sender, recipient, kind, bv(0x42), element_index=element_index))
         violations = check_visibility(replay)
         assert len(violations) >= 1
         assert violations[-1].seq == seq

@@ -25,7 +25,7 @@ from asgs.protocol import (
     OWNER,
     Transcript,
 )
-from helpers import bv
+from helpers import append, bv
 
 
 def write_fixture(tmp_path, name, values):
@@ -533,7 +533,7 @@ class TestAudit:
 
     def test_injected_secret_delivery_is_flagged(self, tmp_path, capsys):
         transcript = Transcript({"bits": 8})
-        transcript.append(Message(1, OWNER, DEALER, KIND_SECRET, bv(0x5A)))
+        append(transcript, Message(1, OWNER, DEALER, KIND_SECRET, bv(0x5A)))
         path = dump_document(transcript_to_doc(transcript), tmp_path / "bad.json")
         code = main(["audit", str(path)])
         assert code == 3
@@ -543,7 +543,7 @@ class TestAudit:
 
     def test_label_with_a_quote_is_a_usage_error(self, tmp_path, capsys):
         transcript = Transcript({"bits": 8})
-        transcript.append(Message(1, OWNER, DEALER, KIND_SECRET, bv(0x5A)))
+        append(transcript, Message(1, OWNER, DEALER, KIND_SECRET, bv(0x5A)))
         doc = transcript_to_doc(transcript)
         doc["steps"][0]["from"] = 'p"x-1'
         path = dump_document(doc, tmp_path / "bad.json")

@@ -41,7 +41,6 @@ from asgs.kgh import (
     MAX_DIMENSION,
     AuthorizedShareSet,
     MaskSet,
-    MixedParams,
     SchemeParams,
     SetRole,
     ShareVector,
@@ -64,7 +63,7 @@ from asgs.protocol import (
     safe_shares,
 )
 from asgs.pvss import BulletinBoard, KeyAssignment
-from helpers import P8, bv, bvs, ints
+from helpers import P8, append, bv, bvs, ints
 
 # Longest int literal json.loads accepts (0: no limit; Python < 3.10.7 has none).
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -300,7 +299,7 @@ class TestBooleansAreNotIntegers:
 
     def test_transcript_seq_and_element_index(self):
         transcript = Transcript({"bits": 8})
-        transcript.append(Message(1, DEALER, DEALER, KIND_SECRET, bv(0x01), element_index=1))
+        append(transcript, Message(1, DEALER, DEALER, KIND_SECRET, bv(0x01), element_index=1))
         for field in ("seq", "element_index"):
             doc = transcript_to_doc(transcript)
             doc["steps"][0][field] = True
@@ -404,12 +403,8 @@ class TestTranscriptDocs:
     def test_bool_payloads_encode_as_single_byte_flags(self):
         transcript = Transcript({"bits": 8})
         p1 = participant("p", 1)
-        transcript.append(
-            Message(1, p1, DEALER, KIND_IDENTIFICATION, True, element_index=1)
-        )
-        transcript.append(
-            Message(2, p1, DEALER, KIND_IDENTIFICATION, False, element_index=1)
-        )
+        append(transcript, Message(1, p1, DEALER, KIND_IDENTIFICATION, True, element_index=1))
+        append(transcript, Message(2, p1, DEALER, KIND_IDENTIFICATION, False, element_index=1))
         doc = transcript_to_doc(transcript)
         assert [s["payload_hex"] for s in doc["steps"]] == ["01", "00"]
         restored = transcript_from_doc(doc)
@@ -417,10 +412,8 @@ class TestTranscriptDocs:
 
     def test_element_index_preserved_when_present(self):
         transcript = Transcript({"bits": 8})
-        transcript.append(Message(1, DEALER, DEALER, KIND_SECRET, bv(0x01)))
-        transcript.append(
-            Message(2, DEALER, DEALER, KIND_SECRET, bv(0x02), element_index=7)
-        )
+        append(transcript, Message(1, DEALER, DEALER, KIND_SECRET, bv(0x01)))
+        append(transcript, Message(2, DEALER, DEALER, KIND_SECRET, bv(0x02), element_index=7))
         doc = transcript_to_doc(transcript)
         assert "element_index" not in doc["steps"][0]
         assert doc["steps"][1]["element_index"] == 7
@@ -430,7 +423,7 @@ class TestTranscriptDocs:
 
     def test_unknown_kind_rejected(self):
         transcript = Transcript({"bits": 8})
-        transcript.append(Message(1, DEALER, DEALER, KIND_SECRET, bv(0x01)))
+        append(transcript, Message(1, DEALER, DEALER, KIND_SECRET, bv(0x01)))
         for kind in ("telegram", []):
             doc = transcript_to_doc(transcript)
             doc["steps"][0]["kind"] = kind
@@ -439,7 +432,7 @@ class TestTranscriptDocs:
 
     def test_ack_kind_rejected(self):
         transcript = Transcript({"bits": 8})
-        transcript.append(Message(1, DEALER, OWNER, KIND_KEY_REQUEST, True))
+        append(transcript, Message(1, DEALER, OWNER, KIND_KEY_REQUEST, True))
         doc = transcript_to_doc(transcript)
         transcript_from_doc(doc)
         doc["steps"][0]["kind"] = "ack"
@@ -447,13 +440,10 @@ class TestTranscriptDocs:
             transcript_from_doc(doc)
 
     def test_config_width_fixes_the_payload_width(self):
-        # The writer can only emit what its reader accepts: a payload of
-        # another width than the config's ``bits`` is refused on append.
+        # A transcript's width is its config's ``bits``, so the writer
+        # emits payloads of the width its reader expects.
         transcript = Transcript({"bits": 8})
-        wide = ShareVector.from_int(SchemeParams.binary(16), 0x1234)
-        with pytest.raises(MixedParams):
-            transcript.append(Message(1, OWNER, ACCUMULATOR, KIND_SECRET, wide))
-        transcript.append(Message(1, OWNER, ACCUMULATOR, KIND_SECRET, bv(0x5A)))
+        append(transcript, Message(1, OWNER, ACCUMULATOR, KIND_SECRET, bv(0x5A)))
         doc = transcript_to_doc(transcript)
         assert doc["steps"][0]["payload_hex"] == "5a"
         restored = transcript_from_doc(doc)
@@ -464,7 +454,7 @@ class TestTranscriptDocs:
     def test_decoded_seqs_need_not_be_one_to_n(self):
         transcript = Transcript({"bits": 8})
         for seq, payload in ((3, bv(0x01)), (7, bv(0x02)), (40, bv(0x03))):
-            transcript.append(Message(seq, OWNER, ACCUMULATOR, KIND_SECRET, payload))
+            append(transcript, Message(seq, OWNER, ACCUMULATOR, KIND_SECRET, payload))
         doc = transcript_to_doc(transcript)
         assert [step["seq"] for step in doc["steps"]] == [3, 7, 40]
         restored = transcript_from_doc(doc)
@@ -475,7 +465,7 @@ class TestTranscriptDocs:
 
     def test_non_canonical_party_label_rejected(self):
         transcript = Transcript({"bits": 8})
-        transcript.append(Message(1, participant("1", 3), DEALER, KIND_SECRET, bv(0x01)))
+        append(transcript, Message(1, participant("1", 3), DEALER, KIND_SECRET, bv(0x01)))
         doc = transcript_to_doc(transcript)
         assert doc["steps"][0]["from"] == "p1-3"
         doc["steps"][0]["from"] = "p1-03"
@@ -484,8 +474,8 @@ class TestTranscriptDocs:
 
     def test_sequence_must_increase(self):
         transcript = Transcript({"bits": 8})
-        transcript.append(Message(1, DEALER, DEALER, KIND_SECRET, bv(0x01)))
-        transcript.append(Message(2, DEALER, DEALER, KIND_SECRET, bv(0x02)))
+        append(transcript, Message(1, DEALER, DEALER, KIND_SECRET, bv(0x01)))
+        append(transcript, Message(2, DEALER, DEALER, KIND_SECRET, bv(0x02)))
         doc = transcript_to_doc(transcript)
         doc["steps"][1]["seq"] = 1
         with pytest.raises(
@@ -496,8 +486,8 @@ class TestTranscriptDocs:
 
     def test_seq_order_and_element_index_rejected(self):
         transcript = Transcript({"bits": 8})
-        transcript.append(Message(1, DEALER, DEALER, KIND_SECRET, bv(0x01), element_index=1))
-        transcript.append(Message(2, DEALER, DEALER, KIND_SECRET, bv(0x02), element_index=2))
+        append(transcript, Message(1, DEALER, DEALER, KIND_SECRET, bv(0x01), element_index=1))
+        append(transcript, Message(2, DEALER, DEALER, KIND_SECRET, bv(0x02), element_index=2))
         # (step changed, field, value, step the error names)
         for index, field, value, named in (
             (0, "seq", 0, 0),
@@ -703,8 +693,8 @@ def transcripts(draw) -> Transcript:
                                       draw(st.integers(min_value=0, max_value=2**width - 1)))
         )
         element_index = draw(st.none() | st.integers(min_value=1, max_value=10**6))
-        transcript.append(Message(seq, draw(_PARTIES), draw(_PARTIES), kind, payload,
-                                  element_index))
+        append(transcript, Message(seq, draw(_PARTIES), draw(_PARTIES), kind, payload,
+                                   element_index))
     return transcript
 
 
@@ -731,7 +721,7 @@ class TestTranscriptWriter:
 
     def test_unknown_kind_is_not_written(self):
         transcript = Transcript({"bits": 8})
-        transcript.append(Message(1, DEALER, OWNER, 'sec"ret', bv(0x01)))
+        append(transcript, Message(1, DEALER, OWNER, 'sec"ret', bv(0x01)))
         with pytest.raises(ValueError, match="unknown message kinds"):
             dumps_transcript(transcript)
 
@@ -739,8 +729,8 @@ class TestTranscriptWriter:
 def _four_step_doc(kind=KIND_SECRET) -> dict:
     transcript = Transcript({"bits": 12})
     for seq in range(1, 5):
-        transcript.append(Message(seq, participant("1", seq), DEALER, kind,
-                                  bv(0x120 + seq, SchemeParams.binary(12)), element_index=seq))
+        append(transcript, Message(seq, participant("1", seq), DEALER, kind,
+                                   bv(0x120 + seq, SchemeParams.binary(12)), element_index=seq))
     return transcript_to_doc(transcript)
 
 

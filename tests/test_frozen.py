@@ -12,7 +12,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from asgs.kgh import AuthorizedShareSet, Frozen, MaskSet, SchemeParams, SetRole, ShareVector
-from asgs.protocol import Party, SafeSharesState, TamperRule, Violation, VisibilityPolicy
+from asgs.protocol import Message, Party, SafeSharesState, TamperRule, Violation, VisibilityPolicy
 from asgs.pvss import BulletinBoard, KeyAssignment, Verdict, VerificationResult
 
 
@@ -44,6 +44,12 @@ SAMPLES = [
      "BulletinBoard(set1_ints=(1,), set2_ints=(2,), params=SchemeParams(dimension=8))"),
     (lambda: KeyAssignment((1,), (2, 3), p8()),
      "KeyAssignment(set1_ints=(1,), set2_ints=(2, 3), params=SchemeParams(dimension=8))"),
+    (lambda: Message(3, Party("accumulator"), Party("participant", "2", 1), "mask_element",
+                     ShareVector.from_int(p8(), 0x42), 1),
+     "Message(seq=3, sender=Party(role='accumulator', set_tag=None, index=None), "
+     "recipient=Party(role='participant', set_tag='2', index=1), kind='mask_element', "
+     "payload=ShareVector(params=SchemeParams(dimension=8), "
+     "components=(0, 1, 0, 0, 0, 0, 1, 0)), element_index=1)"),
     (lambda: VerificationResult(Verdict.POSITIVE, ShareVector.from_int(p8(), 1),
                                 ShareVector.from_int(p8(), 1)),
      "VerificationResult(verdict=<Verdict.POSITIVE: 'POSITIVE'>, "

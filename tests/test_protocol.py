@@ -3,6 +3,7 @@
 import collections
 import copy
 import random
+from operator import xor
 
 import pytest
 from hypothesis import given
@@ -77,7 +78,7 @@ from asgs.protocol import (
 )
 from asgs.formats import dumps_transcript
 from asgs.pvss import KeyAssignment, distribute_shares_and_keys, recover_xored_keys, verify
-from helpers import P8, EagerWeaveEnv, bv, bvs, ints, per_row
+from helpers import P8, EagerWeaveEnv, append, bv, bvs, ints, per_row
 
 
 def fixture_env(dealer=None, owner=None, accumulator=None, params=P8, **kwargs):
@@ -200,7 +201,7 @@ class TestMessage:
 class TestTranscript:
     def test_iteration_and_length(self):
         transcript = Transcript()
-        transcript.append(Message(1, DEALER, OWNER, KIND_KEY_REQUEST, True))
+        append(transcript, Message(1, DEALER, OWNER, KIND_KEY_REQUEST, True))
         assert len(transcript) == 1
         assert next(iter(transcript)).kind == KIND_KEY_REQUEST
 
@@ -211,9 +212,9 @@ class TestTranscript:
             Message(8, participant("a", 2), DEALER, KIND_IDENTIFICATION, False),
             Message(20, OWNER, ACCUMULATOR, KIND_SECRET, bv(0x00)),
         ]
-        transcript = Transcript()
+        transcript = Transcript({"bits": 8})
         for message in steps:
-            transcript.append(message)
+            append(transcript, message)
         assert list(transcript) == steps
         assert transcript.params == P8
         assert transcript.seqs == [3, 7, 8, 20]
@@ -223,25 +224,13 @@ class TestTranscript:
 
     def test_params_follow_a_valid_config_width(self):
         assert Transcript({"bits": 8}).params == P8
-        assert Transcript({"bits": 8}, params=SchemeParams.binary(16)).params.dimension == 16
         for bits in (None, 0, True, "8", MAX_DIMENSION + 1):
             assert Transcript({"bits": bits}).params is None
 
-    def test_payload_under_other_params_is_rejected(self):
-        wide = ShareVector.from_int(SchemeParams.binary(16), 0x42)
-        first_payload_fixes_params = Transcript()
-        first_payload_fixes_params.append(Message(1, OWNER, ACCUMULATOR, KIND_SECRET, bv(0x01)))
-        for transcript in (
-            Transcript(params=P8),
-            Transcript({"bits": 8}),
-            first_payload_fixes_params,
-            ProtocolEnv.seeded(1, 8).transcript,
-        ):
-            before = len(transcript)
-            with pytest.raises(MixedParams):
-                transcript.append(Message(before + 1, OWNER, ACCUMULATOR, KIND_SECRET, wide))
-            assert len(transcript) == before
-            assert transcript.params == P8
+    def test_env_writes_its_width_last(self):
+        env = ProtocolEnv.with_fixtures(P8, config={"bits": 16})
+        assert env.transcript.config["bits"] == 8
+        assert env.transcript.params == P8
 
 
 class TestDeliver:
@@ -952,27 +941,19 @@ class RowByRowEnv(ProtocolEnv):
             )
         ]
 
-    def relay_round(self, senders, relay, kind, payloads, recipients, forward_kind,
-                    operands, forward_indices):
-        received, forwarded = [], []
-        for i, (sender, payload) in enumerate(zip(per_row(senders, len(payloads)), payloads)):
-            received.append(self.deliver(sender, relay, kind, payload))
-            if i < len(operands):
-                forwarded.append(self.deliver(
-                    relay, recipients[i], forward_kind, received[-1] ^ operands[i],
-                    forward_indices[i],
-                ))
-        return received, forwarded
-
     def deliver_parts(self, first, second):
-        # Key recovery's two parts; the relays go through relay_round.
-        parts = [[per_row(column, len(part[3])) for column in part] for part in (first, second)]
+        # A relay's second part is a function of the inbound rows as
+        # delivered; row by row, it sees those delivered so far.
+        count = len(first[3])
+        parts = [[column if callable(column) else per_row(column, count) for column in part]
+                 for part in (first, second)]
         delivered = ([], [])
-        for i in range(len(first[3])):
+        for i in range(count):
             for (senders, recipients, kinds, payloads, indices), out in zip(parts, delivered):
-                if i < len(payloads):
-                    out.append(self.deliver(senders[i], recipients[i], kinds[i], payloads[i],
-                                            indices[i]))
+                if callable(payloads):
+                    payloads = payloads(delivered[0])
+                out.append(self.deliver(senders[i], recipients[i], kinds[i], payloads[i],
+                                        indices[i]))
         return delivered
 
     def activation_round(self, holders, claims, keys):
@@ -1143,11 +1124,17 @@ def two_part_chain(env, n, target, h, g):
     keys = KeyAssignment(tuple(range(0x10, 0x10 + max(h, 1))),
                          tuple(range(0x30, 0x30 + max(g, 1))), env.params)
     outputs.append(recover_xored_keys(keys, h, g, env))
-    outputs.append(env.relay_round((), ACCUMULATOR, KIND_MASKED_SHARE, [], (),
-                                   KIND_DERIVED_SHARE, [], ()))
-    outputs.append(env.relay_round(participant("2", 1), ACCUMULATOR, KIND_MASKED_SHARE, [0x5A],
-                                   (participant("3", 1),), KIND_DERIVED_SHARE, [0x0F], (1,)))
+    outputs.append(env.deliver_parts(((), ACCUMULATOR, KIND_MASKED_SHARE, [], None),
+                                     (ACCUMULATOR, (), KIND_DERIVED_SHARE, forwards([]), ())))
+    outputs.append(env.deliver_parts(
+        (participant("2", 1), ACCUMULATOR, KIND_MASKED_SHARE, [0x5A], None),
+        (ACCUMULATOR, (participant("3", 1),), KIND_DERIVED_SHARE, forwards([0x0F]), (1,))))
     return outputs
+
+
+def forwards(operands):
+    """A relay's second part: each value it was delivered, XOR an operand."""
+    return lambda received: list(map(xor, received, operands))
 
 
 def read_all(env):
@@ -1203,10 +1190,10 @@ class TestTwoPartRounds:
         env = ProtocolEnv.seeded(1, 8, tamper_rules=rules)
         holders = (participant("2", 1), participant("2", 2), participant("2", 3))
         payloads = [0x10, 0x20, 0x30]
-        received, forwarded = env.relay_round(
-            holders, ACCUMULATOR, KIND_MASKED_SHARE, payloads,
-            (participant("3", 1), participant("3", 2), participant("3", 3)), KIND_DERIVED_SHARE,
-            [0x01, 0x02, 0x03], (1, 2, 3))
+        received, forwarded = env.deliver_parts(
+            (holders, ACCUMULATOR, KIND_MASKED_SHARE, payloads, None),
+            (ACCUMULATOR, (participant("3", 1), participant("3", 2), participant("3", 3)),
+             KIND_DERIVED_SHARE, forwards([0x01, 0x02, 0x03]), (1, 2, 3)))
         recorded = read_all(env)
         for grown in (received, forwarded, payloads):
             grown.append(0x40)
@@ -1220,8 +1207,9 @@ class TestTwoPartRounds:
         env = ProtocolEnv.seeded(1, 8)
         holders = (participant("2", 1), participant("2", 2))
         with pytest.raises(ValueError, match="equal lengths, got 2, 1"):
-            env.relay_round(holders, ACCUMULATOR, KIND_MASKED_SHARE, [0x10, 0x20],
-                            (participant("3", 1),), KIND_DERIVED_SHARE, [0x01], (1,))
+            env.deliver_parts((holders, ACCUMULATOR, KIND_MASKED_SHARE, [0x10, 0x20], None),
+                              (ACCUMULATOR, (participant("3", 1),), KIND_DERIVED_SHARE,
+                               forwards([0x01]), (1,)))
         assert env.transcript.rounds == [] and len(env.transcript) == 0
 
     def test_reading_twice_changes_nothing(self):
@@ -1388,9 +1376,8 @@ class TestVisibility:
         env = ProtocolEnv.seeded(13, 8)
         state = safe_shares(bv(0x42), 2, env)
         activate_shares(state, env)
-        env.transcript.append(
-            Message(len(env.transcript) + 1, OWNER, DEALER, KIND_SECRET, bv(0x42))
-        )
+        append(env.transcript,
+               Message(len(env.transcript) + 1, OWNER, DEALER, KIND_SECRET, bv(0x42)))
         violations = self.audit(env)
         assert len(violations) == 1
         assert violations[0].recipient == "dealer"
@@ -1412,9 +1399,8 @@ class TestVisibility:
         self, sender, recipient, kind, element_index, value_class
     ):
         transcript = Transcript()
-        transcript.append(
-            Message(1, sender, recipient, kind, bv(0x42), element_index=element_index)
-        )
+        append(transcript,
+               Message(1, sender, recipient, kind, bv(0x42), element_index=element_index))
         violations = check_visibility(transcript)
         assert [v.value_class for v in violations] == [value_class]
         assert violations[0].seq == 1
@@ -1422,9 +1408,7 @@ class TestVisibility:
     def test_owner_mask_delivery_with_matching_index_still_flagged(self):
         """Mask elements are forbidden to the owner whether own or foreign."""
         transcript = Transcript()
-        transcript.append(
-            Message(1, ACCUMULATOR, OWNER, KIND_MASK_ELEMENT, bv(0x42))
-        )
+        append(transcript, Message(1, ACCUMULATOR, OWNER, KIND_MASK_ELEMENT, bv(0x42)))
         assert len(check_visibility(transcript)) == 1
 
     @given(
@@ -1465,7 +1449,7 @@ class TestVisibility:
         for (sender, recipient, kind, element_index), gap, value in steps:
             seq += gap
             payload = bool(value & 1) if kind in CONTROL_KINDS else bv(value)
-            transcript.append(Message(seq, sender, recipient, kind, payload, element_index))
+            append(transcript, Message(seq, sender, recipient, kind, payload, element_index))
         delivered = sorted({(m.recipient.key, classify(m)) for m in transcript})
         if policy is not None and delivered:
             # Forbid some pairs the transcript delivers too, so that any
@@ -1488,7 +1472,7 @@ class TestVisibility:
 
         permissive = VisibilityPolicy(frozenset())
         transcript = Transcript()
-        transcript.append(Message(1, OWNER, DEALER, KIND_SECRET, bv(0x42)))
+        append(transcript, Message(1, OWNER, DEALER, KIND_SECRET, bv(0x42)))
         assert check_visibility(transcript, permissive) == []
         assert len(check_visibility(transcript)) == 1
 

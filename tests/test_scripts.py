@@ -41,9 +41,9 @@ def run_script(name, *args):
                      r"(?m)^cold import asgs\.cli: -?\d+\.\d ms above a bare interpreter start",
                      id="scaling-sweep-cli"),
         pytest.param("ab.py", ("--parent", str(ROOT), "--change", str(ROOT),
-                               "--rounds", "2", "--calls", "1"), 0,
-                     r"(?m)^chain +rounds +median +q1 +q3 +wins$"
-                     r"(\n(narrow|wide|cli) +2( +\d+\.\d{3}){3} +[0-2]/2$){3}",
+                               "--processes", "2", "--rounds", "2", "--calls", "1"), 0,
+                     r"(?m)^chain +procs +median +min +max$"
+                     r"(\n(narrow|wide|cli|codec) +2( +\d+\.\d{3}){3}$){4}",
                      id="ab"),
     ],
 )
