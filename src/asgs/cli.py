@@ -1,17 +1,19 @@
 """Command-line front end for the automatic sharing simulator.
 
-Every subcommand builds a :class:`ScenarioSpec`, hands it to
-:func:`run_scenario`, prints the summary, and exits with the scenario's
-code: 0 for success or a POSITIVE verdict, 2 for a NEGATIVE verdict,
-3 for a visibility violation found under --audit, 1 for usage or input
+Each command reads the input documents it takes, if any, and runs its
+steps; all but audit then write the documents they made and
+transcript.json to --out. A command prints a summary and exits with 0
+for success or a POSITIVE verdict, 2 for a NEGATIVE verdict, 3 for a
+visibility violation found under --audit, and 1 for usage or input
 errors.
 
 :data:`COMMANDS` declares each command once: its handler, help line and
 options, input documents included. :func:`build_parser` turns it into
 the argparse tree once per process, on first use. :func:`run_scenario`
-is the one run path: it loads and decodes the input documents, takes
-the width from them (or from ``--bits``), builds the one
-:class:`ProtocolEnv` (``audit`` builds none), and calls the handler,
+is the one run path. Its run description is the parsed command line:
+it checks the ``--fixture`` items, loads and decodes the input
+documents, takes the width from them (or from ``--bits``), builds the
+one :class:`ProtocolEnv` (``audit`` builds none), and calls the handler,
 which runs the protocol steps and fills in its documents by artifact
 name, summary lines and exit code; it writes nothing. ``simulate``
 chains the same step functions the single commands use.
@@ -28,6 +30,7 @@ import argparse
 import functools
 import os
 import sys
+from argparse import Namespace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -116,70 +119,18 @@ def parse_tamper_rule(text: str) -> TamperRule:
     return rule
 
 
-class ScenarioSpec:
-    """One fully described run: command, parameters, randomness, outputs.
-
-    Built by keyword: a field left out reads its default below, and
-    ``fixtures`` starts as a fresh empty dict. Specs are equal when all
-    their fields are.
-    """
-
-    command: str
-    bits: int | None = None
-    seed: int | None = None
-    fixtures: dict[str, str]
-    out_dir: str = "."
-    audit: bool = False
-    tamper: tuple[str, ...] = ()
-    n: int | None = None
-    d: int | None = None
-    secret_hex: str | None = None
-    mode: str | None = None
-    in_path: str | None = None
-    state_path: str | None = None
-    set1_path: str | None = None
-    set2_path: str | None = None
-    bulletin_path: str | None = None
-    keys_path: str | None = None
-    transcript_path: str | None = None
-    start: str | None = None
-    then: tuple[str, ...] = ()
-
-    def __init__(self, command: str, **fields) -> None:
-        unknown = fields.keys() - SPEC_FIELDS
-        if unknown:
-            raise TypeError(f"ScenarioSpec got unexpected fields {sorted(unknown)}")
-        self.command = command
-        self.fixtures = {}
-        self.__dict__.update(fields)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ScenarioSpec:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in SPEC_FIELDS)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in SPEC_FIELDS)
-        return f"ScenarioSpec({fields})"
-
-
-# The field names, in the order declared above.
-SPEC_FIELDS = tuple(ScenarioSpec.__annotations__)
-
-
 class RunResult:
     """What one command produced. A handler fills in ``documents``,
     ``summary`` and ``exit_code``; :func:`run_scenario` writes the
     documents and records where in ``artifacts``."""
 
-    def __init__(self, spec: ScenarioSpec) -> None:
-        self.spec = spec
+    def __init__(self, out_dir: str) -> None:
         self.env: ProtocolEnv | None = None
         self.documents: dict[str, dict] = {}
         self.summary: list[str] = []
         self.exit_code = 0
         self.artifacts: dict[str, Path] = {}
-        self.out_dir = Path(spec.out_dir)
+        self.out_dir = Path(out_dir)
         text = str(self.out_dir)
         self._prefix = "" if text == "." else os.path.join(text, "")
 
@@ -189,43 +140,58 @@ class RunResult:
         return self._prefix + name
 
 
-def _build_env(spec: ScenarioSpec, bits: int) -> ProtocolEnv:
+def _parse_fixtures(items: list[str]) -> dict[str, str]:
+    """The ``--fixture PARTY:PATH`` items by party."""
+    fixtures = {}
+    for item in items:
+        party, sep, path = item.partition(":")
+        if not sep or party not in SOURCE_ROLES:
+            raise ParseError(
+                f"--fixture wants PARTY:PATH with party in {'/'.join(SOURCE_ROLES)}, got {item!r}"
+            )
+        if party in fixtures:
+            raise ParseError(f"--fixture {party} given twice")
+        fixtures[party] = path
+    return fixtures
+
+
+def _build_env(args: Namespace, fixtures: dict[str, str], bits: int) -> ProtocolEnv:
     params = SchemeParams.binary(bits)
-    rules = tuple(parse_tamper_rule(t) for t in spec.tamper)
+    rules = tuple(parse_tamper_rule(t) for t in args.tamper)
     for k, rule in enumerate(rules):
         # Two flips of one bit cancel, so a repeated rule is a mistake.
         if rule in rules[:k]:
             raise ParseError(f"tamper rule {rule.spec()} given twice")
-    if spec.seed is not None and spec.fixtures:
+    seed = args.seed
+    if seed is not None and fixtures:
         raise ParseError("--seed and --fixture are mutually exclusive")
-    if spec.seed is not None and not 0 <= spec.seed < 1 << 64:
-        raise ParseError(f"--seed {spec.seed} is outside 0..2^64-1")
-    if not spec.fixtures:
+    if seed is not None and not 0 <= seed < 1 << 64:
+        raise ParseError(f"--seed {seed} is outside 0..2^64-1")
+    if not fixtures:
         # Runs stay reproducible when neither flag is given: seed 0.
-        return ProtocolEnv.seeded(spec.seed if spec.seed is not None else 0, bits,
-                                  tamper_rules=rules)
-    vectors = {role: read_fixture_file(path, params) for role, path in spec.fixtures.items()}
+        return ProtocolEnv.seeded(seed if seed is not None else 0, bits, tamper_rules=rules)
+    vectors = {role: read_fixture_file(path, params) for role, path in fixtures.items()}
     return ProtocolEnv.with_fixtures(
         params,
         **vectors,
         tamper_rules=rules,
-        config={"fixture_paths": dict(sorted(spec.fixtures.items()))},
+        config={"fixture_paths": dict(sorted(fixtures.items()))},
     )
 
 
-def _resolve_bits(spec: ScenarioSpec, *doc_bits: int) -> int:
+def _resolve_bits(args: Namespace, *doc_bits: int) -> int:
     """Document-driven commands take their width from the documents."""
     agreed = set(doc_bits)
     if len(agreed) > 1:
         raise ParseError(f"input documents disagree on bit width: {sorted(agreed)}")
     if doc_bits:
         bits = doc_bits[0]
-        if spec.bits is not None and spec.bits != bits:
+        if args.bits is not None and args.bits != bits:
             raise ParseError(
-                f"--bits {spec.bits} conflicts with input documents at {bits} bits"
+                f"--bits {args.bits} conflicts with input documents at {bits} bits"
             )
         return bits
-    return spec.bits if spec.bits is not None else default_bits()
+    return args.bits if args.bits is not None else default_bits()
 
 
 def _require(value, flag: str):
@@ -249,19 +215,19 @@ def _violation_lines(violations: list[Violation]) -> list[str]:
 
 
 def _set_generate_step(
-    spec: ScenarioSpec, out: RunResult
+    args: Namespace, out: RunResult
 ) -> tuple[AuthorizedShareSet, AuthorizedShareSet]:
-    template_count = _require(spec.d, "--d")
-    master_count = _require(spec.n, "--n")
+    template_count = _require(args.d, "--d")
+    master_count = _require(args.n, "--n")
     template, master = set_generate_m(template_count, master_count, out.env)
     out.documents["u1.json"] = share_set_to_doc(template)
     out.documents["u2.json"] = share_set_to_doc(master)
     return template, master
 
 
-def _safeshares_step(spec: ScenarioSpec, out: RunResult) -> tuple[SafeSharesState, ShareVector]:
-    count = _require(spec.n, "--n")
-    secret = decode_vector(_require(spec.secret_hex, "--secret"), out.env.params)
+def _safeshares_step(args: Namespace, out: RunResult) -> tuple[SafeSharesState, ShareVector]:
+    count = _require(args.n, "--n")
+    secret = decode_vector(_require(args.secret_hex, "--secret"), out.env.params)
     state = safe_shares(secret, count, out.env)
     out.documents["state.json"] = safe_state_to_doc(state)
     out.documents["protected.json"] = share_set_to_doc(state.protected_set())
@@ -300,8 +266,8 @@ def _distribute_step(
     return bulletin, assignment
 
 
-def _gen_m(spec: ScenarioSpec, out: RunResult) -> None:
-    count = _require(spec.n, "--n")
+def _gen_m(args: Namespace, out: RunResult) -> None:
+    count = args.n
     params = out.env.params
     out.env.note_operation("generate_mask_set", n=count)
     masks = generate_mask_set(count, out.env.source(ROLE_ACCUMULATOR), params)
@@ -311,40 +277,40 @@ def _gen_m(spec: ScenarioSpec, out: RunResult) -> None:
     )
 
 
-def _set_generate(spec: ScenarioSpec, out: RunResult) -> None:
-    template, master = _set_generate_step(spec, out)
+def _set_generate(args: Namespace, out: RunResult) -> None:
+    template, master = _set_generate_step(args, out)
     out.summary.append(f"template set ({len(template)} shares) -> {out.path('u1.json')}")
     out.summary.append(f"master set ({len(master)} shares) -> {out.path('u2.json')}")
 
 
-def _replicate(spec: ScenarioSpec, out: RunResult, source: AuthorizedShareSet) -> None:
-    derived = _replicate_step(source, _require(spec.mode, "--mode"), spec.d, out)
+def _replicate(args: Namespace, out: RunResult, source: AuthorizedShareSet) -> None:
+    derived = _replicate_step(source, args.mode, args.d, out)
     out.summary.append(f"derived set ({len(derived)} shares) -> {out.path('derived.json')}")
 
 
-def _fastshare(spec: ScenarioSpec, out: RunResult) -> None:
-    count = _require(spec.n, "--n")
-    secret = decode_vector(_require(spec.secret_hex, "--secret"), out.env.params)
+def _fastshare(args: Namespace, out: RunResult) -> None:
+    count = args.n
+    secret = decode_vector(args.secret_hex, out.env.params)
     shares = fast_share(secret, count, out.env)
     out.documents["shares.json"] = share_set_to_doc(shares)
     out.summary.append(f"owner set ({count} shares) -> {out.path('shares.json')}")
 
 
-def _safeshares(spec: ScenarioSpec, out: RunResult) -> None:
-    state, _ = _safeshares_step(spec, out)
+def _safeshares(args: Namespace, out: RunResult) -> None:
+    state, _ = _safeshares_step(args, out)
     out.summary.append(
         f"protected set ({len(state.protected_ints)} shares) -> {out.path('protected.json')}"
     )
     out.summary.append(f"full pre-positioning state -> {out.path('state.json')}")
 
 
-def _activate(spec: ScenarioSpec, out: RunResult, state: SafeSharesState) -> None:
+def _activate(args: Namespace, out: RunResult, state: SafeSharesState) -> None:
     activated = _activate_step(state, out)
     out.summary.append(f"activated set ({len(activated)} shares) -> {out.path('activated.json')}")
 
 
 def _pvss_distribute(
-    spec: ScenarioSpec, out: RunResult, set1: AuthorizedShareSet, set2: AuthorizedShareSet
+    args: Namespace, out: RunResult, set1: AuthorizedShareSet, set2: AuthorizedShareSet
 ) -> None:
     _distribute_step(set1, set2, out)
     out.summary.append(
@@ -353,7 +319,7 @@ def _pvss_distribute(
     out.summary.append(f"key assignment -> {out.path('keys.json')}")
 
 
-def _pvss_recover_keys(spec: ScenarioSpec, out: RunResult, assignment: KeyAssignment) -> None:
+def _pvss_recover_keys(args: Namespace, out: RunResult, assignment: KeyAssignment) -> None:
     result = recover_xored_keys(
         assignment, len(assignment.set1_ints), len(assignment.set2_ints), out.env
     )
@@ -361,7 +327,7 @@ def _pvss_recover_keys(spec: ScenarioSpec, out: RunResult, assignment: KeyAssign
 
 
 def _pvss_verify(
-    spec: ScenarioSpec, out: RunResult, bulletin: BulletinBoard, assignment: KeyAssignment
+    args: Namespace, out: RunResult, bulletin: BulletinBoard, assignment: KeyAssignment
 ) -> None:
     result = verify(bulletin, assignment, out.env)
     out.summary.append(f"xored_encrypted_shares={encode_vector(result.xored_encrypted_shares)}")
@@ -370,7 +336,7 @@ def _pvss_verify(
     out.exit_code = 0 if result.verdict is Verdict.POSITIVE else 2
 
 
-def _audit(spec: ScenarioSpec, out: RunResult, transcript: Transcript) -> None:
+def _audit(args: Namespace, out: RunResult, transcript: Transcript) -> None:
     violations = check_visibility(transcript)
     out.summary += _violation_lines(violations) or ["no visibility violations"]
     out.exit_code = 3 if violations else 0
@@ -396,22 +362,22 @@ def _parse_then_step(token: str) -> tuple[str, tuple[str, int | None] | None]:
     )
 
 
-def _simulate(spec: ScenarioSpec, out: RunResult) -> None:
+def _simulate(args: Namespace, out: RunResult) -> None:
     """Run a chained scenario in one environment and one transcript."""
-    start = _require(spec.start, "a starting algorithm")
-    steps = [_parse_then_step(t) for t in spec.then]
+    start = args.start
+    steps = [_parse_then_step(t) for t in args.then]
     if start == "safeshares":
-        if spec.d is not None:
-            raise ParseError(f"--d {spec.d} applies only to simulate set-generate")
-        state, secret = _safeshares_step(spec, out)
+        if args.d is not None:
+            raise ParseError(f"--d {args.d} applies only to simulate set-generate")
+        state, secret = _safeshares_step(args, out)
         out.summary.append(f"safeshares: protected set of {len(state.protected_ints)} shares")
         # what pvss compares against
         reference = AuthorizedShareSet.from_shares(SetRole.TEMPLATE, [secret])
         current = state.protected_set()
     elif start == "set-generate":
-        if spec.secret_hex is not None:
+        if args.secret_hex is not None:
             raise ParseError("--secret applies only to simulate safeshares")
-        reference, current = _set_generate_step(spec, out)
+        reference, current = _set_generate_step(args, out)
         out.summary.append(
             f"set-generate: template of {len(reference)}, master of {len(current)}"
         )
@@ -446,7 +412,7 @@ def _simulate(spec: ScenarioSpec, out: RunResult) -> None:
 class Option:
     """One argument of a command, as the keywords of its ``add_argument``
     call. An input document also names its ``kind``: :func:`run_scenario`
-    loads the path in the ScenarioSpec field ``dest`` and decodes it
+    loads the path in the parsed attribute ``dest`` and decodes it
     with ``<kind>_from_doc``."""
 
     def __init__(self, flag: str, *, kind: str | None = None, **kwargs) -> None:
@@ -540,24 +506,23 @@ COMMANDS = {
 GROUPS = {"pvss": "publicly verifiable consistency checks"}
 
 
-def run_scenario(spec: ScenarioSpec) -> RunResult:
+def run_scenario(args: Namespace) -> RunResult:
     """Run one command, then write everything it produced.
 
-    The command's input documents are loaded and decoded first, and the
-    width comes from them (see :func:`_resolve_bits`). Nothing reaches
-    ``spec.out_dir`` unless the command succeeds and every tamper rule
-    flipped a message: first the command's documents, then
+    ``args`` is a parsed command line. Its ``--fixture`` items are
+    checked first, then the command's input documents are loaded and
+    decoded, and the width comes from them (see :func:`_resolve_bits`).
+    Nothing reaches ``--out`` unless the command succeeds and every
+    tamper rule flipped a message: first the command's documents, then
     ``transcript.json``, then the optional audit of that transcript. If
     a write fails, the files this run wrote are removed again.
     """
-    try:
-        handler, _, options = COMMANDS[spec.command]
-    except KeyError:
-        raise ParseError(f"unknown command {spec.command!r}") from None
+    fixtures = _parse_fixtures(getattr(args, "fixtures", []))
+    handler, _, options = COMMANDS[args.command]
     decoded, widths = [], []
     for option in options:
         if option.kind:
-            path = _require(getattr(spec, option.dest), option.flag)
+            path = getattr(args, option.dest)
             document = load_document(path, option.kind)
             decoded.append(globals()[f"{option.kind}_from_doc"](document))
             if "bits" not in document:
@@ -570,12 +535,12 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
                     raise ParseError(
                         f"{path}: 'bits' is {bits!r}, but its config gives {written!r}")
             widths.append(bits)
-    result = RunResult(spec)
-    if spec.command == "audit":
-        handler(spec, result, *decoded)
+    result = RunResult(getattr(args, "out_dir", "."))  # audit has no --out
+    if args.command == "audit":
+        handler(args, result, *decoded)
         return result
-    env = result.env = _build_env(spec, _resolve_bits(spec, *widths))
-    handler(spec, result, *decoded)
+    env = result.env = _build_env(args, fixtures, _resolve_bits(args, *widths))
+    handler(args, result, *decoded)
     fired = {rule for rule, _ in env.tamper_fired}
     for rule in env.tamper_rules:
         if rule not in fired:
@@ -596,7 +561,7 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
                 path.unlink()
         raise
     result.summary.append(f"transcript -> {artifacts['transcript.json']}")
-    if spec.audit:
+    if args.audit:
         violations = check_visibility(env.transcript)
         result.summary += _violation_lines(violations) or ["audit: no visibility violations"]
         if violations:
@@ -651,7 +616,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def parse_command_line(argv: list[str]) -> argparse.Namespace:
+def parse_command_line(argv: list[str]) -> Namespace:
     """Parse one command line with the parser of the command it names.
 
     A line that starts with a command's words goes to that command's
@@ -678,32 +643,13 @@ def parse_command_line(argv: list[str]) -> argparse.Namespace:
     return args
 
 
-def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
-    """The argparse destinations are named after the ScenarioSpec fields."""
-    values = vars(args)
-    fixtures = {}
-    for item in values.get("fixtures", ()):
-        party, sep, path = item.partition(":")
-        if not sep or party not in SOURCE_ROLES:
-            raise ParseError(
-                f"--fixture wants PARTY:PATH with party in {'/'.join(SOURCE_ROLES)}, got {item!r}"
-            )
-        if party in fixtures:
-            raise ParseError(f"--fixture {party} given twice")
-        fixtures[party] = path
-    values["fixtures"] = fixtures
-    for name in ("tamper", "then"):
-        values[name] = tuple(values.get(name, ()))
-    return ScenarioSpec(**{name: values[name] for name in SPEC_FIELDS if name in values})
-
-
 def main(argv=None) -> int:
     try:
         args = parse_command_line(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        result = run_scenario(_spec_from_args(args))
+        result = run_scenario(args)
     except (AsgsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

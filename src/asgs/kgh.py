@@ -86,10 +86,12 @@ class SchemeParams(Frozen, fields=("dimension",)):
     """Algebra parameters: the bit width of every vector.
 
     Vectors behave like l-bit strings under XOR, with l = ``dimension``
-    in ``1..MAX_DIMENSION``.
+    an int in ``1..MAX_DIMENSION``.
     """
 
     def __init__(self, dimension: int) -> None:
+        if type(dimension) is not int:
+            raise ValueError(f"dimension must be an int, got {dimension!r}")
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
         if dimension > MAX_DIMENSION:
@@ -99,8 +101,14 @@ class SchemeParams(Frozen, fields=("dimension",)):
 
     @classmethod
     def binary(cls, bits: int = 128) -> SchemeParams:
-        """Parameters for bit-string vectors of the given width."""
-        return cls(bits)
+        """Parameters for bit-string vectors of the given width: one
+        object per width, so one run's values share it."""
+        if type(bits) is not int or bits not in _BINARY:
+            _BINARY[bits] = cls(bits)  # raises unless bits is a valid int
+        return _BINARY[bits]
+
+
+_BINARY: dict[int, SchemeParams] = {}
 
 
 class ShareVector(Frozen):

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from asgs.cli import ScenarioSpec, run_scenario
+from asgs.cli import parse_command_line, run_scenario
 from asgs.devices import RandSource
 from asgs.kgh import (
     AuthorizedShareSet,
@@ -521,40 +521,22 @@ def test_c12_determinism(tmp_path):
     fixture_path = tmp_path / "acc.txt"
     fixture_path.write_text("01\n02\n04\n08\n")
 
-    def specs(base):
-        return [
-            ScenarioSpec("gen-m", bits=8, seed=5, n=6, out_dir=str(base / "gen")),
-            ScenarioSpec(
-                "fastshare",
-                bits=8,
-                secret_hex="5a",
-                n=3,
-                out_dir=str(base / "fast"),
-            ),
-            ScenarioSpec(
-                "set-generate",
-                bits=8,
-                d=2,
-                n=3,
-                fixtures={"accumulator": str(fixture_path)},
-                out_dir=str(base / "setgen"),
-            ),
-            ScenarioSpec(
-                "simulate",
-                bits=8,
-                secret_hex="5a",
-                n=2,
-                start="safeshares",
-                then=("activate", "pvss"),
-                tamper=("dealer:key:2:bit:0",),
-                audit=True,
-                out_dir=str(base / "sim"),
-            ),
+    def run_descriptions(base):
+        lines = [
+            ["gen-m", "--bits", "8", "--seed", "5", "--n", "6", "--out", str(base / "gen")],
+            ["fastshare", "--bits", "8", "--secret", "5a", "--n", "3",
+             "--out", str(base / "fast")],
+            ["set-generate", "--bits", "8", "--d", "2", "--n", "3",
+             "--fixture", f"accumulator:{fixture_path}", "--out", str(base / "setgen")],
+            ["simulate", "safeshares", "--bits", "8", "--secret", "5a", "--n", "2",
+             "--then", "activate", "--then", "pvss", "--tamper", "dealer:key:2:bit:0",
+             "--audit", "--out", str(base / "sim")],
         ]
+        return [parse_command_line(line) for line in lines]
 
     compared = 0
-    first = [run_scenario(spec) for spec in specs(tmp_path / "a")]
-    second = [run_scenario(spec) for spec in specs(tmp_path / "b")]
+    first = [run_scenario(args) for args in run_descriptions(tmp_path / "a")]
+    second = [run_scenario(args) for args in run_descriptions(tmp_path / "b")]
     for left, right in zip(first, second):
         assert left.exit_code == right.exit_code
         assert sorted(left.artifacts) == sorted(right.artifacts)

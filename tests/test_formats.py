@@ -399,6 +399,7 @@ class TestTranscriptDocs:
         restored = transcript_from_doc(doc)
         assert list(restored) == list(env.transcript)
         assert restored.config.get("bits") == 8
+        assert restored.params is P8
 
     def test_bool_payloads_encode_as_single_byte_flags(self):
         transcript = Transcript({"bits": 8})

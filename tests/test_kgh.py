@@ -45,6 +45,19 @@ class TestSchemeParams:
         with pytest.raises(ValueError):
             SchemeParams(dimension)
 
+    @pytest.mark.parametrize("dimension", [True, 16.0, "8"])
+    def test_rejects_a_width_that_is_not_an_int(self, dimension):
+        with pytest.raises(ValueError, match="must be an int"):
+            SchemeParams(dimension)
+        with pytest.raises(ValueError, match="must be an int"):
+            SchemeParams.binary(dimension)
+
+    def test_binary_gives_one_object_per_width(self):
+        assert SchemeParams.binary(16) is SchemeParams.binary(16)
+        assert SchemeParams.binary() is SchemeParams.binary(128)
+        with pytest.raises(ValueError):  # 16 is cached; 16.0 still is not an int
+            SchemeParams.binary(16.0)
+
 
 WIDTHS = [1, 8, 12, 128, 4096]
 
@@ -316,7 +329,7 @@ class TestMaskSet:
             )
 
     def test_equal_params_need_not_be_identical(self):
-        vectors = (bv(0x0F, SchemeParams.binary(8)), bv(0x0F, SchemeParams.binary(8)))
+        vectors = (bv(0x0F, SchemeParams.binary(8)), bv(0x0F, SchemeParams(8)))
         assert MaskSet.from_vectors(vectors).vectors == vectors
         with pytest.raises(MixedParams):
             MaskSet.from_vectors(vectors + (bv(0x0000, SchemeParams.binary(16)),))
@@ -343,7 +356,7 @@ class TestAuthorizedShareSet:
             )
 
     def test_equal_params_need_not_be_identical(self):
-        shares = (bv(0x01, SchemeParams.binary(8)), bv(0x02, SchemeParams.binary(8)))
+        shares = (bv(0x01, SchemeParams.binary(8)), bv(0x02, SchemeParams(8)))
         made = AuthorizedShareSet.from_shares(SetRole.MASTER, shares)
         assert made.shares == shares
         with pytest.raises(MixedParams):

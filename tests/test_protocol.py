@@ -232,6 +232,12 @@ class TestTranscript:
         assert env.transcript.config["bits"] == 8
         assert env.transcript.params == P8
 
+    @pytest.mark.parametrize("make", [lambda: ProtocolEnv.seeded(1, 16),
+                                      lambda: ProtocolEnv.with_fixtures(SchemeParams.binary(16))])
+    def test_env_and_transcript_share_one_params(self, make):
+        env = make()
+        assert env.transcript.params is env.params is SchemeParams.binary(16)
+
 
 class TestDeliver:
     def test_returns_packed_ints_and_bools(self):
