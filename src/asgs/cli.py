@@ -528,10 +528,10 @@ def run_scenario(args: Namespace) -> RunResult:
             if "bits" not in document:
                 raise ParseError(f"{path}: missing 'bits'")
             bits = document["bits"]
-            if option.kind == "transcript":  # the writer's: config.bits if an int, else 0
-                written = decoded[-1].config.get("bits")
-                written = written if isinstance(written, int) else 0
-                if type(bits) is not type(written) or bits != written:
+            if option.kind == "transcript":  # the writer's: the width of its params, else 0
+                params = decoded[-1].params
+                written = params.dimension if params is not None else 0
+                if type(bits) is not int or bits != written:
                     raise ParseError(
                         f"{path}: 'bits' is {bits!r}, but its config gives {written!r}")
             widths.append(bits)

@@ -229,10 +229,10 @@ def _decode_column(items: list, params: SchemeParams, name) -> list[int]:
     return out
 
 
-def _decode_list(items: object, params: SchemeParams, context: str) -> tuple[int, ...]:
+def _decode_list(items: object, params: SchemeParams, context: str) -> list[int]:
     if not isinstance(items, list):
         raise ParseError(f"{context}: expected a list of hex vectors")
-    return tuple(_decode_column(items, params, f"{context}[{{}}]".format))
+    return _decode_column(items, params, f"{context}[{{}}]".format)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +330,7 @@ def safe_state_from_doc(document: Mapping) -> SafeSharesState:
         raise ParseError("safe_state.assignment: expected a list of integers")
     masks = _build("safe_state", MaskSet, masks, params)
     return _build("safe_state", SafeSharesState, params, protected, keys, masks,
-                  owner_shares, tuple(assignment))
+                  owner_shares, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +361,11 @@ def dumps_transcript(transcript: Transcript) -> str:
     sent_kinds = {kind for parts in transcript.rounds for part in parts for kind in _rows(part[3], 1)}
     if not MESSAGE_KINDS.issuperset(sent_kinds):
         raise ValueError(f"unknown message kinds {sorted(sent_kinds - MESSAGE_KINDS)}")
-    bits = transcript.config.get("bits")
+    width = transcript.params.dimension if transcript.params is not None else 0
     head = dumps_document({"version": FORMAT_VERSION, "kind": "transcript", "steps": [],
-                           "bits": bits if isinstance(bits, int) else 0,
-                           "config": dict(transcript.config)})
+                           "bits": width, "config": dict(transcript.config)})
     if not len(transcript):
         return head
-    width = transcript.params.dimension if transcript.params is not None else 0
     padding = -width % 8
     size = (width + padding) // 8
 

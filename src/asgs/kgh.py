@@ -7,9 +7,10 @@ authorized set, which is the form the automatic protocols in
 int, component 1 in the most significant bit, so adding or subtracting
 two of them is a single ``^``; its ``components`` tuple is a derived
 view. The protocol engine computes on the packed ints themselves
-(:func:`to_ints`, :func:`from_ints`). Results store int columns plus
-``params``: their vector attributes are views built on first read and
-cached, and vectors enter only through one classmethod per result type.
+(:func:`to_ints`, :func:`from_ints`). A result is built from its int
+columns plus ``params`` and stores each column as a tuple; its vector
+attributes are views built on first read and cached. Vectors enter
+through one classmethod, :meth:`AuthorizedShareSet.from_shares`.
 """
 
 from __future__ import annotations
@@ -280,9 +281,10 @@ class SetRole(enum.Enum):
 
 class AuthorizedShareSet(Frozen, fields=("role", "ints", "params")):
     """An ordered set of shares that jointly recover one secret, held as
-    packed ints; ``shares`` is their vector view."""
+    a tuple of packed ints; ``shares`` is their vector view."""
 
-    def __init__(self, role: SetRole, ints: tuple[int, ...], params: SchemeParams) -> None:
+    def __init__(self, role: SetRole, ints: Iterable[int], params: SchemeParams) -> None:
+        ints = tuple(ints)
         check_ints(ints, params, "an authorized set")
         d = self.__dict__
         d["role"], d["ints"], d["params"] = d["_values"] = role, ints, params
@@ -292,7 +294,7 @@ class AuthorizedShareSet(Frozen, fields=("role", "ints", "params")):
         cls, role: SetRole, shares: Iterable[ShareVector]
     ) -> AuthorizedShareSet:
         shares = tuple(shares)
-        return cls(role, tuple(to_ints(shares)), vector_params(shares))
+        return cls(role, to_ints(shares), vector_params(shares))
 
     shares = vector_view("ints")
 
@@ -302,19 +304,15 @@ class AuthorizedShareSet(Frozen, fields=("role", "ints", "params")):
 
 class MaskSet(Frozen, fields=("ints", "params")):
     """An ordered set of vectors whose group sum is the zero vector, held
-    as packed ints; ``vectors`` is their vector view."""
+    as a tuple of packed ints; ``vectors`` is their vector view."""
 
-    def __init__(self, ints: tuple[int, ...], params: SchemeParams) -> None:
+    def __init__(self, ints: Iterable[int], params: SchemeParams) -> None:
+        ints = tuple(ints)
         check_ints(ints, params, "a mask set")
         if reduce(xor, ints, 0):
             raise ValueError("mask set elements must combine to the zero vector")
         d = self.__dict__
         d["ints"], d["params"] = d["_values"] = ints, params
-
-    @classmethod
-    def from_vectors(cls, vectors: Iterable[ShareVector]) -> MaskSet:
-        vectors = tuple(vectors)
-        return cls(tuple(to_ints(vectors)), vector_params(vectors))
 
     vectors = vector_view("ints")
 
@@ -361,7 +359,7 @@ def kgh_split(
     params = secret.params
     shares = rand.next_ints(params, count - 1)
     shares.append(reduce(xor, shares, secret._data))
-    return AuthorizedShareSet(SetRole.OWNER, tuple(shares), params)
+    return AuthorizedShareSet(SetRole.OWNER, shares, params)
 
 
 def mask_ints(count: int, rand: RandSource, params: SchemeParams) -> list[int]:
@@ -384,7 +382,7 @@ def generate_mask_set(
     count: int, rand: RandSource, params: SchemeParams
 ) -> MaskSet:
     """:func:`mask_ints` as a :class:`MaskSet`."""
-    return MaskSet(tuple(mask_ints(count, rand, params)), params)
+    return MaskSet(mask_ints(count, rand, params), params)
 
 
 def check_zero_sum(

@@ -127,8 +127,8 @@ class Party(Frozen, fields=("role", "set_tag", "index")):
         if role == ROLE_PARTICIPANT:
             if not (isinstance(set_tag, str) and set_tag.isascii() and set_tag.isalnum()):
                 raise ValueError(f"set tag must be non-empty ASCII [0-9A-Za-z], got {set_tag!r}")
-            if index is None or index < 1:
-                raise ValueError("participants need a set tag and a 1-based index")
+            if type(index) is not int or index < 1:
+                raise ValueError(f"participants need a 1-based int index, got {index!r}")
             key, label = f"participant:{set_tag}", f"p{set_tag}-{index}"
         elif role not in (ROLE_DEALER, ROLE_OWNER, ROLE_ACCUMULATOR):
             raise ValueError(f"unknown role {role!r}")
@@ -158,8 +158,9 @@ def participant(set_tag: str, index: int) -> Party:
     """The participant ``index`` of set ``set_tag``, built once per process.
 
     Every message to or from a participant names one, so equal arguments
-    return the same object. A rejected index raises on every call, since
-    the cache keeps only results.
+    return the same object. The cache keeps only results, so a rejected
+    index never enters it; ``True`` is an equal key to ``1``, so once
+    that party is cached it is returned for ``True`` too.
     """
     return Party(ROLE_PARTICIPANT, set_tag, index)
 
@@ -294,6 +295,9 @@ class TamperRule(Frozen, fields=("party", "kind", "occurrence", "bit")):
         parse_party(party)
         if kind not in MESSAGE_KINDS:
             raise ValueError(f"unknown message kind {kind!r}")
+        for name, value in (("occurrence", occurrence), ("bit index", bit)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if occurrence < 1:
             raise ValueError("occurrence counts from 1")
         if bit < 0:
@@ -802,15 +806,20 @@ class SafeSharesState(Frozen, fields=("params", "protected_ints", "key_ints", "m
     ``protected`` (the vector view of ``protected_ints``) is ordered by
     participant index; ``assignment`` maps each original share index
     (1-based position) to the participant that received its envelope.
-    The keys are the dealer's, ordered by original index.
+    The keys are the dealer's, ordered by original index. Each int
+    column and ``assignment`` is stored as a tuple.
     """
 
-    def __init__(self, params: SchemeParams, protected_ints: tuple[int, ...],
-                 key_ints: tuple[int, ...], masks: MaskSet,
-                 owner_share_ints: tuple[int, ...], assignment: tuple[int, ...]) -> None:
+    def __init__(self, params: SchemeParams, protected_ints: Iterable[int],
+                 key_ints: Iterable[int], masks: MaskSet,
+                 owner_share_ints: Iterable[int], assignment: Iterable[int]) -> None:
+        protected_ints, key_ints = tuple(protected_ints), tuple(key_ints)
+        owner_share_ints, assignment = tuple(owner_share_ints), tuple(assignment)
         count = len(protected_ints)
         if not len(key_ints) == len(masks) == len(owner_share_ints) == count:
             raise ValueError("all per-share sequences must have equal length")
+        if any(type(i) is not int for i in assignment):
+            raise ValueError(f"assignment entries must be ints, got {assignment!r}")
         if sorted(assignment) != list(range(1, count + 1)):
             raise ValueError("assignment must be a permutation of participant indices")
         if not functools.reduce(xor, key_ints, 0):
@@ -843,10 +852,6 @@ def _check_params(env: ProtocolEnv, *items) -> None:
             raise MixedParams(
                 f"operation runs under {env.params}, got input under {item.params}"
             )
-
-
-def _share_set(role: SetRole, params: SchemeParams, values: Iterable[int]) -> AuthorizedShareSet:
-    return AuthorizedShareSet(role, tuple(values), params)
 
 
 @functools.lru_cache(maxsize=32)
@@ -886,8 +891,8 @@ def set_generate_m(
         KIND_MASK_ELEMENT, masks, [*templates, *masters],
     )
     return (
-        _share_set(SetRole.TEMPLATE, params, shares[:template_count]),
-        _share_set(SetRole.MASTER, params, shares[template_count:]),
+        AuthorizedShareSet(SetRole.TEMPLATE, shares[:template_count], params),
+        AuthorizedShareSet(SetRole.MASTER, shares[template_count:], params),
     )
 
 
@@ -936,7 +941,7 @@ def set_replicate(
         )
     env.note_operation("set_replicate", n=n)
     derived, _ = _replicate_rounds(masks.ints, master.ints, env)
-    return _share_set(SetRole.DERIVED, env.params, derived)
+    return AuthorizedShareSet(SetRole.DERIVED, derived, env.params)
 
 
 def equal_set_replicate(
@@ -948,7 +953,7 @@ def equal_set_replicate(
     env.note_operation("equal_set_replicate", n=n)
     masks = mask_ints(2 * n, env.source(ROLE_ACCUMULATOR), env.params)
     derived, _ = _replicate_rounds(masks, master.ints, env)
-    return _share_set(SetRole.DERIVED, env.params, derived)
+    return AuthorizedShareSet(SetRole.DERIVED, derived, env.params)
 
 
 def set_replicate_to_bigger(
@@ -975,7 +980,7 @@ def set_replicate_to_bigger(
         ACCUMULATOR, _participants(SetRole.DERIVED.value, extra), KIND_DERIVED_SHARE,
         masks[2 * n:], extra,
     )
-    return _share_set(SetRole.DERIVED, env.params, derived)
+    return AuthorizedShareSet(SetRole.DERIVED, derived, env.params)
 
 
 def set_replicate_to_smaller(
@@ -1002,7 +1007,7 @@ def set_replicate_to_smaller(
         ACCUMULATOR, participant(SetRole.DERIVED.value, target_count), KIND_DERIVED_SHARE,
         [functools.reduce(xor, rest, 0)], target_count,
     )
-    return _share_set(SetRole.DERIVED, env.params, derived)
+    return AuthorizedShareSet(SetRole.DERIVED, derived, env.params)
 
 
 def _fast_share_rounds(secret: int, count: int, env: ProtocolEnv) -> list[int]:
@@ -1032,8 +1037,8 @@ def fast_share(
         raise ValueError(f"share count must be >= 1, got {count}")
     _check_params(env, secret)
     env.note_operation("fast_share", n=count)
-    return _share_set(
-        SetRole.OWNER, env.params, _fast_share_rounds(secret.to_int(), count, env)
+    return AuthorizedShareSet(
+        SetRole.OWNER, _fast_share_rounds(secret.to_int(), count, env), env.params
     )
 
 
@@ -1080,8 +1085,8 @@ def safe_shares(
     protected = [0] * count
     for target, envelope in zip(assignment, envelopes):
         protected[target - 1] = envelope
-    return SafeSharesState(params, tuple(protected), tuple(keys), MaskSet(tuple(masks), params),
-                           tuple(owner_shares), assignment)
+    return SafeSharesState(params, protected, keys, MaskSet(masks, params), owner_shares,
+                           assignment)
 
 
 def activate_shares(state: SafeSharesState, env: ProtocolEnv) -> AuthorizedShareSet:
@@ -1109,7 +1114,7 @@ def activate_shares(state: SafeSharesState, env: ProtocolEnv) -> AuthorizedShare
     )
     activated = map(xor, compress(state.protected_ints, passed), released)
     if all(passed):
-        return _share_set(SetRole.ACTIVATED, env.params, activated)
+        return AuthorizedShareSet(SetRole.ACTIVATED, activated, env.params)
     raise IdentificationFailed(
         list(compress(indices, map(not_, passed))),
         dict(zip(compress(indices, passed), from_ints(env.params, activated))),

@@ -16,9 +16,8 @@ from __future__ import annotations
 import enum
 import warnings
 from functools import reduce
-from itertools import repeat
 from operator import xor
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from asgs.kgh import (
     AsgsError,
@@ -27,9 +26,6 @@ from asgs.kgh import (
     SchemeParams,
     ShareVector,
     check_ints,
-    from_ints,
-    to_ints,
-    vector_params,
     vector_view,
 )
 from asgs.protocol import (
@@ -60,12 +56,14 @@ class Verdict(enum.Enum):
 
 class BulletinBoard(Frozen, fields=("set1_ints", "set2_ints", "params")):
     """Published encrypted shares of the two sets under comparison, as
-    packed ints; ``set1_entries`` and ``set2_entries`` are their vector
-    views. An authorized set holds at least one share, so neither is empty.
+    tuples of packed ints; ``set1_entries`` and ``set2_entries`` are their
+    vector views. An authorized set holds at least one share, so neither
+    is empty.
     """
 
-    def __init__(self, set1_ints: tuple[int, ...], set2_ints: tuple[int, ...],
+    def __init__(self, set1_ints: Iterable[int], set2_ints: Iterable[int],
                  params: SchemeParams) -> None:
+        set1_ints, set2_ints = tuple(set1_ints), tuple(set2_ints)
         for tag, column in (("1", set1_ints), ("2", set2_ints)):
             if not column:
                 raise CardinalityMismatch(f"set {tag}: the bulletin has no entries, "
@@ -74,51 +72,23 @@ class BulletinBoard(Frozen, fields=("set1_ints", "set2_ints", "params")):
         d = self.__dict__
         d["set1_ints"], d["set2_ints"], d["params"] = d["_values"] = set1_ints, set2_ints, params
 
-    @classmethod
-    def from_entries(
-        cls, set1_entries: Iterable[ShareVector], set2_entries: Iterable[ShareVector]
-    ) -> BulletinBoard:
-        set1, set2 = tuple(set1_entries), tuple(set2_entries)
-        return cls(tuple(to_ints(set1)), tuple(to_ints(set2)), vector_params(set1 + set2))
-
     set1_entries = vector_view("set1_ints")
     set2_entries = vector_view("set2_ints")
 
 
 class KeyAssignment(Frozen, fields=("set1_ints", "set2_ints", "params")):
-    """Per-participant one-time keys of the two sets, as packed ints:
-    ``set1_ints[i - 1]`` is the key of participant i of set 1, and
+    """Per-participant one-time keys of the two sets, as tuples of packed
+    ints: ``set1_ints[i - 1]`` is the key of participant i of set 1, and
     ``set2_ints`` likewise for set 2. One set may hold no key, but not
-    both. ``entries`` is a fresh ``(set tag, index) → vector`` map on
-    each read.
+    both.
     """
 
-    def __init__(self, set1_ints: tuple[int, ...], set2_ints: tuple[int, ...],
+    def __init__(self, set1_ints: Iterable[int], set2_ints: Iterable[int],
                  params: SchemeParams) -> None:
+        set1_ints, set2_ints = tuple(set1_ints), tuple(set2_ints)
         check_ints(set1_ints + set2_ints, params, "a key assignment")
         d = self.__dict__
         d["set1_ints"], d["set2_ints"], d["params"] = d["_values"] = set1_ints, set2_ints, params
-
-    @classmethod
-    def from_entries(cls, entries: Mapping[tuple[str, int], ShareVector]) -> KeyAssignment:
-        """The assignment of a ``(set tag, index) → key`` map; the indices
-        of each set run from 1 with no gap."""
-        params = vector_params(tuple(entries.values()))
-        columns: dict[str, dict[int, int]] = {"1": {}, "2": {}}
-        for (tag, index), key in entries.items():
-            if tag not in columns:
-                raise ValueError(f"unknown set tag {tag!r}: a key belongs to set '1' or '2'")
-            columns[tag][index] = key.to_int()
-        set1, set2 = (tuple(map(keys.get, range(1, len(keys) + 1))) for keys in columns.values())
-        if None in set1 + set2:
-            raise ValueError(f"set {'1' if None in set1 else '2'}: a gap in the key indices")
-        return cls(set1, set2, params)
-
-    @property
-    def entries(self) -> dict[tuple[str, int], ShareVector]:
-        h, g = len(self.set1_ints), len(self.set2_ints)
-        slots = [*zip(repeat("1"), range(1, h + 1)), *zip(repeat("2"), range(1, g + 1))]
-        return dict(zip(slots, from_ints(self.params, self.set1_ints + self.set2_ints)))
 
     def key_for(self, set_tag: str, index: int) -> ShareVector:
         column = {"1": self.set1_ints, "2": self.set2_ints}.get(set_tag, ())
@@ -163,8 +133,8 @@ def distribute_shares_and_keys(
     delivered = env.deliver_round(DEALER, holders, KIND_KEY, keys, [*first, *second])
     published = list(map(xor, set1.ints + set2.ints, keys))
     return (
-        BulletinBoard(tuple(published[:split]), tuple(published[split:]), params),
-        KeyAssignment(tuple(delivered[:split]), tuple(delivered[split:]), params),
+        BulletinBoard(published[:split], published[split:], params),
+        KeyAssignment(delivered[:split], delivered[split:], params),
     )
 
 

@@ -287,6 +287,16 @@ def test_c08_pvss_biconditional():
     return f"{cases} set pairs with h,g <= 3, {matching} matching, 0 disagreements"
 
 
+def single_bit_flips(set1, set2):
+    """Each copy of two 8-bit int columns with one bit of one value flipped."""
+    for side, column in enumerate((set1, set2)):
+        for idx in range(len(column)):
+            for bit in range(8):
+                pair = [list(set1), list(set2)]
+                pair[side][idx] ^= 1 << bit
+                yield pair
+
+
 @pytest.mark.filterwarnings("ignore:zero one-time key")
 @criterion(9, "every single-bit tamper turns the verdict negative")
 def test_c09_pvss_tamper_sensitivity():
@@ -304,32 +314,14 @@ def test_c09_pvss_tamper_sensitivity():
             )
             assert verify(bulletin, assignment, env).verdict is Verdict.POSITIVE
 
-            for flip_set in (1, 2):
-                entries = (
-                    bulletin.set1_entries if flip_set == 1 else bulletin.set2_entries
-                )
-                for idx in range(len(entries)):
-                    for bit in range(8):
-                        flipped = list(entries)
-                        flipped[idx] = flipped[idx] + bv(1 << bit)
-                        board = BulletinBoard.from_entries(
-                            tuple(flipped) if flip_set == 1 else bulletin.set1_entries,
-                            tuple(flipped) if flip_set == 2 else bulletin.set2_entries,
-                        )
-                        cases += 1
-                        negatives += (
-                            verify(board, assignment, env).verdict is Verdict.NEGATIVE
-                        )
-
-            for slot, key in assignment.entries.items():
-                for bit in range(8):
-                    tampered = KeyAssignment.from_entries(
-                        {**assignment.entries, slot: key + bv(1 << bit)}
-                    )
-                    cases += 1
-                    negatives += (
-                        verify(bulletin, tampered, env).verdict is Verdict.NEGATIVE
-                    )
+            for set1, set2 in single_bit_flips(bulletin.set1_ints, bulletin.set2_ints):
+                cases += 1
+                board = BulletinBoard(set1, set2, env.params)
+                negatives += verify(board, assignment, env).verdict is Verdict.NEGATIVE
+            for set1, set2 in single_bit_flips(assignment.set1_ints, assignment.set2_ints):
+                cases += 1
+                tampered = KeyAssignment(set1, set2, env.params)
+                negatives += verify(bulletin, tampered, env).verdict is Verdict.NEGATIVE
     assert negatives == cases
     return f"{negatives}/{cases} single-bit flips rejected, h,g <= 4"
 
@@ -347,9 +339,7 @@ def test_c10_visibility():
     honest_envs.append(env)
 
     env = ProtocolEnv.seeded(103, 8)
-    masks = MaskSet.from_vectors(
-        bvs([0x01, 0x02, 0x03, 0x04, 0x01, 0x02, 0x03, 0x04])
-    )
+    masks = MaskSet([0x01, 0x02, 0x03, 0x04, 0x01, 0x02, 0x03, 0x04], env.params)
     set_replicate(masks, master_set([0x10, 0x20, 0x30, 0x40]), env)
     honest_envs.append(env)
 

@@ -559,19 +559,21 @@ class TestAudit:
         assert captured.err == f"error: {path}: 'bits' is {bits!r}, but its config gives 128\n"
 
     def test_transcript_without_integer_config_bits_needs_bits_0(self, tmp_path, capsys):
-        # With no integer config.bits the writer puts 0, and only 0 reads back.
-        transcript = Transcript({"bits": "wide"})
-        path = tmp_path / "t.json"
-        path.write_text(dumps_transcript(transcript))
-        assert load_document(path, "transcript")["bits"] == 0
-        capsys.readouterr()
-        assert main(["audit", str(path)]) == 0
-        assert capsys.readouterr().out == "no visibility violations\n"
-        doc = load_document(path, "transcript")
-        doc["bits"] = 128
-        dump_document(doc, path)
-        assert main(["audit", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: {path}: 'bits' is 128, but its config gives 0\n"
+        # With no integer config.bits the writer puts 0, and only 0 reads
+        # back. A bool is no integer: True was once written as "bits": true.
+        for config_bits in ("wide", True, 128.0):
+            path = tmp_path / "t.json"
+            path.write_text(dumps_transcript(Transcript({"bits": config_bits})))
+            assert load_document(path, "transcript")["bits"] == 0
+            capsys.readouterr()
+            assert main(["audit", str(path)]) == 0
+            assert capsys.readouterr().out == "no visibility violations\n"
+            doc = load_document(path, "transcript")
+            doc["bits"] = 128
+            dump_document(doc, path)
+            assert main(["audit", str(path)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {path}: 'bits' is 128, but its config gives 0\n")
 
     @pytest.mark.parametrize("value", [
         pytest.param("[" * 100_000 + "]" * 100_000, id="deep"),

@@ -283,11 +283,11 @@ class TestBooleansAreNotIntegers:
         share_set = AuthorizedShareSet.from_shares(SetRole.MASTER, bvs([0x80]))
         for decode, doc in (
             (share_set_from_doc, share_set_to_doc(share_set)),
-            (mask_set_from_doc, mask_set_to_doc(MaskSet.from_vectors(bvs([0x80, 0x80])))),
+            (mask_set_from_doc, mask_set_to_doc(MaskSet([0x80, 0x80], P8))),
             (bulletin_from_doc,
-             bulletin_to_doc(BulletinBoard.from_entries(bvs([0x80]), bvs([0x80])))),
+             bulletin_to_doc(BulletinBoard([0x80], [0x80], P8))),
             (key_assignment_from_doc,
-             key_assignment_to_doc(KeyAssignment.from_entries({("1", 1): bv(0x80)}))),
+             key_assignment_to_doc(KeyAssignment([0x80], [], P8))),
             (safe_state_from_doc, self.safe_state_doc()),
         ):
             with pytest.raises(ParseError, match="bits"):
@@ -326,11 +326,11 @@ class TestShareSetDocs:
 
 class TestMaskSetDocs:
     def test_round_trip(self):
-        masks = MaskSet.from_vectors(bvs([0x0F, 0x0F]))
+        masks = MaskSet([0x0F, 0x0F], P8)
         assert mask_set_from_doc(mask_set_to_doc(masks)) == masks
 
     def test_broken_zero_sum_rejected(self):
-        doc = mask_set_to_doc(MaskSet.from_vectors(bvs([0x0F, 0x0F])))
+        doc = mask_set_to_doc(MaskSet([0x0F, 0x0F], P8))
         doc = {**doc, "vectors": ["0f", "0e"]}
         with pytest.raises(ParseError):
             mask_set_from_doc(doc)
@@ -354,7 +354,7 @@ class TestPvssDocs:
 
     @pytest.mark.parametrize("field", ["set1", "set2"])
     def test_empty_bulletin_set_rejected(self, field):
-        bulletin = BulletinBoard.from_entries((bv(0x11),), (bv(0x22),))
+        bulletin = BulletinBoard([0x11], [0x22], P8)
         doc = bulletin_to_doc(bulletin)
         doc[field] = []
         with pytest.raises(ParseError, match=f"bulletin.{field}: empty"):
@@ -363,7 +363,7 @@ class TestPvssDocs:
     def test_key_assignment_doc_indexes_by_set(self):
         from asgs.pvss import KeyAssignment
 
-        assignment = KeyAssignment.from_entries({("1", 1): bv(0x10), ("2", 1): bv(0x40)})
+        assignment = KeyAssignment([0x10], [0x40], P8)
         doc = key_assignment_to_doc(assignment)
         assert doc["kind"] == "key_assignment"
         restored = key_assignment_from_doc(doc)

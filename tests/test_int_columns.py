@@ -1,11 +1,12 @@
 """Result types store int columns; their vectors are cached views.
 
 One property per type, over widths 1/8/128/4096 and columns of 1 to 625
-values: the vector classmethod and the int constructor agree, each view
-is ``from_ints`` of its column and is built once, fields are frozen,
-pickle and deepcopy round-trip to an equal object with an equal hash,
-and the int constructor rejects an empty column, a negative value and a
-value one bit too wide.
+values: columns given as tuples, lists or iterators build one value with
+one hash and are stored as tuples that a later write to an input list
+cannot reach, each view is ``from_ints`` of its column and is built
+once, fields are frozen, pickle and deepcopy round-trip to an equal
+object with an equal hash, and the constructor rejects an empty column,
+a negative value and a value one bit too wide.
 """
 
 import copy
@@ -23,7 +24,6 @@ from asgs.kgh import (
     AsgsError,
     AuthorizedShareSet,
     MaskSet,
-    MixedParams,
     SchemeParams,
     SetRole,
     ShareVector,
@@ -46,14 +46,33 @@ def zero_sum(rng, bits, count):
     return head + (reduce(xor, head, 0),)
 
 
-def check_result(made, from_vectors, views, rebuild, column):
+def check_any_iterable(build, columns):
+    """``build(wrap)`` builds the type with each input column passed
+    through ``wrap``; ``columns`` names the fields that store them."""
+    made = build(tuple)
+    inputs = []
+
+    def kept_list(column):
+        inputs.append(list(column))
+        return inputs[-1]
+
+    from_list, from_iter = build(kept_list), build(iter)
+    for other in (from_list, from_iter):
+        assert other == made
+        assert hash(other) == hash(made)
+        assert all(type(getattr(other, name)) is tuple for name in columns)
+    stored = [getattr(from_list, name) for name in columns]
+    for column in inputs:
+        column.append(column[0] if column else 1)
+    assert [getattr(from_list, name) for name in columns] == stored
+    assert from_list == made
+
+
+def check_result(made, views, rebuild, column):
     """``views`` maps each view attribute to its int column; ``rebuild``
     builds the type with ``column`` replaced (None: as it is)."""
     assert made == rebuild(None)
     assert hash(made) == hash(rebuild(None))
-    if from_vectors is not None:
-        assert from_vectors == made
-        assert hash(from_vectors) == hash(made)
     for name, ints in views.items():
         view = getattr(made, name)
         assert view is getattr(made, name)
@@ -77,9 +96,13 @@ def test_authorized_share_set(bits, count, seed):
     params = SchemeParams.binary(bits)
     ints = draw_ints(random.Random(seed), bits, count)
     made = AuthorizedShareSet(SetRole.MASTER, ints, params)
+    from_shares = AuthorizedShareSet.from_shares(SetRole.MASTER, from_ints(params, ints))
+    assert from_shares == made
+    assert hash(from_shares) == hash(made)
+    check_any_iterable(lambda wrap: AuthorizedShareSet(SetRole.MASTER, wrap(ints), params),
+                       ("ints",))
     check_result(
-        made, AuthorizedShareSet.from_shares(SetRole.MASTER, from_ints(params, ints)),
-        {"shares": ints},
+        made, {"shares": ints},
         lambda bad: AuthorizedShareSet(SetRole.MASTER, ints if bad is None else bad, params),
         ints,
     )
@@ -91,9 +114,9 @@ def test_mask_set(bits, count, seed):
     params = SchemeParams.binary(bits)
     ints = zero_sum(random.Random(seed), bits, count)
     made = MaskSet(ints, params)
+    check_any_iterable(lambda wrap: MaskSet(wrap(ints), params), ("ints",))
     check_result(
-        made, MaskSet.from_vectors(from_ints(params, ints)), {"vectors": ints},
-        lambda bad: MaskSet(ints if bad is None else bad, params), ints,
+        made, {"vectors": ints}, lambda bad: MaskSet(ints if bad is None else bad, params), ints,
     )
     assert len(made) == count
 
@@ -104,9 +127,10 @@ def test_bulletin_board(bits, count1, count2, seed):
     rng = random.Random(seed)
     set1, set2 = draw_ints(rng, bits, count1), draw_ints(rng, bits, count2)
     made = BulletinBoard(set1, set2, params)
+    check_any_iterable(lambda wrap: BulletinBoard(wrap(set1), wrap(set2), params),
+                       ("set1_ints", "set2_ints"))
     check_result(
-        made, BulletinBoard.from_entries(from_ints(params, set1), from_ints(params, set2)),
-        {"set1_entries": set1, "set2_entries": set2},
+        made, {"set1_entries": set1, "set2_entries": set2},
         lambda bad: BulletinBoard(set1, set2 if bad is None else bad, params), set2,
     )
 
@@ -116,30 +140,23 @@ def test_key_assignment(bits, count1, count2, seed):
     assume(count1 + count2)  # one set may hold no key, but not both
     params = SchemeParams.binary(bits)
     values = draw_ints(random.Random(seed), bits, count1 + count2)
-    slots = [("1", i) for i in range(1, count1 + 1)] + [("2", i) for i in range(1, count2 + 1)]
-    entries = dict(zip(slots, from_ints(params, values)))
 
     def rebuild(bad):
         column = values if bad is None else bad
         return KeyAssignment(column[:count1], column[count1:], params)
 
     made = rebuild(None)
-    check_result(made, KeyAssignment.from_entries(entries), {}, rebuild, values)
+    check_any_iterable(
+        lambda wrap: KeyAssignment(wrap(values[:count1]), wrap(values[count1:]), params),
+        ("set1_ints", "set2_ints"))
+    check_result(made, {}, rebuild, values)
     assert (len(made.set1_ints), len(made.set2_ints)) == (count1, count2)
-    # entries is built afresh on each read, so a write to one reaches nothing.
-    made.entries.clear()
-    assert made.entries == entries
-    assert made.key_for(*slots[-1]) == made.entries[slots[-1]]
+    last = ("2", count2) if count2 else ("1", count1)
+    assert made.key_for(*last) == ShareVector.from_int(params, values[-1])
     for tag, count in (("1", count1), ("2", count2)):
         for index in (0, count + 1):
             with pytest.raises(MissingKey):
                 made.key_for(tag, index)
-    key, wide = entries[slots[0]], ShareVector.from_int(SchemeParams.binary(bits + 1), 0)
-    for bad in ({**entries, ("3", 1): key}, {**entries, ("2", count2 + 2): key}):
-        with pytest.raises(ValueError, match="unknown set tag|gap"):
-            KeyAssignment.from_entries(bad)
-    with pytest.raises(MixedParams):
-        KeyAssignment.from_entries({**entries, ("2", count2 + 1): wide})
 
 
 @given(WIDTHS, LENGTHS, SEEDS)
@@ -157,9 +174,30 @@ def test_safe_shares_state(bits, count, seed):
         column = protected if bad is None else bad
         return SafeSharesState(params, column, keys, masks, owner, assignment)
 
+    check_any_iterable(
+        lambda wrap: SafeSharesState(params, wrap(protected), wrap(keys),
+                                     MaskSet(wrap(masks.ints), params), wrap(owner),
+                                     wrap(assignment)),
+        ("protected_ints", "key_ints", "owner_share_ints", "assignment"))
     check_result(
-        rebuild(None), None,
-        {"protected": protected, "keys": keys, "owner_shares": owner},
+        rebuild(None), {"protected": protected, "keys": keys, "owner_shares": owner},
         rebuild, protected,
     )
     assert rebuild(None).protected_set().ints == protected
+
+
+def test_key_assignment_takes_a_list_and_a_tuple():
+    # A list column and a tuple column once met in a list + tuple concatenation.
+    made = KeyAssignment([1], (2,), SchemeParams.binary(8))
+    assert (made.set1_ints, made.set2_ints) == ((1,), (2,))
+    assert made == KeyAssignment((1,), [2], SchemeParams.binary(8))
+
+
+@pytest.mark.parametrize("assignment", [(True, 2), (2, True), (1.0, 2), (1, 2.0)])
+def test_safe_shares_assignment_entries_are_ints(assignment):
+    # (True, 2) sorts like (1, 2), but its document would read [true, 2].
+    params = SchemeParams.binary(8)
+    masks = MaskSet((3, 3), params)
+    with pytest.raises(ValueError, match="assignment entries must be ints"):
+        SafeSharesState(params, (1, 2), (1, 2), masks, (1, 2), assignment)
+    assert SafeSharesState(params, (1, 2), (1, 2), masks, (1, 2), [2, 1]).assignment == (2, 1)

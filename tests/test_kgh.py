@@ -314,28 +314,16 @@ class TestCheckZeroSum:
         assert check_zero_sum(bvs([0x00]))
 
     def test_accepts_mask_set(self):
-        assert check_zero_sum(MaskSet.from_vectors(bvs([0x0F, 0x0F])))
+        assert check_zero_sum(MaskSet([0x0F, 0x0F], P8))
 
 
 class TestMaskSet:
     def test_zero_sum_enforced_at_construction(self):
         with pytest.raises(ValueError):
-            MaskSet.from_vectors(bvs([0x01, 0x03]))
-
-    def test_mixed_params_rejected(self):
-        with pytest.raises(MixedParams):
-            MaskSet.from_vectors(
-                (bv(0x01), bv(0x0001, SchemeParams.binary(16))),
-            )
-
-    def test_equal_params_need_not_be_identical(self):
-        vectors = (bv(0x0F, SchemeParams.binary(8)), bv(0x0F, SchemeParams(8)))
-        assert MaskSet.from_vectors(vectors).vectors == vectors
-        with pytest.raises(MixedParams):
-            MaskSet.from_vectors(vectors + (bv(0x0000, SchemeParams.binary(16)),))
+            MaskSet([0x01, 0x03], P8)
 
     def test_len(self):
-        assert len(MaskSet.from_vectors(bvs([0x0F, 0x0F]))) == 2
+        assert len(MaskSet([0x0F, 0x0F], P8)) == 2
 
 
 class TestAuthorizedShareSet:
@@ -367,23 +355,23 @@ class TestAuthorizedShareSet:
 
 class TestPartitionSums:
     def test_singleton_left_side(self):
-        masks = MaskSet.from_vectors(bvs([0x0A, 0x06, 0x0C]))
+        masks = MaskSet([0x0A, 0x06, 0x0C], P8)
         left, right = partition_sums(masks, {1})
         assert (left.to_int(), right.to_int()) == (0x0A, 0x0A)
 
     def test_empty_left_side(self):
-        masks = MaskSet.from_vectors(bvs([0x0F, 0x0F]))
+        masks = MaskSet([0x0F, 0x0F], P8)
         left, right = partition_sums(masks, set())
         assert (left.to_int(), right.to_int()) == (0x00, 0x00)
 
     def test_two_element_left_side(self):
-        masks = MaskSet.from_vectors(bvs([0x0A, 0x06, 0x0C]))
+        masks = MaskSet([0x0A, 0x06, 0x0C], P8)
         left, right = partition_sums(masks, {1, 2})
         assert (left.to_int(), right.to_int()) == (0x0C, 0x0C)
 
     @pytest.mark.parametrize("bad", [{0}, {4}, {-1}, {True}, {False}])
     def test_out_of_range_indices(self, bad):
-        masks = MaskSet.from_vectors(bvs([0x0A, 0x06, 0x0C]))
+        masks = MaskSet([0x0A, 0x06, 0x0C], P8)
         with pytest.raises(IndexOutOfRange):
             partition_sums(masks, bad)
 

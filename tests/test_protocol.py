@@ -161,6 +161,21 @@ class TestParties:
             with pytest.raises(ValueError):
                 participant("2", 0)
 
+    @pytest.mark.parametrize("index", [True, 2.0, "3"])
+    def test_participant_index_is_an_int(self, index):
+        # Party("participant", "8", 2.0) was labelled p8-2.0, which
+        # parse_party rejects when the transcript is read back.
+        with pytest.raises(ValueError, match="1-based int index"):
+            Party(ROLE_PARTICIPANT, "8", index)
+
+    def test_bool_index_does_not_enter_the_interning_cache(self):
+        # participant("7", True) was cached under the key of ("7", 1), and
+        # participant("7", 1) then returned a party labelled p7-True. Tag
+        # "q7" is used nowhere else, so ("q7", 1) is not cached yet.
+        with pytest.raises(ValueError, match="1-based int index"):
+            participant("q7", True)
+        assert participant("q7", 1).label() == "pq7-1"
+
     def test_participants_are_interned(self):
         assert participant("2", 5) is participant("2", 5)
         assert parse_party("p2-5") is participant("2", 5)
@@ -327,28 +342,28 @@ class TestSetGenerateM:
 
 class TestSetReplicate:
     def test_worked_fixture(self):
-        masks = MaskSet.from_vectors(bvs([0x10, 0x20, 0x30, 0x40, 0x50, 0x10]))
+        masks = MaskSet([0x10, 0x20, 0x30, 0x40, 0x50, 0x10], P8)
         derived = set_replicate(masks, master_set([0x04, 0x08, 0x0F]), fixture_env())
         assert ints(derived.shares) == [0x54, 0x78, 0x2F]
         assert combine(derived.shares).to_int() == 0x03
 
     def test_zero_masks_are_identity(self):
-        masks = MaskSet.from_vectors(bvs([0x00, 0x00]))
+        masks = MaskSet([0x00, 0x00], P8)
         derived = set_replicate(masks, master_set([0x7E]), fixture_env())
         assert ints(derived.shares) == [0x7E]
 
     def test_paired_masks_cancel(self):
-        masks = MaskSet.from_vectors(bvs([0x01, 0x02, 0x01, 0x02]))
+        masks = MaskSet([0x01, 0x02, 0x01, 0x02], P8)
         derived = set_replicate(masks, master_set([0x05, 0x06]), fixture_env())
         assert ints(derived.shares) == [0x05, 0x06]
 
     def test_cardinality_check(self):
-        masks = MaskSet.from_vectors(bvs([0x01, 0x01]))
+        masks = MaskSet([0x01, 0x01], P8)
         with pytest.raises(CardinalityMismatch):
             set_replicate(masks, master_set([0x05, 0x06]), fixture_env())
 
     def test_derived_role(self):
-        masks = MaskSet.from_vectors(bvs([0x00, 0x00]))
+        masks = MaskSet([0x00, 0x00], P8)
         assert set_replicate(masks, master_set([0x7E]), fixture_env()).role is SetRole.DERIVED
 
 
@@ -754,6 +769,10 @@ class TestTamper:
         (("dealer", "telegram", 1, 0), "unknown message kind"),
         (("dealer", KIND_KEY, 0, 0), "occurrence counts from 1"),
         (("dealer", KIND_KEY, 1, -1), "bit index must be >= 0"),
+        (("dealer", KIND_KEY, 1.0, 0), "occurrence must be an int, got 1.0"),
+        (("dealer", KIND_KEY, True, 0), "occurrence must be an int, got True"),
+        (("dealer", KIND_KEY, 1, 2.0), "bit index must be an int, got 2.0"),
+        (("dealer", KIND_KEY, 1, True), "bit index must be an int, got True"),
     ])
     def test_invalid_rules_are_rejected_at_construction(self, fields, message):
         with pytest.raises(ValueError, match=message):
@@ -1367,7 +1386,7 @@ class TestVisibility:
         derived = equal_set_replicate(master, env)
         set_replicate_to_bigger(derived, 5, env)
         set_replicate_to_smaller(derived, 2, env)
-        masks = MaskSet.from_vectors(bvs([0x01, 0x02, 0x03, 0x01, 0x02, 0x03]))
+        masks = MaskSet([0x01, 0x02, 0x03, 0x01, 0x02, 0x03], P8)
         set_replicate(masks, master, env)
         assert self.audit(env) == []
 

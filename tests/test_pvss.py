@@ -27,7 +27,7 @@ from asgs.pvss import (
     recover_xored_keys,
     verify,
 )
-from helpers import P8, bv, bvs, ints
+from helpers import P8, bvs, ints
 
 
 def share_set(values, role=SetRole.MASTER, params=P8):
@@ -128,45 +128,29 @@ class TestRecoverXoredKeys:
         ]
 
     def test_missing_key_is_an_error(self):
-        assignment = KeyAssignment.from_entries({("1", 1): bv(0x10)})
+        assignment = KeyAssignment([0x10], [], P8)
         with pytest.raises(MissingKey) as excinfo:
             recover_xored_keys(assignment, 2, 0, dealer_env([]))
         assert (excinfo.value.set_tag, excinfo.value.index) == ("1", 2)
 
     @pytest.mark.parametrize("present, missing", [
-        # Round order: position i of set 1, then of set 2, then i + 1.
-        ([("1", 1), ("2", 1), ("1", 2), ("2", 2), ("1", 3)], ("2", 3)),
-        ([("1", 1), ("2", 1), ("2", 2), ("2", 3)], ("1", 2)),
-        ([("1", 1), ("1", 2), ("1", 3)], ("2", 1)),
+        # ``present`` counts the keys of set 1 and of set 2. Round order:
+        # position i of set 1, then of set 2, then i + 1.
+        ((3, 2), ("2", 3)),
+        ((1, 3), ("1", 2)),
+        ((3, 0), ("2", 1)),
         # Both sets short: the lower missing index, set 1 on a tie.
-        ([("1", 1), ("2", 1)], ("1", 2)),
-        ([("1", 1), ("1", 2), ("2", 1)], ("2", 2)),
+        ((1, 1), ("1", 2)),
+        ((2, 1), ("2", 2)),
     ])
     def test_missing_key_leaves_no_recovery_rows(self, present, missing):
         env, _, _ = worked_distribution()
         before = len(env.transcript), len(env.transcript.config["operations"])
-        assignment = KeyAssignment.from_entries({entry: bv(0x10) for entry in present})
+        assignment = KeyAssignment([0x10] * present[0], [0x10] * present[1], P8)
         with pytest.raises(MissingKey) as excinfo:
             recover_xored_keys(assignment, 3, 3, env)
         assert (excinfo.value.set_tag, excinfo.value.index) == missing
         assert (len(env.transcript), len(env.transcript.config["operations"])) == before
-
-    @pytest.mark.parametrize("wide, missing, error", [
-        (("2", 3), None, MixedParams),
-        # A key of another width fails the assignment's construction, so
-        # it decides the error whichever key is missing.
-        (("1", 1), ("2", 3), MixedParams),
-        (("2", 3), ("1", 2), MixedParams),
-    ])
-    def test_key_under_other_params_leaves_no_recovery_rows(self, wide, missing, error):
-        env, _, assignment = worked_distribution()
-        before = len(env.transcript)
-        entries = dict(assignment.entries)
-        entries[wide] = ShareVector.from_int(SchemeParams.binary(16), 0x31)
-        entries.pop(missing, None)
-        with pytest.raises(error):
-            recover_xored_keys(KeyAssignment.from_entries(entries), 2, 3, env)
-        assert len(env.transcript) == before
 
     def test_assignment_under_other_params_leaves_no_recovery_rows(self):
         env, _, _ = worked_distribution()
@@ -223,7 +207,7 @@ class TestRecoverXoredKeys:
         ]
 
     def test_single_key_each_side(self):
-        assignment = KeyAssignment.from_entries({("1", 1): bv(0x0F), ("2", 1): bv(0xF0)})
+        assignment = KeyAssignment([0x0F], [0xF0], P8)
         result = recover_xored_keys(assignment, 1, 1, dealer_env([]))
         assert result.to_int() == 0xFF
 
@@ -238,10 +222,7 @@ class TestVerify:
 
     def test_single_bulletin_bit_flip_is_negative(self):
         env, bulletin, assignment = worked_distribution()
-        flipped = BulletinBoard.from_entries(
-            (bv(0x10), bulletin.set1_entries[1]),
-            bulletin.set2_entries,
-        )
+        flipped = BulletinBoard([0x10, bulletin.set1_ints[1]], bulletin.set2_ints, P8)
         result = verify(flipped, assignment, env)
         assert result.verdict is Verdict.NEGATIVE
         assert result.xored_encrypted_shares.to_int() == 0xC0
@@ -249,9 +230,9 @@ class TestVerify:
 
     def test_single_key_bit_flip_is_negative(self):
         env, bulletin, assignment = worked_distribution()
-        tampered = KeyAssignment.from_entries(
-            {**assignment.entries, ("2", 2): bv(0x81)}
-        )
+        set2 = list(assignment.set2_ints)
+        set2[1] = 0x81
+        tampered = KeyAssignment(assignment.set1_ints, set2, P8)
         result = verify(bulletin, tampered, env)
         assert result.verdict is Verdict.NEGATIVE
 
@@ -273,10 +254,8 @@ class TestVerify:
 
     def test_key_count_must_match_bulletin(self):
         env, bulletin, assignment = worked_distribution()
-        extra = KeyAssignment.from_entries({**assignment.entries, ("2", 4): bv(0x01)})
-        fewer = KeyAssignment.from_entries(
-            {slot: key for slot, key in assignment.entries.items() if slot != ("1", 2)}
-        )
+        extra = KeyAssignment(assignment.set1_ints, [*assignment.set2_ints, 0x01], P8)
+        fewer = KeyAssignment(assignment.set1_ints[:1], assignment.set2_ints, P8)
         for keys, message in ((extra, "set 2: bulletin has 3 entries, key assignment has 4"),
                               (fewer, "set 1: bulletin has 2 entries, key assignment has 1")):
             with pytest.raises(CardinalityMismatch, match=message):
