@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from itertools import repeat
 from typing import Iterable, Sequence
 
@@ -107,15 +108,16 @@ class RandSource:
         1-based vector that :meth:`next_int` would, and a batch that
         overruns the fixture raises :class:`FixtureExhausted`.
         """
-        if count < 0:
-            raise ValueError(f"draw count must be >= 0, got {count}")
+        if not 0 <= count <= sys.maxsize:
+            raise ValueError(f"draw count must lie in 0..{sys.maxsize}, got {count}")
         values = self._values
         if values is None:
             rng = self._rng
             if isinstance(rng, int):
                 rng = self._rng = random.Random(rng)
+            batch = list(map(rng.getrandbits, repeat(params.dimension, count)))
             self._cursor += count
-            return list(map(rng.getrandbits, repeat(params.dimension, count)))
+            return batch
         cursor = self._cursor
         batch = values[cursor:cursor + count]
         if not params_identical(batch, params):

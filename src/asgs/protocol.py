@@ -151,18 +151,20 @@ ACCUMULATOR = Party(ROLE_ACCUMULATOR)
 
 
 _ROLE_PARTIES = {party.role: party for party in (DEALER, OWNER, ACCUMULATOR)}
+# Interns participants; for callers that built ``index`` as an int themselves.
+_participant = functools.cache(functools.partial(Party, ROLE_PARTICIPANT))
 
 
-@functools.cache
 def participant(set_tag: str, index: int) -> Party:
     """The participant ``index`` of set ``set_tag``, built once per process.
 
     Every message to or from a participant names one, so equal arguments
-    return the same object. The cache keeps only results, so a rejected
-    index never enters it; ``True`` is an equal key to ``1``, so once
-    that party is cached it is returned for ``True`` too.
+    return the same object. The index type is checked before the cache,
+    whose keys do not tell ``True`` from ``1``.
     """
-    return Party(ROLE_PARTICIPANT, set_tag, index)
+    if type(index) is not int:
+        raise ValueError(f"participants need a 1-based int index, got {index!r}")
+    return _participant(set_tag, index)
 
 
 def parse_party(label: str) -> Party:
@@ -173,7 +175,7 @@ def parse_party(label: str) -> Party:
     if label.startswith("p") and "-" in label:
         tag, _, index_text = label[1:].partition("-")
         if tag.isascii() and tag.isalnum() and index_text.isdigit():
-            party = participant(tag, int(index_text))
+            party = _participant(tag, int(index_text))
             if party.label() == label:
                 return party
     raise ValueError(f"unrecognized party label {label!r}")
@@ -220,15 +222,6 @@ def _in_seq_order(parts: tuple, values_of: Callable[[tuple], Iterable]) -> Itera
     return ordered
 
 
-def _row_view(field_index: int) -> property:
-    def column(self: Transcript) -> list:
-        rows: list = []
-        for parts in self.rounds:
-            rows += _in_seq_order(parts, lambda part: _rows(part[field_index], len(part[0])))
-        return rows
-    return property(column, doc="A fresh list of this field, one value per row.")
-
-
 class Transcript:
     """Ordered record of every delivered message plus the environment
     summary that produced it.
@@ -242,13 +235,13 @@ class Transcript:
     value per row (packed ints under ``params``, bools for control
     kinds), and each other column is one value for every row or a list,
     tuple or range with one per row, as :meth:`ProtocolEnv.deliver_round`
-    takes them. Readers read each part as it is; the row views and
-    iteration put a round's rows in seq order per read and keep nothing.
+    takes them. Readers read each part as it is. Iteration, the one row
+    reader, yields :class:`Message` values with vector payloads under
+    ``params``, a round's rows in seq order per read, and keeps nothing.
 
     A transcript's width is its config's: ``params`` is the binary params
     of ``config["bits"]`` when that is an int in 1..MAX_DIMENSION, else
-    None. :meth:`record` is the only write, and iteration yields
-    :class:`Message` values with vector payloads under ``params``.
+    None. :meth:`record` is the only write.
     """
 
     def __init__(self, config: Mapping | None = None):
@@ -259,13 +252,6 @@ class Transcript:
         self.rounds: list[tuple] = []
         self._length = 0
 
-    seqs = _row_view(0)
-    senders = _row_view(1)
-    recipients = _row_view(2)
-    kinds = _row_view(3)
-    payloads = _row_view(4)
-    element_indices = _row_view(5)
-
     def record(self, *parts: tuple) -> None:
         """Log one round of ``parts`` as given; the caller must not change them."""
         self.rounds.append(parts)
@@ -273,11 +259,12 @@ class Transcript:
             self._length += len(part[0])
 
     def __iter__(self) -> Iterator[Message]:
-        params = self.params
-        payloads = (payload if type(payload) is bool else ShareVector.from_int(params, payload)
-                    for payload in self.payloads)
-        return map(Message, self.seqs, self.senders, self.recipients, self.kinds, payloads,
-                   self.element_indices)
+        from_int, params = ShareVector.from_int, self.params
+        for parts in self.rounds:
+            yield from _in_seq_order(parts, lambda part: map(
+                Message, part[0], *(_rows(column, len(part[0])) for column in part[1:4]),
+                (p if type(p) is bool else from_int(params, p) for p in part[4]),
+                _rows(part[5], len(part[0]))))
 
     def __len__(self) -> int:
         return self._length
@@ -546,7 +533,9 @@ class ProtocolEnv:
         # (rule, seq of the message it flipped), in seq order. Kept out
         # of the transcript so its bytes do not depend on it.
         self.tamper_fired: list[tuple[TamperRule, int]] = []
-        self._fixed_assignment = tuple(assignment) if assignment is not None else None
+        self._fixed_assignment = None if assignment is None else tuple(assignment)
+        if assignment is not None:
+            _check_assignment(self._fixed_assignment, len(self._fixed_assignment))
         self._assignment_rng = assignment_rng
         self.identify = identify
         self.transcript = Transcript(
@@ -628,12 +617,10 @@ class ProtocolEnv:
         """
         rng = self._assignment_rng
         if rng is None:
-            identity = tuple(range(1, count + 1))
-            assignment = identity if self._fixed_assignment is None else self._fixed_assignment
-            if sorted(assignment) != list(identity):
-                raise ValueError(
-                    f"assignment {assignment} is not a permutation of 1..{count}"
-                )
+            fixed = self._fixed_assignment
+            assignment = tuple(range(1, count + 1)) if fixed is None else fixed
+            if len(assignment) != count:
+                raise ValueError(f"assignment {assignment} is not a permutation of 1..{count}")
             return assignment
         if isinstance(rng, int):
             rng = self._assignment_rng = random.Random(rng)
@@ -799,6 +786,14 @@ class ProtocolEnv:
         return passed, released
 
 
+def _check_assignment(assignment: tuple, count: int) -> None:
+    """Refuse an envelope assignment unless it is ints, a permutation of 1..count."""
+    if any(type(i) is not int for i in assignment):
+        raise ValueError(f"assignment entries must be ints, got {assignment!r}")
+    if sorted(assignment) != list(range(1, count + 1)):
+        raise ValueError("assignment must be a permutation of participant indices")
+
+
 class SafeSharesState(Frozen, fields=("params", "protected_ints", "key_ints", "masks",
                                     "owner_share_ints", "assignment")):
     """Outcome of pre-positioning: everything each party is left holding.
@@ -818,10 +813,7 @@ class SafeSharesState(Frozen, fields=("params", "protected_ints", "key_ints", "m
         count = len(protected_ints)
         if not len(key_ints) == len(masks) == len(owner_share_ints) == count:
             raise ValueError("all per-share sequences must have equal length")
-        if any(type(i) is not int for i in assignment):
-            raise ValueError(f"assignment entries must be ints, got {assignment!r}")
-        if sorted(assignment) != list(range(1, count + 1)):
-            raise ValueError("assignment must be a permutation of participant indices")
+        _check_assignment(assignment, count)
         if not functools.reduce(xor, key_ints, 0):
             raise ValueError("key set must not cancel to zero")
         for column in (protected_ints, key_ints, owner_share_ints):
@@ -863,7 +855,7 @@ def _participants(tag: str, indices: range) -> tuple[Party, ...]:
     asks for the same ranges at each of its steps, and again in every
     chain of the same shape. A single CLI command gets no hits.
     """
-    return tuple(map(participant, repeat(tag), indices))
+    return tuple(map(_participant, repeat(tag), indices))
 
 
 def set_generate_m(
@@ -1058,12 +1050,12 @@ def safe_shares(
     if count < 1:
         raise ValueError(f"share count must be >= 1, got {count}")
     _check_params(env, secret)
+    assignment = env.draw_assignment(count)  # own stream: a bad one fails before any send
     env.note_operation("safe_shares", n=count)
     params = env.params
     dealer_source = env.source(ROLE_DEALER)
     masks = mask_ints(count, dealer_source, params)
     owner_shares = _fast_share_rounds(secret.to_int(), count, env)
-    assignment = env.draw_assignment(count)
     # Deliveries draw nothing, so every key can be drawn first.
     keys = dealer_source.next_ints(params, count - 1)
     register = functools.reduce(xor, keys, 0)
@@ -1079,7 +1071,7 @@ def safe_shares(
     protected_tag = SetRole.PROTECTED.value
     _, envelopes = env.deliver_parts(
         (DEALER, OWNER, KIND_MASKED_SHARE, list(map(xor, masks, keys)), None),
-        (OWNER, [participant(protected_tag, target) for target in assignment],
+        (OWNER, [_participant(protected_tag, target) for target in assignment],
          KIND_ENVELOPE_SHARE, lambda sealed: list(map(xor, sealed, owner_shares)), assignment),
     )
     protected = [0] * count

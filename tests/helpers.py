@@ -34,6 +34,14 @@ def append(transcript: Transcript, message: Message) -> None:
                        (payload,), message.element_index))
 
 
+def rows(transcript: Transcript) -> list[tuple]:
+    """``(seq, sender, recipient, kind, payload, element_index)`` for each
+    message iteration yields, with the payload as a packed int or bool."""
+    return [(m.seq, m.sender, m.recipient, m.kind,
+             m.payload if type(m.payload) is bool else m.payload.to_int(), m.element_index)
+            for m in transcript]
+
+
 def per_row(values, count: int) -> list:
     """A round column as one value per row."""
     return list(values) if isinstance(values, (list, tuple, range)) else [values] * count

@@ -716,6 +716,21 @@ class TestUsageErrors:
             assert "error: dimension must be <=" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line", [
+        "gen-m --n 99999999999999999999",
+        "fastshare --secret 5a --bits 8 --n 99999999999999999999",
+        "set-generate --d 99999999999999999999 --n 1",
+        "simulate set-generate --d 1 --n 1 --then replicate-bigger=99999999999999999999",
+    ])
+    def test_a_count_past_ssize_t_is_an_input_error(self, tmp_path, capsys, line):
+        # Each of these escaped as an OverflowError traceback.
+        assert run(tmp_path, *line.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: draw count must lie in 0..")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_bad_secret_hex(self, tmp_path, capsys):
         code = run(tmp_path, "fastshare", "--bits", "8", "--secret", "S!",
                    "--n", "3", "--seed", "1")

@@ -1,6 +1,7 @@
 """Accumulator register and randomness sources."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -202,6 +203,16 @@ class TestNextInts:
         for source in (RandSource.seeded(1), fixture_source([0x0A])):
             with pytest.raises(ValueError):
                 source.next_ints(P8, -1)
+            assert source.consumed == 0
+
+    def test_a_count_past_ssize_t_is_rejected_and_consumes_nothing(self):
+        # Such a count raised OverflowError, after the seeded source had
+        # counted it as drawn. A count that fits in ssize_t is not tried
+        # here: it would allocate that many vectors.
+        for source in (RandSource.seeded(1), fixture_source([0x0A])):
+            for count in (sys.maxsize + 1, 2**64):
+                with pytest.raises(ValueError, match=r"draw count must lie in 0\.\."):
+                    source.next_ints(P8, count)
             assert source.consumed == 0
 
     @given(st.lists(st.integers(0, 0xFF), max_size=20), st.data())

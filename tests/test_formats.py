@@ -63,7 +63,7 @@ from asgs.protocol import (
     safe_shares,
 )
 from asgs.pvss import BulletinBoard, KeyAssignment
-from helpers import P8, append, bv, bvs, ints
+from helpers import P8, append, bv, bvs, ints, rows
 
 # Longest int literal json.loads accepts (0: no limit; Python < 3.10.7 has none).
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -459,7 +459,7 @@ class TestTranscriptDocs:
         doc = transcript_to_doc(transcript)
         assert [step["seq"] for step in doc["steps"]] == [3, 7, 40]
         restored = transcript_from_doc(doc)
-        assert restored.seqs == [3, 7, 40]
+        assert [row[0] for row in rows(restored)] == [3, 7, 40]
         assert [m.seq for m in restored] == [3, 7, 40]
         assert list(restored) == list(transcript)
         assert transcript_to_doc(restored) == doc
@@ -641,10 +641,7 @@ def oracle_transcript_doc(transcript: Transcript) -> dict:
     the writer did before it rendered from the columns: the reference
     for :func:`dumps_transcript`."""
     steps = []
-    for seq, sender, recipient, kind, payload, element_index in zip(
-        transcript.seqs, transcript.senders, transcript.recipients, transcript.kinds,
-        transcript.payloads, transcript.element_indices,
-    ):
+    for seq, sender, recipient, kind, payload, element_index in rows(transcript):
         step = {
             "seq": seq,
             "from": sender.label(),

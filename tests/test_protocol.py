@@ -56,6 +56,7 @@ from asgs.protocol import (
     ROLE_DEALER,
     ROLE_OWNER,
     ROLE_PARTICIPANT,
+    SOURCE_ROLES,
     Party,
     ProtocolEnv,
     TamperRule,
@@ -78,7 +79,7 @@ from asgs.protocol import (
 )
 from asgs.formats import dumps_transcript
 from asgs.pvss import KeyAssignment, distribute_shares_and_keys, recover_xored_keys, verify
-from helpers import P8, EagerWeaveEnv, append, bv, bvs, ints, per_row
+from helpers import P8, EagerWeaveEnv, append, bv, bvs, ints, per_row, rows
 
 
 def fixture_env(dealer=None, owner=None, accumulator=None, params=P8, **kwargs):
@@ -176,6 +177,19 @@ class TestParties:
             participant("q7", True)
         assert participant("q7", 1).label() == "pq7-1"
 
+    @pytest.mark.parametrize("index", [True, 1.0])
+    @pytest.mark.parametrize("cached_first", [False, True])
+    def test_non_int_index_is_refused_whatever_is_cached(self, cached_first, index):
+        # Once ("7", 1) was cached, participant("7", True) and
+        # participant("7", 1.0) returned p7-1; until then they raised. Each
+        # case uses a tag no other test uses.
+        tag = f"c{int(cached_first)}{type(index).__name__}"
+        if cached_first:
+            participant(tag, 1)
+        with pytest.raises(ValueError, match="1-based int index"):
+            participant(tag, index)
+        assert participant(tag, 1).label() == f"p{tag}-1"
+
     def test_participants_are_interned(self):
         assert participant("2", 5) is participant("2", 5)
         assert parse_party("p2-5") is participant("2", 5)
@@ -232,10 +246,13 @@ class TestTranscript:
             append(transcript, message)
         assert list(transcript) == steps
         assert transcript.params == P8
-        assert transcript.seqs == [3, 7, 8, 20]
-        assert transcript.payloads == [0x42, True, False, 0x00]
-        assert [type(p) for p in transcript.payloads] == [int, bool, bool, int]
-        assert transcript.element_indices == [1, None, None, None]
+        # Stored as one one-row round per message, payloads as ints and bools.
+        stored = [part for (part,) in transcript.rounds]
+        assert [seq for part in stored for seq in part[0]] == [3, 7, 8, 20]
+        payloads = [payload for part in stored for payload in part[4]]
+        assert payloads == [0x42, True, False, 0x00]
+        assert [type(p) for p in payloads] == [int, bool, bool, int]
+        assert [part[5] for part in stored] == [1, None, None, None]
 
     def test_params_follow_a_valid_config_width(self):
         assert Transcript({"bits": 8}).params == P8
@@ -266,8 +283,8 @@ class TestDeliver:
         ]
         assert delivered == [0x5A, True, False, 0x00]
         assert [type(p) for p in delivered] == [int, bool, bool, int]
-        assert env.transcript.payloads == delivered
-        assert env.transcript.seqs == [1, 2, 3, 4]
+        assert [row[4] for row in rows(env.transcript)] == delivered
+        assert [row[0] for row in rows(env.transcript)] == [1, 2, 3, 4]
         assert [m.payload for m in env.transcript] == [bv(0x5A), True, False, bv(0x00)]
 
     @pytest.mark.parametrize("bit", range(8))
@@ -278,7 +295,7 @@ class TestDeliver:
         second = env.deliver(DEALER, OWNER, KIND_KEY, 0x5A)
         assert (first, second) == (0x5A, 0x5A ^ (1 << bit))
         assert type(second) is int
-        assert env.transcript.payloads == [first, second]
+        assert [row[4] for row in rows(env.transcript)] == [first, second]
         assert env.tamper_fired == [(rule, 2)]
 
     @pytest.mark.parametrize("bit", [-1, 8])
@@ -568,9 +585,29 @@ class TestSafeShares:
         assert state.assignment == (2, 1)
 
     def test_bad_assignment_rejected(self):
-        env = fixture_env(dealer=[0x0F, 0x21, 0x43], owner=[0x55], assignment=(1, 1))
         with pytest.raises(ValueError):
+            env = fixture_env(dealer=[0x0F, 0x21, 0x43], owner=[0x55], assignment=(1, 1))
             safe_shares(bv(0x03), 2, env)
+
+    @pytest.mark.parametrize("assignment, message", [
+        ((True, 2), "assignment entries must be ints"),
+        ((1.0, 2), "assignment entries must be ints"),
+        ((1, 3), "assignment must be a permutation of participant indices"),
+    ])
+    def test_bad_assignment_is_refused_when_the_env_is_built(self, assignment, message):
+        # (True, 2) was accepted, and safe_shares failed after logging
+        # two rows and the operation note.
+        with pytest.raises(ValueError, match=message):
+            fixture_env(dealer=[0x0F, 0x21, 0x43], owner=[0x55], assignment=assignment)
+
+    def test_wrong_length_assignment_sends_and_draws_nothing(self):
+        env = fixture_env(dealer=[0x0F, 0x21, 0x43], owner=[0x55], accumulator=[0x01],
+                          assignment=(2, 1, 3))
+        with pytest.raises(ValueError, match=r"is not a permutation of 1\.\.2"):
+            safe_shares(bv(0x03), 2, env)
+        assert len(env.transcript) == 0
+        assert "operations" not in env.transcript.config
+        assert [env.source(role).consumed for role in SOURCE_ROLES] == [0, 0, 0]
 
     def test_dealer_sends_sealed_masks_not_raw_masks(self):
         env = fixture_env(dealer=[0x0F, 0x21, 0x43], owner=[0x55])
@@ -917,13 +954,10 @@ class TestTamperInRounds:
                 outputs.append(current.shares)
             bulletin, keys = distribute_shares_and_keys(template, current, env)
             outputs += [bulletin, keys, verify(bulletin, keys, env)]
-            transcript = env.transcript
-            columns = (transcript.seqs, transcript.senders, transcript.recipients,
-                       transcript.kinds, transcript.payloads, transcript.element_indices)
-            return outputs, columns, env.tamper_fired
+            return outputs, rows(env.transcript), env.tamper_fired
 
         blocks = run(())
-        assert len(blocks[1][0]) == 213
+        assert len(blocks[1]) == 213
         assert run((TamperRule("p9-1", KIND_KEY, 1, 0),)) == blocks
 
     def test_sealed_mask_tamper_reaches_the_envelope(self):
@@ -991,11 +1025,6 @@ class RowByRowEnv(ProtocolEnv):
         return passed, released
 
 
-def transcript_columns(transcript):
-    return (transcript.seqs, transcript.senders, transcript.recipients, transcript.kinds,
-            transcript.payloads, transcript.element_indices)
-
-
 def tamper_chain(env, n):
     """Every operation that sends messages, at sizes from ``n``; a
     failed activation is recorded and the chain goes on."""
@@ -1015,7 +1044,7 @@ def tamper_chain(env, n):
         outputs.append(current.shares)
     bulletin, keys = distribute_shares_and_keys(template, current, env)
     outputs += [bulletin, keys, verify(bulletin, keys, env)]
-    return outputs, transcript_columns(env.transcript), env.tamper_fired
+    return outputs, rows(env.transcript), env.tamper_fired
 
 
 def activation_chain(env, n):
@@ -1028,7 +1057,7 @@ def activation_chain(env, n):
             outputs.append(activate_shares(state, env).shares)
         except IdentificationFailed as failure:
             outputs.append((failure.pending, failure.activated))
-    return outputs, transcript_columns(env.transcript), env.tamper_fired
+    return outputs, rows(env.transcript), env.tamper_fired
 
 
 def draw_rules(data, targets, count):
@@ -1048,8 +1077,8 @@ class TestColumnTamperMatchesRowByRow:
     def test_same_rows_outputs_and_fired_rules(self, n, seed, data):
         honest = ProtocolEnv.seeded(seed, 16)
         tamper_chain(honest, n)
-        targets = sorted({(sender.label(), kind) for sender, kind
-                          in zip(honest.transcript.senders, honest.transcript.kinds)})
+        targets = sorted({(sender.label(), kind)
+                          for _, sender, _, kind, _, _ in rows(honest.transcript)})
         rules = draw_rules(data, targets, data.draw(st.integers(1, 4)))
         assert (tamper_chain(ProtocolEnv.seeded(seed, 16, tamper_rules=rules), n)
                 == tamper_chain(RowByRowEnv.seeded(seed, 16, tamper_rules=rules), n))
@@ -1081,17 +1110,17 @@ class TestColumnTamperMatchesRowByRow:
         delivered = env.deliver_round(ACCUMULATOR, OWNER, KIND_MASK_ELEMENT, payloads)
         assert payloads == [0x10, 0x20, 0x30]
         assert delivered == [0x10, 0x21, 0x30]
-        assert env.transcript.payloads == delivered
+        assert [row[4] for row in rows(env.transcript)] == delivered
         assert env.tamper_fired == [(rule, 2)]
 
     @pytest.mark.parametrize("rules", [(), (TamperRule("accumulator", KIND_MASK_ELEMENT, 2, 0),)])
     def test_growing_the_returned_list_leaves_the_round_unchanged(self, rules):
         env = ProtocolEnv.seeded(1, 8, tamper_rules=rules)
         delivered = env.deliver_round(ACCUMULATOR, OWNER, KIND_MASK_ELEMENT, [0x10, 0x20])
-        recorded = env.transcript.payloads
+        recorded = [row[4] for row in rows(env.transcript)]
         delivered.append(0x30)
         delivered[0] ^= 0xFF
-        assert env.transcript.payloads == recorded
+        assert [row[4] for row in rows(env.transcript)] == recorded
         assert len(env.transcript) == 2
 
     def test_operations_that_grow_their_rounds_record_what_was_sent(self):
@@ -1104,15 +1133,14 @@ class TestColumnTamperMatchesRowByRow:
             SetRole.MASTER, bvs([1, 2, 3, 4])), 2, env)
         bigger = set_replicate_to_bigger(smaller, 5, env)
         transcript = env.transcript
-        rows = collections.Counter(transcript.kinds)
-        assert rows == {KIND_OWNER_SHARE: 3, KIND_SECRET: 1, KIND_MASK_ELEMENT: 6,
-                        KIND_MASKED_SHARE: 6, KIND_DERIVED_SHARE: 7}
-        assert len(transcript) == sum(rows.values())
-        derived = [payload for kind, payload in zip(transcript.kinds, transcript.payloads)
-                   if kind == KIND_DERIVED_SHARE]
+        table = rows(transcript)
+        counts = collections.Counter(row[3] for row in table)
+        assert counts == {KIND_OWNER_SHARE: 3, KIND_SECRET: 1, KIND_MASK_ELEMENT: 6,
+                          KIND_MASKED_SHARE: 6, KIND_DERIVED_SHARE: 7}
+        assert len(transcript) == sum(counts.values())
+        derived = [row[4] for row in table if row[3] == KIND_DERIVED_SHARE]
         assert derived == [*smaller.ints, *bigger.ints]
-        owner_shares = [payload for kind, payload in zip(transcript.kinds, transcript.payloads)
-                        if kind == KIND_OWNER_SHARE]
+        owner_shares = [row[4] for row in table if row[3] == KIND_OWNER_SHARE]
         assert owner_shares == list(shares[:3])
 
 
@@ -1165,7 +1193,7 @@ def forwards(operands):
 def read_all(env):
     """What every reader makes of the environment's transcript."""
     transcript = env.transcript
-    return (transcript_columns(transcript), list(transcript), dumps_transcript(transcript),
+    return (rows(transcript), list(transcript), dumps_transcript(transcript),
             check_visibility(transcript), check_visibility(transcript, BOTH_PARTS_POLICY),
             env.tamper_fired)
 
@@ -1185,9 +1213,10 @@ class TestTwoPartRounds:
         seqs = [seq for parts in transcript.rounds if len(parts) == 2
                 for part in parts for seq in part[0]]
         seq = data.draw(st.sampled_from(seqs))
-        row = transcript.seqs.index(seq)
-        sender, kind = transcript.senders[row].label(), transcript.kinds[row]
-        occurrence = sum(1 for s, k in zip(transcript.senders[:row + 1], transcript.kinds)
+        table = rows(transcript)
+        row = [r[0] for r in table].index(seq)
+        sender, kind = table[row][1].label(), table[row][3]
+        occurrence = sum(1 for _, s, _, k, _, _ in table[:row + 1]
                          if (s.label(), k) == (sender, kind))
         rule = TamperRule(sender, kind, occurrence, data.draw(st.integers(0, 15)))
         for rules in ((), (rule,)):
