@@ -9,7 +9,10 @@ The protocol engine draws whole columns with :meth:`RandSource.next_ints`
 (``count`` packed ints in one call, the same values as ``count`` calls
 of :meth:`RandSource.next_int`; a batch that fails consumes nothing) and
 keeps each register as a plain int XORed in place; :class:`Accumulator`
-is that register as a library device.
+is that register as a library device. A seeded source draws a column of
+at most ``LANE_BITS`` bits per value as packed 32-bit lanes, one
+generator call per chunk, with the values and generator state of the
+value-by-value draw.
 """
 
 from __future__ import annotations
@@ -17,17 +20,67 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
+from functools import cache, reduce
 from itertools import repeat
+from operator import xor
 from typing import Iterable, Sequence
 
 from asgs.kgh import (
+    LANE_BITS,
     AsgsError,
     MixedParams,
     SchemeParams,
     ShareVector,
+    fold_lanes,
     params_identical,
     to_ints,
 )
+
+# ``getrandbits`` takes its bit count as a C int, so one call draws at
+# most 2^31 - 1 bits, 67,108,863 lanes. A lane column is therefore drawn
+# in chunks of LANE_CHUNK lanes (2^17 bits per call), which also bounds
+# the temporary ints of a draw and each width's cached lane mask (16 KiB).
+LANE_CHUNK = 1 << 12
+
+
+@cache
+def _lane_mask(bits: int) -> int:
+    """LANE_CHUNK lanes, each the low ``bits`` bits set."""
+    return int.from_bytes(((1 << bits) - 1).to_bytes(4, "little") * LANE_CHUNK, "little")
+
+
+def _draw_lanes(rng: random.Random, bits: int, count: int) -> tuple[list[int], int]:
+    """``count`` values of ``rng.getrandbits(bits)`` (``bits <= 32``) and
+    their XOR, drawn as lanes.
+
+    ``getrandbits(32 * k)`` takes k 32-bit outputs, the i-th in lane i,
+    and ``getrandbits(bits)`` is the top ``bits`` of one output, so one
+    shift and one mask of the k-lane int give k values in order and
+    leave the generator where k single draws would. The lanes are split
+    with ``memoryview.cast("I")`` in the host's byte order; on a
+    big-endian host that lists the top lane first, hence the reverse.
+    """
+    shift, mask = LANE_BITS - bits, _lane_mask(bits)
+    column: list[int] = []
+    folded = 0
+    while count:
+        lanes = min(count, LANE_CHUNK)
+        count -= lanes
+        packed = (rng.getrandbits(lanes << 5) >> shift) & mask
+        split = memoryview(packed.to_bytes(lanes << 2, sys.byteorder)).cast("I").tolist()
+        if sys.byteorder == "big":
+            split.reverse()
+        folded ^= fold_lanes(packed, lanes)
+        if column:
+            column += split
+        else:
+            column = split
+    return column, folded
+
+
+def bad_draw_count(count: int) -> ValueError:
+    """The error for a draw count outside ``0..sys.maxsize``."""
+    return ValueError(f"draw count must lie in 0..{sys.maxsize}, got {count}")
 
 
 class FixtureExhausted(AsgsError):
@@ -108,16 +161,40 @@ class RandSource:
         1-based vector that :meth:`next_int` would, and a batch that
         overruns the fixture raises :class:`FixtureExhausted`.
         """
+        if params.dimension <= LANE_BITS or self._values is not None:
+            return self.next_ints_and_xor(params, count)[0]
+        # A wide seeded draw, inline: it has no use for the XOR.
         if not 0 <= count <= sys.maxsize:
-            raise ValueError(f"draw count must lie in 0..{sys.maxsize}, got {count}")
+            raise bad_draw_count(count)
+        rng = self._rng
+        if isinstance(rng, int):
+            rng = self._rng = random.Random(rng)
+        batch = list(map(rng.getrandbits, repeat(params.dimension, count)))
+        self._cursor += count
+        return batch
+
+    def next_ints_and_xor(self, params: SchemeParams, count: int) -> tuple[list[int], int]:
+        """:meth:`next_ints` and the XOR of the ints it returns.
+
+        A seeded source folds the XOR from the packed lanes it drew when
+        the width is at most ``LANE_BITS`` bits, else with one
+        ``reduce``; a fixture source folds the replayed ints.
+        """
+        if not 0 <= count <= sys.maxsize:
+            raise bad_draw_count(count)
         values = self._values
         if values is None:
             rng = self._rng
             if isinstance(rng, int):
                 rng = self._rng = random.Random(rng)
-            batch = list(map(rng.getrandbits, repeat(params.dimension, count)))
+            bits = params.dimension
+            if bits <= LANE_BITS:
+                batch, folded = _draw_lanes(rng, bits, count)
+            else:
+                batch = list(map(rng.getrandbits, repeat(bits, count)))
+                folded = reduce(xor, batch, 0)
             self._cursor += count
-            return batch
+            return batch, folded
         cursor = self._cursor
         batch = values[cursor:cursor + count]
         if not params_identical(batch, params):
@@ -130,7 +207,8 @@ class RandSource:
         if len(batch) < count:
             raise FixtureExhausted(f"fixture drained after {len(values)} vectors")
         self._cursor = cursor + count
-        return to_ints(batch)
+        batch = to_ints(batch)
+        return batch, params.xor_ints(batch, 0)
 
     def next_int(self, params: SchemeParams) -> int:
         """The single draw: the next vector as its packed int."""

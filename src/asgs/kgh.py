@@ -16,10 +16,12 @@ through one classmethod, :meth:`AuthorizedShareSet.from_shares`.
 from __future__ import annotations
 
 import enum
+import sys
+from array import array
 from collections import deque
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import repeat
-from operator import attrgetter, is_, xor
+from operator import attrgetter, is_, or_, xor
 from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -41,6 +43,37 @@ class IndexOutOfRange(AsgsError):
 # Widest vector dimension (bit width) any scheme accepts: far above the
 # widths in use (at most 4096), far below what would exhaust memory.
 MAX_DIMENSION = 1 << 16
+
+# Widths up to LANE_BITS travel as packed 32-bit lanes: a column of n
+# such ints is one int of n lanes, value i in bits 32i..32i+31, so a
+# fold over the column (XOR or OR) is a few big-int operations instead
+# of one Python-level step per value. ``array("I")`` is 32 bits wide on
+# every platform CPython supports; it packs in the host's byte order,
+# which no fold depends on.
+LANE_BITS = 32
+
+
+def fold_lanes(packed: int, lanes: int, op=xor) -> int:
+    """Combine the ``lanes`` 32-bit lanes of ``packed`` into one with
+    ``op`` (``xor`` or ``or_``), by halving: the low half of the lanes
+    with the high half, until one lane is left."""
+    while lanes > 1:
+        lanes = (lanes + 1) >> 1
+        shift = lanes << 5
+        packed = op(packed & ((1 << shift) - 1), packed >> shift)
+    return packed
+
+
+def xor_lanes(values: Collection[int], start: int) -> int:
+    """``start`` XOR every value of a column of ints in ``0..2^32 - 1``,
+    packed with ``array("I")`` and folded as lanes. Another value makes
+    ``array`` raise, so a column that has not been range-checked goes
+    through :func:`check_ints` first."""
+    return start ^ fold_lanes(int.from_bytes(array("I", values), sys.byteorder), len(values))
+
+
+# A wide column folds in one C-level ``reduce(xor, values, start)`` call.
+_xor_reduce = partial(reduce, xor)
 
 
 class Frozen:
@@ -87,7 +120,11 @@ class SchemeParams(Frozen, fields=("dimension",)):
     """Algebra parameters: the bit width of every vector.
 
     Vectors behave like l-bit strings under XOR, with l = ``dimension``
-    an int in ``1..MAX_DIMENSION``.
+    an int in ``1..MAX_DIMENSION``. ``xor_ints(values, start)`` is the
+    fold of an int column that fits the width: ``start`` XOR every
+    value. Up to ``LANE_BITS`` bits it is :func:`xor_lanes`, above that
+    ``reduce(xor, values, start)`` itself, so a wide fold adds no Python
+    call; it is picked here, once per params object.
     """
 
     def __init__(self, dimension: int) -> None:
@@ -99,6 +136,7 @@ class SchemeParams(Frozen, fields=("dimension",)):
             raise ValueError(f"dimension must be <= {MAX_DIMENSION}, got {dimension}")
         d = self.__dict__
         d["dimension"], d["_values"] = dimension, (dimension,)
+        d["xor_ints"] = xor_lanes if dimension <= LANE_BITS else _xor_reduce
 
     @classmethod
     def binary(cls, bits: int = 128) -> SchemeParams:
@@ -253,11 +291,28 @@ def vector_params(vectors: Sequence[ShareVector]) -> SchemeParams:
 
 def check_ints(values: Collection[int], params: SchemeParams, what: str) -> None:
     """Reject an empty int column, or one holding a value outside
-    ``0..2^l - 1``: one C-level ``min`` and ``max`` over the ints."""
+    ``0..2^l - 1``: one C-level ``min`` and ``max`` over the ints.
+
+    Up to ``LANE_BITS`` bits the ints are packed as lanes instead and
+    OR-folded, and the column fits when no bit at or above l is set.
+    A column ``array("I")`` refuses (a negative int, one of 32 bits or
+    more, a float) takes the ``min``/``max`` test, so it is accepted or
+    refused with the same exception as at any width.
+    """
     if not values:
         raise ValueError(f"{what} must not be empty")
-    if min(values) < 0 or max(values) >> params.dimension:
-        raise ValueError(f"{what} holds a value that does not fit in {params.dimension} bits")
+    width = params.dimension
+    if width <= LANE_BITS:
+        try:
+            packed = int.from_bytes(array("I", values), sys.byteorder)
+        except (OverflowError, TypeError):
+            pass
+        else:
+            if fold_lanes(packed, len(values), or_) >> width:
+                raise ValueError(f"{what} holds a value that does not fit in {width} bits")
+            return
+    if min(values) < 0 or max(values) >> width:
+        raise ValueError(f"{what} holds a value that does not fit in {width} bits")
 
 
 def vector_view(column: str) -> cached_property:
@@ -309,7 +364,7 @@ class MaskSet(Frozen, fields=("ints", "params")):
     def __init__(self, ints: Iterable[int], params: SchemeParams) -> None:
         ints = tuple(ints)
         check_ints(ints, params, "a mask set")
-        if reduce(xor, ints, 0):
+        if params.xor_ints(ints, 0):
             raise ValueError("mask set elements must combine to the zero vector")
         d = self.__dict__
         d["ints"], d["params"] = d["_values"] = ints, params
@@ -357,8 +412,8 @@ def kgh_split(
     if count < 1:
         raise ValueError(f"share count must be >= 1, got {count}")
     params = secret.params
-    shares = rand.next_ints(params, count - 1)
-    shares.append(reduce(xor, shares, secret._data))
+    shares, folded = rand.next_ints_and_xor(params, count - 1)
+    shares.append(secret._data ^ folded)
     return AuthorizedShareSet(SetRole.OWNER, shares, params)
 
 
@@ -369,12 +424,15 @@ def mask_ints(count: int, rand: RandSource, params: SchemeParams) -> list[int]:
     random draws, and read the balancing element off the register:
     store is XOR, so the final read cancels everything stored so far.
     This is the one mask generator: every protocol operation draws its
-    masks through it.
+    masks through it. The register is the XOR that
+    :meth:`RandSource.next_ints_and_xor` returns with the draws; a
+    seeded source at a width of up to ``LANE_BITS`` bits folds it from
+    the packed lanes it drew, with no second pass over the list.
     """
     if count < 1:
         raise ValueError(f"mask set cardinality must be >= 1, got {count}")
-    masks = rand.next_ints(params, count - 1)
-    masks.append(reduce(xor, masks, 0))
+    masks, register = rand.next_ints_and_xor(params, count - 1)
+    masks.append(register)
     return masks
 
 
@@ -394,7 +452,7 @@ def check_zero_sum(
     can be tested before construction.
     """
     if isinstance(vectors, MaskSet):
-        return not reduce(xor, vectors.ints, 0)
+        return not vectors.params.xor_ints(vectors.ints, 0)
     vectors = tuple(vectors)
     if not vectors and params is None:
         return True
@@ -420,6 +478,7 @@ def partition_sums(
             raise IndexOutOfRange(
                 f"index {index!r} outside 1..{total}"
             )
-    left = reduce(xor, [v for i, v in enumerate(masks.ints, start=1) if i in chosen], 0)
-    right = reduce(xor, [v for i, v in enumerate(masks.ints, start=1) if i not in chosen], 0)
+    fold = masks.params.xor_ints
+    left = fold([v for i, v in enumerate(masks.ints, start=1) if i in chosen], 0)
+    right = fold([v for i, v in enumerate(masks.ints, start=1) if i not in chosen], 0)
     return _vector(masks.params, left), _vector(masks.params, right)

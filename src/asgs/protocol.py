@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import functools
 import random
+import sys
 from itertools import accumulate, compress, repeat
 from operator import attrgetter, itemgetter, not_, xor
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from asgs.devices import RandSource, derive_stream_seed
+from asgs.devices import RandSource, bad_draw_count, derive_stream_seed
 from asgs.kgh import (
     MAX_DIMENSION,
     AsgsError,
@@ -614,7 +615,11 @@ class ProtocolEnv:
         assignment stream (``assignment_rng``, a generator or the int
         seed of one, built here at the first draw); fixture environments
         use the explicit permutation, or identity when none was given.
+        A count outside ``0..sys.maxsize`` is refused before any range
+        of it is built, as :meth:`RandSource.next_ints` refuses it.
         """
+        if not 0 <= count <= sys.maxsize:
+            raise bad_draw_count(count)
         rng = self._assignment_rng
         if rng is None:
             fixed = self._fixed_assignment
@@ -814,10 +819,10 @@ class SafeSharesState(Frozen, fields=("params", "protected_ints", "key_ints", "m
         if not len(key_ints) == len(masks) == len(owner_share_ints) == count:
             raise ValueError("all per-share sequences must have equal length")
         _check_assignment(assignment, count)
-        if not functools.reduce(xor, key_ints, 0):
-            raise ValueError("key set must not cancel to zero")
         for column in (protected_ints, key_ints, owner_share_ints):
             check_ints(column, params, "a safe-shares column")
+        if not params.xor_ints(key_ints, 0):
+            raise ValueError("key set must not cancel to zero")
         d = self.__dict__
         d["params"], d["protected_ints"], d["key_ints"] = params, protected_ints, key_ints
         d["masks"], d["owner_share_ints"], d["assignment"] = masks, owner_share_ints, assignment
@@ -997,7 +1002,7 @@ def set_replicate_to_smaller(
                              ACCUMULATOR, KIND_MASKED_SHARE, rest)
     derived += env.deliver_round(
         ACCUMULATOR, participant(SetRole.DERIVED.value, target_count), KIND_DERIVED_SHARE,
-        [functools.reduce(xor, rest, 0)], target_count,
+        [env.params.xor_ints(rest, 0)], target_count,
     )
     return AuthorizedShareSet(SetRole.DERIVED, derived, env.params)
 
@@ -1011,7 +1016,7 @@ def _fast_share_rounds(secret: int, count: int, env: ProtocolEnv) -> list[int]:
     """
     shares = env.source(ROLE_OWNER).next_ints(env.params, count - 1)
     delivered = env.deliver_round(OWNER, ACCUMULATOR, KIND_OWNER_SHARE, shares, range(1, count))
-    register = functools.reduce(xor, delivered, 0)
+    register = env.params.xor_ints(delivered, 0)
     shares.append(register ^ env.deliver_round(OWNER, ACCUMULATOR, KIND_SECRET, [secret])[0])
     return shares
 
@@ -1057,8 +1062,7 @@ def safe_shares(
     masks = mask_ints(count, dealer_source, params)
     owner_shares = _fast_share_rounds(secret.to_int(), count, env)
     # Deliveries draw nothing, so every key can be drawn first.
-    keys = dealer_source.next_ints(params, count - 1)
-    register = functools.reduce(xor, keys, 0)
+    keys, register = dealer_source.next_ints_and_xor(params, count - 1)
     for _ in range(KEY_RETRY_LIMIT):
         key = dealer_source.next_int(params)
         if register ^ key:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import warnings
-from functools import reduce
 from operator import xor
 from typing import Iterable
 
@@ -174,7 +173,8 @@ def recover_xored_keys(
         (_participants("2", rounds), ACCUMULATOR, KIND_KEY,
          set2[:set2_count] + (0,) * (len(rounds) - set2_count), rounds),
     )
-    return ShareVector.from_int(env.params, reduce(xor, second, reduce(xor, first, 0)))
+    fold = env.params.xor_ints
+    return ShareVector.from_int(env.params, fold(second, fold(first, 0)))
 
 
 def verify(
@@ -197,7 +197,7 @@ def verify(
                 f"key assignment has {len(keys)} keys"
             )
     env.note_operation("verify", h=len(set1), g=len(set2))
-    encrypted = ShareVector.from_int(env.params, reduce(xor, set1 + set2, 0))
+    encrypted = ShareVector.from_int(env.params, env.params.xor_ints(set1 + set2, 0))
     keys = recover_xored_keys(assignment, len(set1), len(set2), env)
     verdict = Verdict.POSITIVE if encrypted == keys else Verdict.NEGATIVE
     return VerificationResult(verdict, keys, encrypted)

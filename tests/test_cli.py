@@ -721,6 +721,8 @@ class TestUsageErrors:
         "fastshare --secret 5a --bits 8 --n 99999999999999999999",
         "set-generate --d 99999999999999999999 --n 1",
         "simulate set-generate --d 1 --n 1 --then replicate-bigger=99999999999999999999",
+        "safeshares --secret 5a --bits 8 --n 99999999999999999999",
+        "simulate safeshares --secret 5a --bits 8 --n 99999999999999999999",
     ])
     def test_a_count_past_ssize_t_is_an_input_error(self, tmp_path, capsys, line):
         # Each of these escaped as an OverflowError traceback.

@@ -2,18 +2,22 @@
 
 import random
 import sys
+from functools import reduce
+from itertools import repeat
+from operator import xor
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from asgs.devices import (
+    LANE_CHUNK,
     Accumulator,
     FixtureExhausted,
     RandSource,
     derive_stream_seed,
 )
-from asgs.kgh import MixedParams, SchemeParams
+from asgs.kgh import LANE_BITS, MixedParams, SchemeParams, ShareVector, mask_ints
 from helpers import P8, bv, bvs, fixture_source
 
 
@@ -241,6 +245,79 @@ class TestNextInts:
         assert str(batched.value) == str(per_draw.value)
         assert f"fixture vector {start + wrong + 1} " in str(batched.value)
         assert batch.consumed == start
+
+
+class TestLaneDraw:
+    """Widths up to 32 bits draw a seeded column as packed 32-bit lanes:
+    the values and generator state of value-by-value ``getrandbits``."""
+
+    COUNTS = (0, 1, 2, 3, 625, LANE_CHUNK - 1, LANE_CHUNK, LANE_CHUNK + 1, 2 * LANE_CHUNK + 3)
+
+    @pytest.mark.parametrize("bits", range(1, LANE_BITS + 1))
+    def test_column_and_xor_are_the_value_by_value_draws(self, bits):
+        params = SchemeParams.binary(bits)
+        for count in self.COUNTS:
+            seed = f"{bits}:{count}"
+            for draw in ("next_ints", "next_ints_and_xor"):
+                source, reference = RandSource.seeded(seed), random.Random(seed)
+                want = list(map(reference.getrandbits, repeat(bits, count)))
+                got = getattr(source, draw)(params, count)
+                if draw == "next_ints_and_xor":
+                    got, folded = got
+                    assert folded == reduce(xor, want, 0), (bits, count)
+                assert got == want, (bits, count, draw)
+                assert all(type(value) is int for value in got)
+                assert source.consumed == count
+                # The generator is left where the single draws leave it:
+                # the next narrow and wide draws are the reference's.
+                assert source.next_int(params) == reference.getrandbits(bits)
+                assert source.next_ints(SchemeParams.binary(100), 1) == [
+                    reference.getrandbits(100)]
+
+    def test_one_generator_call_per_chunk_each_within_a_c_int(self):
+        # getrandbits takes a C int: 2**40 bits raise OverflowError.
+        calls = []
+
+        class Recording(random.Random):
+            def getrandbits(self, k):
+                calls.append(k)
+                return super().getrandbits(k)
+
+        source = RandSource(rng=Recording(5))
+        source.next_ints(SchemeParams.binary(16), 2 * LANE_CHUNK + 3)
+        assert calls == [32 * LANE_CHUNK, 32 * LANE_CHUNK, 32 * 3]
+        assert 32 * LANE_CHUNK <= 2**31 - 1
+
+    @pytest.mark.parametrize("bits", [1, 8, 16, 31, 32])
+    @pytest.mark.parametrize("count", [1, 2, 3, 626, LANE_CHUNK + 2])
+    def test_mask_balance_is_the_xor_of_the_draws(self, bits, count):
+        params = SchemeParams.binary(bits)
+        draws = list(map(random.Random(count).getrandbits, repeat(bits, count - 1)))
+        masks = mask_ints(count, RandSource.seeded(count), params)
+        assert masks == draws + [reduce(xor, draws, 0)]
+
+    @given(st.integers(0, 2**64), st.integers(1, 300), st.integers(0, 40))
+    def test_xor_at_any_width_is_reduce(self, seed, bits, count):
+        params = SchemeParams.binary(bits)
+        source, single = RandSource.seeded(seed), RandSource.seeded(seed)
+        batch, folded = source.next_ints_and_xor(params, count)
+        assert batch == single.next_ints(params, count)
+        assert folded == reduce(xor, batch, 0)
+        assert source.consumed == count
+
+    @given(st.sampled_from([1, 16, 32, 33, 128]), st.data())
+    def test_fixture_sources_replay_and_fold_their_values(self, bits, data):
+        params = SchemeParams.binary(bits)
+        values = data.draw(st.lists(st.integers(0, (1 << bits) - 1), max_size=20))
+        count = data.draw(st.integers(0, len(values)))
+        source = RandSource.fixture(ShareVector.from_int(params, v) for v in values)
+        batch, folded = source.next_ints_and_xor(params, count)
+        assert batch == values[:count]
+        assert folded == reduce(xor, values[:count], 0)
+        assert source.next_ints(params, len(values) - count) == values[count:]
+        with pytest.raises(FixtureExhausted):
+            source.next_ints(params, 1)
+        assert source.consumed == len(values)
 
 
 class TestDeriveStreamSeed:

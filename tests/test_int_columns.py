@@ -201,3 +201,21 @@ def test_safe_shares_assignment_entries_are_ints(assignment):
     with pytest.raises(ValueError, match="assignment entries must be ints"):
         SafeSharesState(params, (1, 2), (1, 2), masks, (1, 2), assignment)
     assert SafeSharesState(params, (1, 2), (1, 2), masks, (1, 2), [2, 1]).assignment == (2, 1)
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32])
+@pytest.mark.parametrize("bad", [-1, 2**32, 2**64, 2**32 + 1])
+def test_a_key_out_of_range_is_a_range_error_before_any_fold(bits, bad):
+    # Narrow key columns are folded as packed 32-bit lanes, which cannot
+    # hold these values: the range check must come first. A pair of equal
+    # keys would also cancel to zero.
+    params = SchemeParams.binary(bits)
+    masks = MaskSet((3, 3), params)
+    fits = f"does not fit in {bits} bits"
+    for keys in ((bad, 1), (bad, bad), (1, bad)):
+        with pytest.raises(ValueError, match=fits):
+            SafeSharesState(params, (1, 2), keys, masks, (1, 2), (1, 2))
+        with pytest.raises(ValueError, match=fits):
+            KeyAssignment(keys[:1], keys[1:], params)
+        with pytest.raises(ValueError, match=fits):
+            MaskSet(keys, params)

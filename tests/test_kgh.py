@@ -1,6 +1,7 @@
 """Share algebra: vectors, splitting, mask sets, partitions."""
 
 import copy
+import functools
 import itertools
 import operator
 import pickle
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from asgs.kgh import (
+    LANE_BITS,
     MAX_DIMENSION,
     AuthorizedShareSet,
     IndexOutOfRange,
@@ -20,14 +22,17 @@ from asgs.kgh import (
     SchemeParams,
     SetRole,
     ShareVector,
+    check_ints,
     check_zero_sum,
     combine,
+    fold_lanes,
     from_ints,
     generate_mask_set,
     kgh_split,
     mask_ints,
     partition_sums,
     to_ints,
+    xor_lanes,
 )
 from helpers import P8, bv, bvs, fixture_source, ints
 
@@ -301,6 +306,68 @@ class TestPackedInts:
         assert vectors == tuple(ShareVector.from_int(params, value) for value in values)
         assert all(type(v) is ShareVector and v.params is params for v in vectors)
         assert to_ints(vectors) == values
+
+
+def min_max_check(values, params, what):
+    """The range check by ``min`` and ``max``, which every width used
+    before narrow columns were checked as packed lanes."""
+    if not values:
+        raise ValueError(f"{what} must not be empty")
+    if min(values) < 0 or max(values) >> params.dimension:
+        raise ValueError(f"{what} holds a value that does not fit in {params.dimension} bits")
+
+
+def outcome(check, values, params):
+    """None, or the type and text of what ``check`` raised."""
+    try:
+        check(values, params, "a column")
+    except Exception as error:  # noqa: BLE001 - the exception is the outcome
+        return type(error), str(error)
+    return None
+
+
+class TestLaneFolds:
+    """Columns of widths up to 32 bits fold and range-check as packed
+    32-bit lanes, with the results of ``reduce`` and ``min``/``max``."""
+
+    @given(st.integers(1, 40), st.integers(0, 2**64), st.data())
+    def test_xor_ints_is_reduce(self, bits, start, data):
+        params = SchemeParams.binary(bits)
+        values = data.draw(st.lists(st.integers(0, (1 << bits) - 1), max_size=300))
+        want = functools.reduce(operator.xor, values, start)
+        assert params.xor_ints(values, start) == want
+        assert params.xor_ints(tuple(values), start) == want
+        if bits <= LANE_BITS:
+            assert params.xor_ints is xor_lanes
+            assert xor_lanes(values, start) == want
+
+    @given(st.lists(st.integers(0, 2**32 - 1), max_size=300))
+    def test_fold_lanes_is_reduce_for_xor_and_or(self, values):
+        packed = sum(value << (32 * i) for i, value in enumerate(values))
+        for op in (operator.xor, operator.or_):
+            assert fold_lanes(packed, len(values), op) == functools.reduce(op, values, 0)
+
+    @given(st.integers(1, 40), st.data())
+    def test_check_ints_accepts_and_refuses_what_min_max_did(self, bits, data):
+        params = SchemeParams.binary(bits)
+        odd = st.sampled_from([-1, 1 << bits, (1 << bits) - 1, 2**32, 2**32 - 1, 2**64,
+                               True, False, 0.0, 1.0, 2.5, -1.0, float(1 << bits)])
+        values = data.draw(st.lists(st.one_of(st.integers(0, (1 << bits) - 1), odd),
+                                    max_size=40))
+        column = data.draw(st.sampled_from([list, tuple]))(values)
+        assert outcome(check_ints, column, params) == outcome(min_max_check, column, params)
+
+    @pytest.mark.parametrize("bits", [1, 8, 16, 31, 32, 33, 128])
+    @pytest.mark.parametrize("bad", [-1, "width", 2**32, 2**64])
+    def test_one_value_out_of_range_in_a_long_column(self, bits, bad):
+        params = SchemeParams.binary(bits)
+        bad = 1 << bits if bad == "width" else bad
+        for at in (0, 311, 624):
+            column = [(1 << bits) - 1] * 625
+            column[at] = bad
+            want = outcome(min_max_check, column, params)
+            assert (want is None) == (0 <= bad < 1 << bits)
+            assert outcome(check_ints, column, params) == want
 
 
 class TestCheckZeroSum:

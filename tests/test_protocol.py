@@ -3,6 +3,7 @@
 import collections
 import copy
 import random
+import sys
 from operator import xor
 
 import pytest
@@ -714,6 +715,18 @@ class TestEnvironment:
 
     def test_fixture_assignment_defaults_to_identity(self):
         assert fixture_env().draw_assignment(3) == (1, 2, 3)
+
+    def test_an_assignment_count_past_ssize_t_is_refused_before_any_range(self):
+        # range(1, count + 1) could not be listed: an OverflowError escaped.
+        for env in (ProtocolEnv.seeded(5, 8), fixture_env(),
+                    fixture_env(assignment=(2, 1))):
+            for count in (sys.maxsize + 1, 2**70, -1):
+                with pytest.raises(ValueError, match=r"draw count must lie in 0\.\."):
+                    env.draw_assignment(count)
+            with pytest.raises(ValueError, match=r"draw count must lie in 0\.\."):
+                safe_shares(bv(0x42), 2**70, env)
+            assert len(env.transcript) == 0
+            assert "operations" not in env.transcript.config
 
     def test_operations_echoed_into_config(self):
         env = fixture_env(owner=[0x11, 0x22])
