@@ -10,23 +10,25 @@ The protocol engine draws whole columns with :meth:`RandSource.next_ints`
 of :meth:`RandSource.next_int`; a batch that fails consumes nothing) and
 keeps each register as a plain int XORed in place; :class:`Accumulator`
 is that register as a library device. A seeded source draws a column of
-at most ``LANE_BITS`` bits per value as packed 32-bit lanes, one
-generator call per chunk, with the values and generator state of the
-value-by-value draw.
+at least ``LANE_MIN`` values of at most ``LANE_BITS`` bits as packed
+32-bit lanes, one generator call per chunk, with the values and
+generator state of the value-by-value draw; a caller that asks for the
+column's balance gets it folded from those lanes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import struct
 import sys
-from functools import cache, reduce
+from functools import cache
 from itertools import repeat
-from operator import xor
 from typing import Iterable, Sequence
 
 from asgs.kgh import (
     LANE_BITS,
+    LANE_MIN,
     AsgsError,
     MixedParams,
     SchemeParams,
@@ -49,33 +51,28 @@ def _lane_mask(bits: int) -> int:
     return int.from_bytes(((1 << bits) - 1).to_bytes(4, "little") * LANE_CHUNK, "little")
 
 
-def _draw_lanes(rng: random.Random, bits: int, count: int) -> tuple[list[int], int]:
-    """``count`` values of ``rng.getrandbits(bits)`` (``bits <= 32``) and
-    their XOR, drawn as lanes.
+def _draw_lanes(rng: random.Random, bits: int, count: int, balance: int | None) -> list[int]:
+    """``count`` values of ``rng.getrandbits(bits)`` (``bits <= LANE_BITS``),
+    drawn as lanes, then ``balance`` XOR all of them if it is an int.
 
     ``getrandbits(32 * k)`` takes k 32-bit outputs, the i-th in lane i,
     and ``getrandbits(bits)`` is the top ``bits`` of one output, so one
     shift and one mask of the k-lane int give k values in order and
     leave the generator where k single draws would. The lanes are split
-    with ``memoryview.cast("I")`` in the host's byte order; on a
-    big-endian host that lists the top lane first, hence the reverse.
+    as little-endian 32-bit words, whatever the host's byte order.
     """
     shift, mask = LANE_BITS - bits, _lane_mask(bits)
     column: list[int] = []
-    folded = 0
     while count:
         lanes = min(count, LANE_CHUNK)
         count -= lanes
         packed = (rng.getrandbits(lanes << 5) >> shift) & mask
-        split = memoryview(packed.to_bytes(lanes << 2, sys.byteorder)).cast("I").tolist()
-        if sys.byteorder == "big":
-            split.reverse()
-        folded ^= fold_lanes(packed, lanes)
-        if column:
-            column += split
-        else:
-            column = split
-    return column, folded
+        column += struct.unpack(f"<{lanes}I", packed.to_bytes(lanes << 2, "little"))
+        if balance is not None:
+            balance ^= fold_lanes(packed, lanes)
+    if balance is not None:
+        column.append(balance)
+    return column
 
 
 def bad_draw_count(count: int) -> ValueError:
@@ -152,7 +149,9 @@ class RandSource:
         """How many vectors have been drawn so far."""
         return self._cursor
 
-    def next_ints(self, params: SchemeParams, count: int) -> list[int]:
+    def next_ints(
+        self, params: SchemeParams, count: int, balance: int | None = None
+    ) -> list[int]:
         """The batch draw: the next ``count`` vectors as packed ints.
 
         Draws exactly what ``count`` calls of :meth:`next_int` would, in
@@ -160,25 +159,13 @@ class RandSource:
         under other params raises :class:`MixedParams` naming the same
         1-based vector that :meth:`next_int` would, and a batch that
         overruns the fixture raises :class:`FixtureExhausted`.
-        """
-        if params.dimension <= LANE_BITS or self._values is not None:
-            return self.next_ints_and_xor(params, count)[0]
-        # A wide seeded draw, inline: it has no use for the XOR.
-        if not 0 <= count <= sys.maxsize:
-            raise bad_draw_count(count)
-        rng = self._rng
-        if isinstance(rng, int):
-            rng = self._rng = random.Random(rng)
-        batch = list(map(rng.getrandbits, repeat(params.dimension, count)))
-        self._cursor += count
-        return batch
 
-    def next_ints_and_xor(self, params: SchemeParams, count: int) -> tuple[list[int], int]:
-        """:meth:`next_ints` and the XOR of the ints it returns.
-
-        A seeded source folds the XOR from the packed lanes it drew when
-        the width is at most ``LANE_BITS`` bits, else with one
-        ``reduce``; a fixture source folds the replayed ints.
+        With ``balance`` an int, one more int follows the draws:
+        ``balance`` XOR every draw, the element that balances a mask set
+        or a share split. It is not a draw and is not counted in
+        :attr:`consumed`. A seeded source draws a column of at least
+        ``LANE_MIN`` values of up to ``LANE_BITS`` bits as lanes, and
+        folds the balance from them, with no second pass over the column.
         """
         if not 0 <= count <= sys.maxsize:
             raise bad_draw_count(count)
@@ -188,13 +175,14 @@ class RandSource:
             if isinstance(rng, int):
                 rng = self._rng = random.Random(rng)
             bits = params.dimension
-            if bits <= LANE_BITS:
-                batch, folded = _draw_lanes(rng, bits, count)
+            if bits <= LANE_BITS and count >= LANE_MIN:
+                batch = _draw_lanes(rng, bits, count, balance)
             else:
                 batch = list(map(rng.getrandbits, repeat(bits, count)))
-                folded = reduce(xor, batch, 0)
+                if balance is not None:
+                    batch.append(params.xor_ints(batch, balance))
             self._cursor += count
-            return batch, folded
+            return batch
         cursor = self._cursor
         batch = values[cursor:cursor + count]
         if not params_identical(batch, params):
@@ -208,7 +196,9 @@ class RandSource:
             raise FixtureExhausted(f"fixture drained after {len(values)} vectors")
         self._cursor = cursor + count
         batch = to_ints(batch)
-        return batch, params.xor_ints(batch, 0)
+        if balance is not None:
+            batch.append(params.xor_ints(batch, balance))
+        return batch
 
     def next_int(self, params: SchemeParams) -> int:
         """The single draw: the next vector as its packed int."""

@@ -52,6 +52,13 @@ MAX_DIMENSION = 1 << 16
 # which no fold depends on.
 LANE_BITS = 32
 
+# A column of fewer than LANE_MIN values takes the value-by-value path
+# (``map``, ``reduce``, ``min``/``max``) at every width: packing costs a
+# fixed ~0.7 us that a short column does not earn back. The lane fold and
+# range check break even near 128 values, the lane draw near 64 (2-core
+# Xeon, CPython 3.11).
+LANE_MIN = 128
+
 
 def fold_lanes(packed: int, lanes: int, op=xor) -> int:
     """Combine the ``lanes`` 32-bit lanes of ``packed`` into one with
@@ -66,10 +73,14 @@ def fold_lanes(packed: int, lanes: int, op=xor) -> int:
 
 def xor_lanes(values: Collection[int], start: int) -> int:
     """``start`` XOR every value of a column of ints in ``0..2^32 - 1``,
-    packed with ``array("I")`` and folded as lanes. Another value makes
+    packed with ``array("I")`` and folded as lanes (with ``reduce`` when
+    the column is shorter than ``LANE_MIN``). Another value makes
     ``array`` raise, so a column that has not been range-checked goes
     through :func:`check_ints` first."""
-    return start ^ fold_lanes(int.from_bytes(array("I", values), sys.byteorder), len(values))
+    lanes = len(values)
+    if lanes < LANE_MIN:
+        return reduce(xor, values, start)
+    return start ^ fold_lanes(int.from_bytes(array("I", values), sys.byteorder), lanes)
 
 
 # A wide column folds in one C-level ``reduce(xor, values, start)`` call.
@@ -293,8 +304,9 @@ def check_ints(values: Collection[int], params: SchemeParams, what: str) -> None
     """Reject an empty int column, or one holding a value outside
     ``0..2^l - 1``: one C-level ``min`` and ``max`` over the ints.
 
-    Up to ``LANE_BITS`` bits the ints are packed as lanes instead and
-    OR-folded, and the column fits when no bit at or above l is set.
+    Up to ``LANE_BITS`` bits a column of at least ``LANE_MIN`` ints is
+    packed as lanes instead and OR-folded, and it fits when no bit at or
+    above l is set.
     A column ``array("I")`` refuses (a negative int, one of 32 bits or
     more, a float) takes the ``min``/``max`` test, so it is accepted or
     refused with the same exception as at any width.
@@ -302,7 +314,7 @@ def check_ints(values: Collection[int], params: SchemeParams, what: str) -> None
     if not values:
         raise ValueError(f"{what} must not be empty")
     width = params.dimension
-    if width <= LANE_BITS:
+    if width <= LANE_BITS and len(values) >= LANE_MIN:
         try:
             packed = int.from_bytes(array("I", values), sys.byteorder)
         except (OverflowError, TypeError):
@@ -412,8 +424,7 @@ def kgh_split(
     if count < 1:
         raise ValueError(f"share count must be >= 1, got {count}")
     params = secret.params
-    shares, folded = rand.next_ints_and_xor(params, count - 1)
-    shares.append(secret._data ^ folded)
+    shares = rand.next_ints(params, count - 1, secret._data)
     return AuthorizedShareSet(SetRole.OWNER, shares, params)
 
 
@@ -424,16 +435,15 @@ def mask_ints(count: int, rand: RandSource, params: SchemeParams) -> list[int]:
     random draws, and read the balancing element off the register:
     store is XOR, so the final read cancels everything stored so far.
     This is the one mask generator: every protocol operation draws its
-    masks through it. The register is the XOR that
-    :meth:`RandSource.next_ints_and_xor` returns with the draws; a
-    seeded source at a width of up to ``LANE_BITS`` bits folds it from
-    the packed lanes it drew, with no second pass over the list.
+    masks through it. The register is the balance that
+    :meth:`RandSource.next_ints` appends to the draws; a seeded source
+    folds it from the packed lanes it drew when the column has at least
+    ``LANE_MIN`` values of up to ``LANE_BITS`` bits, with no second pass
+    over the list.
     """
     if count < 1:
         raise ValueError(f"mask set cardinality must be >= 1, got {count}")
-    masks, register = rand.next_ints_and_xor(params, count - 1)
-    masks.append(register)
-    return masks
+    return rand.next_ints(params, count - 1, 0)
 
 
 def generate_mask_set(

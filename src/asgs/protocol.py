@@ -1062,7 +1062,8 @@ def safe_shares(
     masks = mask_ints(count, dealer_source, params)
     owner_shares = _fast_share_rounds(secret.to_int(), count, env)
     # Deliveries draw nothing, so every key can be drawn first.
-    keys, register = dealer_source.next_ints_and_xor(params, count - 1)
+    keys = dealer_source.next_ints(params, count - 1, 0)
+    register = keys.pop()
     for _ in range(KEY_RETRY_LIMIT):
         key = dealer_source.next_int(params)
         if register ^ key:

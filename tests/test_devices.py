@@ -17,7 +17,7 @@ from asgs.devices import (
     RandSource,
     derive_stream_seed,
 )
-from asgs.kgh import LANE_BITS, MixedParams, SchemeParams, ShareVector, mask_ints
+from asgs.kgh import LANE_BITS, LANE_MIN, MixedParams, SchemeParams, ShareVector, mask_ints
 from helpers import P8, bv, bvs, fixture_source
 
 
@@ -251,21 +251,21 @@ class TestLaneDraw:
     """Widths up to 32 bits draw a seeded column as packed 32-bit lanes:
     the values and generator state of value-by-value ``getrandbits``."""
 
-    COUNTS = (0, 1, 2, 3, 625, LANE_CHUNK - 1, LANE_CHUNK, LANE_CHUNK + 1, 2 * LANE_CHUNK + 3)
+    COUNTS = (0, 1, 2, 3, LANE_MIN - 1, LANE_MIN, 625,
+              LANE_CHUNK - 1, LANE_CHUNK, LANE_CHUNK + 1, 2 * LANE_CHUNK + 3)
 
     @pytest.mark.parametrize("bits", range(1, LANE_BITS + 1))
-    def test_column_and_xor_are_the_value_by_value_draws(self, bits):
+    def test_column_and_balance_are_the_value_by_value_draws(self, bits):
         params = SchemeParams.binary(bits)
         for count in self.COUNTS:
             seed = f"{bits}:{count}"
-            for draw in ("next_ints", "next_ints_and_xor"):
+            for balance in (None, 0, (1 << bits) - 1):
                 source, reference = RandSource.seeded(seed), random.Random(seed)
                 want = list(map(reference.getrandbits, repeat(bits, count)))
-                got = getattr(source, draw)(params, count)
-                if draw == "next_ints_and_xor":
-                    got, folded = got
-                    assert folded == reduce(xor, want, 0), (bits, count)
-                assert got == want, (bits, count, draw)
+                if balance is not None:
+                    want.append(reduce(xor, want, balance))
+                got = source.next_ints(params, count, balance)
+                assert got == want, (bits, count, balance)
                 assert all(type(value) is int for value in got)
                 assert source.consumed == count
                 # The generator is left where the single draws leave it:
@@ -284,7 +284,7 @@ class TestLaneDraw:
                 return super().getrandbits(k)
 
         source = RandSource(rng=Recording(5))
-        source.next_ints(SchemeParams.binary(16), 2 * LANE_CHUNK + 3)
+        source.next_ints(SchemeParams.binary(16), 2 * LANE_CHUNK + 3, 0)
         assert calls == [32 * LANE_CHUNK, 32 * LANE_CHUNK, 32 * 3]
         assert 32 * LANE_CHUNK <= 2**31 - 1
 
@@ -296,27 +296,27 @@ class TestLaneDraw:
         masks = mask_ints(count, RandSource.seeded(count), params)
         assert masks == draws + [reduce(xor, draws, 0)]
 
-    @given(st.integers(0, 2**64), st.integers(1, 300), st.integers(0, 40))
-    def test_xor_at_any_width_is_reduce(self, seed, bits, count):
+    @given(st.integers(0, 2**64), st.integers(1, 300), st.integers(0, 2 * LANE_MIN), st.data())
+    def test_balance_at_any_width_is_reduce(self, seed, bits, count, data):
         params = SchemeParams.binary(bits)
+        balance = data.draw(st.integers(0, (1 << bits) - 1))
         source, single = RandSource.seeded(seed), RandSource.seeded(seed)
-        batch, folded = source.next_ints_and_xor(params, count)
-        assert batch == single.next_ints(params, count)
-        assert folded == reduce(xor, batch, 0)
+        batch = source.next_ints(params, count, balance)
+        assert batch[:-1] == single.next_ints(params, count)
+        assert batch[-1] == reduce(xor, batch[:-1], balance)
         assert source.consumed == count
 
     @given(st.sampled_from([1, 16, 32, 33, 128]), st.data())
-    def test_fixture_sources_replay_and_fold_their_values(self, bits, data):
+    def test_fixture_sources_replay_and_balance_their_values(self, bits, data):
         params = SchemeParams.binary(bits)
         values = data.draw(st.lists(st.integers(0, (1 << bits) - 1), max_size=20))
         count = data.draw(st.integers(0, len(values)))
         source = RandSource.fixture(ShareVector.from_int(params, v) for v in values)
-        batch, folded = source.next_ints_and_xor(params, count)
-        assert batch == values[:count]
-        assert folded == reduce(xor, values[:count], 0)
+        batch = source.next_ints(params, count, 0)
+        assert batch == values[:count] + [reduce(xor, values[:count], 0)]
         assert source.next_ints(params, len(values) - count) == values[count:]
         with pytest.raises(FixtureExhausted):
-            source.next_ints(params, 1)
+            source.next_ints(params, 1, 0)
         assert source.consumed == len(values)
 
 

@@ -21,6 +21,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from asgs.kgh import (
+    LANE_MIN,
     AsgsError,
     AuthorizedShareSet,
     MaskSet,
@@ -205,16 +206,18 @@ def test_safe_shares_assignment_entries_are_ints(assignment):
 
 @pytest.mark.parametrize("bits", [8, 16, 32])
 @pytest.mark.parametrize("bad", [-1, 2**32, 2**64, 2**32 + 1])
-def test_a_key_out_of_range_is_a_range_error_before_any_fold(bits, bad):
-    # Narrow key columns are folded as packed 32-bit lanes, which cannot
-    # hold these values: the range check must come first. A pair of equal
-    # keys would also cancel to zero.
+@pytest.mark.parametrize("count", [2, LANE_MIN])
+def test_a_key_out_of_range_is_a_range_error_before_any_fold(bits, bad, count):
+    # Narrow columns of LANE_MIN keys or more are folded as packed 32-bit
+    # lanes, which cannot hold these values: the range check must come
+    # first. An even count of equal keys would also cancel to zero.
     params = SchemeParams.binary(bits)
-    masks = MaskSet((3, 3), params)
+    masks = MaskSet((3,) * count, params)
+    ones = (1,) * (count - 1)
     fits = f"does not fit in {bits} bits"
-    for keys in ((bad, 1), (bad, bad), (1, bad)):
+    for keys in ((bad,) + ones, (bad,) * count, ones + (bad,)):
         with pytest.raises(ValueError, match=fits):
-            SafeSharesState(params, (1, 2), keys, masks, (1, 2), (1, 2))
+            SafeSharesState(params, ones + (2,), keys, masks, ones + (2,), range(1, count + 1))
         with pytest.raises(ValueError, match=fits):
             KeyAssignment(keys[:1], keys[1:], params)
         with pytest.raises(ValueError, match=fits):

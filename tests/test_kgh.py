@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from asgs.kgh import (
     LANE_BITS,
+    LANE_MIN,
     MAX_DIMENSION,
     AuthorizedShareSet,
     IndexOutOfRange,
@@ -354,6 +355,9 @@ class TestLaneFolds:
                                True, False, 0.0, 1.0, 2.5, -1.0, float(1 << bits)])
         values = data.draw(st.lists(st.one_of(st.integers(0, (1 << bits) - 1), odd),
                                     max_size=40))
+        # Padded past LANE_MIN, a narrow column takes the packed check.
+        values += [(1 << bits) - 1] * data.draw(st.sampled_from([0, LANE_MIN]))
+        values = data.draw(st.permutations(values))
         column = data.draw(st.sampled_from([list, tuple]))(values)
         assert outcome(check_ints, column, params) == outcome(min_max_check, column, params)
 
