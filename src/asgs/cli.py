@@ -54,6 +54,7 @@ from asgs.formats import (
     transcript_from_doc,
 )
 from asgs.kgh import (
+    DEFAULT_BITS,
     AsgsError,
     AuthorizedShareSet,
     SchemeParams,
@@ -86,19 +87,6 @@ from asgs.pvss import (
     recover_xored_keys,
     verify,
 )
-
-def default_bits() -> int:
-    """CLI default bit width; ASGS_DEFAULT_BITS overrides the built-in 128."""
-    raw = os.environ.get("ASGS_DEFAULT_BITS")
-    if raw is None or not raw.strip():
-        return 128
-    try:
-        bits = int(raw)
-    except ValueError:
-        raise ParseError(f"ASGS_DEFAULT_BITS must be an integer, got {raw!r}") from None
-    if bits < 1:
-        raise ParseError(f"ASGS_DEFAULT_BITS must be >= 1, got {bits}")
-    return bits
 
 
 def parse_tamper_rule(text: str) -> TamperRule:
@@ -180,7 +168,7 @@ def _build_env(args: Namespace, fixtures: dict[str, str], bits: int) -> Protocol
 
 
 def _resolve_bits(args: Namespace, *doc_bits: int) -> int:
-    """Document-driven commands take their width from the documents."""
+    """A command's width: its input documents', else ``--bits``, else DEFAULT_BITS."""
     agreed = set(doc_bits)
     if len(agreed) > 1:
         raise ParseError(f"input documents disagree on bit width: {sorted(agreed)}")
@@ -191,7 +179,7 @@ def _resolve_bits(args: Namespace, *doc_bits: int) -> int:
                 f"--bits {args.bits} conflicts with input documents at {bits} bits"
             )
         return bits
-    return args.bits if args.bits is not None else default_bits()
+    return args.bits if args.bits is not None else DEFAULT_BITS
 
 
 def _require(value, flag: str):
@@ -441,7 +429,7 @@ class Command(NamedTuple):
 # that runs a protocol, that is, all but audit.
 COMMON = (
     Option("--bits", type=int,
-           help="vector width in bits (default 128, or ASGS_DEFAULT_BITS)"),
+           help=f"vector width in bits (default {DEFAULT_BITS})"),
     Option("--seed", type=int, help="64-bit run seed"),
     Option("--fixture", dest="fixtures", action="append", default=[], metavar="PARTY:PATH",
            help="fixture vector file for one party (dealer, owner, accumulator); repeatable"),

@@ -44,6 +44,10 @@ class IndexOutOfRange(AsgsError):
 # widths in use (at most 4096), far below what would exhaust memory.
 MAX_DIMENSION = 1 << 16
 
+# The width of a run that names none (a CLI command without input
+# documents or ``--bits``, ``SchemeParams.binary()``, ``ProtocolEnv.seeded``).
+DEFAULT_BITS = 128
+
 # Widths up to LANE_BITS travel as packed 32-bit lanes: a column of n
 # such ints is one int of n lanes, value i in bits 32i..32i+31, so a
 # fold over the column (XOR or OR) is a few big-int operations instead
@@ -53,10 +57,9 @@ MAX_DIMENSION = 1 << 16
 LANE_BITS = 32
 
 # A column of fewer than LANE_MIN values takes the value-by-value path
-# (``map``, ``reduce``, ``min``/``max``) at every width: packing costs a
-# fixed ~0.7 us that a short column does not earn back. The lane fold and
-# range check break even near 128 values, the lane draw near 64 (2-core
-# Xeon, CPython 3.11).
+# (``map``, ``reduce``) at every width: packing costs a fixed ~0.7 us
+# that a short column does not earn back. The lane fold and range check
+# break even near 128 values, the lane draw near 64 (2-core Xeon, 3.11).
 LANE_MIN = 128
 
 
@@ -150,7 +153,7 @@ class SchemeParams(Frozen, fields=("dimension",)):
         d["xor_ints"] = xor_lanes if dimension <= LANE_BITS else _xor_reduce
 
     @classmethod
-    def binary(cls, bits: int = 128) -> SchemeParams:
+    def binary(cls, bits: int = DEFAULT_BITS) -> SchemeParams:
         """Parameters for bit-string vectors of the given width: one
         object per width, so one run's values share it."""
         if type(bits) is not int or bits not in _BINARY:
@@ -282,7 +285,7 @@ def from_ints(params: SchemeParams, values: Iterable[int]) -> tuple[ShareVector,
 def params_identical(vectors: Iterable[ShareVector], params: SchemeParams) -> bool:
     """True when every vector carries this very ``params`` object.
 
-    The fast path of every column params check: vectors built by one
+    The fast path of a fixture's params check: vectors built by one
     operation share one params object, and this test calls no Python
     method per vector. False does not mean mixed params, since equal
     params may be distinct objects; callers then compare with ``==``.
@@ -291,25 +294,26 @@ def params_identical(vectors: Iterable[ShareVector], params: SchemeParams) -> bo
 
 
 def vector_params(vectors: Sequence[ShareVector]) -> SchemeParams:
-    """The params of a non-empty column of vectors; raises on mixed params."""
+    """The params of a non-empty column of vectors; raises on mixed params
+    (``list.count`` tries identity before ``==``: shared params cost no call)."""
     if not vectors:
         raise ValueError("need at least one vector to infer params")
     params = vectors[0].params
-    if not params_identical(vectors, params) and any(v.params != params for v in vectors):
+    if [vector.params for vector in vectors].count(params) != len(vectors):
         raise MixedParams(f"a column mixes vectors under {params} with other params")
     return params
 
 
 def check_ints(values: Collection[int], params: SchemeParams, what: str) -> None:
     """Reject an empty int column, or one holding a value outside
-    ``0..2^l - 1``: one C-level ``min`` and ``max`` over the ints.
+    ``0..2^l - 1``: the OR of the column, shifted right by l, must be 0.
+    A negative value makes the OR negative, and a value that is not an
+    int (a float) makes ``|`` raise ``TypeError``; a bool is an int.
 
     Up to ``LANE_BITS`` bits a column of at least ``LANE_MIN`` ints is
-    packed as lanes instead and OR-folded, and it fits when no bit at or
-    above l is set.
-    A column ``array("I")`` refuses (a negative int, one of 32 bits or
-    more, a float) takes the ``min``/``max`` test, so it is accepted or
-    refused with the same exception as at any width.
+    OR-folded as packed lanes. A column ``array("I")`` refuses (a
+    negative int, one of 32 bits or more, a float), like every other
+    column, is OR-ed by one C-level ``reduce``.
     """
     if not values:
         raise ValueError(f"{what} must not be empty")
@@ -323,7 +327,7 @@ def check_ints(values: Collection[int], params: SchemeParams, what: str) -> None
             if fold_lanes(packed, len(values), or_) >> width:
                 raise ValueError(f"{what} holds a value that does not fit in {width} bits")
             return
-    if min(values) < 0 or max(values) >> width:
+    if reduce(or_, values, 0) >> width:
         raise ValueError(f"{what} holds a value that does not fit in {width} bits")
 
 
@@ -400,15 +404,10 @@ def combine(
         if params is None:
             raise ValueError("combining nothing needs explicit params")
         return ShareVector.zero(params)
-    first = shares[0].params
+    first = vector_params(shares)
     if params is not None and first != params:
         raise MixedParams(f"shares carry {first}, expected {params}")
-    acc = 0
-    for share in shares:
-        if share.params is not first and share.params != first:
-            raise MixedParams(f"cannot mix vectors under {first} and {share.params}")
-        acc ^= share._data
-    return _vector(first, acc)
+    return _vector(first, first.xor_ints(to_ints(shares), 0))
 
 
 def kgh_split(

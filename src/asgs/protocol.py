@@ -31,6 +31,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from asgs.devices import RandSource, bad_draw_count, derive_stream_seed
 from asgs.kgh import (
+    DEFAULT_BITS,
     MAX_DIMENSION,
     AsgsError,
     AuthorizedShareSet,
@@ -550,7 +551,7 @@ class ProtocolEnv:
 
     @classmethod
     def seeded(
-        cls, seed: int, bits: int = 128, *, tamper_rules: Iterable[TamperRule] = ()
+        cls, seed: int, bits: int = DEFAULT_BITS, *, tamper_rules: Iterable[TamperRule] = ()
     ) -> ProtocolEnv:
         """Derive every party's stream from one 64-bit run seed. Each
         generator is seeded at its first draw."""

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import asgs.cli as cli
-from asgs.cli import COMMANDS, build_parser, default_bits, main, parse_tamper_rule
+from asgs.cli import COMMANDS, build_parser, main, parse_tamper_rule
 from asgs.formats import (
     ParseError,
     dump_document,
@@ -768,19 +768,20 @@ class TestTamperRuleParsing:
             parse_tamper_rule(text)
 
 
-class TestDefaultBits:
-    def test_built_in_default(self, monkeypatch):
+class TestDefaultWidth:
+    def test_environment_does_not_set_the_width(self, tmp_path, monkeypatch):
+        """A command that names no width runs at 128 bits whatever the
+        environment holds: ASGS_DEFAULT_BITS=16 changes no byte of its
+        artifacts. ``--bits`` still sets the width."""
+
+        def artifacts(name, *extra):
+            out = tmp_path / name
+            assert main(["gen-m", "--n", "2", "--seed", "1", *extra, "--out", str(out)]) == 0
+            return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
         monkeypatch.delenv("ASGS_DEFAULT_BITS", raising=False)
-        assert default_bits() == 128
-
-    def test_environment_override(self, tmp_path, monkeypatch):
+        plain = artifacts("plain")
         monkeypatch.setenv("ASGS_DEFAULT_BITS", "16")
-        assert default_bits() == 16
-        assert run(tmp_path, "gen-m", "--n", "2", "--seed", "1") == 0
-        assert read_doc(tmp_path, "masks.json")["bits"] == 16
-
-    @pytest.mark.parametrize("raw", ["zero", "0", "-8"])
-    def test_invalid_override_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("ASGS_DEFAULT_BITS", raw)
-        with pytest.raises(ParseError):
-            default_bits()
+        assert artifacts("env") == plain
+        assert json.loads(plain["masks.json"])["bits"] == 128
+        assert json.loads(artifacts("narrow", "--bits", "16")["masks.json"])["bits"] == 16

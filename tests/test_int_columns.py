@@ -222,3 +222,28 @@ def test_a_key_out_of_range_is_a_range_error_before_any_fold(bits, bad, count):
             KeyAssignment(keys[:1], keys[1:], params)
         with pytest.raises(ValueError, match=fits):
             MaskSet(keys, params)
+
+
+def test_an_int_column_refuses_a_float_where_it_is_built():
+    # The range check ORs the column, and a float takes no ``|``: it fails
+    # at construction, not later when a document would encode it. A bool
+    # is an int. 200 values at 16 bits take the packed-lane check.
+    p8, p16 = SchemeParams.binary(8), SchemeParams.binary(16)
+    with pytest.raises(TypeError):
+        AuthorizedShareSet(SetRole.MASTER, (1.0, 2), p8)
+    with pytest.raises(TypeError):
+        KeyAssignment((0.5,), (3,), p8)
+    assert AuthorizedShareSet(SetRole.MASTER, (True, 2), p8).ints == (True, 2)
+    for bad in (-1, 1 << 8):
+        with pytest.raises(ValueError) as refused:
+            AuthorizedShareSet(SetRole.MASTER, (bad, 2), p8)
+        assert str(refused.value) == "an authorized set holds a value that does not fit in 8 bits"
+    assert 200 >= LANE_MIN
+    for at in (0, 100, 199):
+        for bad, error in ((7.0, TypeError), (-1, ValueError), (1 << 16, ValueError)):
+            column = [7] * 200
+            column[at] = bad
+            with pytest.raises(error) as refused:
+                MaskSet(column, p16)
+            if error is ValueError:
+                assert str(refused.value) == "a mask set holds a value that does not fit in 16 bits"

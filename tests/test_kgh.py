@@ -186,6 +186,16 @@ class TestCombine:
         with pytest.raises(MixedParams):
             combine([bv(0x01), bv(0x0001, SchemeParams.binary(16))])
 
+    def test_equal_params_need_not_be_identical(self):
+        shares = [bv(0x0F, SchemeParams(8)), bv(0x99, SchemeParams.binary(8))]
+        assert shares[0].params is not shares[1].params
+        assert combine(shares).to_int() == 0x96
+        assert combine(shares, SchemeParams(8)).to_int() == 0x96
+
+    def test_explicit_params_must_match_the_shares(self):
+        with pytest.raises(MixedParams):
+            combine(bvs([0x01, 0x02]), SchemeParams.binary(16))
+
     @given(st.lists(st.integers(0, 0xFF), min_size=2, max_size=8), st.randoms())
     def test_order_and_grouping_invariant(self, values, rng):
         shuffled = list(values)
@@ -310,11 +320,20 @@ class TestPackedInts:
 
 
 def min_max_check(values, params, what):
-    """The range check by ``min`` and ``max``, which every width used
-    before narrow columns were checked as packed lanes."""
+    """The range check of an int column by ``min`` and ``max``."""
     if not values:
         raise ValueError(f"{what} must not be empty")
     if min(values) < 0 or max(values) >> params.dimension:
+        raise ValueError(f"{what} holds a value that does not fit in {params.dimension} bits")
+
+
+def or_fold_check(values, params, what):
+    """The range check by the packed lanes' rule on the plain column: the
+    OR of the values, shifted right by the width, is 0. Unlike ``min``
+    and ``max`` it refuses a float (``|`` raises ``TypeError``)."""
+    if not values:
+        raise ValueError(f"{what} must not be empty")
+    if functools.reduce(operator.or_, values, 0) >> params.dimension:
         raise ValueError(f"{what} holds a value that does not fit in {params.dimension} bits")
 
 
@@ -329,7 +348,8 @@ def outcome(check, values, params):
 
 class TestLaneFolds:
     """Columns of widths up to 32 bits fold and range-check as packed
-    32-bit lanes, with the results of ``reduce`` and ``min``/``max``."""
+    32-bit lanes, with the results of ``reduce`` (and on int columns of
+    ``min``/``max``)."""
 
     @given(st.integers(1, 40), st.integers(0, 2**64), st.data())
     def test_xor_ints_is_reduce(self, bits, start, data):
@@ -359,7 +379,7 @@ class TestLaneFolds:
         values += [(1 << bits) - 1] * data.draw(st.sampled_from([0, LANE_MIN]))
         values = data.draw(st.permutations(values))
         column = data.draw(st.sampled_from([list, tuple]))(values)
-        assert outcome(check_ints, column, params) == outcome(min_max_check, column, params)
+        assert outcome(check_ints, column, params) == outcome(or_fold_check, column, params)
 
     @pytest.mark.parametrize("bits", [1, 8, 16, 31, 32, 33, 128])
     @pytest.mark.parametrize("bad", [-1, "width", 2**32, 2**64])

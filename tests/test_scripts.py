@@ -30,8 +30,6 @@ def run_script(name, *args):
         pytest.param("freshness_stats.py",
                      ("--chains", "3", "--steps", "2", "--widths", "8", "16"), 0, None,
                      id="freshness"),
-        pytest.param("pvss_sweep.py", ("--max-size", "2", "--trials", "4"), 0, None,
-                     id="pvss-sweep"),
         pytest.param("scaling_sweep.py",
                      ("--sizes", "2", "5", "--widths", "8", "--repeat", "1"), 0,
                      r"(?m)^operation .* audit_ms +total_ms +match +text$"
