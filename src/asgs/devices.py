@@ -34,7 +34,6 @@ from asgs.kgh import (
     SchemeParams,
     ShareVector,
     fold_lanes,
-    params_identical,
     to_ints,
 )
 
@@ -185,7 +184,7 @@ class RandSource:
             return batch
         cursor = self._cursor
         batch = values[cursor:cursor + count]
-        if not params_identical(batch, params):
+        if [vector.params for vector in batch].count(params) != len(batch):
             for offset, value in enumerate(batch, start=cursor + 1):
                 if value.params != params:
                     raise MixedParams(

@@ -21,7 +21,7 @@ from array import array
 from collections import deque
 from functools import cached_property, partial, reduce
 from itertools import repeat
-from operator import attrgetter, is_, or_, xor
+from operator import or_, xor
 from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -260,7 +260,6 @@ def _vector(params: SchemeParams, data: int) -> ShareVector:
 
 # Runs an iterator of setter calls to its end, keeping nothing.
 _exhaust = deque(maxlen=0).extend
-_params_of = attrgetter("params")
 
 
 def to_ints(vectors: Iterable[ShareVector]) -> list[int]:
@@ -282,20 +281,12 @@ def from_ints(params: SchemeParams, values: Iterable[int]) -> tuple[ShareVector,
     return vectors
 
 
-def params_identical(vectors: Iterable[ShareVector], params: SchemeParams) -> bool:
-    """True when every vector carries this very ``params`` object.
-
-    The fast path of a fixture's params check: vectors built by one
-    operation share one params object, and this test calls no Python
-    method per vector. False does not mean mixed params, since equal
-    params may be distinct objects; callers then compare with ``==``.
-    """
-    return all(map(is_, map(_params_of, vectors), repeat(params)))
-
-
 def vector_params(vectors: Sequence[ShareVector]) -> SchemeParams:
-    """The params of a non-empty column of vectors; raises on mixed params
-    (``list.count`` tries identity before ``==``: shared params cost no call)."""
+    """The params of a non-empty column of vectors; raises on mixed params.
+
+    ``list.count`` tries identity before ``==``, so a column whose vectors
+    share one params object, as one run's do, costs no Python call.
+    """
     if not vectors:
         raise ValueError("need at least one vector to infer params")
     params = vectors[0].params
