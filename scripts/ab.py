@@ -17,6 +17,9 @@ first in turn, and prints per chain the median of the children's
 medians and their min and max.
 
 Chains:
+  main    perfbench's seven ``cli`` commands of one scenario through
+          ``asgs.cli.main``, stdout captured, in a fresh temporary
+          directory outside the checkout (the seven calls only)
   narrow  perfbench's 16-bit library chain (its own timed interval)
   wide    perfbench's 4096-bit library chain (its own timed interval)
   cli     safe_shares(32) + activate_shares + check_visibility +
@@ -34,13 +37,17 @@ Run from the repository root:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import importlib
+import io
 import json
 import multiprocessing
+import shutil
 import statistics
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -91,6 +98,28 @@ def library_chain(workload: workloads.Workload):
     return run
 
 
+CLI = workloads.Cli(ROOT)  # argvs and inputs only: bind() would patch ProtocolEnv.seeded
+
+
+def main_chain(index: int) -> int:
+    """perfbench's ``cli`` scenario ``index`` at seed 0 through
+    ``asgs.cli.main``, in a fresh directory removed after the call; a
+    command that exits 1 (an error) stops the run."""
+    main = sys.modules["asgs.cli"].main
+    root = Path(tempfile.mkdtemp(prefix="ab-main-"))
+    try:
+        argvs = CLI.argvs(CLI.inputs(0, index), root)
+        with contextlib.redirect_stdout(io.StringIO()):
+            start = time.perf_counter_ns()
+            codes = [main(argv) for argv in argvs]
+            elapsed = time.perf_counter_ns() - start
+    finally:
+        shutil.rmtree(root)
+    if 1 in codes:
+        raise RuntimeError(f"cli scenario {index} exited {codes}")
+    return elapsed
+
+
 def cli_chain(index: int) -> int:
     """The library calls behind ``safeshares``, ``activate`` and
     ``--audit``, then the transcript text, at 128 bits."""
@@ -124,6 +153,7 @@ def codec_chain(index: int) -> int:
 
 
 CHAINS = {
+    "main": main_chain,
     "narrow": library_chain(workloads.Narrow(ROOT)),
     "wide": library_chain(workloads.Wide(ROOT)),
     "cli": cli_chain,

@@ -52,6 +52,7 @@ from asgs.formats import (
     share_set_from_doc,
     share_set_to_doc,
     transcript_from_doc,
+    write_text,
 )
 from asgs.kgh import (
     DEFAULT_BITS,
@@ -541,7 +542,7 @@ def run_scenario(args: Namespace) -> RunResult:
     try:
         for name, text in texts.items():
             artifacts[name] = out_dir / name
-            artifacts[name].write_text(text, encoding="utf-8")
+            write_text(artifacts[name], text)
     except OSError:
         # Take back what this run wrote, a half-written file included.
         for path in artifacts.values():

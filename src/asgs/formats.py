@@ -5,11 +5,18 @@ packed MSB first (component 1 is the top bit of the first byte, with
 zero padding in the trailing bits when l is not a byte multiple). All
 documents are JSON objects with a "version" and "bits" field and are
 rendered canonically, so equal inputs produce byte-identical files.
+
+:func:`write_text` is the one writer: every artifact goes out as UTF-8
+bytes with ``\\n`` line ends on every platform (a text-mode write would
+put ``\\r\\n`` on Windows). The readers decode a file's bytes as strict
+UTF-8 and read ``\\r\\n`` and a lone ``\\r`` as ``\\n``, as a text-mode
+read does.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from functools import lru_cache, reduce
 from itertools import repeat
@@ -102,11 +109,33 @@ def _is_int(value: object) -> bool:
 
 
 def _read_text(path: str | Path) -> str:
+    """The file's text as a text-mode read gives it: strict UTF-8, and
+    ``\\r\\n`` or a lone ``\\r`` read as ``\\n``."""
+    with open(path, "rb") as file:
+        data = file.read()
     try:
-        with open(path, encoding="utf-8") as file:
-            return file.read()
+        text = data.decode()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+# O_BINARY (Windows only) keeps the C runtime from writing "\n" as "\r\n".
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 bytes, line ends as given:
+    one open, writes until every byte is out, one close."""
+    data = memoryview(text.encode())
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def read_fixture_file(path: str | Path, params: SchemeParams) -> list[ShareVector]:
@@ -165,7 +194,7 @@ def _encode(value: object, indent: str) -> str:
 
 def dump_document(document: Mapping, path: str | Path) -> Path:
     path = Path(path)
-    path.write_text(dumps_document(document), encoding="utf-8")
+    write_text(path, dumps_document(document))
     return path
 
 

@@ -1,5 +1,6 @@
 """Command line driver: exit codes, artifacts, and reproducibility."""
 
+import errno
 import json
 import os
 import subprocess
@@ -72,6 +73,28 @@ class TestFastshare:
         assert "error:" in capsys.readouterr().err
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["transcript.json"]
         assert (tmp_path / "out" / "transcript.json").is_dir()
+
+    def test_write_failing_part_way_leaves_no_artifacts(self, tmp_path, capsys, monkeypatch):
+        # shares.json is written whole; transcript.json gets half its
+        # bytes, then the disk is full.
+        real_write, sizes = os.write, []
+
+        def write(fd, data):
+            sizes.append(len(data))
+            if len(sizes) == 1:
+                return real_write(fd, data)
+            if len(sizes) == 2:
+                return real_write(fd, data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "write", write)
+        code = run(tmp_path, "fastshare", "--bits", "8", "--secret", "5a", "--n", "3")
+        monkeypatch.undo()
+        assert code == 1
+        assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        # The third write was the rest of the second artifact.
+        assert len(sizes) == 3 and sizes[2] == sizes[1] - sizes[1] // 2
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestGenM:

@@ -1,6 +1,7 @@
 """Hex encoding, fixture files, and JSON document round trips."""
 
 import json
+import os
 import random
 import sys
 import tempfile
@@ -36,6 +37,7 @@ from asgs.formats import (
     share_set_to_doc,
     transcript_from_doc,
     transcript_to_doc,
+    write_text,
 )
 from asgs.kgh import (
     MAX_DIMENSION,
@@ -794,3 +796,128 @@ class TestReaderErrorOrder:
                "keys": ["z"]}
         with pytest.raises(ParseError, match=r"^safe_state\.protected\[1\]: not lowercase"):
             safe_state_from_doc(doc)
+
+
+def text_mode_read(path) -> str:
+    """The reference reader: a text-mode read, universal newlines."""
+    with open(path, encoding="utf-8") as file:
+        return file.read()
+
+
+# Each document as its LF text, a CRLF copy and a lone-CR copy.
+LINE_ENDS = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
+
+
+class TestReadsAsTextMode:
+    """The readers read bytes and decode them, with a text-mode read's
+    results and error texts: strict UTF-8, CRLF and a lone CR as LF."""
+
+    @staticmethod
+    def copies(tmp_path, name: str, text: str) -> dict:
+        paths = {}
+        for ends, newline in LINE_ENDS.items():
+            paths[ends] = tmp_path / f"{ends}-{name}"
+            paths[ends].write_bytes(text.replace("\n", newline).encode())
+        return paths
+
+    def test_documents_decode_alike_whatever_the_line_ends(self, tmp_path):
+        env = ProtocolEnv.seeded(5, 12)
+        state = safe_shares(ShareVector.from_int(env.params, 0x5A5), 3, env)
+        transcript = self.copies(tmp_path, "transcript.json", dumps_transcript(env.transcript))
+        decoded = {ends: transcript_from_doc(load_document(path, "transcript"))
+                   for ends, path in transcript.items()}
+        for ends in LINE_ENDS:
+            assert rows(decoded[ends]) == rows(env.transcript), ends
+        share_set = AuthorizedShareSet(SetRole.OWNER, state.owner_share_ints, env.params)
+        shares = self.copies(tmp_path, "shares.json", dumps_document(share_set_to_doc(share_set)))
+        for ends, path in shares.items():
+            assert share_set_from_doc(load_document(path, "share_set")) == share_set, ends
+        fixture = self.copies(tmp_path, "draws.txt", "# dealer draws\n0f # first\n\n  21\n43")
+        for ends, path in fixture.items():
+            assert ints(read_fixture_file(path, P8)) == [0x0F, 0x21, 0x43], ends
+
+    @pytest.mark.parametrize("ends", list(LINE_ENDS))
+    def test_malformed_document_error_text_is_the_text_mode_one(self, tmp_path, ends):
+        # The offset counts characters after the newline translation (35 bytes in the CRLF copy).
+        path = self.copies(tmp_path, "doc.json", '{\n  "version": 1,\n  "bits": 8\n  "kind"\n}\n')[ends]
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(text_mode_read(path))
+        with pytest.raises(ParseError) as caught:
+            load_document(path)
+        assert str(caught.value) == f"{path}: not valid JSON: {expected.value}"
+        assert "line 4 column 3 (char 32)" in str(caught.value)
+
+    @pytest.mark.parametrize("read", [load_document, lambda path: read_fixture_file(path, P8)],
+                             ids=["document", "fixture"])
+    def test_non_utf8_bytes_raise_the_text_mode_decode_error(self, tmp_path, read):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b'{"version": 1,\r\n "kind": "\xff"}\r\n')
+        with pytest.raises(UnicodeDecodeError) as expected:
+            text_mode_read(path)
+        with pytest.raises(ParseError) as caught:
+            read(path)
+        assert str(caught.value) == f"{path}: not UTF-8 text: {expected.value}"
+
+    @pytest.mark.parametrize("read", [load_document, lambda path: read_fixture_file(path, P8)],
+                             ids=["document", "fixture"])
+    @pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])
+    def test_unreadable_path_raises_an_os_error_naming_it(self, tmp_path, read, missing):
+        path = tmp_path / "input.json"
+        if not missing:
+            path.mkdir()
+        with pytest.raises(OSError) as expected:
+            text_mode_read(path)
+        with pytest.raises(OSError) as caught:
+            read(path)
+        assert str(caught.value) == str(expected.value)
+        assert str(path) in str(caught.value)
+
+    @given(content=st.lists(st.sampled_from([b"\r", b"\n", b"\r\n", b"0f", b"#", b" ", b"\xc3\xa9",
+                                             b"\xc3", b"\xff", b"\xed\xa0\x80", b'{"a": 1}']),
+                            max_size=12).map(b"".join))
+    def test_read_text_is_a_text_mode_read(self, content):
+        from asgs.formats import _read_text
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "file.txt"
+            path.write_bytes(content)
+            try:
+                expected = text_mode_read(path)
+            except UnicodeDecodeError as exc:
+                with pytest.raises(ParseError) as caught:
+                    _read_text(path)
+                assert str(caught.value) == f"{path}: not UTF-8 text: {exc}"
+            else:
+                assert _read_text(path) == expected
+
+
+class TestWriteText:
+    def test_writes_utf8_bytes_with_the_line_ends_given(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"a longer file that was here before\r\n" * 4)
+        write_text(path, '{\n  "k": "\u00e9\U0001f600"\n}\n')
+        assert path.read_bytes() == '{\n  "k": "\u00e9\U0001f600"\n}\n'.encode()
+
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch):
+        real_write, sizes = os.write, []
+
+        def one_byte_at_a_time(fd, data):
+            sizes.append(len(data))
+            return real_write(fd, bytes(data[:1]))
+
+        monkeypatch.setattr(os, "write", one_byte_at_a_time)
+        write_text(tmp_path / "out.txt", "0f\n\u00e9")
+        monkeypatch.undo()
+        assert (tmp_path / "out.txt").read_bytes() == "0f\n\u00e9".encode()
+        assert sizes == [5, 4, 3, 2, 1]
+
+    def test_dump_document_writes_the_canonical_bytes(self, tmp_path):
+        document = share_set_to_doc(AuthorizedShareSet.from_shares(SetRole.MASTER, bvs([0x01, 0xFE])))
+        path = dump_document(document, tmp_path / "set.json")
+        assert path.read_bytes() == dumps_document(document).encode()
+
+    def test_unwritable_path_raises_an_os_error_naming_it(self, tmp_path):
+        for path in (tmp_path / "no-such-dir" / "out.json", tmp_path):
+            with pytest.raises(OSError) as caught:
+                write_text(path, "{}\n")
+            assert str(path) in str(caught.value)

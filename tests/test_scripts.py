@@ -41,7 +41,7 @@ def run_script(name, *args):
         pytest.param("ab.py", ("--parent", str(ROOT), "--change", str(ROOT),
                                "--processes", "2", "--rounds", "2", "--calls", "1"), 0,
                      r"(?m)^chain +procs +median +min +max$"
-                     r"(\n(narrow|wide|cli|codec) +2( +\d+\.\d{3}){3}$){4}",
+                     r"(\n(main|narrow|wide|cli|codec) +2( +\d+\.\d{3}){3}$){5}",
                      id="ab"),
     ],
 )
