@@ -91,7 +91,8 @@ class TestFastshare:
         code = run(tmp_path, "fastshare", "--bits", "8", "--secret", "5a", "--n", "3")
         monkeypatch.undo()
         assert code == 1
-        assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        full = os.strerror(errno.ENOSPC)
+        assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {full}\n"
         # The third write was the rest of the second artifact.
         assert len(sizes) == 3 and sizes[2] == sizes[1] - sizes[1] // 2
         assert list((tmp_path / "out").iterdir()) == []

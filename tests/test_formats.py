@@ -1,5 +1,6 @@
 """Hex encoding, fixture files, and JSON document round trips."""
 
+import errno
 import json
 import os
 import random
@@ -38,6 +39,7 @@ from asgs.formats import (
     transcript_from_doc,
     transcript_to_doc,
     write_text,
+    _read_text,
 )
 from asgs.kgh import (
     MAX_DIMENSION,
@@ -838,8 +840,10 @@ class TestReadsAsTextMode:
 
     @pytest.mark.parametrize("ends", list(LINE_ENDS))
     def test_malformed_document_error_text_is_the_text_mode_one(self, tmp_path, ends):
-        # The offset counts characters after the newline translation (35 bytes in the CRLF copy).
-        path = self.copies(tmp_path, "doc.json", '{\n  "version": 1,\n  "bits": 8\n  "kind"\n}\n')[ends]
+        # The offset counts characters after the newline translation
+        # (35 bytes in the CRLF copy).
+        text = '{\n  "version": 1,\n  "bits": 8\n  "kind"\n}\n'
+        path = self.copies(tmp_path, "doc.json", text)[ends]
         with pytest.raises(json.JSONDecodeError) as expected:
             json.loads(text_mode_read(path))
         with pytest.raises(ParseError) as caught:
@@ -876,8 +880,6 @@ class TestReadsAsTextMode:
                                              b"\xc3", b"\xff", b"\xed\xa0\x80", b'{"a": 1}']),
                             max_size=12).map(b"".join))
     def test_read_text_is_a_text_mode_read(self, content):
-        from asgs.formats import _read_text
-
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "file.txt"
             path.write_bytes(content)
@@ -911,8 +913,29 @@ class TestWriteText:
         assert (tmp_path / "out.txt").read_bytes() == "0f\n\u00e9".encode()
         assert sizes == [5, 4, 3, 2, 1]
 
+    def test_a_failed_write_closes_the_file(self, tmp_path, monkeypatch):
+        real_open, opened = os.open, []
+
+        def record_open(*args):
+            opened.append(real_open(*args))
+            return opened[-1]
+
+        def disk_full(fd, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "open", record_open)
+        monkeypatch.setattr(os, "write", disk_full)
+        with pytest.raises(OSError) as caught:
+            write_text(tmp_path / "out.txt", "0f\n")
+        monkeypatch.undo()
+        assert caught.value.errno == errno.ENOSPC
+        with pytest.raises(OSError) as closed:
+            os.fstat(opened[0])
+        assert closed.value.errno == errno.EBADF
+
     def test_dump_document_writes_the_canonical_bytes(self, tmp_path):
-        document = share_set_to_doc(AuthorizedShareSet.from_shares(SetRole.MASTER, bvs([0x01, 0xFE])))
+        share_set = AuthorizedShareSet.from_shares(SetRole.MASTER, bvs([0x01, 0xFE]))
+        document = share_set_to_doc(share_set)
         path = dump_document(document, tmp_path / "set.json")
         assert path.read_bytes() == dumps_document(document).encode()
 
