@@ -73,6 +73,12 @@ from helpers import P8, append, bv, bvs, ints, rows
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+def text_mode_read(path) -> str:
+    """The reference reader: a text-mode read, universal newlines."""
+    with open(path, encoding="utf-8") as file:
+        return file.read()
+
+
 class TestHexCodec:
     def test_single_byte(self):
         assert encode_vector(bv(0x03)) == "03"
@@ -146,9 +152,12 @@ class TestFixtureFiles:
 
     def test_non_utf8_file_reports_path(self, tmp_path):
         path = tmp_path / "draws.txt"
-        path.write_bytes(b"0f\n\xff\xfe\n")
-        with pytest.raises(ParseError, match="draws.txt"):
+        path.write_bytes(b"0f\r\n\xff\xfe\r\n")
+        with pytest.raises(UnicodeDecodeError) as expected:
+            text_mode_read(path)
+        with pytest.raises(ParseError) as caught:
             read_fixture_file(path, P8)
+        assert str(caught.value) == f"{path}: not UTF-8 text: {expected.value}"
 
     def test_empty_file_is_empty_fixture(self, tmp_path):
         path = tmp_path / "draws.txt"
@@ -186,9 +195,12 @@ class TestDocumentEnvelope:
 
     def test_non_utf8_file_reports_path(self, tmp_path):
         path = tmp_path / "doc.json"
-        path.write_bytes(b'{"version": 1, "kind": "\xff"}')
-        with pytest.raises(ParseError, match="doc.json"):
+        path.write_bytes(b'{"version": 1,\r\n "kind": "\xff"}\r\n')
+        with pytest.raises(UnicodeDecodeError) as expected:
+            text_mode_read(path)
+        with pytest.raises(ParseError) as caught:
             load_document(path)
+        assert str(caught.value) == f"{path}: not UTF-8 text: {expected.value}"
 
     def test_nesting_too_deep_to_parse_rejected(self, tmp_path):
         path = tmp_path / "deep.json"
@@ -800,12 +812,6 @@ class TestReaderErrorOrder:
             safe_state_from_doc(doc)
 
 
-def text_mode_read(path) -> str:
-    """The reference reader: a text-mode read, universal newlines."""
-    with open(path, encoding="utf-8") as file:
-        return file.read()
-
-
 # Each document as its LF text, a CRLF copy and a lone-CR copy.
 LINE_ENDS = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
 
@@ -850,17 +856,6 @@ class TestReadsAsTextMode:
             load_document(path)
         assert str(caught.value) == f"{path}: not valid JSON: {expected.value}"
         assert "line 4 column 3 (char 32)" in str(caught.value)
-
-    @pytest.mark.parametrize("read", [load_document, lambda path: read_fixture_file(path, P8)],
-                             ids=["document", "fixture"])
-    def test_non_utf8_bytes_raise_the_text_mode_decode_error(self, tmp_path, read):
-        path = tmp_path / "bad.txt"
-        path.write_bytes(b'{"version": 1,\r\n "kind": "\xff"}\r\n')
-        with pytest.raises(UnicodeDecodeError) as expected:
-            text_mode_read(path)
-        with pytest.raises(ParseError) as caught:
-            read(path)
-        assert str(caught.value) == f"{path}: not UTF-8 text: {expected.value}"
 
     @pytest.mark.parametrize("read", [load_document, lambda path: read_fixture_file(path, P8)],
                              ids=["document", "fixture"])
