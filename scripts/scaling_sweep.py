@@ -203,10 +203,6 @@ def run_cell(case, n, bits, rng, repeat):
     streams, engine, oracle = case(
         n, params, lambda count: [rng.getrandbits(bits) for _ in range(count)]
     )
-    fixtures = {
-        role: tuple(ShareVector.from_int(params, v) for v in values)
-        for role, values in streams.items()
-    }
     times = {"engine": [], "oracle": [], "views": [], "dumps": [], "from_doc": [], "audit": []}
 
     def timed(name, call):
@@ -215,10 +211,10 @@ def run_cell(case, n, bits, rng, repeat):
         times[name].append((time.perf_counter() - start) * 1000)
         return result
 
-    read_views(engine(ProtocolEnv.with_fixtures(params, **fixtures))[1])
+    read_views(engine(ProtocolEnv.with_fixtures(params, **streams))[1])
     match = True
     for _ in range(repeat):
-        env = ProtocolEnv.with_fixtures(params, **fixtures)
+        env = ProtocolEnv.with_fixtures(params, **streams)
         engine_out, results = timed("engine", lambda: engine(env))
         oracle_out = timed("oracle", oracle)
         timed("views", lambda: read_views(results))

@@ -159,10 +159,10 @@ def _build_env(args: Namespace, fixtures: dict[str, str], bits: int) -> Protocol
     if not fixtures:
         # Runs stay reproducible when neither flag is given: seed 0.
         return ProtocolEnv.seeded(seed if seed is not None else 0, bits, tamper_rules=rules)
-    vectors = {role: read_fixture_file(path, params) for role, path in fixtures.items()}
+    streams = {role: read_fixture_file(path, params) for role, path in fixtures.items()}
     return ProtocolEnv.with_fixtures(
         params,
-        **vectors,
+        **streams,
         tamper_rules=rules,
         config={"fixture_paths": dict(sorted(fixtures.items()))},
     )
@@ -238,10 +238,8 @@ def _replicate_step(
         derived = equal_set_replicate(source, out.env)
     elif mode == "bigger":
         derived = set_replicate_to_bigger(source, _require(target, "--d"), out.env)
-    elif mode == "smaller":
-        derived = set_replicate_to_smaller(source, _require(target, "--d"), out.env)
     else:
-        raise ParseError(f"unknown replication mode {mode!r}")
+        derived = set_replicate_to_smaller(source, _require(target, "--d"), out.env)
     out.documents["derived.json"] = share_set_to_doc(derived)
     return derived
 
@@ -309,9 +307,7 @@ def _pvss_distribute(
 
 
 def _pvss_recover_keys(args: Namespace, out: RunResult, assignment: KeyAssignment) -> None:
-    result = recover_xored_keys(
-        assignment, len(assignment.set1_ints), len(assignment.set2_ints), out.env
-    )
+    result = recover_xored_keys(assignment, out.env)
     out.summary.append(f"xored_keys={encode_vector(result)}")
 
 
@@ -363,16 +359,12 @@ def _simulate(args: Namespace, out: RunResult) -> None:
         # what pvss compares against
         reference = AuthorizedShareSet.from_shares(SetRole.TEMPLATE, [secret])
         current = state.protected_set()
-    elif start == "set-generate":
+    else:
         if args.secret_hex is not None:
             raise ParseError("--secret applies only to simulate safeshares")
         reference, current = _set_generate_step(args, out)
         out.summary.append(
             f"set-generate: template of {len(reference)}, master of {len(current)}"
-        )
-    else:
-        raise ParseError(
-            f"unknown starting algorithm {start!r}; expected safeshares or set-generate"
         )
     for k, (step, arg) in enumerate(steps):
         if step == "activate":

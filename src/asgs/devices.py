@@ -2,8 +2,9 @@
 
 An :class:`Accumulator` is an l-bit register that can only be reset,
 read, and written by XOR. A :class:`RandSource` hands out l-bit vectors
-either from a seeded deterministic generator or from an explicit fixture
-list. Every protocol run is a pure function of its devices' contents.
+either from a seeded deterministic generator or from a fixture stream,
+one column of packed ints under one ``SchemeParams``. Every protocol run
+is a pure function of its devices' contents.
 
 The protocol engine draws whole columns with :meth:`RandSource.next_ints`
 (``count`` packed ints in one call, the same values as ``count`` calls
@@ -24,7 +25,7 @@ import struct
 import sys
 from functools import cache
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from asgs.kgh import (
     LANE_BITS,
@@ -33,8 +34,8 @@ from asgs.kgh import (
     MixedParams,
     SchemeParams,
     ShareVector,
+    check_ints,
     fold_lanes,
-    to_ints,
 )
 
 # ``getrandbits`` takes its bit count as a C int, so one call draws at
@@ -117,19 +118,19 @@ class RandSource:
     frozen; repeat runs with equal seeds reproduce identical streams.
     ``rng`` may also be the int seed of that generator, which is then
     built at the first draw, so a source never drawn from seeds none.
-    Fixture mode replays the prepared vectors in order, checks that each
-    carries the requested params, and refuses to wrap around.
+    Fixture mode replays a ``(params, ints)`` stream in order, serves
+    draws under those params only, and refuses to wrap around.
     """
 
     def __init__(
         self,
         rng: random.Random | int | None = None,
-        values: Sequence[ShareVector] | None = None,
+        values: tuple[SchemeParams, list[int]] | None = None,
     ) -> None:
         if (rng is None) == (values is None):
             raise ValueError("construct via RandSource.seeded or RandSource.fixture")
         self._rng = rng
-        self._values = tuple(values) if values is not None else None
+        self._params, self._values = (None, None) if values is None else values
         self._cursor = 0
 
     @classmethod
@@ -140,8 +141,13 @@ class RandSource:
         return cls(rng=seed if isinstance(seed, int) else random.Random(seed))
 
     @classmethod
-    def fixture(cls, values: Iterable[ShareVector]) -> RandSource:
-        return cls(values=tuple(values))
+    def fixture(cls, params: SchemeParams, values: Iterable[int]) -> RandSource:
+        """Replay the packed ints ``values`` under ``params``. A non-empty
+        column is checked here, once, by :func:`~asgs.kgh.check_ints`."""
+        values = list(values)
+        if values:
+            check_ints(values, params, "a fixture stream")
+        return cls(values=(params, values))
 
     @property
     def consumed(self) -> int:
@@ -154,10 +160,10 @@ class RandSource:
         """The batch draw: the next ``count`` vectors as packed ints.
 
         Draws exactly what ``count`` calls of :meth:`next_int` would, in
-        one call. A failed batch consumes nothing: a fixture vector
-        under other params raises :class:`MixedParams` naming the same
-        1-based vector that :meth:`next_int` would, and a batch that
-        overruns the fixture raises :class:`FixtureExhausted`.
+        one call. A failed batch consumes nothing: a draw from a fixture
+        under other params raises :class:`MixedParams`, whatever the
+        count, and a batch that overruns the fixture raises
+        :class:`FixtureExhausted`.
 
         With ``balance`` an int, one more int follows the draws:
         ``balance`` XOR every draw, the element that balances a mask set
@@ -182,19 +188,13 @@ class RandSource:
                     batch.append(params.xor_ints(batch, balance))
             self._cursor += count
             return batch
+        if params != self._params:
+            raise MixedParams(f"the fixture stream carries {self._params}, requested {params}")
         cursor = self._cursor
         batch = values[cursor:cursor + count]
-        if [vector.params for vector in batch].count(params) != len(batch):
-            for offset, value in enumerate(batch, start=cursor + 1):
-                if value.params != params:
-                    raise MixedParams(
-                        f"fixture vector {offset} carries {value.params}, "
-                        f"requested {params}"
-                    )
         if len(batch) < count:
             raise FixtureExhausted(f"fixture drained after {len(values)} vectors")
         self._cursor = cursor + count
-        batch = to_ints(batch)
         if balance is not None:
             batch.append(params.xor_ints(batch, balance))
         return batch

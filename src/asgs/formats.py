@@ -32,7 +32,6 @@ from asgs.kgh import (
     SchemeParams,
     SetRole,
     ShareVector,
-    from_ints,
 )
 from asgs.protocol import (
     CONTROL_KINDS,
@@ -138,13 +137,13 @@ def write_text(path: str | Path, text: str) -> None:
         os.close(fd)
 
 
-def read_fixture_file(path: str | Path, params: SchemeParams) -> list[ShareVector]:
-    """Read one hex vector per line; '#' starts a comment, blanks are skipped."""
+def read_fixture_file(path: str | Path, params: SchemeParams) -> list[int]:
+    """Read one hex vector per line, as packed ints; '#' starts a
+    comment, blanks are skipped."""
     numbered = [(lineno, line) for lineno, raw in enumerate(_read_text(path).splitlines(), 1)
                 if (line := raw.split("#", 1)[0].strip())]
-    values = _decode_column([line for _, line in numbered], params,
-                            lambda k: f"{path}:{numbered[k][0]}")
-    return list(from_ints(params, values))
+    return _decode_column([line for _, line in numbered], params,
+                          lambda k: f"{path}:{numbered[k][0]}")
 
 
 def dumps_document(document: Mapping) -> str:

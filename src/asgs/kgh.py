@@ -11,6 +11,8 @@ view. The protocol engine computes on the packed ints themselves
 columns plus ``params`` and stores each column as a tuple; its vector
 attributes are views built on first read and cached. Vectors enter
 through one classmethod, :meth:`AuthorizedShareSet.from_shares`.
+:func:`combine` and :func:`check_zero_sum` take their params from the
+vectors they fold.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
-from collections import deque
 from functools import cached_property, partial, reduce
-from itertools import repeat
 from operator import or_, xor
 from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
@@ -258,27 +258,14 @@ def _vector(params: SchemeParams, data: int) -> ShareVector:
     return vector
 
 
-# Runs an iterator of setter calls to its end, keeping nothing.
-_exhaust = deque(maxlen=0).extend
-
-
 def to_ints(vectors: Iterable[ShareVector]) -> list[int]:
     """The packed ints of vectors whose params the caller checked."""
     return [vector._data for vector in vectors]
 
 
 def from_ints(params: SchemeParams, values: Iterable[int]) -> tuple[ShareVector, ...]:
-    """Wrap packed ints that already fit the width, unchecked.
-
-    Builds the whole column with C-level maps, no Python frame per
-    vector, which is what makes a wrap of hundreds of results cheap.
-    """
-    if not isinstance(values, (list, tuple)):
-        values = list(values)
-    vectors = tuple(map(object.__new__, repeat(ShareVector, len(values))))
-    _exhaust(map(_set_params, vectors, repeat(params)))
-    _exhaust(map(_set_data, vectors, values))
-    return vectors
+    """Wrap packed ints that already fit the width, unchecked."""
+    return tuple(map(partial(_vector, params), values))
 
 
 def vector_params(vectors: Sequence[ShareVector]) -> SchemeParams:
@@ -382,23 +369,12 @@ class MaskSet(Frozen, fields=("ints", "params")):
         return len(self.ints)
 
 
-def combine(
-    shares: Iterable[ShareVector], params: SchemeParams | None = None
-) -> ShareVector:
-    """The XOR of the given vectors.
-
-    The empty combination is the zero vector, which needs explicit
-    ``params`` since there is no vector to infer them from.
-    """
+def combine(shares: Iterable[ShareVector]) -> ShareVector:
+    """The XOR of a non-empty run of vectors under one params; an empty
+    run raises ``ValueError``, a mixed one :class:`MixedParams`."""
     shares = tuple(shares)
-    if not shares:
-        if params is None:
-            raise ValueError("combining nothing needs explicit params")
-        return ShareVector.zero(params)
-    first = vector_params(shares)
-    if params is not None and first != params:
-        raise MixedParams(f"shares carry {first}, expected {params}")
-    return _vector(first, first.xor_ints(to_ints(shares), 0))
+    params = vector_params(shares)
+    return _vector(params, params.xor_ints(to_ints(shares), 0))
 
 
 def kgh_split(
@@ -443,10 +419,9 @@ def generate_mask_set(
     return MaskSet(mask_ints(count, rand, params), params)
 
 
-def check_zero_sum(
-    vectors: MaskSet | Iterable[ShareVector], params: SchemeParams | None = None
-) -> bool:
-    """True when the vectors combine to the zero vector.
+def check_zero_sum(vectors: MaskSet | Iterable[ShareVector]) -> bool:
+    """True when the vectors combine to the zero vector, as an empty
+    sequence does.
 
     Accepts a plain sequence as well as a MaskSet so that candidate sets
     can be tested before construction.
@@ -454,9 +429,7 @@ def check_zero_sum(
     if isinstance(vectors, MaskSet):
         return not vectors.params.xor_ints(vectors.ints, 0)
     vectors = tuple(vectors)
-    if not vectors and params is None:
-        return True
-    return combine(vectors, params).is_zero()
+    return not vectors or combine(vectors).is_zero()
 
 
 def partition_sums(

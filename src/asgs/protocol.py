@@ -571,19 +571,20 @@ class ProtocolEnv:
         cls,
         params: SchemeParams,
         *,
-        dealer: Iterable[ShareVector] | None = None,
-        owner: Iterable[ShareVector] | None = None,
-        accumulator: Iterable[ShareVector] | None = None,
+        dealer: Iterable[int] | None = None,
+        owner: Iterable[int] | None = None,
+        accumulator: Iterable[int] | None = None,
         assignment: Sequence[int] | None = None,
         tamper_rules: Iterable[TamperRule] = (),
         identify: Callable[[int], bool] | None = None,
         config: Mapping | None = None,
     ) -> ProtocolEnv:
-        """Replay prepared vectors; the envelope assignment defaults to
-        identity so fixture runs stay fully explicit."""
+        """Replay prepared streams of packed ints under ``params``; the
+        envelope assignment defaults to identity so fixture runs stay
+        fully explicit."""
         streams = {ROLE_DEALER: dealer, ROLE_OWNER: owner, ROLE_ACCUMULATOR: accumulator}
         sources = {
-            role: RandSource.fixture(values)
+            role: RandSource.fixture(params, values)
             for role, values in streams.items()
             if values is not None
         }

@@ -9,6 +9,8 @@ so consistency can be checked without reconstructing anything.
 
 The bulletin and the key assignment have the same shape: one column of
 packed ints per set, position i holding participant i's entry or key.
+Key recovery takes the whole assignment, the shorter column padded with
+zero contributions.
 """
 
 from __future__ import annotations
@@ -90,6 +92,8 @@ class KeyAssignment(Frozen, fields=("set1_ints", "set2_ints", "params")):
         d["set1_ints"], d["set2_ints"], d["params"] = d["_values"] = set1_ints, set2_ints, params
 
     def key_for(self, set_tag: str, index: int) -> ShareVector:
+        if type(index) is not int:
+            raise ValueError(f"keys need a 1-based int index, got {index!r}")
         column = {"1": self.set1_ints, "2": self.set2_ints}.get(set_tag, ())
         if not 1 <= index <= len(column):
             raise MissingKey(set_tag, index)
@@ -137,41 +141,26 @@ def distribute_shares_and_keys(
     )
 
 
-def recover_xored_keys(
-    assignment: KeyAssignment, set1_count: int, set2_count: int, env: ProtocolEnv
-) -> ShareVector:
+def recover_xored_keys(assignment: KeyAssignment, env: ProtocolEnv) -> ShareVector:
     """Fold every participant key into the register, interleaved by rounds.
 
     Round i takes a contribution from position i of set 1 and then of
-    set 2; a position past a set's cardinality contributes the zero
+    set 2; a position past the shorter column's end contributes the zero
     vector, and those padding contributions are real messages. The final
     register value is the XOR of all keys, with no single key exposed
     along the way. It is one round of two equal parts with their own
     seqs (:meth:`ProtocolEnv.deliver_parts`), set 1's contributions and
-    then set 2's, padding included. A count that is not an int >= 0
-    raises ``ValueError``; one above a column's length raises
-    :class:`MissingKey` for the first missing key in round order.
-    Either notes and sends nothing.
+    then set 2's, padding included.
     """
-    for tag, count in (("1", set1_count), ("2", set2_count)):
-        if type(count) is not int or count < 0:
-            raise ValueError(f"set {tag}: a key count must be an int >= 0, got {count!r}")
     _check_params(env, assignment)
     set1, set2 = assignment.set1_ints, assignment.set2_ints
-    # The first missing key in round order: the lower index past a
-    # column's end, set 1's on a tie.
-    missing = [(len(column) + 1, tag) for tag, column, count in
-               (("1", set1, set1_count), ("2", set2, set2_count)) if count > len(column)]
-    if missing:
-        index, tag = min(missing)
-        raise MissingKey(tag, index)
-    env.note_operation("recover_xored_keys", h=set1_count, g=set2_count)
-    rounds = range(1, max(set1_count, set2_count) + 1)
+    env.note_operation("recover_xored_keys", h=len(set1), g=len(set2))
+    rounds = range(1, max(len(set1), len(set2)) + 1)
     first, second = env.deliver_parts(
         (_participants("1", rounds), ACCUMULATOR, KIND_KEY,
-         set1[:set1_count] + (0,) * (len(rounds) - set1_count), rounds),
+         set1 + (0,) * (len(rounds) - len(set1)), rounds),
         (_participants("2", rounds), ACCUMULATOR, KIND_KEY,
-         set2[:set2_count] + (0,) * (len(rounds) - set2_count), rounds),
+         set2 + (0,) * (len(rounds) - len(set2)), rounds),
     )
     fold = env.params.xor_ints
     return ShareVector.from_int(env.params, fold(second, fold(first, 0)))
@@ -198,6 +187,6 @@ def verify(
             )
     env.note_operation("verify", h=len(set1), g=len(set2))
     encrypted = ShareVector.from_int(env.params, env.params.xor_ints(set1 + set2, 0))
-    keys = recover_xored_keys(assignment, len(set1), len(set2), env)
+    keys = recover_xored_keys(assignment, env)
     verdict = Verdict.POSITIVE if encrypted == keys else Verdict.NEGATIVE
     return VerificationResult(verdict, keys, encrypted)

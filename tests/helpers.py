@@ -20,7 +20,7 @@ def bvs(values: Sequence[int], params: SchemeParams = P8) -> list[ShareVector]:
 
 
 def fixture_source(values: Sequence[int], params: SchemeParams = P8) -> RandSource:
-    return RandSource.fixture(bvs(values, params))
+    return RandSource.fixture(params, values)
 
 
 def ints(vectors) -> list[int]:

@@ -91,8 +91,7 @@ def criterion(number, title):
 
 
 def fixture_env(**streams):
-    vectors = {role: bvs(values) for role, values in streams.items()}
-    return ProtocolEnv.with_fixtures(P8, **vectors)
+    return ProtocolEnv.with_fixtures(P8, **streams)
 
 
 def master_set(values):
@@ -372,7 +371,7 @@ def test_c10_visibility():
     bulletin, assignment = distribute_shares_and_keys(
         template_set([0x01, 0x02]), master_set([0x04, 0x08, 0x0F]), env
     )
-    recover_xored_keys(assignment, 2, 3, env)
+    recover_xored_keys(assignment, env)
     verify(bulletin, assignment, env)
     honest_envs.append(env)
 
@@ -464,8 +463,8 @@ def test_c11_oracle_equivalence():
         )
         env = ProtocolEnv.with_fixtures(
             P8,
-            dealer=bvs(dealer_draws.record),
-            owner=bvs(owner_draws.record),
+            dealer=dealer_draws.record,
+            owner=owner_draws.record,
             assignment=tuple(assignment),
         )
         secret_value = oracles.xor_all(expected_state["owner"])

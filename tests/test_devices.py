@@ -17,8 +17,8 @@ from asgs.devices import (
     RandSource,
     derive_stream_seed,
 )
-from asgs.kgh import LANE_BITS, LANE_MIN, MixedParams, SchemeParams, ShareVector, mask_ints
-from helpers import P8, bv, bvs, fixture_source
+from asgs.kgh import LANE_BITS, LANE_MIN, MixedParams, SchemeParams, mask_ints
+from helpers import P8, bv, fixture_source
 
 
 class TestAccumulator:
@@ -115,6 +115,16 @@ class TestRandSourceFixture:
         assert source.next_int(P8) == 0x05
         with pytest.raises(FixtureExhausted):
             source.next_int(P8)
+
+    @pytest.mark.parametrize("values, error", [
+        ([0x0A, 0x100], ValueError),  # one bit too wide for 8 bits
+        ([0x0A, -1], ValueError),
+        ([0x0A, 1.0], TypeError),
+        ([bv(0x0A)], TypeError),  # a vector, not its packed int
+    ])
+    def test_fixture_stream_is_checked_when_built(self, values, error):
+        with pytest.raises(error):
+            RandSource.fixture(P8, values)
 
 
 class TestRandSourceSeeded:
@@ -229,22 +239,16 @@ class TestNextInts:
             source.next_ints(P8, count)
         assert source.consumed == start
 
-    @given(st.integers(0, 8), st.integers(0, 8), st.integers(1, 8))
-    def test_wrong_params_names_the_single_draw_vector(self, start, wrong, tail):
-        vectors = bvs(range(start + wrong)) + [bv(0x0001, SchemeParams.binary(16))]
-        vectors += bvs(range(tail))
-        batch, single = RandSource.fixture(vectors), RandSource.fixture(vectors)
-        batch.next_ints(P8, start)
-        for _ in range(start):
-            single.next_int(P8)
-        with pytest.raises(MixedParams) as per_draw:
-            for _ in range(wrong + tail + 1):
-                single.next_int(P8)
-        with pytest.raises(MixedParams) as batched:
-            batch.next_ints(P8, wrong + tail + 1)
-        assert str(batched.value) == str(per_draw.value)
-        assert f"fixture vector {start + wrong + 1} " in str(batched.value)
-        assert batch.consumed == start
+    @pytest.mark.parametrize("start, count", [(0, 0), (0, 2), (1, 0), (2, 1), (3, 5)])
+    def test_a_draw_under_other_params_consumes_nothing(self, start, count):
+        # Whatever the count, an empty batch and one past the end included.
+        source = fixture_source([0x0A, 0x06, 0x05])
+        source.next_ints(P8, start)
+        for balance in (None, 0):
+            with pytest.raises(MixedParams, match="fixture stream carries"):
+                source.next_ints(SchemeParams.binary(16), count, balance)
+        assert source.consumed == start
+        assert source.next_ints(P8, 3 - start) == [0x0A, 0x06, 0x05][start:]
 
 
 class TestLaneDraw:
@@ -311,7 +315,7 @@ class TestLaneDraw:
         params = SchemeParams.binary(bits)
         values = data.draw(st.lists(st.integers(0, (1 << bits) - 1), max_size=20))
         count = data.draw(st.integers(0, len(values)))
-        source = RandSource.fixture(ShareVector.from_int(params, v) for v in values)
+        source = RandSource.fixture(params, iter(values))
         batch = source.next_ints(params, count, 0)
         assert batch == values[:count] + [reduce(xor, values[:count], 0)]
         assert source.next_ints(params, len(values) - count) == values[count:]

@@ -67,7 +67,7 @@ from asgs.protocol import (
     safe_shares,
 )
 from asgs.pvss import BulletinBoard, KeyAssignment
-from helpers import P8, append, bv, bvs, ints, rows
+from helpers import P8, append, bv, bvs, rows
 
 # Longest int literal json.loads accepts (0: no limit; Python < 3.10.7 has none).
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -135,12 +135,12 @@ class TestFixtureFiles:
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "draws.txt"
         path.write_text("# dealer draws\n0f\n\n21\n  43  \n")
-        assert ints(read_fixture_file(path, P8)) == [0x0F, 0x21, 0x43]
+        assert read_fixture_file(path, P8) == [0x0F, 0x21, 0x43]
 
     def test_inline_comment_after_value(self, tmp_path):
         path = tmp_path / "draws.txt"
         path.write_text("0f # first mask\n")
-        assert ints(read_fixture_file(path, P8)) == [0x0F]
+        assert read_fixture_file(path, P8) == [0x0F]
 
     def test_bad_line_reports_path_and_number(self, tmp_path):
         # The first bad line is reported, by its number in the file.
@@ -290,7 +290,7 @@ class TestBooleansAreNotIntegers:
     decoder that expects an integer must still reject them."""
 
     def safe_state_doc(self):
-        env = ProtocolEnv.with_fixtures(P8, dealer=bvs([0x0F, 0x21, 0x43]), owner=bvs([0x55]))
+        env = ProtocolEnv.with_fixtures(P8, dealer=[0x0F, 0x21, 0x43], owner=[0x55])
         return safe_state_to_doc(safe_shares(bv(0x03), 2, env))
 
     def test_bits(self):
@@ -355,7 +355,7 @@ class TestMaskSetDocs:
 class TestPvssDocs:
     def test_bulletin_round_trip(self):
         env = ProtocolEnv.with_fixtures(
-            P8, dealer=bvs([0x10, 0x20, 0x40, 0x80, 0x31])
+            P8, dealer=[0x10, 0x20, 0x40, 0x80, 0x31]
         )
         from asgs.pvss import distribute_shares_and_keys
 
@@ -389,7 +389,7 @@ class TestPvssDocs:
 class TestSafeStateDocs:
     def test_round_trip(self):
         env = ProtocolEnv.with_fixtures(
-            P8, dealer=bvs([0x0F, 0x21, 0x43]), owner=bvs([0x55])
+            P8, dealer=[0x0F, 0x21, 0x43], owner=[0x55]
         )
         state = safe_shares(bv(0x03), 2, env)
         assert safe_state_from_doc(safe_state_to_doc(state)) == state
@@ -397,8 +397,8 @@ class TestSafeStateDocs:
     def test_round_trip_with_nonidentity_assignment(self):
         env = ProtocolEnv.with_fixtures(
             P8,
-            dealer=bvs([0x0F, 0x21, 0x43]),
-            owner=bvs([0x55]),
+            dealer=[0x0F, 0x21, 0x43],
+            owner=[0x55],
             assignment=(2, 1),
         )
         state = safe_shares(bv(0x03), 2, env)
@@ -409,7 +409,7 @@ class TestSafeStateDocs:
 
 class TestTranscriptDocs:
     def test_round_trip_vector_payloads(self):
-        env = ProtocolEnv.with_fixtures(P8, owner=bvs([0x0B, 0x16]))
+        env = ProtocolEnv.with_fixtures(P8, owner=[0x0B, 0x16])
         fast_share(bv(0x5A), 3, env)
         doc = transcript_to_doc(env.transcript)
         restored = transcript_from_doc(doc)
@@ -580,7 +580,7 @@ def _valid_documents() -> dict:
     from asgs.pvss import distribute_shares_and_keys
 
     env = ProtocolEnv.with_fixtures(
-        P8, dealer=bvs([0x0F, 0x21, 0x43, 0x10, 0x20, 0x40, 0x80]), owner=bvs([0x55])
+        P8, dealer=[0x0F, 0x21, 0x43, 0x10, 0x20, 0x40, 0x80], owner=[0x55]
     )
     state = safe_shares(bv(0x03), 2, env)
     activated = activate_shares(state, env)
@@ -842,7 +842,7 @@ class TestReadsAsTextMode:
             assert share_set_from_doc(load_document(path, "share_set")) == share_set, ends
         fixture = self.copies(tmp_path, "draws.txt", "# dealer draws\n0f # first\n\n  21\n43")
         for ends, path in fixture.items():
-            assert ints(read_fixture_file(path, P8)) == [0x0F, 0x21, 0x43], ends
+            assert read_fixture_file(path, P8) == [0x0F, 0x21, 0x43], ends
 
     @pytest.mark.parametrize("ends", list(LINE_ENDS))
     def test_malformed_document_error_text_is_the_text_mode_one(self, tmp_path, ends):

@@ -33,6 +33,7 @@ from asgs.kgh import (
     mask_ints,
     partition_sums,
     to_ints,
+    vector_params,
     xor_lanes,
 )
 from helpers import P8, bv, bvs, fixture_source, ints
@@ -172,12 +173,15 @@ class TestShareVector:
 
 
 class TestCombine:
-    def test_empty_combine_is_zero_with_explicit_params(self):
-        assert combine([], P8).to_int() == 0x00
-
     def test_empty_combine_needs_params(self):
-        with pytest.raises(ValueError):
-            combine([])
+        # An empty run has no vector to take params from: combine raises
+        # vector_params' error, whatever the iterable.
+        with pytest.raises(ValueError) as expected:
+            vector_params([])
+        for empty in ([], (), iter([])):
+            with pytest.raises(ValueError) as caught:
+                combine(empty)
+            assert str(caught.value) == str(expected.value)
 
     def test_binary_example(self):
         assert combine(bvs([0x04, 0x08, 0x0F])).to_int() == 0x03
@@ -190,11 +194,6 @@ class TestCombine:
         shares = [bv(0x0F, SchemeParams(8)), bv(0x99, SchemeParams.binary(8))]
         assert shares[0].params is not shares[1].params
         assert combine(shares).to_int() == 0x96
-        assert combine(shares, SchemeParams(8)).to_int() == 0x96
-
-    def test_explicit_params_must_match_the_shares(self):
-        with pytest.raises(MixedParams):
-            combine(bvs([0x01, 0x02]), SchemeParams.binary(16))
 
     @given(st.lists(st.integers(0, 0xFF), min_size=2, max_size=8), st.randoms())
     def test_order_and_grouping_invariant(self, values, rng):
@@ -203,7 +202,7 @@ class TestCombine:
         assert combine(bvs(values)).to_int() == combine(bvs(shuffled)).to_int()
         split_at = len(values) // 2
         regrouped = combine(
-            [combine(bvs(values[:split_at]), P8), combine(bvs(values[split_at:]), P8)]
+            [combine(bvs(values[:split_at])), combine(bvs(values[split_at:]))]
         )
         assert regrouped.to_int() == combine(bvs(values)).to_int()
 
@@ -410,6 +409,10 @@ class TestCheckZeroSum:
 
     def test_accepts_mask_set(self):
         assert check_zero_sum(MaskSet([0x0F, 0x0F], P8))
+
+    def test_empty_sequence_sums_to_zero(self):
+        for empty in ([], (), iter([])):
+            assert check_zero_sum(empty) is True
 
 
 class TestMaskSet:

@@ -7,7 +7,7 @@ import sys
 from operator import xor
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
@@ -85,11 +85,7 @@ from helpers import P8, EagerWeaveEnv, append, bv, bvs, ints, per_row, rows
 
 def fixture_env(dealer=None, owner=None, accumulator=None, params=P8, **kwargs):
     return ProtocolEnv.with_fixtures(
-        params,
-        dealer=bvs(dealer, params) if dealer is not None else None,
-        owner=bvs(owner, params) if owner is not None else None,
-        accumulator=bvs(accumulator, params) if accumulator is not None else None,
-        **kwargs,
+        params, dealer=dealer, owner=owner, accumulator=accumulator, **kwargs
     )
 
 
@@ -1181,15 +1177,14 @@ def two_part_chain(env, n, target, h, g):
     """Every kind of two-part round: the relays of ``safe_shares`` (n
     rows a part), of an equal replication of n + 1 shares and of one to
     ``target`` shares (its leftover inbound rows last), key recovery of
-    h and g contributions (either set padded), then a relay of no rows
-    and one of one row."""
+    h and g keys (h + g >= 1, the shorter set padded), then a relay of no
+    rows and one of one row."""
     outputs = [safe_shares(ShareVector.from_int(env.params, 0xBEEF), n, env).protected_ints]
     master = AuthorizedShareSet(SetRole.MASTER, tuple(range(1, n + 2)), env.params)
     outputs.append(equal_set_replicate(master, env).ints)
     outputs.append(set_replicate_to_smaller(master, target, env).ints)
-    keys = KeyAssignment(tuple(range(0x10, 0x10 + max(h, 1))),
-                         tuple(range(0x30, 0x30 + max(g, 1))), env.params)
-    outputs.append(recover_xored_keys(keys, h, g, env))
+    keys = KeyAssignment(range(0x10, 0x10 + h), range(0x30, 0x30 + g), env.params)
+    outputs.append(recover_xored_keys(keys, env))
     outputs.append(env.deliver_parts(((), ACCUMULATOR, KIND_MASKED_SHARE, [], None),
                                      (ACCUMULATOR, (), KIND_DERIVED_SHARE, forwards([]), ())))
     outputs.append(env.deliver_parts(
@@ -1218,6 +1213,7 @@ class TestTwoPartRounds:
     @given(st.integers(1, 4), st.integers(0, 2**31), st.integers(0, 3), st.integers(0, 3),
            st.data())
     def test_readers_match_the_eager_woven_reference(self, n, seed, h, g, data):
+        assume(h or g)  # a key assignment holds at least one key
         target = data.draw(st.integers(1, n))
         honest = ProtocolEnv.seeded(seed, 16)
         two_part_chain(honest, n, target, h, g)

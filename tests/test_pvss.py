@@ -35,7 +35,7 @@ def share_set(values, role=SetRole.MASTER, params=P8):
 
 
 def dealer_env(key_values, params=P8, **kwargs):
-    return ProtocolEnv.with_fixtures(params, dealer=bvs(key_values, params), **kwargs)
+    return ProtocolEnv.with_fixtures(params, dealer=key_values, **kwargs)
 
 
 WORKED_SET1 = [0x01, 0x02]
@@ -62,6 +62,21 @@ class TestDistribute:
         assert len(assignment.set2_ints) == 3
         with pytest.raises(MissingKey):
             assignment.key_for("3", 1)
+
+    @pytest.mark.parametrize("index", [True, 1.0, "1"])
+    def test_key_for_refuses_an_index_that_is_not_an_int(self, index):
+        # True used to pass as index 1; 1.0 and "1" died in a bare TypeError.
+        _, _, assignment = worked_distribution()
+        with pytest.raises(ValueError) as excinfo:
+            assignment.key_for("1", index)
+        assert str(excinfo.value) == f"keys need a 1-based int index, got {index!r}"
+
+    @pytest.mark.parametrize("tag, index", [("1", 0), ("1", 3), ("2", 4), ("3", 1)])
+    def test_key_for_names_the_missing_key(self, tag, index):
+        _, _, assignment = worked_distribution()
+        with pytest.raises(MissingKey) as excinfo:
+            assignment.key_for(tag, index)
+        assert (excinfo.value.set_tag, excinfo.value.index) == (tag, index)
 
     def test_zero_keys_publish_shares_in_clear_with_warning(self):
         env = dealer_env([0x00, 0x00])
@@ -107,13 +122,13 @@ class TestDistribute:
 class TestRecoverXoredKeys:
     def test_worked_fixture(self):
         env, _, assignment = worked_distribution()
-        result = recover_xored_keys(assignment, 2, 3, env)
+        result = recover_xored_keys(assignment, env)
         assert result.to_int() == 0xC1
 
     def test_contributions_interleave_with_zero_padding(self):
         env, _, assignment = worked_distribution()
         before = len(env.transcript)
-        recover_xored_keys(assignment, 2, 3, env)
+        recover_xored_keys(assignment, env)
         contributions = [
             (m.sender.label(), m.payload.to_int())
             for m in list(env.transcript)[before:]
@@ -126,89 +141,51 @@ class TestRecoverXoredKeys:
             ("p1-3", 0x00),
             ("p2-3", 0x31),
         ]
-
-    def test_missing_key_is_an_error(self):
-        assignment = KeyAssignment([0x10], [], P8)
-        with pytest.raises(MissingKey) as excinfo:
-            recover_xored_keys(assignment, 2, 0, dealer_env([]))
-        assert (excinfo.value.set_tag, excinfo.value.index) == ("1", 2)
-
-    @pytest.mark.parametrize("present, missing", [
-        # ``present`` counts the keys of set 1 and of set 2. Round order:
-        # position i of set 1, then of set 2, then i + 1.
-        ((3, 2), ("2", 3)),
-        ((1, 3), ("1", 2)),
-        ((3, 0), ("2", 1)),
-        # Both sets short: the lower missing index, set 1 on a tie.
-        ((1, 1), ("1", 2)),
-        ((2, 1), ("2", 2)),
-    ])
-    def test_missing_key_leaves_no_recovery_rows(self, present, missing):
-        env, _, _ = worked_distribution()
-        before = len(env.transcript), len(env.transcript.config["operations"])
-        assignment = KeyAssignment([0x10] * present[0], [0x10] * present[1], P8)
-        with pytest.raises(MissingKey) as excinfo:
-            recover_xored_keys(assignment, 3, 3, env)
-        assert (excinfo.value.set_tag, excinfo.value.index) == missing
-        assert (len(env.transcript), len(env.transcript.config["operations"])) == before
+        assert env.transcript.config["operations"][-1] == {
+            "algorithm": "recover_xored_keys", "h": 2, "g": 3}
 
     def test_assignment_under_other_params_leaves_no_recovery_rows(self):
         env, _, _ = worked_distribution()
         before = len(env.transcript)
         wide = KeyAssignment((0x10,), (0x20,), SchemeParams.binary(16))
         with pytest.raises(MixedParams):
-            recover_xored_keys(wide, 1, 1, env)
+            recover_xored_keys(wide, env)
         assert len(env.transcript) == before
 
     def test_tampered_contributions_fire_in_seq_order(self):
         rules = (TamperRule("p2-3", KIND_KEY, 1, 1), TamperRule("p1-1", KIND_KEY, 2, 2),
                  TamperRule("p1-1", KIND_KEY, 1, 0), TamperRule("p1-3", KIND_KEY, 1, 3))
         env, _, assignment = worked_distribution(tamper_rules=rules)
-        result = recover_xored_keys(assignment, 2, 3, env)
+        result = recover_xored_keys(assignment, env)
         # Occurrences count what a party sends: p1-1 only received its
         # distributed key, so its one contribution is occurrence 1 and the
         # rule on occurrence 2 never fires.
         assert result.to_int() == 0xC1 ^ 0x02 ^ 0x01 ^ 0x08
         assert env.tamper_fired == [(rules[2], 6), (rules[3], 10), (rules[0], 11)]
 
-    @pytest.mark.parametrize("set1_count, set2_count, named", [
-        (-1, 2, "set 1: a key count must be an int >= 0, got -1"),
-        (2, -3, "set 2: a key count must be an int >= 0, got -3"),
-        (True, 1, "set 1: a key count must be an int >= 0, got True"),
-        (1, False, "set 2: a key count must be an int >= 0, got False"),
-        (2.0, 1, "set 1: a key count must be an int >= 0, got 2.0"),
-    ])
-    def test_bad_count_is_rejected_before_anything_is_noted(self, set1_count, set2_count,
-                                                              named):
-        # A negative count used to die in a slice assignment, and True
-        # counted as 1, both after the operation was noted.
-        env, _, assignment = worked_distribution()
-        before = len(env.transcript), len(env.transcript.config["operations"])
-        with pytest.raises(ValueError) as excinfo:
-            recover_xored_keys(assignment, set1_count, set2_count, env)
-        assert str(excinfo.value) == named
-        assert (len(env.transcript), len(env.transcript.config["operations"])) == before
-
-    @pytest.mark.parametrize("set1_count, set2_count", [(0, 3), (2, 0), (0, 0)])
+    @pytest.mark.parametrize("set1_count, set2_count", [(0, 3), (2, 0)])
     def test_a_zero_count_sends_padding_only(self, set1_count, set2_count):
-        env, _, assignment = worked_distribution()
+        # An assignment with one empty column: that set sends only zero
+        # padding, one contribution per round of the other.
+        env, _, worked = worked_distribution()
+        assignment = KeyAssignment(worked.set1_ints[:set1_count],
+                                   worked.set2_ints[:set2_count], P8)
         before = len(env.transcript)
-        result = recover_xored_keys(assignment, set1_count, set2_count, env)
-        keys = assignment.set1_ints[:set1_count] + assignment.set2_ints[:set2_count]
+        result = recover_xored_keys(assignment, env)
+        keys = assignment.set1_ints + assignment.set2_ints
         assert result.to_int() == functools.reduce(operator.xor, keys, 0)
         rows = list(env.transcript)[before:]
         width = max(set1_count, set2_count)
         assert len(rows) == 2 * width
         assert [(m.sender.label(), m.payload.to_int()) for m in rows] == [
-            (f"p{tag}-{index}", column[index - 1] if index <= count else 0)
+            (f"p{tag}-{index}", column[index - 1] if index <= len(column) else 0)
             for index in range(1, width + 1)
-            for tag, column, count in (("1", assignment.set1_ints, set1_count),
-                                       ("2", assignment.set2_ints, set2_count))
+            for tag, column in (("1", assignment.set1_ints), ("2", assignment.set2_ints))
         ]
 
     def test_single_key_each_side(self):
         assignment = KeyAssignment([0x0F], [0xF0], P8)
-        result = recover_xored_keys(assignment, 1, 1, dealer_env([]))
+        result = recover_xored_keys(assignment, dealer_env([]))
         assert result.to_int() == 0xFF
 
 
