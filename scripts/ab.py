@@ -7,7 +7,9 @@ each tree's ``asgs*`` modules are kept aside and swapped into
 their bodies. Each round runs every chain ``--calls`` times per tree on
 the same inputs, the trees taking turns call by call (which goes first
 alternates by round), and the round's ratio is the change's time over
-the parent's. Per chain it prints the median ratio, its quartiles and
+the parent's. Each timed call follows a ``gc.collect()``, as each
+perfbench scenario does, so no call pays for garbage an earlier one
+left. Per chain it prints the median ratio, its quartiles and
 the rounds the change won (ratio below 1).
 
 Where a tree's modules sit in memory moves one process's ratios by a
@@ -166,12 +168,12 @@ SIDES = ("parent", "change")
 
 def paired(trees: dict, order: tuple[str, str], chain, indices: range) -> dict[str, int]:
     """Each tree's total time over ``indices``, the trees taking turns
-    call by call in ``order``."""
-    gc.collect()
+    call by call in ``order``, each call after a ``gc.collect()``."""
     times = dict.fromkeys(order, 0)
     for index in indices:
         for side in order:
             use(trees[side])
+            gc.collect()
             times[side] += chain(index)
     return times
 

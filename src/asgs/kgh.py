@@ -11,6 +11,9 @@ view. The protocol engine computes on the packed ints themselves
 columns plus ``params`` and stores each column as a tuple; its vector
 attributes are views built on first read and cached. Vectors enter
 through one classmethod, :meth:`AuthorizedShareSet.from_shares`.
+Constructors and readers check; the engine builds its results with
+``Frozen._of`` from columns that are valid by construction (XORs of
+checked values, draws at the width), which are not checked again.
 :func:`combine` and :func:`check_zero_sum` take their params from the
 vectors they fold.
 """
@@ -98,7 +101,9 @@ class Frozen:
     through ``self.__dict__``, since assigning or deleting an attribute
     raises :class:`dataclasses.FrozenInstanceError`. Instances are equal
     when they are of one class with equal ``_values``, hash by them, and
-    print as ``T(a=..., b=...)``.
+    print as ``T(a=..., b=...)``. Constructors and readers check their
+    input; the engine builds its results with :meth:`_of` from columns
+    that are valid by construction.
     """
 
     __slots__ = ()
@@ -108,6 +113,14 @@ class Frozen:
         super().__init_subclass__(**kwargs)
         if fields:
             cls._fields = fields
+
+    @classmethod
+    def _of(cls, *values):
+        """An instance from its field values in ``_fields`` order, unchecked,
+        for a type whose ``__init__`` stores its fields and nothing else."""
+        self = object.__new__(cls)
+        self.__dict__.update(zip(cls._fields, values), _values=values)
+        return self
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -391,7 +404,7 @@ def kgh_split(
         raise ValueError(f"share count must be >= 1, got {count}")
     params = secret.params
     shares = rand.next_ints(params, count - 1, secret._data)
-    return AuthorizedShareSet(SetRole.OWNER, shares, params)
+    return AuthorizedShareSet._of(SetRole.OWNER, tuple(shares), params)
 
 
 def mask_ints(count: int, rand: RandSource, params: SchemeParams) -> list[int]:
@@ -416,7 +429,7 @@ def generate_mask_set(
     count: int, rand: RandSource, params: SchemeParams
 ) -> MaskSet:
     """:func:`mask_ints` as a :class:`MaskSet`."""
-    return MaskSet(mask_ints(count, rand, params), params)
+    return MaskSet._of(tuple(mask_ints(count, rand, params)), params)
 
 
 def check_zero_sum(vectors: MaskSet | Iterable[ShareVector]) -> bool:

@@ -835,7 +835,7 @@ class SafeSharesState(Frozen, fields=("params", "protected_ints", "key_ints", "m
     owner_shares = vector_view("owner_share_ints")
 
     def protected_set(self) -> AuthorizedShareSet:
-        return AuthorizedShareSet(SetRole.PROTECTED, self.protected_ints, self.params)
+        return AuthorizedShareSet._of(SetRole.PROTECTED, self.protected_ints, self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -890,8 +890,8 @@ def set_generate_m(
         KIND_MASK_ELEMENT, masks, [*templates, *masters],
     )
     return (
-        AuthorizedShareSet(SetRole.TEMPLATE, shares[:template_count], params),
-        AuthorizedShareSet(SetRole.MASTER, shares[template_count:], params),
+        AuthorizedShareSet._of(SetRole.TEMPLATE, tuple(shares[:template_count]), params),
+        AuthorizedShareSet._of(SetRole.MASTER, tuple(shares[template_count:]), params),
     )
 
 
@@ -940,7 +940,7 @@ def set_replicate(
         )
     env.note_operation("set_replicate", n=n)
     derived, _ = _replicate_rounds(masks.ints, master.ints, env)
-    return AuthorizedShareSet(SetRole.DERIVED, derived, env.params)
+    return AuthorizedShareSet._of(SetRole.DERIVED, tuple(derived), env.params)
 
 
 def equal_set_replicate(
@@ -952,7 +952,7 @@ def equal_set_replicate(
     env.note_operation("equal_set_replicate", n=n)
     masks = mask_ints(2 * n, env.source(ROLE_ACCUMULATOR), env.params)
     derived, _ = _replicate_rounds(masks, master.ints, env)
-    return AuthorizedShareSet(SetRole.DERIVED, derived, env.params)
+    return AuthorizedShareSet._of(SetRole.DERIVED, tuple(derived), env.params)
 
 
 def set_replicate_to_bigger(
@@ -979,7 +979,7 @@ def set_replicate_to_bigger(
         ACCUMULATOR, _participants(SetRole.DERIVED.value, extra), KIND_DERIVED_SHARE,
         masks[2 * n:], extra,
     )
-    return AuthorizedShareSet(SetRole.DERIVED, derived, env.params)
+    return AuthorizedShareSet._of(SetRole.DERIVED, tuple(derived), env.params)
 
 
 def set_replicate_to_smaller(
@@ -1006,7 +1006,7 @@ def set_replicate_to_smaller(
         ACCUMULATOR, participant(SetRole.DERIVED.value, target_count), KIND_DERIVED_SHARE,
         [env.params.xor_ints(rest, 0)], target_count,
     )
-    return AuthorizedShareSet(SetRole.DERIVED, derived, env.params)
+    return AuthorizedShareSet._of(SetRole.DERIVED, tuple(derived), env.params)
 
 
 def _fast_share_rounds(secret: int, count: int, env: ProtocolEnv) -> list[int]:
@@ -1036,8 +1036,8 @@ def fast_share(
         raise ValueError(f"share count must be >= 1, got {count}")
     _check_params(env, secret)
     env.note_operation("fast_share", n=count)
-    return AuthorizedShareSet(
-        SetRole.OWNER, _fast_share_rounds(secret.to_int(), count, env), env.params
+    return AuthorizedShareSet._of(
+        SetRole.OWNER, tuple(_fast_share_rounds(secret.to_int(), count, env)), env.params
     )
 
 
@@ -1084,8 +1084,8 @@ def safe_shares(
     protected = [0] * count
     for target, envelope in zip(assignment, envelopes):
         protected[target - 1] = envelope
-    return SafeSharesState(params, protected, keys, MaskSet(masks, params), owner_shares,
-                           assignment)
+    return SafeSharesState._of(params, tuple(protected), tuple(keys),
+                               MaskSet._of(tuple(masks), params), tuple(owner_shares), assignment)
 
 
 def activate_shares(state: SafeSharesState, env: ProtocolEnv) -> AuthorizedShareSet:
@@ -1113,7 +1113,7 @@ def activate_shares(state: SafeSharesState, env: ProtocolEnv) -> AuthorizedShare
     )
     activated = map(xor, compress(state.protected_ints, passed), released)
     if all(passed):
-        return AuthorizedShareSet(SetRole.ACTIVATED, activated, env.params)
+        return AuthorizedShareSet._of(SetRole.ACTIVATED, tuple(activated), env.params)
     raise IdentificationFailed(
         list(compress(indices, map(not_, passed))),
         dict(zip(compress(indices, passed), from_ints(env.params, activated))),

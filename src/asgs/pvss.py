@@ -92,6 +92,8 @@ class KeyAssignment(Frozen, fields=("set1_ints", "set2_ints", "params")):
         d["set1_ints"], d["set2_ints"], d["params"] = d["_values"] = set1_ints, set2_ints, params
 
     def key_for(self, set_tag: str, index: int) -> ShareVector:
+        if type(set_tag) is not str:
+            raise ValueError(f"keys need a str set tag, got {set_tag!r}")
         if type(index) is not int:
             raise ValueError(f"keys need a 1-based int index, got {index!r}")
         column = {"1": self.set1_ints, "2": self.set2_ints}.get(set_tag, ())
@@ -134,10 +136,10 @@ def distribute_shares_and_keys(
                     stacklevel=2,
                 )
     delivered = env.deliver_round(DEALER, holders, KIND_KEY, keys, [*first, *second])
-    published = list(map(xor, set1.ints + set2.ints, keys))
+    published = tuple(map(xor, set1.ints + set2.ints, keys))
     return (
-        BulletinBoard(published[:split], published[split:], params),
-        KeyAssignment(delivered[:split], delivered[split:], params),
+        BulletinBoard._of(published[:split], published[split:], params),
+        KeyAssignment._of(tuple(delivered[:split]), tuple(delivered[split:]), params),
     )
 
 

@@ -71,6 +71,14 @@ class TestDistribute:
             assignment.key_for("1", index)
         assert str(excinfo.value) == f"keys need a 1-based int index, got {index!r}"
 
+    @pytest.mark.parametrize("tag", [1, ["1"], None])
+    def test_key_for_refuses_a_tag_that_is_not_a_str(self, tag):
+        # 1 raised a MissingKey for a key set "1" holds; ["1"] a bare TypeError.
+        _, _, assignment = worked_distribution()
+        with pytest.raises(ValueError) as excinfo:
+            assignment.key_for(tag, 1)
+        assert str(excinfo.value) == f"keys need a str set tag, got {tag!r}"
+
     @pytest.mark.parametrize("tag, index", [("1", 0), ("1", 3), ("2", 4), ("3", 1)])
     def test_key_for_names_the_missing_key(self, tag, index):
         _, _, assignment = worked_distribution()
