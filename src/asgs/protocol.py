@@ -6,9 +6,9 @@ device, and indexed share participants) exchange point-to-point messages
 over assumed-secure channels, a whole round at a time: a deal of mask
 elements, a relay of blinded shares, a release of keys. Every round
 lands in the transcript as its parts, optional tamper rules mutate
-payloads in flight, and a visibility policy can audit a finished
-transcript, round by round, for values that reached a party that must
-never see them.
+payloads in flight, and an audit checks a finished transcript, round
+by round, against the one table of values a party must never see
+(:data:`FORBIDDEN`).
 
 The engine plays all parties in program order, so a run is a pure
 function of the environment: parameters, per-party randomness, tamper
@@ -119,7 +119,7 @@ class Party(Frozen, fields=("role", "set_tag", "index")):
 
     The role is a ``ROLE_*`` name and a set tag non-empty ASCII
     ``[0-9A-Za-z]``, so labels are ASCII words JSON writes unescaped.
-    ``key`` is the policy lookup key: the role, refined by set tag for
+    ``key`` is the audit's lookup key: the role, refined by set tag for
     participants. It and the label are built once, at construction,
     because the audit, the encoder and tamper matching read them per
     message; they take no part in equality or hashing.
@@ -255,7 +255,13 @@ class Transcript:
         self._length = 0
 
     def record(self, *parts: tuple) -> None:
-        """Log one round of ``parts`` as given; the caller must not change them."""
+        """Log one round of ``parts`` as given; the caller must not change them.
+
+        The seqs of a round of two or more parts must together be
+        consecutive ints: its rows are put in seq order by their offset
+        from its least seq, so a gap raises ``IndexError`` when the round
+        is iterated or written. A one-part round's seqs may have gaps.
+        """
         self.rounds.append(parts)
         for part in parts:
             self._length += len(part[0])
@@ -359,65 +365,30 @@ def _value_class(
     return _KIND_CLASSES.get(kind, CLASS_CONTROL)
 
 
-class VisibilityPolicy(Frozen, fields=("forbidden",)):
-    """Which (recipient, value class) pairs a transcript may contain.
+# The confidentiality contract of the honest protocols: the (recipient
+# key, value class) pairs no delivery may have.
+# - the dealer never receives the secret, an owner share, or a
+#   protected share;
+# - the owner never receives a mask element or a bare key;
+# - a master-set participant never receives a derived share or a mask
+#   element other than its own.
+FORBIDDEN = frozenset({
+    (ROLE_DEALER, CLASS_SECRET),
+    (ROLE_DEALER, CLASS_OWNER_SHARE),
+    (ROLE_DEALER, CLASS_PROTECTED_SHARE),
+    (ROLE_OWNER, CLASS_MASK_OWN),
+    (ROLE_OWNER, CLASS_MASK_FOREIGN),
+    (ROLE_OWNER, CLASS_KEY),
+    ("participant:2", CLASS_MASK_FOREIGN),
+    ("participant:2", CLASS_DERIVED_SHARE),
+})
 
-    The table is total: any pair not in ``forbidden`` is permitted, so
-    auditing never fails on an unknown kind.
-    """
-
-    def __init__(self, forbidden: frozenset[tuple[str, str]]) -> None:
-        d = self.__dict__
-        d["forbidden"], d["_values"] = forbidden, (forbidden,)
-
-    def permits(self, recipient_key: str, value_class: str) -> bool:
-        return (recipient_key, value_class) not in self.forbidden
-
-    @functools.cached_property
-    def _flagged(self) -> dict[str, frozenset[str]] | None:
-        """Kind -> the recipient keys whose rows of that kind can have a
-        forbidden class, or None when any row can: every unknown kind
-        has class control."""
-        if any(value_class == CLASS_CONTROL for _, value_class in self.forbidden):
-            return None
-        flagged: dict[str, set[str]] = {}
-        for key, value_class in self.forbidden:
-            for kind in _CLASS_KINDS.get(value_class, ()):
-                flagged.setdefault(kind, set()).add(key)
-        return {kind: frozenset(keys) for kind, keys in flagged.items()}
-
-    @functools.cached_property
-    def _flagged_pairs(self) -> frozenset[tuple[str, str]]:
-        """:attr:`_flagged` as (recipient key, kind) pairs."""
-        return frozenset((key, kind) for kind, keys in self._flagged.items() for key in keys)
-
-
-@functools.cache
-def default_visibility_policy() -> VisibilityPolicy:
-    """The confidentiality contract of the honest protocols.
-
-    - the dealer never receives the secret, an owner share, or a
-      protected share;
-    - the owner never receives a mask element or a bare key;
-    - a master-set participant never receives a derived share or a
-      mask element other than its own.
-
-    Built once per process; a policy is immutable.
-    """
-    return VisibilityPolicy(
-        frozenset(
-            {
-                (ROLE_DEALER, CLASS_SECRET),
-                (ROLE_DEALER, CLASS_OWNER_SHARE),
-                (ROLE_DEALER, CLASS_PROTECTED_SHARE),
-                (ROLE_OWNER, CLASS_MASK_OWN),
-                (ROLE_OWNER, CLASS_MASK_FOREIGN),
-                (ROLE_OWNER, CLASS_KEY),
-                ("participant:2", CLASS_MASK_FOREIGN),
-                ("participant:2", CLASS_DERIVED_SHARE),
-            }
-        )
-    )
+# The (recipient key, kind) pairs whose rows can have a forbidden class,
+# and by kind, the recipient keys they flag.
+_FLAGGED_PAIRS = frozenset(
+    (key, kind) for key, value_class in FORBIDDEN for kind in _CLASS_KINDS[value_class])
+_FLAGGED = {kind: frozenset(key for key, pair_kind in _FLAGGED_PAIRS if pair_kind == kind)
+            for kind in MESSAGE_KINDS}
 
 
 class Violation(Frozen, fields=("seq", "recipient", "value_class", "kind")):
@@ -433,18 +404,13 @@ _key = attrgetter("key")
 _NO_KEYS: frozenset[str] = frozenset()
 
 
-def check_visibility(
-    transcript: Transcript, policy: VisibilityPolicy | None = None
-) -> list[Violation]:
-    """Audit a transcript against a visibility policy.
+def check_visibility(transcript: Transcript) -> list[Violation]:
+    """Audit a transcript against :data:`FORBIDDEN`.
 
-    Returns one violation per message whose recipient is not permitted
-    to see the message's value class, in seq order; an honest run
-    yields none. Each part of a round is audited as it is.
+    Returns one violation per message whose (recipient key, value class)
+    pair is forbidden, in seq order; an honest run yields none. Each
+    part of a round is audited as it is.
     """
-    policy = policy or default_visibility_policy()
-    permits = policy.permits
-    flagged = policy._flagged
     found = []
     for parts in transcript.rounds:
         start = len(found)
@@ -453,23 +419,21 @@ def check_visibility(
             selectors: Iterable[bool] | None = None
             # Only the rows that can have a forbidden class are classified;
             # a part is skipped when no kind of it flags any recipient.
-            if flagged is None:
-                pass
-            elif type(kinds) in _ROW_TYPES:
-                keys = _NO_KEYS.union(*map(flagged.get, set(kinds), repeat(_NO_KEYS)))
+            if type(kinds) in _ROW_TYPES:
+                keys = _NO_KEYS.union(*map(_FLAGGED.get, set(kinds), repeat(_NO_KEYS)))
                 if type(recipients) in _ROW_TYPES:
                     if keys.isdisjoint(map(_key, recipients)):
                         continue
                 elif recipients.key not in keys:
                     continue
-                selectors = map(policy._flagged_pairs.__contains__,
+                selectors = map(_FLAGGED_PAIRS.__contains__,
                                 zip(map(_key, _rows(recipients, count)), kinds))
             elif type(recipients) in _ROW_TYPES:
-                keys = flagged.get(kinds, _NO_KEYS)
+                keys = _FLAGGED.get(kinds, _NO_KEYS)
                 if keys.isdisjoint(map(_key, recipients)):
                     continue
                 selectors = map(keys.__contains__, map(_key, recipients))
-            elif recipients.key not in flagged.get(kinds, _NO_KEYS):
+            elif recipients.key not in _FLAGGED.get(kinds, _NO_KEYS):
                 continue
             rows: Iterable = zip(seqs, _rows(senders, count), _rows(recipients, count),
                                  _rows(kinds, count), _rows(element_indices, count))
@@ -477,7 +441,7 @@ def check_visibility(
                 rows = compress(rows, selectors)
             for seq, sender, recipient, kind, element_index in rows:
                 value_class = _value_class(kind, sender, recipient, element_index)
-                if not permits(recipient.key, value_class):
+                if (recipient.key, value_class) in FORBIDDEN:
                     found.append(Violation(seq, recipient.label(), value_class, kind))
         if len(found) - start > 1:
             found[start:] = sorted(found[start:], key=attrgetter("seq"))
@@ -493,9 +457,8 @@ class ProtocolEnv:
     """Everything one protocol run depends on.
 
     Holds the binary algebra parameters, one randomness source per
-    randomness-owning role, the tamper rules, the identification
-    predicate for activation, the envelope-assignment control, and the
-    transcript under construction.
+    randomness-owning role, the tamper rules, the envelope-assignment
+    control, and the transcript under construction.
 
     The transcript ``config`` summarises the run and is built here, once:
     ``randomness`` as given (``{"mode": "seeded", "seed": ...}`` or
@@ -513,7 +476,6 @@ class ProtocolEnv:
         tamper_rules: Iterable[TamperRule] = (),
         assignment: Sequence[int] | None = None,
         assignment_rng: random.Random | int | None = None,
-        identify: Callable[[int], bool] | None = None,
         config: Mapping | None = None,
     ) -> None:
         self.params = params
@@ -539,7 +501,6 @@ class ProtocolEnv:
         if assignment is not None:
             _check_assignment(self._fixed_assignment, len(self._fixed_assignment))
         self._assignment_rng = assignment_rng
-        self.identify = identify
         self.transcript = Transcript(
             {
                 "randomness": randomness,
@@ -576,7 +537,6 @@ class ProtocolEnv:
         accumulator: Iterable[int] | None = None,
         assignment: Sequence[int] | None = None,
         tamper_rules: Iterable[TamperRule] = (),
-        identify: Callable[[int], bool] | None = None,
         config: Mapping | None = None,
     ) -> ProtocolEnv:
         """Replay prepared streams of packed ints under ``params``; the
@@ -594,7 +554,6 @@ class ProtocolEnv:
             {"mode": "fixture", "parties": sorted(sources)},
             tamper_rules=tamper_rules,
             assignment=assignment,
-            identify=identify,
             config=config,
         )
 
@@ -755,14 +714,13 @@ class ProtocolEnv:
         return one, two
 
     def activation_round(
-        self, holders: Sequence[Party], claims: Sequence[bool], keys: Sequence[int]
+        self, holders: Sequence[Party], keys: Sequence[int]
     ) -> tuple[Sequence[bool], Sequence[int]]:
         """Send the activation round: for each i in order, the dealer's
-        key request to ``holders[i]``, that holder's identification
-        ``claims[i]`` to the dealer, and, when the identification
-        arrived true, ``keys[i]`` to the holder with element index
-        i + 1. It is logged as three parts: the requests, the
-        identifications and the keys sent.
+        key request to ``holders[i]``, that holder's identification to
+        the dealer, sent true, and, when it arrived true, ``keys[i]`` to
+        the holder with element index i + 1. It is logged as three
+        parts: the requests, the identifications and the keys sent.
 
         The identification column is tampered first, because its
         delivered values decide which keys are sent, then the request
@@ -771,7 +729,7 @@ class ProtocolEnv:
         identification that arrived true.
         """
         count = len(holders)
-        passed, fired = self._tamper(holders, KIND_IDENTIFICATION, claims)
+        passed, fired = self._tamper(holders, KIND_IDENTIFICATION, [True] * count)
         requests, request_fired = self._tamper(DEALER, KIND_KEY_REQUEST, [True] * count)
         start = self.transcript._length + 1
         recipients, indices = holders, range(1, count + 1)
@@ -1091,25 +1049,24 @@ def safe_shares(
 def activate_shares(state: SafeSharesState, env: ProtocolEnv) -> AuthorizedShareSet:
     """Release the activation keys so the protected shares become usable.
 
-    The dealer contacts every participant, runs the identification
-    predicate, and on success hands over that participant's key; the
-    participant folds it into its protected share. The activated set
-    combines to the original secret for every envelope assignment,
-    because the keys embedded at pre-positioning and the keys released
-    here cancel pairwise.
+    The dealer contacts every participant, each participant identifies
+    itself, and the dealer hands over the key of each identification
+    that arrived true; the participant folds it into its protected
+    share. The activated set combines to the original secret for every
+    envelope assignment, because the keys embedded at pre-positioning
+    and the keys released here cancel pairwise.
 
-    The whole exchange is one round (:meth:`ProtocolEnv.activation_round`),
-    so the predicate runs for every index, in order, before any message
-    is sent: a predicate that raises leaves no activation row behind.
+    The whole exchange is one round (:meth:`ProtocolEnv.activation_round`).
+    Every identification is sent true; a tamper rule on
+    ``identification`` makes one arrive false, which withholds that key
+    and raises :class:`IdentificationFailed`.
     """
     _check_params(env, state)
     count = len(state.protected_ints)
     env.note_operation("activate_shares", n=count)
     indices = range(1, count + 1)
-    identify = env.identify
-    claims = [True] * count if identify is None else [bool(identify(i)) for i in indices]
     passed, released = env.activation_round(
-        _participants(SetRole.PROTECTED.value, indices), claims, state.key_ints
+        _participants(SetRole.PROTECTED.value, indices), state.key_ints
     )
     activated = map(xor, compress(state.protected_ints, passed), released)
     if all(passed):

@@ -55,9 +55,14 @@ class TestAccumulator:
         assert acc.read() == acc.read()
 
     def test_param_mismatch_rejected(self):
+        # The register's own check, not the vector sum's, which raises
+        # MixedParams as well but words it "cannot mix vectors"; the
+        # register keeps its value.
         acc = Accumulator(P8)
-        with pytest.raises(MixedParams):
+        acc.store(bv(0x5A))
+        with pytest.raises(MixedParams, match="register holds SchemeParams"):
             acc.store(bv(0x0001, SchemeParams.binary(16)))
+        assert acc.read() == bv(0x5A)
 
     def test_public_surface_is_reset_read_store(self):
         """Nothing but the three register operations is exposed."""

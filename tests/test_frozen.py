@@ -12,7 +12,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from asgs.kgh import AuthorizedShareSet, Frozen, MaskSet, SchemeParams, SetRole, ShareVector
-from asgs.protocol import Message, Party, SafeSharesState, TamperRule, Violation, VisibilityPolicy
+from asgs.protocol import Message, Party, SafeSharesState, TamperRule, Violation
 from asgs.pvss import BulletinBoard, KeyAssignment, Verdict, VerificationResult
 
 
@@ -32,8 +32,6 @@ SAMPLES = [
     (lambda: Party("dealer"), "Party(role='dealer', set_tag=None, index=None)"),
     (lambda: TamperRule("dealer", "key", 1, 0),
      "TamperRule(party='dealer', kind='key', occurrence=1, bit=0)"),
-    (lambda: VisibilityPolicy(frozenset({("dealer", "secret")})),
-     "VisibilityPolicy(forbidden=frozenset({('dealer', 'secret')}))"),
     (lambda: Violation(4, "dealer", "secret", "secret"),
      "Violation(seq=4, recipient='dealer', value_class='secret', kind='secret')"),
     (lambda: SafeSharesState(p8(), (1, 2), (1, 2), MaskSet((3, 3), p8()), (5, 6), (2, 1)),

@@ -27,16 +27,14 @@ from asgs.protocol import (
     ACCUMULATOR,
     CLASS_CONTROL,
     CLASS_DERIVED_SHARE,
-    CLASS_KEY,
     CLASS_MASK_FOREIGN,
     CLASS_MASK_OWN,
     CLASS_MASKED_SHARE,
-    CLASS_OWNER_SHARE,
-    CLASS_PROTECTED_SHARE,
     CLASS_SEALED_MASK,
     CLASS_SECRET,
     CONTROL_KINDS,
     DEALER,
+    FORBIDDEN,
     KIND_DERIVED_SHARE,
     KIND_ENVELOPE_SHARE,
     KIND_IDENTIFICATION,
@@ -53,9 +51,7 @@ from asgs.protocol import (
     KeyRegenerationExhausted,
     Message,
     OWNER,
-    ROLE_ACCUMULATOR,
     ROLE_DEALER,
-    ROLE_OWNER,
     ROLE_PARTICIPANT,
     SOURCE_ROLES,
     Party,
@@ -63,10 +59,8 @@ from asgs.protocol import (
     TamperRule,
     Transcript,
     Violation,
-    VisibilityPolicy,
     activate_shares,
     check_visibility,
-    default_visibility_policy,
     equal_set_replicate,
     fast_share,
     parse_party,
@@ -106,11 +100,6 @@ C10_INJECTIONS = [
 ]
 PARTIES = [DEALER, OWNER, ACCUMULATOR] + [
     participant(tag, i) for tag in ("1", "2", "3", "o", "p", "a") for i in (1, 2, 3)
-]
-VALUE_CLASSES = [
-    CLASS_SECRET, CLASS_OWNER_SHARE, CLASS_PROTECTED_SHARE, CLASS_DERIVED_SHARE,
-    CLASS_KEY, CLASS_SEALED_MASK, CLASS_MASKED_SHARE, CLASS_MASK_OWN,
-    CLASS_MASK_FOREIGN, CLASS_CONTROL,
 ]
 # Kinds a transcript document may carry that the engine never sends;
 # the audit classes them as control.
@@ -653,7 +642,7 @@ class TestActivateShares:
         env = fixture_env(
             dealer=[0x0F, 0x21, 0x43],
             owner=[0x55],
-            identify=lambda index: index != 2,
+            tamper_rules=(TamperRule("pp-2", KIND_IDENTIFICATION, 1, 0),),
         )
         state = safe_shares(bv(0x03), 2, env)
         with pytest.raises(IdentificationFailed) as excinfo:
@@ -1024,11 +1013,11 @@ class RowByRowEnv(ProtocolEnv):
                                         indices[i]))
         return delivered
 
-    def activation_round(self, holders, claims, keys):
+    def activation_round(self, holders, keys):
         passed, released = [], []
-        for index, (holder, claim, key) in enumerate(zip(holders, claims, keys), 1):
+        for index, (holder, key) in enumerate(zip(holders, keys), 1):
             self.deliver(DEALER, holder, KIND_KEY_REQUEST, True)
-            passed.append(self.deliver(holder, DEALER, KIND_IDENTIFICATION, claim))
+            passed.append(self.deliver(holder, DEALER, KIND_IDENTIFICATION, True))
             if passed[-1]:
                 released.append(self.deliver(DEALER, holder, KIND_KEY, key, index))
         return passed, released
@@ -1095,21 +1084,20 @@ class TestColumnTamperMatchesRowByRow:
     @given(st.integers(1, 6), st.integers(0, 2**31), st.data())
     def test_tampered_activation(self, n, seed, data):
         # Rules on the requests, the identifications (which decide the
-        # keys sent) and the keys, with a predicate that fails some
-        # indices; the outputs include IdentificationFailed's pending
-        # and activated, and every reader must see the rows that the
-        # row-by-row reference logs, the audits included.
+        # keys sent) and the keys, after rules that fail some indices'
+        # first identification; the outputs include IdentificationFailed's
+        # pending and activated, and every reader must see the rows that
+        # the row-by-row reference logs, the audit included.
         holders = [f"pp-{i}" for i in range(1, n + 1)]
         targets = [("dealer", KIND_KEY_REQUEST), ("dealer", KIND_KEY),
                    *((label, KIND_IDENTIFICATION) for label in holders)]
-        rules = draw_rules(data, targets, data.draw(st.integers(0, 4)))
         failing = data.draw(st.sets(st.integers(1, n)))
+        rules = [TamperRule(f"pp-{i}", KIND_IDENTIFICATION, 1, 0) for i in sorted(failing)]
+        rules += draw_rules(data, targets, data.draw(st.integers(0, 4)))
         runs = []
         for env_type in (ProtocolEnv, RowByRowEnv):
             env = env_type.seeded(seed, 16, tamper_rules=rules)
-            env.identify = lambda index: index not in failing
-            runs.append((activation_chain(env, n), read_all(env),
-                         check_visibility(env.transcript, ACTIVATION_POLICY)))
+            runs.append((activation_chain(env, n), read_all(env)))
         assert runs[0] == runs[1]
 
     def test_a_tampered_round_leaves_the_callers_payloads_unchanged(self):
@@ -1153,26 +1141,6 @@ class TestColumnTamperMatchesRowByRow:
         assert owner_shares == list(shares[:3])
 
 
-# Flags rows in both parts of every two-part round the engine sends, so
-# that the order of a round's violations depends on how its parts
-# interleave.
-BOTH_PARTS_POLICY = VisibilityPolicy(frozenset({
-    (ROLE_ACCUMULATOR, CLASS_MASKED_SHARE),
-    ("participant:3", CLASS_DERIVED_SHARE),
-    (ROLE_OWNER, CLASS_SEALED_MASK),
-    ("participant:p", CLASS_PROTECTED_SHARE),
-    (ROLE_ACCUMULATOR, CLASS_KEY),
-}))
-
-
-# Flags the key rows of activation and, through a control-class pair,
-# its identifications, which makes the audit classify every row.
-ACTIVATION_POLICY = VisibilityPolicy(frozenset({
-    ("participant:p", CLASS_KEY),
-    (ROLE_DEALER, CLASS_CONTROL),
-}))
-
-
 def two_part_chain(env, n, target, h, g):
     """Every kind of two-part round: the relays of ``safe_shares`` (n
     rows a part), of an equal replication of n + 1 shares and of one to
@@ -1202,8 +1170,7 @@ def read_all(env):
     """What every reader makes of the environment's transcript."""
     transcript = env.transcript
     return (rows(transcript), list(transcript), dumps_transcript(transcript),
-            check_visibility(transcript), check_visibility(transcript, BOTH_PARTS_POLICY),
-            env.tamper_fired)
+            check_visibility(transcript), env.tamper_fired)
 
 
 class TestTwoPartRounds:
@@ -1237,13 +1204,20 @@ class TestTwoPartRounds:
             assert runs[0][1][-1] == [(rule, seq) for rule in rules]
 
     def test_both_parts_flag_in_seq_order(self):
-        env = ProtocolEnv.seeded(3, 16)
-        two_part_chain(env, 2, 2, 1, 3)
-        violations = check_visibility(env.transcript, BOTH_PARTS_POLICY)
-        assert [v.seq for v in violations] == sorted(v.seq for v in violations)
-        # Key recovery, 3 rounds: set 1's row and padding alternate with set 2's.
-        recovery = [v for v in violations if v.kind == KIND_KEY]
-        assert [v.seq - recovery[0].seq for v in recovery] == list(range(6))
+        # Every secret the dealer receives and the derived shares that
+        # reach p2-1 and p2-3 are forbidden; p3-2's is not.
+        env = ProtocolEnv.seeded(3, 8)
+        env.deliver_parts(
+            (OWNER, DEALER, KIND_SECRET, [0x01, 0x02, 0x03], None),
+            (ACCUMULATOR, (participant("2", 1), participant("3", 2), participant("2", 3)),
+             KIND_DERIVED_SHARE, forwards([0x10, 0x20, 0x30]), (1, 2, 3)))
+        assert check_visibility(env.transcript) == [
+            Violation(1, "dealer", CLASS_SECRET, KIND_SECRET),
+            Violation(2, "p2-1", CLASS_DERIVED_SHARE, KIND_DERIVED_SHARE),
+            Violation(3, "dealer", CLASS_SECRET, KIND_SECRET),
+            Violation(5, "dealer", CLASS_SECRET, KIND_SECRET),
+            Violation(6, "p2-3", CLASS_DERIVED_SHARE, KIND_DERIVED_SHARE),
+        ]
 
     @pytest.mark.parametrize("rules", [
         (), (TamperRule("p2-1", KIND_MASKED_SHARE, 1, 0),),
@@ -1291,14 +1265,14 @@ class TestTwoPartRounds:
 class TestRoundShape:
     """Every round is a tuple of parts, each with its own seqs."""
 
-    @pytest.mark.parametrize("failing, rules", [
-        ((), ()),
-        ((2,), ()),
-        ((), (TamperRule("pp-1", KIND_IDENTIFICATION, 1, 0),)),
+    @pytest.mark.parametrize("rules", [
+        (),
+        (TamperRule("pp-2", KIND_IDENTIFICATION, 1, 0),
+         TamperRule("pp-3", KIND_IDENTIFICATION, 1, 0)),
+        (TamperRule("pp-1", KIND_IDENTIFICATION, 1, 0),),
     ], ids=["honest", "failed-identification", "tampered-identification"])
-    def test_parts_share_out_the_rounds_seqs(self, failing, rules):
+    def test_parts_share_out_the_rounds_seqs(self, rules):
         env = ProtocolEnv.seeded(9, 16, tamper_rules=rules)
-        env.identify = lambda index: index not in failing
         tamper_chain(env, 3)
         next_seq, failed_rounds = 1, 0
         for parts in env.transcript.rounds:
@@ -1313,11 +1287,49 @@ class TestRoundShape:
                 # No seq list is built at send time but for a failed activation.
                 assert (type(part[0]) is range) is not failed
         assert next_seq == len(env.transcript) + 1
-        assert failed_rounds == (1 if failing or rules else 0)
+        assert failed_rounds == (1 if rules else 0)
 
 
 def classify(message: Message) -> str:
     return _value_class(message.kind, message.sender, message.recipient, message.element_index)
+
+
+def audit_reference(transcript: Transcript) -> list[Violation]:
+    """Classify every message in iteration order; flag each whose
+    (recipient key, value class) pair :data:`FORBIDDEN` holds."""
+    return [Violation(m.seq, m.recipient.label(), classify(m), m.kind)
+            for m in transcript if (m.recipient.key, classify(m)) in FORBIDDEN]
+
+
+# (sender, recipient, kind, element_index) of one delivery.
+DELIVERIES = st.tuples(
+    st.sampled_from(PARTIES),
+    st.sampled_from(PARTIES),
+    st.sampled_from(sorted(MESSAGE_KINDS) + UNKNOWN_KINDS),
+    st.one_of(st.none(), st.integers(1, 4)),
+)
+
+
+def draw_part(data, seqs) -> tuple:
+    """A round part over ``seqs``: each of its sender, recipient, kind
+    and element-index columns is one value for every row or a list or
+    tuple with one per row (indices also a ``range``), with a payload
+    of the row's kind."""
+    count = len(seqs)
+    rows = data.draw(st.lists(st.one_of(DELIVERIES, st.sampled_from(C10_INJECTIONS)),
+                              min_size=count, max_size=count))
+    columns = []
+    for column in zip(*rows) if rows else [()] * 4:
+        form = data.draw(st.sampled_from(["one", "list", "tuple"]) if column else st.just("list"))
+        columns.append(column[0] if form == "one" else list(column) if form == "list"
+                       else tuple(column))
+    senders, recipients, kinds, indices = columns
+    if count and data.draw(st.booleans()):
+        start = data.draw(st.integers(1, 4))
+        indices = range(start, start + count)
+    payloads = tuple(bool(i & 1) if kind in CONTROL_KINDS else i
+                     for i, kind in enumerate(per_row(kinds, count)))
+    return seqs, senders, recipients, kinds, payloads, indices
 
 
 # Transcript rows per operation, in closed form (the table in the
@@ -1341,7 +1353,9 @@ class TestCommunicationCost:
     @pytest.mark.parametrize("d", [1, 2, 3, 7])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_rows_per_operation(self, d, n):
-        env = ProtocolEnv.seeded(100 * d + n, 8)
+        # Every d-th identification arrives false.
+        failing = [TamperRule(f"pp-{i}", KIND_IDENTIFICATION, 1, 0) for i in range(d, n + 1, d)]
+        env = ProtocolEnv.seeded(100 * d + n, 8, tamper_rules=failing)
 
         def rows(operation, *args):
             before = len(env.transcript)
@@ -1364,7 +1378,6 @@ class TestCommunicationCost:
         assert rows(fast_share, bv(0x5A), n)[1] == ROWS["fast_share"](n)
         state, sent = rows(safe_shares, bv(0x5A), n)
         assert sent == ROWS["safe_shares"](n)
-        env.identify = lambda index: index % d != 0
         passed = sum(index % d != 0 for index in range(1, n + 1))
         assert rows(activate_shares, state)[1] == ROWS["activate_shares"](n, passed)
         (bulletin, keys), sent = rows(distribute_shares_and_keys, template, master)
@@ -1477,67 +1490,48 @@ class TestVisibility:
     @given(
         st.lists(
             st.tuples(
-                st.one_of(
-                    st.tuples(
-                        st.sampled_from(PARTIES),
-                        st.sampled_from(PARTIES),
-                        st.sampled_from(sorted(MESSAGE_KINDS) + UNKNOWN_KINDS),
-                        st.one_of(st.none(), st.integers(1, 4)),
-                    ),
-                    st.sampled_from(C10_INJECTIONS + OTHER_CLASSES),
-                ),
+                st.one_of(DELIVERIES, st.sampled_from(C10_INJECTIONS + OTHER_CLASSES)),
                 st.integers(1, 3),
                 st.integers(0, 0xFF),
             ),
             max_size=40,
         ),
-        st.one_of(
-            st.none(),
-            st.builds(
-                VisibilityPolicy,
-                st.frozensets(st.tuples(
-                    st.sampled_from(sorted({party.key for party in PARTIES}) + ["participant:z"]),
-                    # "unseen" is a class that no kind yields.
-                    st.sampled_from(VALUE_CLASSES + ["unseen"]),
-                ), max_size=4),
-            ),
-        ),
-        st.data(),
     )
-    def test_column_audit_matches_a_per_message_reference(self, steps, policy, data):
-        """The audit classifies only the rows a policy can flag; it must
-        find what classifying every row finds, in the same order."""
+    def test_column_audit_matches_a_per_message_reference(self, steps):
+        """The audit classifies only the rows :data:`FORBIDDEN` can flag;
+        it must find what classifying every row finds, in the same order."""
         transcript = Transcript({"bits": 8})
         seq = 0
         for (sender, recipient, kind, element_index), gap, value in steps:
             seq += gap
             payload = bool(value & 1) if kind in CONTROL_KINDS else bv(value)
             append(transcript, Message(seq, sender, recipient, kind, payload, element_index))
-        delivered = sorted({(m.recipient.key, classify(m)) for m in transcript})
-        if policy is not None and delivered:
-            # Forbid some pairs the transcript delivers too, so that any
-            # class a row can have is flagged in some example.
-            policy = VisibilityPolicy(
-                policy.forbidden | data.draw(st.frozensets(st.sampled_from(delivered)))
-            )
-        table = policy or default_visibility_policy()
-        reference = []
-        for message in transcript:
-            value_class = classify(message)
-            if not table.permits(message.recipient.key, value_class):
-                reference.append(
-                    Violation(message.seq, message.recipient.label(), value_class, message.kind)
-                )
-        assert check_visibility(transcript, policy) == reference
+        assert check_visibility(transcript) == audit_reference(transcript)
 
-    def test_custom_policy_overrides_default(self):
-        from asgs.protocol import VisibilityPolicy
-
-        permissive = VisibilityPolicy(frozenset())
-        transcript = Transcript()
-        append(transcript, Message(1, OWNER, DEALER, KIND_SECRET, bv(0x42)))
-        assert check_visibility(transcript, permissive) == []
-        assert len(check_visibility(transcript)) == 1
+    @given(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 4), st.booleans(),
+                              st.integers(0, 2)), max_size=4),
+           st.data())
+    def test_multi_part_rounds_match_a_per_message_reference(self, shapes, data):
+        """Rounds of one to three parts in the shapes the engine records
+        (``range`` seqs at the part count's step, or seq lists; each
+        party, kind and index column one value or one per row) audit as
+        classifying every row in seq order does."""
+        transcript = Transcript({"bits": 8})
+        first = 1
+        for part_count, rows_per_part, as_ranges, gap in shapes:
+            first += gap
+            total = part_count * rows_per_part
+            if as_ranges:
+                seq_columns = [range(first + k, first + total, part_count)
+                               for k in range(part_count)]
+            else:
+                owners = data.draw(st.lists(st.integers(0, part_count - 1),
+                                            min_size=total, max_size=total))
+                seq_columns = [[first + i for i, owner in enumerate(owners) if owner == k]
+                               for k in range(part_count)]
+            transcript.record(*(draw_part(data, seqs) for seqs in seq_columns))
+            first += total
+        assert check_visibility(transcript) == audit_reference(transcript)
 
 
 class TestAgainstOracles:
