@@ -10,7 +10,7 @@ the message transcript.
 Layout:
 
 * :mod:`asgs.kgh` holds the share algebra: vectors, share sets, mask
-  sets, splitting and recovery.
+  sets, mask generation and recovery.
 * :mod:`asgs.devices` holds the accumulator register and the randomness
   sources.
 * :mod:`asgs.protocol` holds the message-level protocol engine, the
@@ -36,7 +36,6 @@ from asgs.kgh import (
     check_zero_sum,
     combine,
     generate_mask_set,
-    kgh_split,
     partition_sums,
 )
 from asgs.protocol import (
@@ -96,7 +95,6 @@ __all__ = [
     "equal_set_replicate",
     "fast_share",
     "generate_mask_set",
-    "kgh_split",
     "partition_sums",
     "recover_xored_keys",
     "safe_shares",

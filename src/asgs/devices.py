@@ -130,7 +130,7 @@ class RandSource:
         if (rng is None) == (values is None):
             raise ValueError("construct via RandSource.seeded or RandSource.fixture")
         self._rng = rng
-        self._params, self._values = (None, None) if values is None else values
+        self._params, self._stream = (None, None) if values is None else values
         self._cursor = 0
 
     @classmethod
@@ -174,7 +174,7 @@ class RandSource:
         """
         if not 0 <= count <= sys.maxsize:
             raise bad_draw_count(count)
-        values = self._values
+        values = self._stream
         if values is None:
             rng = self._rng
             if isinstance(rng, int):

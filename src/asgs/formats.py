@@ -439,6 +439,16 @@ class _Parties(dict):
         return party
 
 
+def _party_fault(step: dict) -> None:
+    """Raise the first fault of a step's ``from`` and ``to`` fields."""
+    for field in ("from", "to"):
+        label = step.get(field)
+        if type(label) is not str:
+            raise ValueError(f"'{field}' must be a party label string, got {label!r}"
+                             if field in step else f"missing '{field}' party label")
+        parse_party(label)
+
+
 def transcript_from_doc(document: Mapping) -> Transcript:
     """Fill a transcript's columns from a document, decoding the vector
     payloads as one column at the end. A fault at a step first decodes
@@ -479,8 +489,10 @@ def transcript_from_doc(document: Mapping) -> Transcript:
                 texts.append(payload_hex)
                 rows.append(i)
                 payloads.append(0)
-            sender = parties[str(step.get("from"))]
-            recipient = parties[str(step.get("to"))]
+            sender, recipient = step.get("from"), step.get("to")
+            if type(sender) is not str or type(recipient) is not str:
+                _party_fault(step)
+            sender, recipient = parties[sender], parties[recipient]
             seq = step.get("seq")
             if not _is_int(seq) or seq < 1:
                 raise ValueError(f"seq must be an integer >= 1, got {seq!r}")

@@ -138,9 +138,8 @@ class Party(Frozen, fields=("role", "set_tag", "index")):
             raise ValueError(f"{role} carries no set tag or index")
         else:
             key = label = role
-        d = self.__dict__
-        d["role"], d["set_tag"], d["index"] = d["_values"] = role, set_tag, index
-        d["key"], d["_label"] = key, label
+        super().__init__(role, set_tag, index)
+        self.__dict__.update(key=key, _label=label)
 
     def label(self) -> str:
         """Compact document form: dealer | owner | accumulator | p<set>-<index>."""
@@ -191,9 +190,7 @@ class Message(Frozen, fields=("seq", "sender", "recipient", "kind", "payload",
 
     def __init__(self, seq: int, sender: Party, recipient: Party, kind: str,
                  payload: ShareVector | bool, element_index: int | None = None) -> None:
-        d = self.__dict__
-        d["_values"] = values = (seq, sender, recipient, kind, payload, element_index)
-        d["seq"], d["sender"], d["recipient"], d["kind"], d["payload"], d["element_index"] = values
+        super().__init__(seq, sender, recipient, kind, payload, element_index)
 
 
 # The sequence types a round column may take; any other value is one
@@ -270,7 +267,7 @@ class Transcript:
         from_int, params = ShareVector.from_int, self.params
         for parts in self.rounds:
             yield from _in_seq_order(parts, lambda part: map(
-                Message, part[0], *(_rows(column, len(part[0])) for column in part[1:4]),
+                Message._of, part[0], *(_rows(column, len(part[0])) for column in part[1:4]),
                 (p if type(p) is bool else from_int(params, p) for p in part[4]),
                 _rows(part[5], len(part[0]))))
 
@@ -297,9 +294,7 @@ class TamperRule(Frozen, fields=("party", "kind", "occurrence", "bit")):
             raise ValueError("occurrence counts from 1")
         if bit < 0:
             raise ValueError("bit index must be >= 0")
-        d = self.__dict__
-        d["party"], d["kind"], d["occurrence"], d["bit"] = d["_values"] = (
-            party, kind, occurrence, bit)
+        super().__init__(party, kind, occurrence, bit)
 
     def spec(self) -> str:
         return f"{self.party}:{self.kind}:{self.occurrence}:bit:{self.bit}"
@@ -393,11 +388,6 @@ _FLAGGED = {kind: frozenset(key for key, pair_kind in _FLAGGED_PAIRS if pair_kin
 
 class Violation(Frozen, fields=("seq", "recipient", "value_class", "kind")):
     """One forbidden delivery found by a visibility audit."""
-
-    def __init__(self, seq: int, recipient: str, value_class: str, kind: str) -> None:
-        d = self.__dict__
-        d["seq"], d["recipient"], d["value_class"], d["kind"] = d["_values"] = (
-            seq, recipient, value_class, kind)
 
 
 _key = attrgetter("key")
@@ -783,10 +773,7 @@ class SafeSharesState(Frozen, fields=("params", "protected_ints", "key_ints", "m
             check_ints(column, params, "a safe-shares column")
         if not params.xor_ints(key_ints, 0):
             raise ValueError("key set must not cancel to zero")
-        d = self.__dict__
-        d["params"], d["protected_ints"], d["key_ints"] = params, protected_ints, key_ints
-        d["masks"], d["owner_share_ints"], d["assignment"] = masks, owner_share_ints, assignment
-        d["_values"] = (params, protected_ints, key_ints, masks, owner_share_ints, assignment)
+        super().__init__(params, protected_ints, key_ints, masks, owner_share_ints, assignment)
 
     protected = vector_view("protected_ints")
     keys = vector_view("key_ints")
@@ -815,10 +802,10 @@ def _check_params(env: ProtocolEnv, *items) -> None:
 def _participants(tag: str, indices: range) -> tuple[Party, ...]:
     """The participants ``indices`` of set ``tag``, in order.
 
-    Cached because the same (tag, range) recurs whenever operations run
-    in one process: a chain of set generation, replications and pvss
-    asks for the same ranges at each of its steps, and again in every
-    chain of the same shape. A single CLI command gets no hits.
+    Cached because the same (tag, range) recurs in one process: within
+    one operation (``asgs replicate --mode equal`` makes 3 lookups and
+    hits once), at each step of a chain of set generation, replications
+    and pvss, and again in every chain of the same shape.
     """
     return tuple(map(_participant, repeat(tag), indices))
 
@@ -970,9 +957,8 @@ def set_replicate_to_smaller(
 def _fast_share_rounds(secret: int, count: int, env: ProtocolEnv) -> list[int]:
     """The owner's split as messages to the accumulator.
 
-    Unlike :func:`asgs.kgh.kgh_split`, the last share is read off the
-    register from the *delivered* values, which tamper rules may have
-    changed; ``kgh_split`` sends nothing, so it has nothing to tamper.
+    The last share is read off the register from the *delivered* values,
+    which tamper rules may have changed.
     """
     shares = env.source(ROLE_OWNER).next_ints(env.params, count - 1)
     delivered = env.deliver_round(OWNER, ACCUMULATOR, KIND_OWNER_SHARE, shares, range(1, count))

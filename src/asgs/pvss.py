@@ -70,8 +70,7 @@ class BulletinBoard(Frozen, fields=("set1_ints", "set2_ints", "params")):
                 raise CardinalityMismatch(f"set {tag}: the bulletin has no entries, "
                                           "but an authorized set holds at least one share")
             check_ints(column, params, f"bulletin set {tag}")
-        d = self.__dict__
-        d["set1_ints"], d["set2_ints"], d["params"] = d["_values"] = set1_ints, set2_ints, params
+        super().__init__(set1_ints, set2_ints, params)
 
     set1_entries = vector_view("set1_ints")
     set2_entries = vector_view("set2_ints")
@@ -88,8 +87,7 @@ class KeyAssignment(Frozen, fields=("set1_ints", "set2_ints", "params")):
                  params: SchemeParams) -> None:
         set1_ints, set2_ints = tuple(set1_ints), tuple(set2_ints)
         check_ints(set1_ints + set2_ints, params, "a key assignment")
-        d = self.__dict__
-        d["set1_ints"], d["set2_ints"], d["params"] = d["_values"] = set1_ints, set2_ints, params
+        super().__init__(set1_ints, set2_ints, params)
 
     def key_for(self, set_tag: str, index: int) -> ShareVector:
         if type(set_tag) is not str:
@@ -103,11 +101,7 @@ class KeyAssignment(Frozen, fields=("set1_ints", "set2_ints", "params")):
 
 
 class VerificationResult(Frozen, fields=("verdict", "xored_keys", "xored_encrypted_shares")):
-    def __init__(self, verdict: Verdict, xored_keys: ShareVector,
-                 xored_encrypted_shares: ShareVector) -> None:
-        d = self.__dict__
-        d["verdict"], d["xored_keys"], d["xored_encrypted_shares"] = d["_values"] = (
-            verdict, xored_keys, xored_encrypted_shares)
+    """The outcome of :func:`verify` and the two aggregates it compared."""
 
 
 def distribute_shares_and_keys(

@@ -555,6 +555,20 @@ class TestAudit:
         assert captured.out == ""
         assert captured.err == "error: transcript.steps[0]: unrecognized party label 'p\"x-1'\n"
 
+    @pytest.mark.parametrize("value", [7, ["owner"], {"role": "owner"}],
+                             ids=["number", "list", "dict"])
+    def test_party_field_of_another_type_is_a_usage_error(self, tmp_path, capsys, value):
+        transcript = Transcript({"bits": 8})
+        append(transcript, Message(1, OWNER, DEALER, KIND_SECRET, bv(0x5A)))
+        doc = transcript_to_doc(transcript)
+        doc["steps"][0]["from"] = value
+        path = dump_document(doc, tmp_path / "bad.json")
+        assert main(["audit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: transcript.steps[0]: 'from' must be a party label string, got {value!r}\n")
+
     def test_transcript_without_bits_is_a_usage_error(self, tmp_path, capsys):
         assert run(tmp_path, "fastshare", "--bits", "8", "--secret", "5a",
                    "--n", "3", "--seed", "2") == 0

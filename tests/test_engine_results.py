@@ -25,12 +25,10 @@ from asgs.kgh import (
     SetRole,
     ShareVector,
     generate_mask_set,
-    kgh_split,
 )
 from asgs.protocol import (
     ROLE_ACCUMULATOR,
     ROLE_DEALER,
-    ROLE_OWNER,
     ProtocolEnv,
     SafeSharesState,
     TamperRule,
@@ -86,7 +84,6 @@ def engine_results(env: ProtocolEnv, n: int) -> list:
         set_replicate_to_bigger(master, n + 3, env),
         set_replicate_to_smaller(master, n, env),
         fast_share(secret, n, env),
-        kgh_split(secret, n, env.source(ROLE_OWNER)),
         generate_mask_set(n, env.source(ROLE_DEALER), params),
         state, state.masks, state.protected_set(),
         activate_shares(state, env),
@@ -183,5 +180,4 @@ def test_a_fixture_environment_checks_each_non_empty_stream_once(check_calls):
     env = ProtocolEnv.with_fixtures(P8, dealer=[1, 2, 3, 4], owner=[], accumulator=[5, 6, 7])
     assert check_calls == ["a fixture stream"] * 2
     set_generate_m(2, 2, env)
-    kgh_split(ShareVector.from_int(P8, 9), 2, env.source(ROLE_DEALER))
     assert check_calls == ["a fixture stream"] * 2

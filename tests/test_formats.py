@@ -69,6 +69,9 @@ from asgs.protocol import (
 from asgs.pvss import BulletinBoard, KeyAssignment
 from helpers import P8, append, bv, bvs, rows
 
+# A field value that stands for the field left out.
+ABSENT = object()
+
 # Longest int literal json.loads accepts (0: no limit; Python < 3.10.7 has none).
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
@@ -86,7 +89,7 @@ class TestHexCodec:
 
     def test_known_bit_pattern(self):
         assert encode_vector(bv(0b01011010)) == "5a"
-        assert decode_vector("5a", P8).components == (0, 1, 0, 1, 1, 0, 1, 0)
+        assert format(decode_vector("5a", P8).to_int(), "08b") == "01011010"
 
     def test_width_rounds_up_to_whole_bytes(self):
         p12 = SchemeParams.binary(12)
@@ -488,6 +491,32 @@ class TestTranscriptDocs:
         doc["steps"][0]["from"] = "p1-03"
         with pytest.raises(ParseError, match="p1-03"):
             transcript_from_doc(doc)
+
+    @pytest.mark.parametrize("field", ["from", "to"])
+    @pytest.mark.parametrize("value", [ABSENT, None, 7, True, ["dealer"], {"role": "dealer"}],
+                             ids=["absent", "null", "number", "bool", "list", "dict"])
+    def test_party_field_must_be_a_label_string(self, field, value):
+        transcript = Transcript({"bits": 8})
+        append(transcript, Message(1, OWNER, DEALER, KIND_SECRET, bv(0x01)))
+        doc = transcript_to_doc(transcript)
+        if value is ABSENT:
+            del doc["steps"][0][field]
+            expected = f"missing '{field}' party label"
+        else:
+            doc["steps"][0][field] = value
+            expected = f"'{field}' must be a party label string, got {value!r}"
+        with pytest.raises(ParseError) as caught:
+            transcript_from_doc(doc)
+        assert str(caught.value) == f"transcript.steps[0]: {expected}"
+
+    def test_an_unknown_sender_is_reported_before_a_bad_recipient(self):
+        transcript = Transcript({"bits": 8})
+        append(transcript, Message(1, OWNER, DEALER, KIND_SECRET, bv(0x01)))
+        doc = transcript_to_doc(transcript)
+        doc["steps"][0]["from"], doc["steps"][0]["to"] = "nobody", 7
+        with pytest.raises(ParseError) as caught:
+            transcript_from_doc(doc)
+        assert str(caught.value) == "transcript.steps[0]: unrecognized party label 'nobody'"
 
     def test_sequence_must_increase(self):
         transcript = Transcript({"bits": 8})

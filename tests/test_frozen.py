@@ -2,7 +2,8 @@
 with fields): equal fields give equal objects with equal hashes, an
 object equals nothing of another class, its ``repr`` reads as the
 dataclass text it replaced, its fields cannot be assigned or deleted,
-and pickle and deepcopy round-trip to an equal object.
+pickle and deepcopy round-trip to an equal object, and the unchecked
+``_of`` stores what the constructor stores.
 """
 
 import copy
@@ -46,16 +47,17 @@ SAMPLES = [
                      ShareVector.from_int(p8(), 0x42), 1),
      "Message(seq=3, sender=Party(role='accumulator', set_tag=None, index=None), "
      "recipient=Party(role='participant', set_tag='2', index=1), kind='mask_element', "
-     "payload=ShareVector(params=SchemeParams(dimension=8), "
-     "components=(0, 1, 0, 0, 0, 0, 1, 0)), element_index=1)"),
+     "payload=ShareVector(params=SchemeParams(dimension=8), value=0x42), element_index=1)"),
     (lambda: VerificationResult(Verdict.POSITIVE, ShareVector.from_int(p8(), 1),
                                 ShareVector.from_int(p8(), 1)),
      "VerificationResult(verdict=<Verdict.POSITIVE: 'POSITIVE'>, "
-     "xored_keys=ShareVector(params=SchemeParams(dimension=8), "
-     "components=(0, 0, 0, 0, 0, 0, 0, 1)), "
-     "xored_encrypted_shares=ShareVector(params=SchemeParams(dimension=8), "
-     "components=(0, 0, 0, 0, 0, 0, 0, 1)))"),
+     "xored_keys=ShareVector(params=SchemeParams(dimension=8), value=0x1), "
+     "xored_encrypted_shares=ShareVector(params=SchemeParams(dimension=8), value=0x1))"),
 ]
+
+
+# The attributes a constructor derives from the fields, beside them.
+DERIVED = {SchemeParams: {"xor_ints"}, Party: {"key", "_label"}}
 
 
 def subclasses(cls):
@@ -96,3 +98,21 @@ def test_value_contract(build, text):
         assert restored == made
         assert hash(restored) == hash(made)
         assert repr(restored) == text
+
+    unchecked = type(made)._of(*values)
+    assert unchecked == made and hash(unchecked) == hash(made)
+    derived = DERIVED.get(type(made), set())
+    assert vars(unchecked) == {name: value for name, value in vars(made).items()
+                               if name not in derived}
+    assert set(vars(made)) - set(vars(unchecked)) == derived
+
+
+@pytest.mark.parametrize("cls, values", [
+    (Violation, (4, "dealer", "secret", "secret")),
+    (VerificationResult, (Verdict.POSITIVE, 1, 1)),
+], ids=["Violation", "VerificationResult"])
+def test_the_store_takes_one_value_per_field(cls, values):
+    assert cls(*values)._values == values
+    for wrong in (values[:-1], values + (None,)):
+        with pytest.raises(TypeError):
+            cls(*wrong)

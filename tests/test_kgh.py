@@ -29,13 +29,13 @@ from asgs.kgh import (
     fold_lanes,
     from_ints,
     generate_mask_set,
-    kgh_split,
     mask_ints,
     partition_sums,
     to_ints,
     vector_params,
     xor_lanes,
 )
+from asgs.protocol import ProtocolEnv, fast_share
 from helpers import P8, bv, bvs, fixture_source, ints
 
 
@@ -69,28 +69,29 @@ class TestSchemeParams:
 WIDTHS = [1, 8, 12, 128, 4096]
 
 
-def msb_first(value: int, bits: int) -> tuple[int, ...]:
-    return tuple((value >> (bits - 1 - i)) & 1 for i in range(bits))
+def msb_first(value: int, bits: int) -> str:
+    return "".join(str((value >> (bits - 1 - i)) & 1) for i in range(bits))
 
 
 class TestShareVector:
     def test_int_round_trip_msb_first(self):
         cases = [
-            (8, 0x5A, (0, 1, 0, 1, 1, 0, 1, 0)),
-            (1, 0x1, (1,)),
-            (12, 0x9E3, (1, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 1)),
-            (128, 0xC << 124 | 0x5, (1, 1, 0, 0, 0)),
-            (4096, 0x3 << 4094 | 0x1, (1, 1, 0)),
+            (8, 0x5A, "01011010"),
+            (1, 0x1, "1"),
+            (12, 0x9E3, "100111100011"),
+            (128, 0xC << 124 | 0x5, "11000"),
+            (4096, 0x3 << 4094 | 0x1, "110"),
         ]
         for bits, value, leading in cases:
             params = SchemeParams.binary(bits)
             vector = ShareVector.from_int(params, value)
-            assert vector.components[: len(leading)] == leading
-            assert vector.components == msb_first(value, bits)
-            assert vector.to_int() == value
-            rebuilt = ShareVector(params, vector.components)
+            spelled = format(vector.to_int(), f"0{bits}b")
+            assert spelled.startswith(leading)
+            assert spelled == msb_first(value, bits)
+            rebuilt = ShareVector(params, value)
             assert rebuilt == vector
             assert rebuilt.to_int() == value
+            assert repr(rebuilt) == f"ShareVector(params={params!r}, value={value:#x})"
 
     def test_from_int_rejects_overflow(self):
         for bits in WIDTHS:
@@ -115,7 +116,7 @@ class TestShareVector:
             return ShareVector.from_int(params, v ^ pad), ShareVector.from_int(params, pad)
 
         routes = [
-            lambda v: ShareVector(params, msb_first(v, bits)),
+            lambda v: ShareVector(params, v),
             lambda v: ShareVector.from_int(params, v),
             lambda v: combine(padded(v)),
             lambda v: operator.add(*padded(v)),
@@ -137,7 +138,7 @@ class TestShareVector:
         ],
     )
     def test_frozen(self, vector):
-        for name in ("params", "components", "_data", "extra"):
+        for name in ("params", "value", "_data", "extra"):
             with pytest.raises(AttributeError):
                 setattr(vector, name, None)
         with pytest.raises(AttributeError):
@@ -145,12 +146,19 @@ class TestShareVector:
         assert copy.deepcopy(vector) == vector
         assert pickle.loads(pickle.dumps(vector)) == vector
 
-    def test_component_range_enforced(self):
-        for bad in (2, -1):
-            with pytest.raises(ValueError):
-                ShareVector(P8, (0,) * 7 + (bad,))
-        with pytest.raises(ValueError):
-            ShareVector(P8, (0,) * 7)
+    def test_constructor_rejects_overflow(self):
+        """The constructor checks as ``from_int`` does, and so does
+        unpickling, which rebuilds through it."""
+        rebuild, (params, value) = bv(0x5A).__reduce__()
+        assert rebuild(params, value) == bv(0x5A)
+        for bits in WIDTHS:
+            params = SchemeParams.binary(bits)
+            for value in (-1, -(1 << bits), 1 << bits, (1 << bits) + 1, 1 << (bits + 1)):
+                with pytest.raises(ValueError, match="does not fit"):
+                    ShareVector(params, value)
+                with pytest.raises(ValueError, match="does not fit"):
+                    rebuild(params, value)
+            assert ShareVector(params, (1 << bits) - 1).to_int() == (1 << bits) - 1
 
     def test_add_is_xor_in_binary(self):
         assert (bv(0x0F) + bv(0x99)).to_int() == 0x96
@@ -207,54 +215,62 @@ class TestCombine:
         assert regrouped.to_int() == combine(bvs(values)).to_int()
 
 
+def owner_split(secret: int, count: int, stream, params: SchemeParams = P8):
+    """``fast_share`` of ``secret`` on a fixture environment whose owner
+    replays ``stream``."""
+    env = ProtocolEnv.with_fixtures(params, owner=stream)
+    return fast_share(ShareVector.from_int(params, secret), count, env)
+
+
 class TestKghSplit:
+    """The owner's Karnin-Greene-Hellman split, as the engine runs it
+    (``fast_share``)."""
+
     def test_single_share_degenerate_case(self):
-        result = kgh_split(bv(0x5A), 1, fixture_source([]))
+        result = owner_split(0x5A, 1, [])
         assert ints(result.shares) == [0x5A]
 
     def test_binary_three_way_split(self):
-        result = kgh_split(bv(0x5A), 3, fixture_source([0x11, 0x22]))
+        result = owner_split(0x5A, 3, [0x11, 0x22])
         assert result.role is SetRole.OWNER
         assert ints(result.shares) == [0x11, 0x22, 0x69]
 
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
-            kgh_split(bv(0x5A), 0, fixture_source([]))
+            owner_split(0x5A, 0, [])
 
     @pytest.mark.parametrize("bits", [1, 8, 128, 4096])
     @given(st.integers(1, 5), st.integers(0, 2**31))
     def test_round_trip_all_widths(self, bits, count, seed):
-        from asgs.devices import RandSource
-
-        params = SchemeParams.binary(bits)
-        rng_source = RandSource.seeded(seed)
-        secret = rng_source.next_vector(params)
-        shares = kgh_split(secret, count, rng_source)
+        env = ProtocolEnv.seeded(seed, bits)
+        secret = env.source("dealer").next_vector(env.params)
+        shares = fast_share(secret, count, env)
         assert len(shares) == count
         assert combine(shares.shares) == secret
 
-    @pytest.mark.parametrize("count", [2, 3, 4])
-    def test_prefix_secrecy_exhaustive(self, count):
-        """Any proper subset of the split shares is uniform over bits at
-        width 1, marginalized over all draw streams."""
-        params = SchemeParams.binary(1)
-        secret = bv(1, params)
-
-        subset_counts: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        streams = itertools.product(range(2), repeat=count - 1)
-        total_streams = 0
-        for stream_values in streams:
-            total_streams += 1
-            rand = fixture_source(stream_values, params)
-            shares = [s.components[0] for s in kgh_split(secret, count, rand).shares]
-            for size in range(1, count):
-                for positions in itertools.combinations(range(count), size):
-                    observed = tuple(shares[i] for i in positions)
-                    bucket = subset_counts.setdefault(positions, {})
-                    bucket[observed] = bucket.get(observed, 0) + 1
-        for positions, bucket in subset_counts.items():
-            expected = total_streams // (2 ** len(positions))
-            assert set(bucket.values()) == {expected}, positions
+    @pytest.mark.parametrize("bits, count", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3)],
+                             ids=["2", "3", "4", "2-bits-2", "2-bits-3"])
+    def test_prefix_secrecy_exhaustive(self, bits, count):
+        """Any proper subset of the shares is uniform, marginalized over
+        all owner streams, and so has the same distribution whatever the
+        secret: the Karnin-Greene-Hellman claim, checked exhaustively."""
+        params = SchemeParams.binary(bits)
+        streams = list(itertools.product(range(1 << bits), repeat=count - 1))
+        by_secret = []
+        for secret in range(1 << bits):
+            subset_counts: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+            for stream in streams:
+                shares = ints(owner_split(secret, count, stream, params).shares)
+                for size in range(1, count):
+                    for positions in itertools.combinations(range(count), size):
+                        observed = tuple(shares[i] for i in positions)
+                        bucket = subset_counts.setdefault(positions, {})
+                        bucket[observed] = bucket.get(observed, 0) + 1
+            for positions, bucket in subset_counts.items():
+                expected = len(streams) // (1 << (bits * len(positions)))
+                assert set(bucket.values()) == {expected}, (secret, positions)
+            by_secret.append(subset_counts)
+        assert all(counts == by_secret[0] for counts in by_secret)
 
 
 class TestGenerateMaskSet:
@@ -398,21 +414,21 @@ class TestLaneFolds:
 
 
 class TestCheckZeroSum:
+    """``check_zero_sum`` rechecks a mask set, one the engine built with
+    the unchecked ``MaskSet._of`` included."""
+
     def test_balanced_triple(self):
-        assert check_zero_sum(bvs([0x0A, 0x06, 0x0C]))
+        assert check_zero_sum(MaskSet([0x0A, 0x06, 0x0C], P8))
 
     def test_lone_nonzero_vector(self):
-        assert not check_zero_sum(bvs([0x01]))
+        assert not check_zero_sum(MaskSet._of((0x01,), P8))
 
     def test_lone_zero_vector(self):
-        assert check_zero_sum(bvs([0x00]))
+        assert check_zero_sum(MaskSet([0x00], P8))
 
     def test_accepts_mask_set(self):
         assert check_zero_sum(MaskSet([0x0F, 0x0F], P8))
-
-    def test_empty_sequence_sums_to_zero(self):
-        for empty in ([], (), iter([])):
-            assert check_zero_sum(empty) is True
+        assert not check_zero_sum(MaskSet._of((0x0F, 0x0E), P8))
 
 
 class TestMaskSet:
@@ -503,5 +519,5 @@ class TestAgainstOracles:
     )
     def test_split_matches_oracle(self, secret, count, pool):
         expected = oracles.fast_share(oracles.stream(pool), secret, count)
-        split = kgh_split(bv(secret), count, fixture_source(pool[: count - 1]))
+        split = owner_split(secret, count, pool[: count - 1])
         assert ints(split.shares) == expected
