@@ -21,7 +21,8 @@ chains the same step functions the single commands use.
 succeeded and every ``--tamper`` rule has fired, it writes the
 documents, then ``transcript.json``, then runs the optional audit. A
 failed run, one whose tamper rule matched no message, or one whose
-write fails, exits 1 and leaves no artifacts.
+write fails, exits 1 and leaves no artifacts of its own; a file it
+could not open keeps its bytes.
 """
 
 from __future__ import annotations
@@ -147,10 +148,6 @@ def _parse_fixtures(items: list[str]) -> dict[str, str]:
 def _build_env(args: Namespace, fixtures: dict[str, str], bits: int) -> ProtocolEnv:
     params = SchemeParams.binary(bits)
     rules = tuple(parse_tamper_rule(t) for t in args.tamper)
-    for k, rule in enumerate(rules):
-        # Two flips of one bit cancel, so a repeated rule is a mistake.
-        if rule in rules[:k]:
-            raise ParseError(f"tamper rule {rule.spec()} given twice")
     seed = args.seed
     if seed is not None and fixtures:
         raise ParseError("--seed and --fixture are mutually exclusive")
@@ -533,13 +530,12 @@ def run_scenario(args: Namespace) -> RunResult:
     artifacts = result.artifacts
     try:
         for name, text in texts.items():
+            write_text(out_dir / name, text)  # removes its file if it fails
             artifacts[name] = out_dir / name
-            write_text(artifacts[name], text)
     except OSError:
-        # Take back what this run wrote, a half-written file included.
+        # Take back the files this run wrote, and no other.
         for path in artifacts.values():
-            if path.is_file():
-                path.unlink()
+            path.unlink()
         raise
     result.summary.append(f"transcript -> {artifacts['transcript.json']}")
     if args.audit:

@@ -10,11 +10,11 @@ The protocol engine draws whole columns with :meth:`RandSource.next_ints`
 (``count`` packed ints in one call, the same values as ``count`` calls
 of :meth:`RandSource.next_int`; a batch that fails consumes nothing) and
 keeps each register as a plain int XORed in place; :class:`Accumulator`
-is that register as a library device. A seeded source draws a column of
-at least ``LANE_MIN`` values of at most ``LANE_BITS`` bits as packed
-32-bit lanes, one generator call per chunk, with the values and
-generator state of the value-by-value draw; a caller that asks for the
-column's balance gets it folded from those lanes.
+is that register as a library device. A seeded source draws every
+column of at most ``LANE_BITS`` bits as packed 32-bit lanes, one
+generator call per chunk, with the values and generator state of the
+value-by-value draw; a caller that asks for the column's balance gets
+it folded from those lanes.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Iterable
 
 from asgs.kgh import (
     LANE_BITS,
-    LANE_MIN,
     AsgsError,
     MixedParams,
     SchemeParams,
@@ -168,9 +167,9 @@ class RandSource:
         With ``balance`` an int, one more int follows the draws:
         ``balance`` XOR every draw, the element that balances a mask set
         or a share split. It is not a draw and is not counted in
-        :attr:`consumed`. A seeded source draws a column of at least
-        ``LANE_MIN`` values of up to ``LANE_BITS`` bits as lanes, and
-        folds the balance from them, with no second pass over the column.
+        :attr:`consumed`. A seeded source draws every column of up to
+        ``LANE_BITS`` bits as lanes, at every count, and folds the
+        balance from them, with no second pass over the column.
         """
         if not 0 <= count <= sys.maxsize:
             raise bad_draw_count(count)
@@ -180,7 +179,7 @@ class RandSource:
             if isinstance(rng, int):
                 rng = self._rng = random.Random(rng)
             bits = params.dimension
-            if bits <= LANE_BITS and count >= LANE_MIN:
+            if bits <= LANE_BITS:
                 batch = _draw_lanes(rng, bits, count, balance)
             else:
                 batch = list(map(rng.getrandbits, repeat(bits, count)))

@@ -127,14 +127,19 @@ _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0
 
 def write_text(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8 bytes, line ends as given:
-    one open, writes until every byte is out, one close."""
+    one open, writes until every byte is out, one close. A failure after
+    the open removes the file, so a failed call leaves none behind."""
     data = memoryview(text.encode())
     fd = os.open(path, _WRITE_FLAGS, 0o666)
     try:
-        while data:
-            data = data[os.write(fd, data):]
-    finally:
-        os.close(fd)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+    except BaseException:
+        os.unlink(path)
+        raise
 
 
 def read_fixture_file(path: str | Path, params: SchemeParams) -> list[int]:

@@ -52,41 +52,30 @@ MAX_DIMENSION = 1 << 16
 DEFAULT_BITS = 128
 
 # Widths up to LANE_BITS travel as packed 32-bit lanes: a column of n
-# such ints is one int of n lanes, value i in bits 32i..32i+31, so a
-# fold over the column (XOR or OR) is a few big-int operations instead
+# such ints is one int of n lanes, value i in bits 32i..32i+31, so an
+# XOR fold over the column is a few big-int operations instead
 # of one Python-level step per value. ``array("I")`` is 32 bits wide on
 # every platform CPython supports; it packs in the host's byte order,
 # which no fold depends on.
 LANE_BITS = 32
 
-# A column of fewer than LANE_MIN values takes the value-by-value path
-# (``map``, ``reduce``) at every width: packing costs a fixed ~0.7 us
-# that a short column does not earn back. The lane fold and range check
-# break even near 128 values, the lane draw near 64 (2-core Xeon, 3.11).
-LANE_MIN = 128
 
-
-def fold_lanes(packed: int, lanes: int, op=xor) -> int:
-    """Combine the ``lanes`` 32-bit lanes of ``packed`` into one with
-    ``op`` (``xor`` or ``or_``), by halving: the low half of the lanes
-    with the high half, until one lane is left."""
+def fold_lanes(packed: int, lanes: int) -> int:
+    """XOR the ``lanes`` 32-bit lanes of ``packed`` into one, by halving:
+    the low half of the lanes with the high half, until one lane is left."""
     while lanes > 1:
         lanes = (lanes + 1) >> 1
         shift = lanes << 5
-        packed = op(packed & ((1 << shift) - 1), packed >> shift)
+        packed = (packed & ((1 << shift) - 1)) ^ (packed >> shift)
     return packed
 
 
 def xor_lanes(values: Collection[int], start: int) -> int:
     """``start`` XOR every value of a column of ints in ``0..2^32 - 1``,
-    packed with ``array("I")`` and folded as lanes (with ``reduce`` when
-    the column is shorter than ``LANE_MIN``). Another value makes
+    packed with ``array("I")`` and folded as lanes. Another value makes
     ``array`` raise, so a column that has not been range-checked goes
     through :func:`check_ints` first."""
-    lanes = len(values)
-    if lanes < LANE_MIN:
-        return reduce(xor, values, start)
-    return start ^ fold_lanes(int.from_bytes(array("I", values), sys.byteorder), lanes)
+    return start ^ fold_lanes(int.from_bytes(array("I", values), sys.byteorder), len(values))
 
 
 # A wide column folds in one C-level ``reduce(xor, values, start)`` call.
@@ -294,24 +283,10 @@ def check_ints(values: Collection[int], params: SchemeParams, what: str) -> None
     ``0..2^l - 1``: the OR of the column, shifted right by l, must be 0.
     A negative value makes the OR negative, and a value that is not an
     int (a float) makes ``|`` raise ``TypeError``; a bool is an int.
-
-    Up to ``LANE_BITS`` bits a column of at least ``LANE_MIN`` ints is
-    OR-folded as packed lanes. A column ``array("I")`` refuses (a
-    negative int, one of 32 bits or more, a float), like every other
-    column, is OR-ed by one C-level ``reduce``.
     """
     if not values:
         raise ValueError(f"{what} must not be empty")
     width = params.dimension
-    if width <= LANE_BITS and len(values) >= LANE_MIN:
-        try:
-            packed = int.from_bytes(array("I", values), sys.byteorder)
-        except (OverflowError, TypeError):
-            pass
-        else:
-            if fold_lanes(packed, len(values), or_) >> width:
-                raise ValueError(f"{what} holds a value that does not fit in {width} bits")
-            return
     if reduce(or_, values, 0) >> width:
         raise ValueError(f"{what} holds a value that does not fit in {width} bits")
 
@@ -391,9 +366,8 @@ def mask_ints(count: int, rand: RandSource, params: SchemeParams) -> list[int]:
     This is the one mask generator: every protocol operation draws its
     masks through it. The register is the balance that
     :meth:`RandSource.next_ints` appends to the draws; a seeded source
-    folds it from the packed lanes it drew when the column has at least
-    ``LANE_MIN`` values of up to ``LANE_BITS`` bits, with no second pass
-    over the list.
+    folds it from the packed lanes it drew when the values have up to
+    ``LANE_BITS`` bits, with no second pass over the list.
     """
     if count < 1:
         raise ValueError(f"mask set cardinality must be >= 1, got {count}")

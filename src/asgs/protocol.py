@@ -471,6 +471,10 @@ class ProtocolEnv:
         self.params = params
         self._sources = dict(sources)
         self.tamper_rules = tuple(tamper_rules)
+        for k, rule in enumerate(self.tamper_rules):
+            # Two flips of one bit cancel, so a repeated rule is a mistake.
+            if rule in self.tamper_rules[:k]:
+                raise ValueError(f"tamper rule {rule.spec()} given twice")
         # The rules by the (sender label, kind) they count, each with the
         # mask that flips its bit (True keeps a control payload a bool).
         self._tamper_groups: dict[tuple[str, str], list[tuple[TamperRule, int]]] = {}

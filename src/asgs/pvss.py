@@ -172,7 +172,7 @@ def verify(
     secret. The assignment must hold one key per bulletin entry of each
     set; a key with no entry would otherwise be ignored.
     """
-    _check_params(env, bulletin)
+    _check_params(env, bulletin, assignment)
     set1, set2 = bulletin.set1_ints, bulletin.set2_ints
     for tag, entries, keys in (("1", set1, assignment.set1_ints),
                                ("2", set2, assignment.set2_ints)):

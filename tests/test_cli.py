@@ -97,6 +97,27 @@ class TestFastshare:
         assert len(sizes) == 3 and sizes[2] == sizes[1] - sizes[1] // 2
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_failed_write_keeps_a_file_it_never_opened(self, tmp_path, capsys, monkeypatch):
+        # A read-only transcript.json from an earlier run refuses the
+        # open; patched, so that the refusal happens under root as well.
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "transcript.json").write_bytes(b"earlier run\n")
+        real_open = os.open
+
+        def refusing_open(path, *args, **kwargs):
+            if Path(path).name == "transcript.json":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refusing_open)
+        code = run(tmp_path, "fastshare", "--bits", "8", "--secret", "5a", "--n", "3")
+        monkeypatch.undo()
+        assert code == 1
+        assert "Permission denied" in capsys.readouterr().err
+        assert (out / "transcript.json").read_bytes() == b"earlier run\n"
+        assert [p.name for p in out.iterdir()] == ["transcript.json"]
+
 
 class TestGenM:
     def test_masks_sum_to_zero(self, tmp_path):

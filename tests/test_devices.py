@@ -17,7 +17,7 @@ from asgs.devices import (
     RandSource,
     derive_stream_seed,
 )
-from asgs.kgh import LANE_BITS, LANE_MIN, MixedParams, SchemeParams, mask_ints
+from asgs.kgh import LANE_BITS, MixedParams, SchemeParams, mask_ints
 from helpers import P8, bv, fixture_source
 
 
@@ -260,7 +260,7 @@ class TestLaneDraw:
     """Widths up to 32 bits draw a seeded column as packed 32-bit lanes:
     the values and generator state of value-by-value ``getrandbits``."""
 
-    COUNTS = (0, 1, 2, 3, LANE_MIN - 1, LANE_MIN, 625,
+    COUNTS = (0, 1, 2, 3, 127, 128, 625,
               LANE_CHUNK - 1, LANE_CHUNK, LANE_CHUNK + 1, 2 * LANE_CHUNK + 3)
 
     @pytest.mark.parametrize("bits", range(1, LANE_BITS + 1))
@@ -305,7 +305,7 @@ class TestLaneDraw:
         masks = mask_ints(count, RandSource.seeded(count), params)
         assert masks == draws + [reduce(xor, draws, 0)]
 
-    @given(st.integers(0, 2**64), st.integers(1, 300), st.integers(0, 2 * LANE_MIN), st.data())
+    @given(st.integers(0, 2**64), st.integers(1, 300), st.integers(0, 256), st.data())
     def test_balance_at_any_width_is_reduce(self, seed, bits, count, data):
         params = SchemeParams.binary(bits)
         balance = data.draw(st.integers(0, (1 << bits) - 1))

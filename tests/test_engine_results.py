@@ -6,7 +6,7 @@ balance draw's zero sum, a guarded key set and a drawn or checked
 permutation. These tests hold the engine to that: every result, rebuilt
 through its public (checking) constructor, is accepted and equal, over
 seeded and fixture environments, at widths on both sides of
-``LANE_BITS``, at n on both sides of ``LANE_MIN``, with and without
+``LANE_BITS``, at a short and a long n, with and without
 single-bit tamper rules. A second group counts ``check_ints`` calls, so
 a check that creeps back into an engine path shows.
 """
@@ -18,7 +18,6 @@ import pytest
 
 from asgs import devices, kgh, protocol, pvss
 from asgs.kgh import (
-    LANE_MIN,
     AuthorizedShareSet,
     MaskSet,
     SchemeParams,
@@ -44,7 +43,7 @@ from asgs.protocol import (
 from asgs.pvss import BulletinBoard, KeyAssignment, distribute_shares_and_keys, verify
 
 WIDTHS = (1, 16, 32, 33, 128, 4096)
-COUNTS = (3, LANE_MIN + 2)
+COUNTS = (3, 130)
 
 
 def tamper_rules(bits: int) -> list[TamperRule]:

@@ -21,7 +21,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from asgs.kgh import (
-    LANE_MIN,
     AsgsError,
     AuthorizedShareSet,
     MaskSet,
@@ -206,11 +205,11 @@ def test_safe_shares_assignment_entries_are_ints(assignment):
 
 @pytest.mark.parametrize("bits", [8, 16, 32])
 @pytest.mark.parametrize("bad", [-1, 2**32, 2**64, 2**32 + 1])
-@pytest.mark.parametrize("count", [2, LANE_MIN])
+@pytest.mark.parametrize("count", [2, 128])
 def test_a_key_out_of_range_is_a_range_error_before_any_fold(bits, bad, count):
-    # Narrow columns of LANE_MIN keys or more are folded as packed 32-bit
-    # lanes, which cannot hold these values: the range check must come
-    # first. An even count of equal keys would also cancel to zero.
+    # Narrow columns are folded as packed 32-bit lanes at every length,
+    # which cannot hold these values: the range check must come first.
+    # An even count of equal keys would also cancel to zero.
     params = SchemeParams.binary(bits)
     masks = MaskSet((3,) * count, params)
     ones = (1,) * (count - 1)
@@ -227,7 +226,7 @@ def test_a_key_out_of_range_is_a_range_error_before_any_fold(bits, bad, count):
 def test_an_int_column_refuses_a_float_where_it_is_built():
     # The range check ORs the column, and a float takes no ``|``: it fails
     # at construction, not later when a document would encode it. A bool
-    # is an int. 200 values at 16 bits take the packed-lane check.
+    # is an int. The check is the same on a column of 200 values.
     p8, p16 = SchemeParams.binary(8), SchemeParams.binary(16)
     with pytest.raises(TypeError):
         AuthorizedShareSet(SetRole.MASTER, (1.0, 2), p8)
@@ -238,7 +237,6 @@ def test_an_int_column_refuses_a_float_where_it_is_built():
         with pytest.raises(ValueError) as refused:
             AuthorizedShareSet(SetRole.MASTER, (bad, 2), p8)
         assert str(refused.value) == "an authorized set holds a value that does not fit in 8 bits"
-    assert 200 >= LANE_MIN
     for at in (0, 100, 199):
         for bad, error in ((7.0, TypeError), (-1, ValueError), (1 << 16, ValueError)):
             column = [7] * 200

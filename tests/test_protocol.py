@@ -823,6 +823,20 @@ class TestTamper:
             ProtocolEnv.seeded(1, 8, tamper_rules=(rule,))
         ProtocolEnv.seeded(1, 8, tamper_rules=(TamperRule("dealer", kind, 1, bit - 1),))
 
+    def test_a_repeated_rule_is_rejected_by_the_environment(self):
+        # Two flips of one bit cancel: the run would be untampered while
+        # ``tamper_fired`` listed the rule twice.
+        rule, other = (TamperRule("owner", KIND_SECRET, 1, bit) for bit in (0, 1))
+        message = "tamper rule owner:secret:1:bit:0 given twice"
+        for rules in ((rule, rule), (rule, other, rule)):
+            with pytest.raises(ValueError, match=message):
+                ProtocolEnv.seeded(1, 8, tamper_rules=rules)
+            with pytest.raises(ValueError, match=message):
+                fixture_env(owner=[0x11, 0x22], tamper_rules=iter(rules))
+        env = fixture_env(owner=[0x11, 0x22], tamper_rules=(rule, other))
+        assert fast_share(bv(0x5A), 3, env).ints == (0x11, 0x22, 0x5A ^ 0x11 ^ 0x22 ^ 0x03)
+        assert [fired for fired, _ in env.tamper_fired] == [rule, other]
+
     def test_rule_spec_round_trip(self):
         rule = TamperRule("dealer", KIND_KEY, 2, 0)
         assert rule.spec() == "dealer:key:2:bit:0"
@@ -903,7 +917,7 @@ class TestTamperInRounds:
         assert shares == flipped(RELAY_CASES[case][2], occurrence - 1, 0x01)
         assert env.tamper_fired == [(rule, seq)]
 
-    @pytest.mark.parametrize("bits, expected", [((0, 6), 0x78 ^ 0x41), ((3, 3), 0x78)])
+    @pytest.mark.parametrize("bits, expected", [((0, 6), 0x78 ^ 0x41)])
     def test_two_rules_fire_on_the_same_row(self, bits, expected):
         rules = [TamperRule("p2-2", KIND_MASKED_SHARE, 1, bit) for bit in bits]
         shares, env = self.replicate("equal", *rules)
@@ -1058,12 +1072,16 @@ def activation_chain(env, n):
     return outputs, rows(env.transcript), env.tamper_fired
 
 
-def draw_rules(data, targets, count):
-    rules = []
+def draw_rules(data, targets, count, rules=()):
+    """``rules`` followed by up to ``count`` drawn rules, each distinct,
+    since an environment refuses a repeated rule."""
+    rules = list(rules)
     for _ in range(count):
         label, kind = data.draw(st.sampled_from(targets))
         bit = data.draw(st.just(0) if kind in CONTROL_KINDS else st.integers(0, 15))
-        rules.append(TamperRule(label, kind, data.draw(st.integers(1, 4)), bit))
+        rule = TamperRule(label, kind, data.draw(st.integers(1, 4)), bit)
+        if rule not in rules:
+            rules.append(rule)
     return rules
 
 
@@ -1093,7 +1111,7 @@ class TestColumnTamperMatchesRowByRow:
                    *((label, KIND_IDENTIFICATION) for label in holders)]
         failing = data.draw(st.sets(st.integers(1, n)))
         rules = [TamperRule(f"pp-{i}", KIND_IDENTIFICATION, 1, 0) for i in sorted(failing)]
-        rules += draw_rules(data, targets, data.draw(st.integers(0, 4)))
+        rules = draw_rules(data, targets, data.draw(st.integers(0, 4)), rules)
         runs = []
         for env_type in (ProtocolEnv, RowByRowEnv):
             env = env_type.seeded(seed, 16, tamper_rules=rules)

@@ -268,6 +268,20 @@ class TestVerify:
         with pytest.raises(MixedParams):
             verify(bulletin, assignment, other)
 
+    def test_assignment_params_are_checked_before_anything_is_recorded(self):
+        # An assignment under other params is refused as such, before the
+        # operation is noted, and whatever its length.
+        env, bulletin, assignment = worked_distribution()
+        recorded = list(env.transcript.config["operations"])
+        sent = len(env.transcript)
+        p16 = SchemeParams.binary(16)
+        for keys in (KeyAssignment(assignment.set1_ints, assignment.set2_ints, p16),
+                     KeyAssignment(assignment.set1_ints, (), p16)):
+            with pytest.raises(MixedParams):
+                verify(bulletin, keys, env)
+            assert env.transcript.config["operations"] == recorded
+            assert len(env.transcript) == sent
+
 
 @pytest.mark.filterwarnings("ignore:zero one-time key")
 class TestAgainstOracles:
