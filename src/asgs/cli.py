@@ -503,16 +503,16 @@ def run_scenario(args: Namespace) -> RunResult:
             path = getattr(args, option.dest)
             document = load_document(path, option.kind)
             decoded.append(globals()[f"{option.kind}_from_doc"](document))
-            if "bits" not in document:
+            params = decoded[-1].params
+            if option.kind != "transcript":  # its reader refused a missing or bad 'bits'
+                widths.append(params.dimension)
+            elif "bits" not in document:  # audit reads it and takes no width
                 raise ParseError(f"{path}: missing 'bits'")
-            bits = document["bits"]
-            if option.kind == "transcript":  # the writer's: the width of its params, else 0
-                params = decoded[-1].params
-                written = params.dimension if params is not None else 0
+            else:  # the writer's: the width of its params, else 0
+                bits, written = document["bits"], params.dimension if params is not None else 0
                 if type(bits) is not int or bits != written:
                     raise ParseError(
                         f"{path}: 'bits' is {bits!r}, but its config gives {written!r}")
-            widths.append(bits)
     result = RunResult(getattr(args, "out_dir", "."))  # audit has no --out
     if args.command == "audit":
         handler(args, result, *decoded)

@@ -7,8 +7,8 @@ over assumed-secure channels, a whole round at a time: a deal of mask
 elements, a relay of blinded shares, a release of keys. Every round
 lands in the transcript as its parts, optional tamper rules mutate
 payloads in flight, and an audit checks a finished transcript, round
-by round, against the one table of values a party must never see
-(:data:`FORBIDDEN`).
+by round, against the one table of deliveries a party must never
+receive (:data:`FORBIDDEN`, by recipient and kind).
 
 The engine plays all parties in program order, so a run is a pure
 function of the environment: parameters, per-party randomness, tamper
@@ -170,15 +170,14 @@ def participant(set_tag: str, index: int) -> Party:
 
 def parse_party(label: str) -> Party:
     """Inverse of :meth:`Party.label`: accepts exactly the labels it
-    prints, so ``p1-03`` and non-ASCII digits are rejected."""
+    prints, so ``p1-0``, ``p1-03`` and non-ASCII digits are rejected
+    before any party is built."""
     if label in _ROLE_PARTIES:
         return _ROLE_PARTIES[label]
-    if label.startswith("p") and "-" in label:
+    if label.startswith("p") and "-" in label and label.isascii():
         tag, _, index_text = label[1:].partition("-")
-        if tag.isascii() and tag.isalnum() and index_text.isdigit():
-            party = _participant(tag, int(index_text))
-            if party.label() == label:
-                return party
+        if tag.isalnum() and index_text.isdigit() and index_text[0] != "0":
+            return _participant(tag, int(index_text))
     raise ValueError(f"unrecognized party label {label!r}")
 
 
@@ -304,85 +303,26 @@ class TamperRule(Frozen, fields=("party", "kind", "occurrence", "bit")):
 # Visibility auditing
 # ---------------------------------------------------------------------------
 
-CLASS_SECRET = "secret"
-CLASS_OWNER_SHARE = "owner_share"
-CLASS_PROTECTED_SHARE = "protected_share"
-CLASS_DERIVED_SHARE = "derived_share"
-CLASS_KEY = "key"
-CLASS_SEALED_MASK = "sealed_mask"
-CLASS_MASKED_SHARE = "masked_share"
-CLASS_MASK_OWN = "mask_own"
-CLASS_MASK_FOREIGN = "mask_foreign"
-CLASS_CONTROL = "control"
-
-
-_KIND_CLASSES = {
-    KIND_SECRET: CLASS_SECRET,
-    KIND_OWNER_SHARE: CLASS_OWNER_SHARE,
-    KIND_ENVELOPE_SHARE: CLASS_PROTECTED_SHARE,
-    KIND_DERIVED_SHARE: CLASS_DERIVED_SHARE,
-    KIND_KEY: CLASS_KEY,
-}
-
-# Value class -> the kinds whose messages can have it (see _value_class),
-# for every class but control, which every other kind has.
-_CLASS_KINDS = {
-    CLASS_SEALED_MASK: (KIND_MASKED_SHARE,),
-    CLASS_MASKED_SHARE: (KIND_MASKED_SHARE,),
-    CLASS_MASK_OWN: (KIND_MASK_ELEMENT,),
-    CLASS_MASK_FOREIGN: (KIND_MASK_ELEMENT,),
-    **{value_class: (kind,) for kind, value_class in _KIND_CLASSES.items()},
-}
-
-
-def _value_class(
-    kind: str, sender: Party, recipient: Party, element_index: int | None
-) -> str:
-    """The value class a delivered payload exposes, from the message's
-    column values.
-
-    Mask elements count as ``mask_own`` only when delivered to the
-    participant whose 1-based index matches the recorded element index;
-    every other mask delivery is foreign. A masked share from the dealer
-    is a sealed mask (mask XOR key); from anyone else it is a share
-    blinded by a mask.
-    """
-    if kind == KIND_MASKED_SHARE:
-        return CLASS_SEALED_MASK if sender.role == ROLE_DEALER else CLASS_MASKED_SHARE
-    if kind == KIND_MASK_ELEMENT:
-        if (
-            recipient.role == ROLE_PARTICIPANT
-            and element_index is not None
-            and element_index == recipient.index
-        ):
-            return CLASS_MASK_OWN
-        return CLASS_MASK_FOREIGN
-    return _KIND_CLASSES.get(kind, CLASS_CONTROL)
-
-
-# The confidentiality contract of the honest protocols: the (recipient
-# key, value class) pairs no delivery may have.
+# The confidentiality contract of the honest protocols: each (recipient
+# key, kind) delivery it forbids, and the value class that delivery
+# exposes.
 # - the dealer never receives the secret, an owner share, or a
 #   protected share;
 # - the owner never receives a mask element or a bare key;
 # - a master-set participant never receives a derived share or a mask
-#   element other than its own.
-FORBIDDEN = frozenset({
-    (ROLE_DEALER, CLASS_SECRET),
-    (ROLE_DEALER, CLASS_OWNER_SHARE),
-    (ROLE_DEALER, CLASS_PROTECTED_SHARE),
-    (ROLE_OWNER, CLASS_MASK_OWN),
-    (ROLE_OWNER, CLASS_MASK_FOREIGN),
-    (ROLE_OWNER, CLASS_KEY),
-    ("participant:2", CLASS_MASK_FOREIGN),
-    ("participant:2", CLASS_DERIVED_SHARE),
-})
+#   element other than its own: one whose element index is its index.
+FORBIDDEN = {
+    (ROLE_DEALER, KIND_SECRET): "secret",
+    (ROLE_DEALER, KIND_OWNER_SHARE): "owner_share",
+    (ROLE_DEALER, KIND_ENVELOPE_SHARE): "protected_share",
+    (ROLE_OWNER, KIND_MASK_ELEMENT): "mask_foreign",
+    (ROLE_OWNER, KIND_KEY): "key",
+    ("participant:2", KIND_MASK_ELEMENT): "mask_foreign",
+    ("participant:2", KIND_DERIVED_SHARE): "derived_share",
+}
 
-# The (recipient key, kind) pairs whose rows can have a forbidden class,
-# and by kind, the recipient keys they flag.
-_FLAGGED_PAIRS = frozenset(
-    (key, kind) for key, value_class in FORBIDDEN for kind in _CLASS_KINDS[value_class])
-_FLAGGED = {kind: frozenset(key for key, pair_kind in _FLAGGED_PAIRS if pair_kind == kind)
+# By kind, the recipient keys it flags.
+_FLAGGED = {kind: frozenset(key for key, flagged in FORBIDDEN if flagged == kind)
             for kind in MESSAGE_KINDS}
 
 
@@ -397,18 +337,20 @@ _NO_KEYS: frozenset[str] = frozenset()
 def check_visibility(transcript: Transcript) -> list[Violation]:
     """Audit a transcript against :data:`FORBIDDEN`.
 
-    Returns one violation per message whose (recipient key, value class)
-    pair is forbidden, in seq order; an honest run yields none. Each
-    part of a round is audited as it is.
+    Returns one violation per message whose (recipient key, kind) pair
+    is forbidden, with the value class the table gives it, in seq order;
+    a participant's own mask element is permitted, and an honest run
+    yields none. Each part of a round is audited as it is.
     """
     found = []
     for parts in transcript.rounds:
         start = len(found)
-        for seqs, senders, recipients, kinds, payloads, element_indices in parts:
+        for seqs, _, recipients, kinds, payloads, element_indices in parts:
             count = len(payloads)
             selectors: Iterable[bool] | None = None
-            # Only the rows that can have a forbidden class are classified;
-            # a part is skipped when no kind of it flags any recipient.
+            # Only the rows whose (recipient key, kind) pair is forbidden
+            # are looked at; a part is skipped when no kind of it flags
+            # any recipient.
             if type(kinds) in _ROW_TYPES:
                 keys = _NO_KEYS.union(*map(_FLAGGED.get, set(kinds), repeat(_NO_KEYS)))
                 if type(recipients) in _ROW_TYPES:
@@ -416,7 +358,7 @@ def check_visibility(transcript: Transcript) -> list[Violation]:
                         continue
                 elif recipients.key not in keys:
                     continue
-                selectors = map(_FLAGGED_PAIRS.__contains__,
+                selectors = map(FORBIDDEN.__contains__,
                                 zip(map(_key, _rows(recipients, count)), kinds))
             elif type(recipients) in _ROW_TYPES:
                 keys = _FLAGGED.get(kinds, _NO_KEYS)
@@ -425,14 +367,16 @@ def check_visibility(transcript: Transcript) -> list[Violation]:
                 selectors = map(keys.__contains__, map(_key, recipients))
             elif recipients.key not in _FLAGGED.get(kinds, _NO_KEYS):
                 continue
-            rows: Iterable = zip(seqs, _rows(senders, count), _rows(recipients, count),
-                                 _rows(kinds, count), _rows(element_indices, count))
+            rows: Iterable = zip(seqs, _rows(recipients, count), _rows(kinds, count),
+                                 _rows(element_indices, count))
             if selectors is not None:
                 rows = compress(rows, selectors)
-            for seq, sender, recipient, kind, element_index in rows:
-                value_class = _value_class(kind, sender, recipient, element_index)
-                if (recipient.key, value_class) in FORBIDDEN:
-                    found.append(Violation(seq, recipient.label(), value_class, kind))
+            for seq, recipient, kind, element_index in rows:
+                if (kind == KIND_MASK_ELEMENT and recipient.index is not None
+                        and element_index == recipient.index):
+                    continue  # a participant's own mask element
+                found.append(Violation(seq, recipient.label(), FORBIDDEN[recipient.key, kind],
+                                       kind))
         if len(found) - start > 1:
             found[start:] = sorted(found[start:], key=attrgetter("seq"))
     return found

@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import itertools
 import random
 import sys
 from operator import xor
@@ -25,16 +26,8 @@ from asgs.kgh import (
 )
 from asgs.protocol import (
     ACCUMULATOR,
-    CLASS_CONTROL,
-    CLASS_DERIVED_SHARE,
-    CLASS_MASK_FOREIGN,
-    CLASS_MASK_OWN,
-    CLASS_MASKED_SHARE,
-    CLASS_SEALED_MASK,
-    CLASS_SECRET,
     CONTROL_KINDS,
     DEALER,
-    FORBIDDEN,
     KIND_DERIVED_SHARE,
     KIND_ENVELOPE_SHARE,
     KIND_IDENTIFICATION,
@@ -70,7 +63,6 @@ from asgs.protocol import (
     set_replicate,
     set_replicate_to_bigger,
     set_replicate_to_smaller,
-    _value_class,
 )
 from asgs.formats import dumps_transcript
 from asgs.pvss import KeyAssignment, distribute_shares_and_keys, recover_xored_keys, verify
@@ -102,7 +94,7 @@ PARTIES = [DEALER, OWNER, ACCUMULATOR] + [
     participant(tag, i) for tag in ("1", "2", "3", "o", "p", "a") for i in (1, 2, 3)
 ]
 # Kinds a transcript document may carry that the engine never sends;
-# the audit classes them as control.
+# the reference classes them as control.
 UNKNOWN_KINDS = ["ack", "telegram"]
 # (sender, recipient, kind, element_index) of one delivery of each value
 # class that C10_INJECTIONS lacks.
@@ -136,7 +128,8 @@ class TestParties:
         with pytest.raises(ValueError, match="unknown role 'banker'"):
             Party("banker")
 
-    @pytest.mark.parametrize("label", ['p"x-1', "p\u00e9-2", "p-1", "pa b-1", "p\u0661-1"])
+    @pytest.mark.parametrize("label", ['p"x-1', "p\u00e9-2", "p-1", "pa b-1", "p\u0661-1",
+                                       "p1-0", "p1-00", "p1-\u00b2"])
     def test_label_with_another_set_tag_rejected(self, label):
         with pytest.raises(ValueError, match="unrecognized party label"):
             parse_party(label)
@@ -808,6 +801,7 @@ class TestTamper:
         (("dealer", KIND_KEY, True, 0), "occurrence must be an int, got True"),
         (("dealer", KIND_KEY, 1, 2.0), "bit index must be an int, got 2.0"),
         (("dealer", KIND_KEY, 1, True), "bit index must be an int, got True"),
+        (("p1-0", KIND_KEY, 1, 0), "unrecognized party label 'p1-0'"),
     ])
     def test_invalid_rules_are_rejected_at_construction(self, fields, message):
         with pytest.raises(ValueError, match=message):
@@ -1230,11 +1224,11 @@ class TestTwoPartRounds:
             (ACCUMULATOR, (participant("2", 1), participant("3", 2), participant("2", 3)),
              KIND_DERIVED_SHARE, forwards([0x10, 0x20, 0x30]), (1, 2, 3)))
         assert check_visibility(env.transcript) == [
-            Violation(1, "dealer", CLASS_SECRET, KIND_SECRET),
-            Violation(2, "p2-1", CLASS_DERIVED_SHARE, KIND_DERIVED_SHARE),
-            Violation(3, "dealer", CLASS_SECRET, KIND_SECRET),
-            Violation(5, "dealer", CLASS_SECRET, KIND_SECRET),
-            Violation(6, "p2-3", CLASS_DERIVED_SHARE, KIND_DERIVED_SHARE),
+            Violation(1, "dealer", "secret", KIND_SECRET),
+            Violation(2, "p2-1", "derived_share", KIND_DERIVED_SHARE),
+            Violation(3, "dealer", "secret", KIND_SECRET),
+            Violation(5, "dealer", "secret", KIND_SECRET),
+            Violation(6, "p2-3", "derived_share", KIND_DERIVED_SHARE),
         ]
 
     @pytest.mark.parametrize("rules", [
@@ -1308,15 +1302,50 @@ class TestRoundShape:
         assert failed_rounds == (1 if rules else 0)
 
 
+# The README's visibility table as (recipient key, value class) pairs,
+# and a classifier of each message by the value its payload exposes:
+# the per-message reference shares no code with check_visibility.
+REFERENCE_FORBIDDEN = frozenset({
+    ("dealer", "secret"),
+    ("dealer", "owner_share"),
+    ("dealer", "protected_share"),
+    ("owner", "mask_own"),
+    ("owner", "mask_foreign"),
+    ("owner", "key"),
+    ("participant:2", "mask_foreign"),
+    ("participant:2", "derived_share"),
+})
+REFERENCE_KIND_CLASSES = {
+    KIND_SECRET: "secret",
+    KIND_OWNER_SHARE: "owner_share",
+    KIND_ENVELOPE_SHARE: "protected_share",
+    KIND_DERIVED_SHARE: "derived_share",
+    KIND_KEY: "key",
+}
+
+
 def classify(message: Message) -> str:
-    return _value_class(message.kind, message.sender, message.recipient, message.element_index)
+    """A mask element is ``mask_own`` only when delivered to the
+    participant whose index is its recorded element index, else
+    ``mask_foreign``; a masked share from the dealer is a sealed mask
+    (mask XOR key), from anyone else a share blinded by a mask; a kind
+    with no class of its own is ``control``."""
+    recipient, element_index = message.recipient, message.element_index
+    if message.kind == KIND_MASKED_SHARE:
+        return "sealed_mask" if message.sender.role == ROLE_DEALER else "masked_share"
+    if message.kind == KIND_MASK_ELEMENT:
+        if (recipient.role == ROLE_PARTICIPANT and element_index is not None
+                and element_index == recipient.index):
+            return "mask_own"
+        return "mask_foreign"
+    return REFERENCE_KIND_CLASSES.get(message.kind, "control")
 
 
 def audit_reference(transcript: Transcript) -> list[Violation]:
     """Classify every message in iteration order; flag each whose
-    (recipient key, value class) pair :data:`FORBIDDEN` holds."""
+    (recipient key, value class) pair the README table holds."""
     return [Violation(m.seq, m.recipient.label(), classify(m), m.kind)
-            for m in transcript if (m.recipient.key, classify(m)) in FORBIDDEN]
+            for m in transcript if (m.recipient.key, classify(m)) in REFERENCE_FORBIDDEN]
 
 
 # (sender, recipient, kind, element_index) of one delivery.
@@ -1416,30 +1445,32 @@ class TestCommunicationCost:
         ] == [20_000, 30_000, 40_000, 25_000, 60_000, 40_000]
 
 
-class TestClassification:
+class TestReferenceClassification:
+    """The test-side classifier that :func:`audit_reference` rests on."""
+
     def test_secret_class(self):
         message = Message(1, OWNER, ACCUMULATOR, KIND_SECRET, bv(0x01))
-        assert classify(message) == CLASS_SECRET
+        assert classify(message) == "secret"
 
     def test_mask_own_versus_foreign(self):
         own = Message(1, ACCUMULATOR, participant("2", 2), KIND_MASK_ELEMENT,
                       bv(0x01), element_index=2)
         foreign = Message(2, ACCUMULATOR, participant("2", 2), KIND_MASK_ELEMENT,
                           bv(0x01), element_index=5)
-        assert classify(own) == CLASS_MASK_OWN
-        assert classify(foreign) == CLASS_MASK_FOREIGN
+        assert classify(own) == "mask_own"
+        assert classify(foreign) == "mask_foreign"
 
     def test_masked_share_depends_on_sender(self):
         from_dealer = Message(1, DEALER, OWNER, KIND_MASKED_SHARE, bv(0x01))
         from_participant = Message(
             2, participant("2", 1), ACCUMULATOR, KIND_MASKED_SHARE, bv(0x01)
         )
-        assert classify(from_dealer) == CLASS_SEALED_MASK
-        assert classify(from_participant) == CLASS_MASKED_SHARE
+        assert classify(from_dealer) == "sealed_mask"
+        assert classify(from_participant) == "masked_share"
 
     def test_control_kinds(self):
         message = Message(1, DEALER, participant("p", 1), "key_request", True)
-        assert classify(message) == CLASS_CONTROL
+        assert classify(message) == "control"
 
 
 class TestVisibility:
@@ -1475,7 +1506,7 @@ class TestVisibility:
         violations = self.audit(env)
         assert len(violations) == 1
         assert violations[0].recipient == "dealer"
-        assert violations[0].value_class == CLASS_SECRET
+        assert violations[0].value_class == "secret"
 
     @pytest.mark.parametrize(
         "sender,recipient,kind,element_index,value_class",
@@ -1499,6 +1530,18 @@ class TestVisibility:
         assert [v.value_class for v in violations] == [value_class]
         assert violations[0].seq == 1
 
+    def test_every_one_row_delivery_matches_the_reference(self):
+        # Every recipient, kind and element index, from the dealer (a
+        # masked share is a sealed mask) and from a participant.
+        kinds = sorted(MESSAGE_KINDS) + UNKNOWN_KINDS
+        for recipient, kind, element_index, sender in itertools.product(
+                PARTIES, kinds, (None, 1, 2, 3, 4), (DEALER, participant("2", 1))):
+            transcript = Transcript({"bits": 8})
+            payload = True if kind in CONTROL_KINDS else 0x42
+            transcript.record(((1,), sender, recipient, kind, (payload,), element_index))
+            assert check_visibility(transcript) == audit_reference(transcript), (
+                recipient.label(), kind, element_index, sender.label())
+
     def test_owner_mask_delivery_with_matching_index_still_flagged(self):
         """Mask elements are forbidden to the owner whether own or foreign."""
         transcript = Transcript()
@@ -1516,8 +1559,9 @@ class TestVisibility:
         ),
     )
     def test_column_audit_matches_a_per_message_reference(self, steps):
-        """The audit classifies only the rows :data:`FORBIDDEN` can flag;
-        it must find what classifying every row finds, in the same order."""
+        """The audit looks up only the rows whose (recipient key, kind)
+        pair :data:`FORBIDDEN` can flag; it must find what classifying
+        every row finds, in the same order."""
         transcript = Transcript({"bits": 8})
         seq = 0
         for (sender, recipient, kind, element_index), gap, value in steps:
